@@ -190,6 +190,12 @@ func (r *Reader) parseHeader(off int) (shared, unshared, kstart, valueLen, next 
 		return 0, 0, 0, 0, 0, fmt.Errorf("%w: bad pad len at %d", ErrCorrupt, p)
 	}
 	p += n
+	// Bound each length before summing: a crafted varint near 2^64 would
+	// wrap the sum (or turn negative as an int) and slip past the check.
+	limit := uint64(len(data))
+	if sharedU > limit || unsharedU > limit || valueLenU > limit || padLenU > limit {
+		return 0, 0, 0, 0, 0, fmt.Errorf("%w: entry at %d has a length beyond the block", ErrCorrupt, off)
+	}
 	end := p + int(unsharedU) + int(valueLenU) + int(padLenU)
 	if end > len(data) {
 		return 0, 0, 0, 0, 0, fmt.Errorf("%w: entry at %d overruns block", ErrCorrupt, off)

@@ -13,8 +13,10 @@ type Filter []byte
 // DefaultBitsPerKey is the paper's configuration (10 bits, ~1% FP).
 const DefaultBitsPerKey = 10
 
-// hash is LevelDB's bloom hash (a Murmur-flavoured hash with seed 0xbc9f1d34).
-func hash(data []byte) uint32 {
+// Hash is LevelDB's bloom hash (a Murmur-flavoured hash with seed
+// 0xbc9f1d34). A filter is a function of its keys' hashes alone, so a table
+// builder keeps four bytes per entry instead of a copy of every key.
+func Hash(data []byte) uint32 {
 	const (
 		seed = 0xbc9f1d34
 		m    = 0xc6a4a793
@@ -43,6 +45,17 @@ func hash(data []byte) uint32 {
 
 // Build creates a filter over keys with the given bits per key.
 func Build(userKeys [][]byte, bitsPerKey int) Filter {
+	hashes := make([]uint32, len(userKeys))
+	for i, key := range userKeys {
+		hashes[i] = Hash(key)
+	}
+	return AppendFilter(nil, hashes, bitsPerKey)
+}
+
+// AppendFilter appends to dst the filter over the keys with the given
+// hashes (duplicates count toward the filter's size, as in Build) and
+// returns the extended slice.
+func AppendFilter(dst []byte, hashes []uint32, bitsPerKey int) []byte {
 	if bitsPerKey < 1 {
 		bitsPerKey = 1
 	}
@@ -54,16 +67,17 @@ func Build(userKeys [][]byte, bitsPerKey int) Filter {
 	if k > 30 {
 		k = 30
 	}
-	bits := len(userKeys) * bitsPerKey
+	bits := len(hashes) * bitsPerKey
 	if bits < 64 {
 		bits = 64
 	}
 	nBytes := (bits + 7) / 8
 	bits = nBytes * 8
-	filter := make(Filter, nBytes+1)
+	start := len(dst)
+	dst = append(dst, make([]byte, nBytes+1)...)
+	filter := dst[start:]
 	filter[nBytes] = byte(k)
-	for _, key := range userKeys {
-		h := hash(key)
+	for _, h := range hashes {
 		delta := h>>17 | h<<15
 		for j := uint32(0); j < k; j++ {
 			pos := h % uint32(bits)
@@ -71,7 +85,7 @@ func Build(userKeys [][]byte, bitsPerKey int) Filter {
 			h += delta
 		}
 	}
-	return filter
+	return dst
 }
 
 // MayContain reports whether key may be in the set the filter was built
@@ -87,7 +101,7 @@ func (f Filter) MayContain(key []byte) bool {
 		// Reserved for future encodings; err on the side of a match.
 		return true
 	}
-	h := hash(key)
+	h := Hash(key)
 	delta := h>>17 | h<<15
 	for j := uint32(0); j < k; j++ {
 		pos := h % bits

@@ -162,11 +162,7 @@ func (p *Picker) Score(v *manifest.Version, level int) float64 {
 	if level == 0 {
 		n := len(v.Levels[0])
 		if p.Opts.L0ByPhysicalFiles {
-			seen := make(map[uint64]struct{}, n)
-			for _, f := range v.Levels[0] {
-				seen[f.PhysNum] = struct{}{}
-			}
-			n = len(seen)
+			n = v.L0PhysFiles()
 		}
 		return float64(n) / float64(p.Opts.L0Trigger)
 	}
@@ -458,11 +454,7 @@ func (p *Picker) pickSettled(v *manifest.Version, level int, in *InFlight) *Comp
 	}
 	cands := make([]scored, 0, len(files))
 	for _, f := range files {
-		var ov int64
-		for _, nf := range v.Overlaps(level+1, f.Smallest.UserKey(), f.Largest.UserKey()) {
-			ov += nf.Size
-		}
-		cands = append(cands, scored{f, ov})
+		cands = append(cands, scored{f, v.OverlapBytes(level+1, f.Smallest.UserKey(), f.Largest.UserKey())})
 	}
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].overlap < cands[j].overlap })
 

@@ -42,17 +42,17 @@ func TestLevelMaxBytes(t *testing.T) {
 
 func TestScoreAndTrigger(t *testing.T) {
 	p := &Picker{Opts: defaultOpts()}
-	v := &manifest.Version{}
+	var lv [manifest.NumLevels][]*manifest.FileMeta
 	// Below thresholds: no compaction.
-	v.Levels[0] = []*manifest.FileMeta{meta(1, 1<<20, "a", "b")}
-	if c := p.Pick(v, Env{}); c != nil {
+	lv[0] = []*manifest.FileMeta{meta(1, 1<<20, "a", "b")}
+	if c := p.Pick(manifest.NewVersion(lv), Env{}); c != nil {
 		t.Fatalf("premature compaction: %+v", c)
 	}
 	// L0 at trigger.
 	for i := 2; i <= 4; i++ {
-		v.Levels[0] = append(v.Levels[0], meta(uint64(i), 1<<20, "a", "b"))
+		lv[0] = append(lv[0], meta(uint64(i), 1<<20, "a", "b"))
 	}
-	c := p.Pick(v, Env{})
+	c := p.Pick(manifest.NewVersion(lv), Env{})
 	if c == nil || c.Level != 0 {
 		t.Fatalf("expected L0 compaction, got %+v", c)
 	}
@@ -63,16 +63,17 @@ func TestScoreAndTrigger(t *testing.T) {
 
 func TestL0IncludesL1Overlaps(t *testing.T) {
 	p := &Picker{Opts: defaultOpts()}
-	v := &manifest.Version{}
+	var lv [manifest.NumLevels][]*manifest.FileMeta
 	for i := 1; i <= 4; i++ {
-		v.Levels[0] = append(v.Levels[0], meta(uint64(i), 1<<20, "c", "m"))
+		lv[0] = append(lv[0], meta(uint64(i), 1<<20, "c", "m"))
 	}
-	v.Levels[1] = []*manifest.FileMeta{
+	lv[1] = []*manifest.FileMeta{
 		meta(10, 1<<20, "a", "b"), // outside
 		meta(11, 1<<20, "b", "d"), // overlaps
 		meta(12, 1<<20, "k", "n"), // overlaps
 		meta(13, 1<<20, "p", "z"), // outside
 	}
+	v := manifest.NewVersion(lv)
 	c := p.Pick(v, Env{})
 	if len(c.NextInputs) != 2 || c.NextInputs[0].Num != 11 || c.NextInputs[1].Num != 12 {
 		t.Fatalf("next inputs: %+v", c.NextInputs)
@@ -80,14 +81,14 @@ func TestL0IncludesL1Overlaps(t *testing.T) {
 }
 
 func overflowL1() *manifest.Version {
-	v := &manifest.Version{}
+	var lv [manifest.NumLevels][]*manifest.FileMeta
 	// 12 MB in L1 (limit 10 MB).
 	for i := 0; i < 6; i++ {
 		lo := fmt.Sprintf("k%02d", i*2)
 		hi := fmt.Sprintf("k%02d", i*2+1)
-		v.Levels[1] = append(v.Levels[1], meta(uint64(i+1), 2<<20, lo, hi))
+		lv[1] = append(lv[1], meta(uint64(i+1), 2<<20, lo, hi))
 	}
-	return v
+	return manifest.NewVersion(lv)
 }
 
 func TestClassicSingleVictim(t *testing.T) {
@@ -142,19 +143,20 @@ func TestSettledSelectsMinOverlapAndPromotes(t *testing.T) {
 	o.GroupBytes = 4 << 20
 	o.Settled = true
 	p := &Picker{Opts: o}
-	v := &manifest.Version{}
+	var lv [manifest.NumLevels][]*manifest.FileMeta
 	// L1 overflowing: file 1 overlaps lots of L2, file 2 overlaps nothing,
 	// file 3 overlaps a little.
-	v.Levels[1] = []*manifest.FileMeta{
+	lv[1] = []*manifest.FileMeta{
 		meta(1, 6<<20, "a", "c"),
 		meta(2, 4<<20, "e", "f"),
 		meta(3, 4<<20, "h", "k"),
 	}
-	v.Levels[2] = []*manifest.FileMeta{
+	lv[2] = []*manifest.FileMeta{
 		meta(10, 8<<20, "a", "b"),
 		meta(11, 8<<20, "b", "c"),
 		meta(12, 2<<20, "h", "i"),
 	}
+	v := manifest.NewVersion(lv)
 	c := p.Pick(v, Env{})
 	if c == nil || c.Level != 1 {
 		t.Fatalf("pick: %+v", c)
@@ -174,16 +176,17 @@ func TestSettledMixedPromotionAndRewrite(t *testing.T) {
 	o.GroupBytes = 8 << 20
 	o.Settled = true
 	p := &Picker{Opts: o}
-	v := &manifest.Version{}
-	v.Levels[1] = []*manifest.FileMeta{
+	var lv [manifest.NumLevels][]*manifest.FileMeta
+	lv[1] = []*manifest.FileMeta{
 		meta(1, 4<<20, "a", "c"), // small overlap
 		meta(2, 4<<20, "e", "f"), // no overlap -> settled
 		meta(3, 4<<20, "h", "k"), // big overlap
 	}
-	v.Levels[2] = []*manifest.FileMeta{
+	lv[2] = []*manifest.FileMeta{
 		meta(10, 1<<20, "b", "c"),
 		meta(11, 20<<20, "h", "i"),
 	}
+	v := manifest.NewVersion(lv)
 	c := p.Pick(v, Env{})
 	if len(c.Settled) != 1 || c.Settled[0].Num != 2 {
 		t.Fatalf("settled: %+v", c.Settled)
@@ -204,16 +207,17 @@ func TestFragmentedPicksHeaviestPile(t *testing.T) {
 	o := defaultOpts()
 	o.Fragmented = true
 	p := &Picker{Opts: o}
-	v := &manifest.Version{}
+	var lv [manifest.NumLevels][]*manifest.FileMeta
 	// L1 over limit with two overlapping piles: {1,2} spanning a..f and
 	// {3,4,5} spanning m..r (heavier).
-	v.Levels[1] = []*manifest.FileMeta{
+	lv[1] = []*manifest.FileMeta{
 		meta(1, 2<<20, "a", "d"),
 		meta(2, 2<<20, "c", "f"),
 		meta(3, 3<<20, "m", "p"),
 		meta(4, 3<<20, "n", "q"),
 		meta(5, 3<<20, "o", "r"),
 	}
+	v := manifest.NewVersion(lv)
 	c := p.Pick(v, Env{})
 	if c == nil || c.Level != 1 {
 		t.Fatalf("pick: %+v", c)
@@ -231,7 +235,7 @@ func TestFragmentedLastLevelMerges(t *testing.T) {
 	o := defaultOpts()
 	o.Fragmented = true
 	p := &Picker{Opts: o}
-	v := &manifest.Version{}
+	var lv [manifest.NumLevels][]*manifest.FileMeta
 	lvl := manifest.NumLevels - 2
 	// Make the second-to-last level overflow.
 	var pile []*manifest.FileMeta
@@ -239,8 +243,9 @@ func TestFragmentedLastLevelMerges(t *testing.T) {
 	for i := int64(0); i < need; i++ {
 		pile = append(pile, meta(uint64(100+i), 4<<20, "a", "z"))
 	}
-	v.Levels[lvl] = pile
-	v.Levels[lvl+1] = []*manifest.FileMeta{meta(999, 4<<20, "m", "q")}
+	lv[lvl] = pile
+	lv[lvl+1] = []*manifest.FileMeta{meta(999, 4<<20, "m", "q")}
+	v := manifest.NewVersion(lv)
 	c := p.Pick(v, Env{})
 	if c == nil || c.Level != lvl {
 		t.Fatalf("pick: %+v", c)

@@ -140,17 +140,18 @@ func TestInFlightNilIsEmpty(t *testing.T) {
 // next-best level instead of nil.
 func TestPickSkipsReservedLevel(t *testing.T) {
 	p := &Picker{Opts: defaultOpts()}
-	v := &manifest.Version{}
+	var lv [manifest.NumLevels][]*manifest.FileMeta
 	// L1 well over its 10 MB limit with a single huge table; L2 over its
 	// 100 MB limit, keys disjoint from L1's span.
 	l1 := meta(1, 40<<20, "a", "c")
-	v.Levels[1] = []*manifest.FileMeta{l1}
-	v.Levels[2] = []*manifest.FileMeta{
+	lv[1] = []*manifest.FileMeta{l1}
+	lv[2] = []*manifest.FileMeta{
 		meta(2, 60<<20, "m", "o"),
 		meta(3, 60<<20, "p", "r"),
 	}
 
 	// Unreserved: the higher-scoring L1 wins.
+	v := manifest.NewVersion(lv)
 	if c := p.Pick(v, Env{}); c == nil || c.Level != 1 {
 		t.Fatalf("expected L1 pick, got %+v", c)
 	}
@@ -174,10 +175,11 @@ func TestPickSkipsReservedLevel(t *testing.T) {
 // thresholds, validated against the version, and conflict-checked.
 func TestPickSeekCandidate(t *testing.T) {
 	p := &Picker{Opts: defaultOpts()}
-	v := &manifest.Version{}
+	var lv [manifest.NumLevels][]*manifest.FileMeta
 	f := meta(1, 1<<20, "d", "f")
-	v.Levels[1] = []*manifest.FileMeta{f} // far below the size threshold
+	lv[1] = []*manifest.FileMeta{f} // far below the size threshold
 
+	v := manifest.NewVersion(lv)
 	c := p.Pick(v, Env{SeekFile: f, SeekLevel: 1})
 	if c == nil || c.Reason != ReasonSeek || len(c.Inputs) != 1 || c.Inputs[0] != f {
 		t.Fatalf("seek candidate not picked: %+v", c)

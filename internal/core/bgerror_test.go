@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -214,7 +215,7 @@ func TestPunchHoleFallbackRecordsDeadRanges(t *testing.T) {
 	// Two logical tables share the file; the first dies now.
 	db.mu.Lock()
 	db.physRefs[phys] = 2
-	db.zombies = append(db.zombies, &manifest.FileMeta{Num: 90100, PhysNum: phys, Offset: 0, Size: sz})
+	db.zombies = append(db.zombies, zombie{f: &manifest.FileMeta{Num: 90100, PhysNum: phys, Offset: 0, Size: sz}})
 	db.reclaimZombiesLocked()
 	dead := int64(0)
 	for _, r := range db.deadRanges[phys] {
@@ -236,7 +237,7 @@ func TestPunchHoleFallbackRecordsDeadRanges(t *testing.T) {
 	// The second logical table dies too: the whole file is unlinked and its
 	// dead-range debt is forgotten with it.
 	db.mu.Lock()
-	db.zombies = append(db.zombies, &manifest.FileMeta{Num: 90101, PhysNum: phys, Offset: sz, Size: sz})
+	db.zombies = append(db.zombies, zombie{f: &manifest.FileMeta{Num: 90101, PhysNum: phys, Offset: sz, Size: sz}})
 	db.reclaimZombiesLocked()
 	db.mu.Unlock()
 	if db.DeadRangeBytes() != 0 {
@@ -345,5 +346,126 @@ func TestErrIsTransientClassification(t *testing.T) {
 	}
 	if !errIsTransient(errors.New("disk hiccup")) {
 		t.Fatal("unknown error must default to transient (bounded by retries)")
+	}
+}
+
+// shortWriteFS makes one armed table-file Write come up short: half the
+// bytes reach the file and no error is returned — the case only the
+// caller's length check can catch.
+type shortWriteFS struct {
+	vfs.FS
+	armed atomic.Bool
+	hit   atomic.Value // string: the file the short write landed in
+}
+
+func (fs *shortWriteFS) Create(name string) (vfs.File, error) {
+	f, err := fs.FS.Create(name)
+	if err != nil || !isSST(name) {
+		return f, err
+	}
+	return &shortWriteFile{File: f, fs: fs, name: name}, nil
+}
+
+type shortWriteFile struct {
+	vfs.File
+	fs   *shortWriteFS
+	name string
+}
+
+func (f *shortWriteFile) Write(p []byte) (int, error) {
+	if f.fs.armed.CompareAndSwap(true, false) {
+		f.fs.hit.Store(f.name)
+		return f.File.Write(p[:len(p)/2])
+	}
+	return f.File.Write(p)
+}
+
+// TestTableWriteFaultAtFinish: a table reaches its file in one Write at
+// Finish, so that is where a write fault now lands. Failed or short, it
+// must surface as a background failure, leave the MANIFEST without any
+// table of the abandoned file, and be absorbed by the ordinary retry.
+func TestTableWriteFaultAtFinish(t *testing.T) {
+	for _, mode := range []string{"failed", "short"} {
+		t.Run(mode, func(t *testing.T) {
+			mem := vfs.NewMem()
+			efs := vfs.NewErrorFS(mem)
+			fs := &shortWriteFS{FS: efs}
+			cfg := fastRetryConfig(boltTestConfig())
+			db := openTestDB(t, fs, cfg)
+			fillToFlush(t, db, "before")
+			if err := db.WaitIdle(); err != nil {
+				t.Fatal(err)
+			}
+
+			var failed atomic.Value // string: the file whose Write was failed
+			if mode == "short" {
+				fs.armed.Store(true)
+			} else {
+				nth := efs.OpCount(vfs.OpWrite)
+				efs.SetInjector(vfs.FilterName(isSST, vfs.InjectorFunc(func(op vfs.Op, name string, n int64) error {
+					if op != vfs.OpWrite || n <= nth || failed.Load() != nil {
+						return nil
+					}
+					failed.Store(name)
+					return &vfs.InjectedError{Op: op, Name: name}
+				})))
+			}
+			fillToFlush(t, db, "after")
+			if err := db.WaitIdle(); err != nil {
+				t.Fatalf("WaitIdle after a %s table write = %v, want nil", mode, err)
+			}
+			victim, _ := failed.Load().(string)
+			if mode == "short" {
+				victim, _ = fs.hit.Load().(string)
+			}
+			if victim == "" {
+				t.Fatal("the fault never fired")
+			}
+			m := db.Metrics()
+			if m.BgRetries.Load() == 0 || m.BgRecoveredFaults.Load() == 0 {
+				t.Fatalf("retries %d, recovered %d: the fault did not go through the retry path",
+					m.BgRetries.Load(), m.BgRecoveredFaults.Load())
+			}
+			if ro, cause := db.ReadOnly(); ro {
+				t.Fatalf("degraded to read-only: %v", cause)
+			}
+
+			// Nothing of the abandoned file is installed, before or after a
+			// reopen (which replays the MANIFEST).
+			_, victimNum, _ := manifest.ParseFileName(victim)
+			checkNotInstalled := func(db *DB) {
+				t.Helper()
+				db.mu.Lock()
+				defer db.mu.Unlock()
+				for level, files := range db.vs.Current().Levels {
+					for _, f := range files {
+						if f.PhysNum == victimNum {
+							t.Fatalf("L%d table %d lives in %s, whose write failed", level, f.Num, victim)
+						}
+					}
+				}
+			}
+			checkNotInstalled(db)
+			if err := db.Scrub(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db = openTestDB(t, mem, cfg)
+			defer db.Close()
+			checkNotInstalled(db)
+			for _, tag := range []string{"before", "after"} {
+				for i := 0; i < 200; i += 13 {
+					key := fmt.Sprintf("%s-%05d", tag, i)
+					if got, err := db.Get([]byte(key), nil); err != nil || !strings.HasPrefix(string(got), tag+"-") {
+						t.Fatalf("Get %s = %q, %v", key, got, err)
+					}
+				}
+			}
+		})
 	}
 }

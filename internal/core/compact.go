@@ -23,32 +23,42 @@ import (
 // after flushing the current memtable. Tools use it to settle a database
 // into its minimal shape; nil,nil compacts everything.
 func (db *DB) CompactRange(start, limit []byte) error {
-	// Flush current memtable content first so it participates.
 	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return ErrClosed
-	}
-	if err := db.pendingErrLocked(); err != nil {
-		db.mu.Unlock()
-		return err
-	}
-	if !db.mem.Empty() {
-		if err := db.forceMemtableSwitchLocked(); err != nil {
+	// Exclude the scheduler in the critical section that rotates the
+	// memtable, not after the flush: the flush lands the L0 tables this
+	// call is about to compact, and a scheduler still picking would race
+	// the manual pass for them. Not earlier either: the rotation may wait
+	// for a group-commit leader, and a leader stalled on the L0 stop
+	// governor needs the scheduler to release it. manualActive stops new
+	// compaction picks (pickCompactionLocked returns nil) and value-GC
+	// passes; flushes keep running — the wait below depends on one — and
+	// reserved work already in flight runs to completion first. It also
+	// serializes manual compactions: each assumes it is the only consumer
+	// of current-version tables, so a call that finds another one claimed
+	// the flag while it waited for its rotation starts over.
+	for {
+		for db.manualActive && !db.closed {
+			db.cond.Wait()
+		}
+		if db.closed {
+			db.mu.Unlock()
+			return ErrClosed
+		}
+		if err := db.pendingErrLocked(); err != nil {
 			db.mu.Unlock()
 			return err
 		}
+		// Flush current memtable content first so it participates.
+		if !db.mem.Empty() {
+			if err := db.forceMemtableSwitchLocked(); err != nil {
+				db.mu.Unlock()
+				return err
+			}
+		}
+		if !db.manualActive {
+			break
+		}
 	}
-	for db.imm != nil && !db.bgStoppedLocked() {
-		db.maybeScheduleWorkLocked()
-		db.cond.Wait()
-	}
-
-	// Exclude the scheduler while the manual compaction holds references
-	// to current-version inputs; otherwise both could compact the same
-	// tables. Setting manualActive stops new picks (pickCompactionLocked
-	// returns nil) so the worker pool drains promptly; reserved work
-	// already in flight runs to completion first.
 	db.manualActive = true
 	defer func() {
 		// The cleanup must run under mu, so mu is released here rather
@@ -58,7 +68,8 @@ func (db *DB) CompactRange(start, limit []byte) error {
 		db.cond.Broadcast()
 		db.mu.Unlock()
 	}()
-	for (db.flushActive || db.compactWorkers > 0) && !db.bgStoppedLocked() {
+	for (db.imm != nil || db.flushActive || db.compactWorkers > 0) && !db.bgStoppedLocked() {
+		db.maybeScheduleWorkLocked()
 		db.cond.Wait()
 	}
 
@@ -70,10 +81,6 @@ func (db *DB) CompactRange(start, limit []byte) error {
 			if len(inputs) == 0 {
 				break
 			}
-			if level == 0 {
-				// Level 0 files overlap each other; take the closure.
-				inputs = compaction.L0OverlapClosure(v.Levels[0], inputs[0])
-			}
 			c := &compaction.Compaction{
 				Level:       level,
 				OutputLevel: level + 1,
@@ -81,6 +88,19 @@ func (db *DB) CompactRange(start, limit []byte) error {
 				Reason:      compaction.ReasonManual,
 			}
 			smallest, largest := c.Range()
+			if level == 0 {
+				// Level 0 files overlap each other: widen to the closure of
+				// everything in range, so one compaction (one barrier pair)
+				// moves the whole level rather than one table's pile.
+				for {
+					wider := v.Overlaps(0, smallest, largest)
+					if len(wider) == len(c.Inputs) {
+						break
+					}
+					c.Inputs = wider
+					smallest, largest = c.Range()
+				}
+			}
 			c.NextInputs = v.Overlaps(level+1, smallest, largest)
 			// Reserve even though the pool is drained: the in-flight gauge
 			// stays truthful and Release is cheap.
@@ -155,7 +175,7 @@ const (
 // is only spawned when it has conflict-free work in hand — repeated calls
 // while the queue is saturated spawn nothing.
 func (db *DB) maybeScheduleWorkLocked() {
-	if db.bgStoppedLocked() || db.manualActive {
+	if db.bgStoppedLocked() {
 		return
 	}
 	if db.cfg.SeparateFlushThread && db.imm != nil && !db.flushActive {
@@ -168,7 +188,7 @@ func (db *DB) maybeScheduleWorkLocked() {
 	// commits through the writer queue, and a write can stall on a full
 	// memtable until a flush runs — with MaxBackgroundCompactions=1 a pool
 	// slot waiting on that write would deadlock against the flush it blocks.
-	if !db.vlogGCActive {
+	if !db.vlogGCActive && !db.manualActive {
 		if gc := db.pickValueGCLocked(); gc != nil {
 			r := db.inflight.Reserve(gc)
 			db.vlogGCActive = true
@@ -545,8 +565,12 @@ func (db *DB) compactLocked(c *compaction.Compaction, worker int) error {
 		db.met.SalvageSkipped.Add(int64(skipped))
 	}
 
-	db.zombies = append(db.zombies, c.Inputs...)
-	db.zombies = append(db.zombies, c.NextInputs...)
+	deletedIn := db.vs.Current().ID()
+	for _, files := range [2][]*manifest.FileMeta{c.Inputs, c.NextInputs} {
+		for _, f := range files {
+			db.zombies = append(db.zombies, zombie{f, deletedIn})
+		}
+	}
 	fallbacks := db.reclaimZombiesLocked()
 	db.verifyInvariantsLocked()
 	db.maybeScheduleWorkLocked()
@@ -774,6 +798,15 @@ func (db *DB) logAndApplyLocked(edit *manifest.VersionEdit) error {
 	return err
 }
 
+// zombie is a table some edit deleted but a pinned version may still read.
+type zombie struct {
+	f *manifest.FileMeta
+	// deletedIn is the ID of the version the deleting edit produced. Table
+	// numbers are never re-added once deleted, so only versions older than
+	// it can hold f: the table is dead once none of those is pinned.
+	deletedIn uint64
+}
+
 // reclaimZombiesLocked deletes tables no longer referenced by any live
 // version: whole physical files are unlinked; dead logical SSTables inside
 // still-live compaction files get their byte ranges hole-punched, without
@@ -786,19 +819,20 @@ func (db *DB) reclaimZombiesLocked() []events.Event {
 	if len(db.zombies) == 0 {
 		return nil
 	}
-	live := db.vs.LiveTables()
-	var keep []*manifest.FileMeta
+	oldest := db.vs.OldestLiveID()
+	keep := db.zombies[:0]
 	type punch struct {
 		phys      uint64
 		off, size int64
 	}
 	var punches []punch
 	var removals []uint64
-	for _, z := range db.zombies {
-		if _, isLive := live[z.Num]; isLive {
-			keep = append(keep, z)
+	for _, zb := range db.zombies {
+		if oldest < zb.deletedIn {
+			keep = append(keep, zb)
 			continue
 		}
+		z := zb.f
 		db.tableCache.Evict(z.Num)
 		db.met.TablesDeleted.Add(1)
 		db.physRefs[z.PhysNum]--
@@ -813,6 +847,7 @@ func (db *DB) reclaimZombiesLocked() []events.Event {
 			punches = append(punches, punch{z.PhysNum, z.Offset, z.Size})
 		}
 	}
+	clear(db.zombies[len(keep):]) // drop the reclaimed tables' metadata
 	db.zombies = keep
 
 	if len(punches) == 0 && len(removals) == 0 {

@@ -113,7 +113,8 @@ type DB struct {
 	// flush thread, or by whichever pool worker grabbed it in unified
 	// mode. compactWorkers counts live pool workers; workerSlots tracks
 	// which 1-based worker IDs are taken so event traces stay stable.
-	// manualActive excludes the scheduler while CompactRange runs.
+	// manualActive stops compaction picks and value-GC passes (flushes keep
+	// running) while CompactRange runs.
 	flushActive    bool   //boltvet:guardedby mu
 	compactWorkers int    //boltvet:guardedby mu
 	workerSlots    []bool //boltvet:guardedby mu
@@ -150,9 +151,9 @@ type DB struct {
 	scrubActive       bool            //boltvet:guardedby mu
 	quarantinePending map[uint64]bool //boltvet:guardedby mu
 
-	obsoleteLogs []uint64             //boltvet:guardedby mu
-	zombies      []*manifest.FileMeta //boltvet:guardedby mu
-	physRefs     map[uint64]int       //boltvet:guardedby mu
+	obsoleteLogs []uint64       //boltvet:guardedby mu
+	zombies      []zombie       //boltvet:guardedby mu
+	physRefs     map[uint64]int //boltvet:guardedby mu
 
 	// goros is the boltinvariants goroutine registry: tracked background
 	// goroutines register at spawn and deregister before clearing their

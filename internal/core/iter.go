@@ -173,11 +173,15 @@ type DBIter struct {
 // NewIter returns an iterator over the database at snap (nil = latest
 // committed state at creation time). Callers must Close it.
 func (db *DB) NewIter(snap *Snapshot) *DBIter {
+	db.mu.Lock()
+	// The sequence is read in the critical section that registers the pin:
+	// read before it, a value-GC pass could re-put, find no pin older than
+	// its safeSeq and punch in the window, leaving this iterator pinned at
+	// a sequence that cannot see the re-puts and pointing into the hole.
 	seq := db.VisibleSeq()
 	if snap != nil {
 		seq = snap.seq
 	}
-	db.mu.Lock()
 	mem, imm := db.mem, db.imm
 	v := db.vs.Current()
 	v.Ref()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/bolt-lsm/bolt/internal/metrics"
 	"github.com/bolt-lsm/bolt/internal/vfs"
 )
 
@@ -125,6 +126,94 @@ func TestCompactRangeConcurrentWithWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-done
+	if err := db.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCompactRangeCompactionCount pins what a full manual compaction costs
+// on a fixed tree: three flushed memtables in level 0 (one below the
+// trigger) plus a fourth still in memory, whose flush inside CompactRange
+// brings level 0 to the trigger. The scheduler must not get that level
+// first, and the manual pass must move it in one compaction rather than
+// one per (disjoint) level-0 table: six compactions, one per level, and
+// the fourteen barriers of one flush plus six data/MANIFEST pairs. With the
+// trigger out of reach only the second half is in play.
+func TestCompactRangeCompactionCount(t *testing.T) {
+	for _, trigger := range []int{4, 100} {
+		t.Run(fmt.Sprintf("L0Trigger=%d", trigger), func(t *testing.T) {
+			cfg := boltTestConfig()
+			cfg.L0CompactionTrigger = trigger
+			testCompactRangeCompactionCount(t, cfg)
+		})
+	}
+}
+
+func testCompactRangeCompactionCount(t *testing.T, cfg Config) {
+	db := openTestDB(t, vfs.NewMem(), cfg)
+	defer db.Close()
+	put := func(round int) {
+		for i := 0; i < 100; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("key%02d%06d", round, i)), make([]byte, 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for round := 0; round < 3; round++ {
+		put(round)
+		db.mu.Lock()
+		err := db.forceMemtableSwitchLocked()
+		db.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.WaitIdle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(3)
+	if files := db.NumLevelFiles(); files[0] == 0 || db.Metrics().Compactions.Load() != 0 {
+		t.Fatalf("tree not as arranged: files %v, %d compactions", files, db.Metrics().Compactions.Load())
+	}
+
+	fsyncs := db.IO().Fsyncs.Load()
+	if err := db.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	m := db.Metrics()
+	if total, manual := m.Compactions.Load(), m.CompactionsByReason[metrics.CompactionManual].Load(); total != 6 || manual != 6 {
+		t.Fatalf("%d compactions, %d of them manual; want 6 and 6\n%s", total, manual, db.DebugVersion())
+	}
+	if got := db.IO().Fsyncs.Load() - fsyncs; got != 14 {
+		t.Fatalf("%d barriers, want 14", got)
+	}
+	files := db.NumLevelFiles()
+	for level := 0; level < len(files)-1; level++ {
+		if files[level] != 0 {
+			t.Fatalf("level %d not empty after full compaction: %v", level, files)
+		}
+	}
+	if err := db.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCompactRangeCallsSerialize: each manual compaction assumes it alone
+// consumes current-version tables, so concurrent calls take turns.
+func TestCompactRangeCallsSerialize(t *testing.T) {
+	db := openTestDB(t, vfs.NewMem(), boltTestConfig())
+	defer db.Close()
+	fill(t, db, 2000, 100)
+	errs := make(chan error, 3)
+	for i := 0; i < cap(errs); i++ {
+		go func() { errs <- db.CompactRange(nil, nil) }()
+	}
+	for i := 0; i < cap(errs); i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkFilled(t, db, 2000, 100)
 	if err := db.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -38,8 +38,11 @@ type tableOutput struct {
 	cfPhys   uint64
 	cfOffset int64
 
-	// Current table under construction.
+	// Current table under construction. w is nil between tables; tw is the
+	// one writer every table of this output is built with, so its buffers
+	// are paid for once per flush or compaction.
 	w       *sstable.Writer
+	tw      *sstable.Writer
 	curFile vfs.File // legacy mode: the table's own file
 	curNum  uint64
 
@@ -102,7 +105,7 @@ func (o *tableOutput) startTable() error {
 			o.cfOffset = 0
 		}
 		o.curNum = num
-		o.w = sstable.NewWriter(o.cfFile, o.cfOffset, o.db.sstConfig())
+		o.resetWriter(o.cfFile, o.cfOffset)
 		return nil
 	}
 	f, err := o.db.fs.Create(manifest.TableFileName(num))
@@ -111,8 +114,18 @@ func (o *tableOutput) startTable() error {
 	}
 	o.curFile = f
 	o.curNum = num
-	o.w = sstable.NewWriter(f, 0, o.db.sstConfig())
+	o.resetWriter(f, 0)
 	return nil
+}
+
+// resetWriter points the output's writer at a new table.
+func (o *tableOutput) resetWriter(f vfs.File, base int64) {
+	if o.tw == nil {
+		o.tw = sstable.NewWriter(f, base, o.db.sstConfig())
+	} else {
+		o.tw.Reset(f, base)
+	}
+	o.w = o.tw
 }
 
 // cutTable finishes the current table. In legacy mode this is where the

@@ -84,7 +84,12 @@ type model struct {
 	// universe of bytes that may legitimately surface for that key in a
 	// repaired image.
 	tried map[string]map[string]bool
+	// attempts logs every begin in order, so a crash snapshot can be
+	// topped up with the attempts begun while the image was being taken.
+	attempts []attempt
 }
+
+type attempt struct{ k, v string }
 
 func newModel() *model {
 	return &model{
@@ -107,6 +112,7 @@ func (m *model) begin(k, v string) {
 	m.mu.Lock()
 	addVal(m.maybe, k, v)
 	addVal(m.tried, k, v)
+	m.attempts = append(m.attempts, attempt{k, v})
 	m.mu.Unlock()
 }
 
@@ -126,6 +132,19 @@ type modelSnapshot struct {
 	acked map[string]string
 	maybe map[string]map[string]bool
 	tried map[string]map[string]bool
+	// attempts is how many attempts had begun when the copy was taken.
+	attempts int
+}
+
+// addAttemptsSince folds into s, as in-flight values, the attempts m has
+// seen begin since s was taken.
+func (s *modelSnapshot) addAttemptsSince(m *model) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, a := range m.attempts[s.attempts:] {
+		addVal(s.maybe, a.k, a.v)
+		addVal(s.tried, a.k, a.v)
+	}
 }
 
 func copySets(src map[string]map[string]bool) map[string]map[string]bool {
@@ -147,7 +166,7 @@ func (m *model) snapshot() *modelSnapshot {
 	for k, v := range m.acked {
 		acked[k] = v
 	}
-	return &modelSnapshot{acked: acked, maybe: copySets(m.maybe), tried: copySets(m.tried)}
+	return &modelSnapshot{acked: acked, maybe: copySets(m.maybe), tried: copySets(m.tried), attempts: len(m.attempts)}
 }
 
 // crashClass is a set of op sites and a rule for drawing the crash point.
@@ -229,6 +248,11 @@ func (c *crasher) Inject(op vfs.Op, name string, n int64) error {
 	} else {
 		img = c.efs.CrashImage()
 	}
+	// The crash point may have fired on a background goroutine, with the
+	// workload still running: a write begun after the model copy can be
+	// durable in the image. Such writes are in flight as far as the copy
+	// is concerned (newer than anything it holds acknowledged).
+	at.addAttemptsSince(c.m)
 	c.mu.Lock()
 	c.img = img
 	c.at = at

@@ -72,8 +72,16 @@ func (e *Empty) Close() error { return nil }
 // numbers are unique) are broken by source index for determinism.
 type Merging struct {
 	sources []Iterator
-	heap    []int // indexes into sources, heap-ordered by current key
+	heap    []mergeItem // heap-ordered by current key
 	err     error
+}
+
+// mergeItem is one positioned source. The key is fetched once per move of
+// that source: a sift compares keys many times, and asking the source each
+// time costs an interface call (often through a wrapper) per comparison.
+type mergeItem struct {
+	src int // index into sources
+	key keys.InternalKey
 }
 
 var _ Iterator = (*Merging)(nil)
@@ -84,12 +92,12 @@ func NewMerging(sources ...Iterator) *Merging {
 	return &Merging{sources: sources}
 }
 
-func (m *Merging) less(a, b int) bool {
-	c := keys.Compare(m.sources[a].Key(), m.sources[b].Key())
+func (m *Merging) less(a, b mergeItem) bool {
+	c := keys.Compare(a.key, b.key)
 	if c != 0 {
 		return c < 0
 	}
-	return a < b
+	return a.src < b.src
 }
 
 func (m *Merging) heapInit() {
@@ -120,7 +128,7 @@ func (m *Merging) rebuild(position func(Iterator) bool) bool {
 	m.heap = m.heap[:0]
 	for i, src := range m.sources {
 		if position(src) {
-			m.heap = append(m.heap, i)
+			m.heap = append(m.heap, mergeItem{i, src.Key()})
 		} else if err := src.Err(); err != nil && m.err == nil {
 			m.err = err
 		}
@@ -150,12 +158,13 @@ func (m *Merging) Next() bool {
 	if !m.Valid() {
 		return false
 	}
-	top := m.heap[0]
-	if m.sources[top].Next() {
+	top := m.sources[m.heap[0].src]
+	if top.Next() {
+		m.heap[0].key = top.Key()
 		m.heapDown(0)
 		return true
 	}
-	if err := m.sources[top].Err(); err != nil {
+	if err := top.Err(); err != nil {
 		m.err = err
 		m.heap = m.heap[:0]
 		return false
@@ -178,7 +187,7 @@ func (m *Merging) Key() keys.InternalKey {
 	if !m.Valid() {
 		return nil
 	}
-	return m.sources[m.heap[0]].Key()
+	return m.heap[0].key
 }
 
 // Value implements Iterator.
@@ -186,7 +195,7 @@ func (m *Merging) Value() []byte {
 	if !m.Valid() {
 		return nil
 	}
-	return m.sources[m.heap[0]].Value()
+	return m.sources[m.heap[0].src].Value()
 }
 
 // Err implements Iterator.

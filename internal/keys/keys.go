@@ -77,10 +77,11 @@ type InternalKey []byte
 // MakeInternalKey appends the encoding of (ukey, seq, kind) to dst and
 // returns the extended slice.
 func MakeInternalKey(dst []byte, ukey []byte, seq Seq, kind Kind) InternalKey {
-	dst = append(dst, ukey...)
-	var tr [TrailerLen]byte
-	binary.LittleEndian.PutUint64(tr[:], PackTrailer(seq, kind))
-	return append(dst, tr[:]...)
+	return appendTrailer(append(dst, ukey...), seq, kind)
+}
+
+func appendTrailer(dst []byte, seq Seq, kind Kind) InternalKey {
+	return binary.LittleEndian.AppendUint64(dst, PackTrailer(seq, kind))
 }
 
 // Valid reports whether ik is long enough to contain a trailer.
@@ -136,56 +137,42 @@ func Compare(a, b InternalKey) int {
 // comparisons in the engine flow through this package.
 func CompareUser(a, b []byte) int { return bytes.Compare(a, b) }
 
-// Separator returns a short internal key k such that a <= k < b in internal
-// key order, used as an index-block separator. The user-key portion is
-// shortened where possible; the trailer is the maximal trailer so the
-// separator sorts at-or-after every entry with user key equal to a's.
+// Separator appends to dst a short internal key k such that a <= k < b in
+// internal key order, used as an index-block separator. The user-key
+// portion is shortened where possible, following LevelDB's
+// BytewiseComparator::FindShortestSeparator; the trailer is then the
+// maximal trailer so the separator sorts at-or-after every entry with user
+// key equal to a's.
 func Separator(dst []byte, a, b InternalKey) InternalKey {
 	au, bu := a.UserKey(), b.UserKey()
-	sep := shortestSeparator(au, bu)
-	if len(sep) < len(au) && CompareUser(au, sep) < 0 {
-		// A strictly shorter user key was found; pair it with the maximal
-		// trailer so it still sorts >= a.
-		return MakeInternalKey(dst, sep, MaxSeq, KindSeekMax)
+	n := len(au)
+	if len(bu) < n {
+		n = len(bu)
+	}
+	i := 0
+	for i < n && au[i] == bu[i] {
+		i++
+	}
+	// i >= n: one user key is a prefix of the other; nothing to shorten.
+	// Bumping au[i] shortens only if it stays below bu[i] and drops bytes.
+	if i < n && au[i] < 0xff && au[i]+1 < bu[i] && i+1 < len(au) {
+		dst = append(dst, au[:i+1]...)
+		dst[len(dst)-1]++
+		return appendTrailer(dst, MaxSeq, KindSeekMax)
 	}
 	return append(dst, a...)
 }
 
-// Successor returns a short internal key k >= a, used as the final
+// Successor appends to dst a short internal key k >= a, used as the final
 // index-block entry of a table.
 func Successor(dst []byte, a InternalKey) InternalKey {
 	au := a.UserKey()
 	for i := 0; i < len(au); i++ {
 		if au[i] != 0xff {
-			succ := make([]byte, i+1)
-			copy(succ, au[:i+1])
-			succ[i]++
-			return MakeInternalKey(dst, succ, MaxSeq, KindSeekMax)
+			dst = append(dst, au[:i+1]...)
+			dst[len(dst)-1]++
+			return appendTrailer(dst, MaxSeq, KindSeekMax)
 		}
 	}
 	return append(dst, a...)
-}
-
-// shortestSeparator finds a short byte string s with a <= s < b, following
-// LevelDB's BytewiseComparator::FindShortestSeparator.
-func shortestSeparator(a, b []byte) []byte {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
-	}
-	if i >= n {
-		// One is a prefix of the other; no shortening possible.
-		return a
-	}
-	if a[i] < 0xff && a[i]+1 < b[i] {
-		sep := make([]byte, i+1)
-		copy(sep, a[:i+1])
-		sep[i]++
-		return sep
-	}
-	return a
 }

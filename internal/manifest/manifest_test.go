@@ -260,12 +260,13 @@ func TestRecoverMissingCurrent(t *testing.T) {
 }
 
 func TestVersionOverlaps(t *testing.T) {
-	v := &Version{}
-	v.Levels[1] = []*FileMeta{
+	var lv [NumLevels][]*FileMeta
+	lv[1] = []*FileMeta{
 		meta(1, 1, 0, 10, "b", "d"),
 		meta(2, 2, 0, 10, "f", "h"),
 		meta(3, 3, 0, 10, "k", "m"),
 	}
+	v := NewVersion(lv)
 	got := v.Overlaps(1, []byte("c"), []byte("g"))
 	if len(got) != 2 || got[0].Num != 1 || got[1].Num != 2 {
 		t.Fatalf("overlaps = %v", got)
@@ -282,7 +283,10 @@ func TestVersionOverlaps(t *testing.T) {
 	}
 }
 
-func TestLiveTablesIncludesPinnedVersions(t *testing.T) {
+// TestOldestLiveIDTracksPinnedVersions is the contract obsolete-file
+// collection relies on: a table deleted by the edit producing version n
+// stays protected exactly while some version older than n is pinned.
+func TestOldestLiveIDTracksPinnedVersions(t *testing.T) {
 	fs := vfs.NewMem()
 	vs, _ := Create(fs)
 	defer vs.Close()
@@ -298,19 +302,17 @@ func TestLiveTablesIncludesPinnedVersions(t *testing.T) {
 	edit2.DeleteFile(0, 10)
 	edit2.AddFile(0, meta(11, 11, 0, 100, "a", "b"))
 	vs.LogAndApply(edit2)
-
-	live := vs.LiveTables()
-	if _, ok := live[10]; !ok {
-		t.Fatal("pinned table 10 not live")
-	}
-	if _, ok := live[11]; !ok {
-		t.Fatal("current table 11 not live")
+	deletedIn := vs.Current().ID()
+	if deletedIn <= pinned.ID() {
+		t.Fatalf("version ids not increasing: %d after %d", deletedIn, pinned.ID())
 	}
 
+	if got := vs.OldestLiveID(); got != pinned.ID() {
+		t.Fatalf("oldest live id = %d, want pinned version %d", got, pinned.ID())
+	}
 	pinned.Unref()
-	live = vs.LiveTables()
-	if _, ok := live[10]; ok {
-		t.Fatal("table 10 still live after unpin")
+	if got := vs.OldestLiveID(); got != deletedIn {
+		t.Fatalf("oldest live id after unpin = %d, want current version %d", got, deletedIn)
 	}
 }
 
@@ -405,4 +407,90 @@ func TestSettledPromotionEdit(t *testing.T) {
 	if len(v2.Levels[1]) != 0 || len(v2.Levels[2]) != 1 || v2.Levels[2][0].Num != 42 {
 		t.Fatalf("promotion lost in recovery:\n%s", v2.DebugString())
 	}
+}
+
+// TestDisjointLevelsOnly: the binary-search overlap query is taken exactly
+// on levels whose tables are ordered and pairwise disjoint — never on level
+// 0, never on a level with a pile (fragmented profiles), not even when two
+// tables merely share one boundary key.
+func TestDisjointLevelsOnly(t *testing.T) {
+	var lv [NumLevels][]*FileMeta
+	lv[0] = []*FileMeta{meta(9, 9, 0, 10, "a", "b"), meta(8, 8, 0, 10, "c", "d")} // disjoint, but level 0
+	lv[1] = []*FileMeta{meta(1, 1, 0, 10, "b", "d"), meta(2, 2, 0, 10, "f", "h"), meta(3, 3, 0, 10, "k", "m")}
+	lv[2] = []*FileMeta{meta(4, 4, 0, 10, "a", "f"), meta(5, 5, 0, 10, "c", "d"), meta(6, 6, 0, 10, "x", "z")} // a pile
+	lv[3] = []*FileMeta{meta(7, 7, 0, 10, "a", "c"), meta(10, 10, 0, 10, "c", "e")}                            // share "c"
+	v := NewVersion(lv)
+	if want := [NumLevels]bool{1: true, 4: true, 5: true, 6: true}; v.disjoint != want {
+		t.Fatalf("disjoint = %v, want %v", v.disjoint, want)
+	}
+	// The pile's inner table is found although its neighbours' bounds would
+	// mislead a binary search.
+	if got := v.Overlaps(2, []byte("e"), []byte("e")); len(got) != 1 || got[0].Num != 4 {
+		t.Fatalf("pile overlaps = %v", got)
+	}
+	if got := v.Overlaps(3, []byte("c"), []byte("c")); len(got) != 2 {
+		t.Fatalf("boundary-sharing overlaps = %v", got)
+	}
+	if got := v.OverlapBytes(1, []byte("c"), []byte("g")); got != 20 {
+		t.Fatalf("overlap bytes = %d, want 20", got)
+	}
+}
+
+// TestBuilderMaintainsDerivedLevelState: over a chain of edits the per-level
+// byte totals and disjointness flags always equal what a fresh scan of the
+// level gives, and a level no edit touched is shared with its base.
+func TestBuilderMaintainsDerivedLevelState(t *testing.T) {
+	vs, err := Create(vfs.NewMem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vs.Close()
+	check := func(step string) {
+		t.Helper()
+		v := vs.Current()
+		for level, files := range v.Levels {
+			var total int64
+			for _, f := range files {
+				total += f.Size
+			}
+			if got := v.LevelBytes(level); got != total {
+				t.Fatalf("%s: LevelBytes(%d) = %d, want %d", step, level, got, total)
+			}
+			if want := level > 0 && v.SortedTables(level) == nil; v.disjoint[level] != want {
+				t.Fatalf("%s: disjoint[%d] = %v, want %v", step, level, v.disjoint[level], want)
+			}
+		}
+	}
+	apply := func(step string, build func(e *VersionEdit)) {
+		t.Helper()
+		e := &VersionEdit{}
+		build(e)
+		if err := vs.LogAndApply(e); err != nil {
+			t.Fatal(err)
+		}
+		check(step)
+	}
+	apply("sorted levels", func(e *VersionEdit) {
+		e.AddFile(1, meta(1, 1, 0, 100, "a", "c"))
+		e.AddFile(1, meta(2, 2, 0, 200, "e", "g"))
+		e.AddFile(2, meta(3, 3, 0, 300, "a", "z"))
+	})
+	l2 := vs.Current().Levels[2]
+	apply("overlapping add", func(e *VersionEdit) { e.AddFile(1, meta(4, 4, 0, 50, "b", "f")) })
+	if vs.Current().disjoint[1] {
+		t.Fatal("level 1 still marked disjoint after an overlapping add")
+	}
+	if &vs.Current().Levels[2][0] != &l2[0] {
+		t.Fatal("untouched level 2 was rebuilt instead of shared")
+	}
+	apply("overlap removed", func(e *VersionEdit) { e.DeleteFile(1, 4) })
+	if !vs.Current().disjoint[1] {
+		t.Fatal("level 1 not marked disjoint again after the overlapping table left")
+	}
+	apply("promotion", func(e *VersionEdit) {
+		// Settled promotion: same table, next level.
+		e.DeleteFile(1, 2)
+		e.AddFile(3, vs.Current().Levels[1][1])
+	})
+	apply("level emptied", func(e *VersionEdit) { e.DeleteFile(2, 3) })
 }

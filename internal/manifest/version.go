@@ -69,13 +69,29 @@ func (f *FileMeta) OverlapsUser(smallest, largest []byte) bool {
 type Version struct {
 	// Levels[0] is ordered newest-first (by Num descending) and may
 	// overlap; deeper levels are ordered by Smallest. In fragmented
-	// profiles deeper levels may also overlap (within a guard).
+	// profiles deeper levels may also overlap (within a guard). The slices
+	// are fixed at construction (the builder or NewVersion): the fields
+	// below are derived from them once, and readers share them unlocked.
 	Levels [NumLevels][]*FileMeta
 
 	// l0PhysFiles is the number of distinct physical files backing level
 	// 0, computed once at construction: the write governors consult it on
 	// every governed write, so it must not cost an allocation there.
 	l0PhysFiles int
+
+	// levelBytes is each level's total table size, so the picker's scores
+	// cost nothing per pick.
+	levelBytes [NumLevels]int64
+
+	// disjoint marks the levels (never level 0) whose tables are ordered
+	// with pairwise-disjoint user-key ranges. Overlap queries binary-search
+	// such a level; level 0 and the piled levels of fragmented profiles
+	// take the linear scan.
+	disjoint [NumLevels]bool
+
+	// id orders versions by construction; the version set stamps it (see
+	// VersionSet.OldestLiveID).
+	id uint64
 
 	// quarantined holds the table numbers marked corrupt in this version.
 	// A quarantined table stays in its level (its key span must keep
@@ -162,6 +178,9 @@ func (v *Version) Quarantined() []uint64 {
 // files).
 func (v *Version) L0PhysFiles() int { return v.l0PhysFiles }
 
+// ID returns the version's position in construction order.
+func (v *Version) ID() uint64 { return v.id }
+
 // Ref pins the version.
 func (v *Version) Ref() { v.refs.Add(1) }
 
@@ -182,17 +201,74 @@ func (v *Version) NumFiles() int {
 }
 
 // LevelBytes returns the total size of tables at the given level.
-func (v *Version) LevelBytes(level int) int64 {
+func (v *Version) LevelBytes(level int) int64 { return v.levelBytes[level] }
+
+// NewVersion returns a detached version (no version set, never persisted)
+// over the given levels, which must already be in level order. Tests and
+// tools use it; the engine's versions come from the builder.
+func NewVersion(levels [NumLevels][]*FileMeta) *Version {
+	v := &Version{Levels: levels, l0PhysFiles: physFiles(levels[0])}
+	for level := range v.Levels {
+		v.deriveLevel(level)
+	}
+	return v
+}
+
+// physFiles counts the distinct physical files backing files.
+func physFiles(files []*FileMeta) int {
+	seen := make(map[uint64]struct{}, len(files))
+	for _, f := range files {
+		seen[f.PhysNum] = struct{}{}
+	}
+	return len(seen)
+}
+
+// deriveLevel computes the per-level derived state from Levels[level].
+func (v *Version) deriveLevel(level int) {
+	files := v.Levels[level]
 	var total int64
-	for _, f := range v.Levels[level] {
+	for _, f := range files {
 		total += f.Size
 	}
-	return total
+	v.levelBytes[level] = total
+	disjoint := level > 0
+	for i := 1; i < len(files) && disjoint; i++ {
+		disjoint = keys.CompareUser(files[i-1].Largest.UserKey(), files[i].Smallest.UserKey()) < 0
+	}
+	v.disjoint[level] = disjoint
+}
+
+// overlapRange returns the index range [lo, hi) of the tables of a disjoint
+// level that intersect [smallest, largest]: both bounds of a disjoint
+// level's tables increase with the index, so each end is one binary search.
+func (v *Version) overlapRange(level int, smallest, largest []byte) (lo, hi int) {
+	files := v.Levels[level]
+	hi = len(files)
+	if smallest != nil {
+		lo = sort.Search(len(files), func(i int) bool {
+			return keys.CompareUser(files[i].Largest.UserKey(), smallest) >= 0
+		})
+	}
+	if largest != nil {
+		hi = lo + sort.Search(len(files)-lo, func(i int) bool {
+			return keys.CompareUser(files[lo+i].Smallest.UserKey(), largest) > 0
+		})
+	}
+	return lo, hi
 }
 
 // Overlaps returns the tables at level whose user-key ranges intersect
-// [smallest, largest] (nil = unbounded), in level order.
+// [smallest, largest] (nil = unbounded), in level order. On a disjoint
+// level the result aliases the version's own slice: callers must not
+// modify it.
 func (v *Version) Overlaps(level int, smallest, largest []byte) []*FileMeta {
+	if v.disjoint[level] {
+		lo, hi := v.overlapRange(level, smallest, largest)
+		if lo == hi {
+			return nil
+		}
+		return v.Levels[level][lo:hi:hi]
+	}
 	var out []*FileMeta
 	for _, f := range v.Levels[level] {
 		if f.OverlapsUser(smallest, largest) {
@@ -200,6 +276,23 @@ func (v *Version) Overlaps(level int, smallest, largest []byte) []*FileMeta {
 		}
 	}
 	return out
+}
+
+// OverlapBytes returns the total size of the tables Overlaps would return,
+// without materializing them.
+func (v *Version) OverlapBytes(level int, smallest, largest []byte) int64 {
+	files := v.Levels[level]
+	if v.disjoint[level] {
+		lo, hi := v.overlapRange(level, smallest, largest)
+		files = files[lo:hi] // every one of these overlaps
+	}
+	var total int64
+	for _, f := range files {
+		if f.OverlapsUser(smallest, largest) {
+			total += f.Size
+		}
+	}
+	return total
 }
 
 // SortedTables reports whether the invariantly-sorted-level assumption
@@ -303,10 +396,24 @@ func (b *versionBuilder) apply(edit *VersionEdit) {
 // smallest key (ties by Num, which keeps fragmented-profile ordering
 // stable); level 0 is sorted newest-first.
 func (b *versionBuilder) finish(vs *VersionSet) *Version {
-	v := &Version{vs: vs}
+	vs.versionSeq++
+	v := &Version{vs: vs, id: vs.versionSeq}
+	var touched [NumLevels]bool
+	for ln := range b.deleted {
+		touched[ln.level] = true
+	}
 	for level := 0; level < NumLevels; level++ {
+		if b.base != nil && !touched[level] && len(b.added[level]) == 0 {
+			// Levels are immutable, so an untouched one is shared with the
+			// base along with everything derived from it.
+			v.Levels[level] = b.base.Levels[level]
+			v.levelBytes[level] = b.base.levelBytes[level]
+			v.disjoint[level] = b.base.disjoint[level]
+			continue
+		}
 		var files []*FileMeta
 		if b.base != nil {
+			files = make([]*FileMeta, 0, len(b.base.Levels[level])+len(b.added[level]))
 			for _, f := range b.base.Levels[level] {
 				if !b.deleted[levelNum{level, f.Num}] {
 					files = append(files, f)
@@ -330,12 +437,9 @@ func (b *versionBuilder) finish(vs *VersionSet) *Version {
 			})
 		}
 		v.Levels[level] = files
+		v.deriveLevel(level)
 	}
-	seen := make(map[uint64]struct{}, len(v.Levels[0]))
-	for _, f := range v.Levels[0] {
-		seen[f.PhysNum] = struct{}{}
-	}
-	v.l0PhysFiles = len(seen)
+	v.l0PhysFiles = physFiles(v.Levels[0])
 	// Quarantine membership survives only while the table does: deleting a
 	// quarantined table (the salvage commit) is what clears its mark.
 	if len(b.quarantined) > 0 {
@@ -361,7 +465,7 @@ func (b *versionBuilder) finish(vs *VersionSet) *Version {
 }
 
 // versionList tracks all live (referenced) versions so obsolete-file
-// collection can compute the full live-table set.
+// collection knows how far back a reader may still be looking.
 type versionList struct {
 	mu       sync.Mutex
 	versions map[*Version]struct{}
@@ -382,18 +486,18 @@ func (l *versionList) remove(v *Version) {
 	delete(l.versions, v)
 }
 
-func (l *versionList) liveTables() map[uint64]*FileMeta {
+// oldestID returns the smallest id among the live versions (the list is
+// never empty once a version set exists: it holds the current version).
+func (l *versionList) oldestID() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	live := make(map[uint64]*FileMeta)
+	oldest := ^uint64(0)
 	for v := range l.versions {
-		for _, lvl := range v.Levels {
-			for _, f := range lvl {
-				live[f.Num] = f
-			}
+		if v.id < oldest {
+			oldest = v.id
 		}
 	}
-	return live
+	return oldest
 }
 
 // TotalBytes returns the cumulative size of all tables in the version.

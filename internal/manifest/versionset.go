@@ -24,6 +24,7 @@ type VersionSet struct {
 
 	current     *Version    //boltvet:guardedby none -- externally serialized: mutated only under the engine mutex (see type doc)
 	live        versionList //boltvet:guardedby none -- externally serialized under the engine mutex; each Version refcounts itself
+	versionSeq  uint64      //boltvet:guardedby none -- id of the last version built; externally serialized under the engine mutex
 	nextFileNum uint64      //boltvet:guardedby none -- externally serialized under the engine mutex
 	lastSeq     uint64      //boltvet:guardedby none -- externally serialized under the engine mutex
 	logNum      uint64      //boltvet:guardedby none -- WAL fully reflected in tables; engine-mutex serialized
@@ -45,7 +46,8 @@ type VersionSet struct {
 // CURRENT. It returns the resulting version set.
 func Create(fs vfs.FS) (*VersionSet, error) {
 	vs := &VersionSet{fs: fs, nextFileNum: 2, manifestNum: 1}
-	v := &Version{vs: vs}
+	v := NewVersion([NumLevels][]*FileMeta{})
+	v.vs = vs
 	v.Ref()
 	vs.live.add(v)
 	vs.current = v
@@ -174,12 +176,13 @@ func (vs *VersionSet) CompactPointer(level int) keys.InternalKey {
 	return vs.compactPointers[level]
 }
 
-// LiveTables returns every table referenced by any pinned version,
-// including the current one. Obsolete-file collection deletes only tables
-// outside this set.
-func (vs *VersionSet) LiveTables() map[uint64]*FileMeta {
-	return vs.live.liveTables()
-}
+// OldestLiveID returns the ID of the oldest version still pinned (the
+// current version when no reader holds an older one). Version IDs increase
+// with every version built, so a table deleted by the edit that produced
+// version n is referenced by no live version once OldestLiveID() >= n:
+// obsolete-file collection needs one number per pass, not the set of every
+// table of every live version.
+func (vs *VersionSet) OldestLiveID() uint64 { return vs.live.oldestID() }
 
 // removeVersion is called by Version.Unref at refcount zero.
 func (vs *VersionSet) removeVersion(v *Version) { vs.live.remove(v) }

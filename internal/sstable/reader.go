@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"sync"
 
 	"github.com/bolt-lsm/bolt/internal/block"
 	"github.com/bolt-lsm/bolt/internal/bloom"
@@ -309,26 +310,39 @@ type IterOpts struct {
 
 // NewIter returns an iterator over the table.
 func (r *Reader) NewIter(opts IterOpts) iterator.Iterator {
-	return &tableIter{r: r, opts: opts, indexIter: r.index.Iter()}
+	t := &tableIter{r: r, opts: opts}
+	t.indexIter.Init(r.index)
+	return t
 }
 
+// readaheadBufs recycles readahead buffers across table iterators: a
+// compaction walks hundreds of tables, each through one buffer the size of
+// its readahead chunk, and allocating (and zeroing) a fresh one per table
+// costs more than the read that fills it.
+var readaheadBufs sync.Pool
+
 // tableIter is the two-level iterator: index iterator over block handles,
-// block iterator within the current data block.
+// block iterator within the current data block. The block reader and both
+// block iterators are embedded and re-initialized per block, so walking a
+// table allocates nothing beyond the iterator itself.
 type tableIter struct {
 	r         *Reader
 	opts      IterOpts
-	indexIter *block.Iter
-	blockIter *block.Iter
+	indexIter block.Iter
+	block     block.Reader
+	blockIter block.Iter
+	inBlock   bool // blockIter is positioned within a loaded block
 	err       error
 
-	// readahead buffer
-	raBuf []byte
+	// readahead buffer (from readaheadBufs) and the table offset it starts at
+	raBuf *[]byte
 	raOff int64
 }
 
 var _ iterator.Iterator = (*tableIter)(nil)
 
 func (t *tableIter) loadBlock() bool {
+	t.inBlock = false
 	h, err := decodeHandle(t.indexIter.Value())
 	if err != nil {
 		t.err = t.r.corruptf(-1, err, "index entry handle")
@@ -344,12 +358,12 @@ func (t *tableIter) loadBlock() bool {
 		t.err = err
 		return false
 	}
-	br, err := block.NewReader(data)
-	if err != nil {
+	if err := t.block.Init(data); err != nil {
 		t.err = t.r.corruptf(t.r.base+h.offset, err, "parse data block")
 		return false
 	}
-	t.blockIter = br.Iter()
+	t.blockIter.Init(&t.block)
+	t.inBlock = true
 	return true
 }
 
@@ -359,7 +373,7 @@ func (t *tableIter) readWithReadahead(h blockHandle) ([]byte, error) {
 		return nil, err
 	}
 	need := h.length + blockTrailerSize
-	if h.offset < t.raOff || h.offset+need > t.raOff+int64(len(t.raBuf)) {
+	if t.raBuf == nil || h.offset < t.raOff || h.offset+need > t.raOff+int64(len(*t.raBuf)) {
 		chunk := t.opts.Readahead
 		if chunk < need {
 			chunk = need
@@ -367,26 +381,50 @@ func (t *tableIter) readWithReadahead(h blockHandle) ([]byte, error) {
 		if h.offset+chunk > t.r.size {
 			chunk = t.r.size - h.offset
 		}
-		buf := make([]byte, chunk)
-		if err := vfs.ReadFull(t.r.f, buf, t.r.base+h.offset); err != nil {
+		if t.raBuf == nil {
+			if t.raBuf, _ = readaheadBufs.Get().(*[]byte); t.raBuf == nil {
+				t.raBuf = new([]byte)
+			}
+		}
+		buf := *t.raBuf
+		if int64(cap(buf)) < chunk {
+			buf = make([]byte, chunk)
+		}
+		buf = buf[:chunk]
+		err := vfs.ReadFull(t.r.f, buf, t.r.base+h.offset)
+		if err != nil {
+			buf = buf[:0] // nothing in it may be served
+		}
+		*t.raBuf, t.raOff = buf, h.offset
+		if err != nil {
 			return nil, fmt.Errorf("sstable: readahead at %d: %w", h.offset, err)
 		}
-		t.raBuf = buf
-		t.raOff = h.offset
 	}
+	buf := *t.raBuf
 	lo := h.offset - t.raOff
-	data := t.raBuf[lo : lo+h.length]
-	want := binary.LittleEndian.Uint32(t.raBuf[lo+h.length : lo+need])
+	data := buf[lo : lo+h.length]
+	want := binary.LittleEndian.Uint32(buf[lo+h.length : lo+need])
 	if got := crc32.Checksum(data, castagnoli); got != want {
 		return nil, t.r.corruptf(t.r.base+h.offset, nil, "data block checksum")
 	}
 	return data, nil
 }
 
+// releaseReadahead returns the readahead buffer to the pool. Nothing may
+// still read the current block: the iterator is exhausted, failed, or
+// closed.
+func (t *tableIter) releaseReadahead() {
+	t.inBlock = false
+	if t.raBuf != nil {
+		readaheadBufs.Put(t.raBuf)
+		t.raBuf = nil
+	}
+}
+
 // First implements iterator.Iterator.
 func (t *tableIter) First() bool {
 	t.err = nil
-	t.blockIter = nil
+	t.inBlock = false
 	if !t.indexIter.First() {
 		t.err = t.indexIter.Err()
 		return false
@@ -403,7 +441,7 @@ func (t *tableIter) First() bool {
 // Seek implements iterator.Iterator.
 func (t *tableIter) Seek(target keys.InternalKey) bool {
 	t.err = nil
-	t.blockIter = nil
+	t.inBlock = false
 	if !t.indexIter.Seek(target) {
 		t.err = t.indexIter.Err()
 		return false
@@ -421,12 +459,14 @@ func (t *tableIter) Seek(target keys.InternalKey) bool {
 	return t.nextBlock()
 }
 
-// nextBlock advances to the first entry of the next data block.
+// nextBlock advances to the first entry of the next data block. Running off
+// the table's end gives the readahead buffer back early: a merge keeps its
+// exhausted sources open until the whole merge closes.
 func (t *tableIter) nextBlock() bool {
 	for {
 		if !t.indexIter.Next() {
 			t.err = t.indexIter.Err()
-			t.blockIter = nil
+			t.releaseReadahead()
 			return false
 		}
 		if !t.loadBlock() {
@@ -459,7 +499,7 @@ func (t *tableIter) Next() bool {
 
 // Valid implements iterator.Iterator.
 func (t *tableIter) Valid() bool {
-	return t.err == nil && t.blockIter != nil && t.blockIter.Valid()
+	return t.err == nil && t.inBlock && t.blockIter.Valid()
 }
 
 // Key implements iterator.Iterator.
@@ -484,7 +524,6 @@ func (t *tableIter) Err() error { return t.err }
 // Close implements iterator.Iterator. The underlying file is owned by the
 // table cache, not the iterator.
 func (t *tableIter) Close() error {
-	t.blockIter = nil
-	t.raBuf = nil
+	t.releaseReadahead()
 	return nil
 }

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 
 	"github.com/bolt-lsm/bolt/internal/block"
 	"github.com/bolt-lsm/bolt/internal/bloom"
@@ -78,15 +79,25 @@ type TableInfo struct {
 	MetaSize int64
 }
 
+// maxBufferedBytes bounds the bytes a Writer holds back before writing: a
+// table up to this size — every logical SSTable, at the paper's 1 MiB and
+// below — reaches the file as one Write at Finish; a larger legacy table
+// drains its buffer each time it fills, so memory stays bounded.
+const maxBufferedBytes = 4 << 20
+
 // Writer builds one table, appending to f starting at offset base (which
-// must equal f's current size). The writer never calls Sync: the caller
-// owns barrier placement, which is the entire point of BoLT.
+// must equal f's current size). Blocks, trailers, filter, index and footer
+// accumulate in one buffer written at Finish — a write call per 4 KiB block
+// costs more than building the block. The writer never calls Sync: the
+// caller owns barrier placement, which is the entire point of BoLT. After
+// Finish, Reset starts the next table on the same buffers.
 type Writer struct {
 	f    vfs.File
 	base int64
 	cfg  Config
 
-	offset    int64 // bytes written so far, relative to base
+	offset    int64  // bytes appended so far, relative to base
+	buf       []byte // appended but not yet written to f
 	dataBlock *block.Builder
 	indexB    *block.Builder
 
@@ -96,8 +107,9 @@ type Writer struct {
 	pendingIndex  bool
 	pendingHandle blockHandle
 	lastKey       []byte
+	scratch       []byte // separator and handle encodings, per index entry
 
-	userKeys   [][]byte
+	keyHashes  []uint32 // bloom hash of every entry's user key
 	smallest   keys.InternalKey
 	numEntries int
 	finished   bool
@@ -137,6 +149,22 @@ func NewWriter(f vfs.File, base int64, cfg Config) *Writer {
 	}
 }
 
+// Reset starts a new table at f's offset base, reusing the writer's
+// buffers. The previous table must have been finished or abandoned.
+func (w *Writer) Reset(f vfs.File, base int64) {
+	w.f, w.base = f, base
+	w.offset = 0
+	w.buf = w.buf[:0]
+	w.dataBlock.Reset()
+	w.indexB.Reset()
+	w.pendingIndex = false
+	w.lastKey = w.lastKey[:0]
+	w.keyHashes = w.keyHashes[:0]
+	w.smallest = nil
+	w.numEntries = 0
+	w.finished = false
+}
+
 // Add appends an entry; keys must arrive in strictly increasing internal
 // key order.
 func (w *Writer) Add(key keys.InternalKey, value []byte) error {
@@ -146,9 +174,7 @@ func (w *Writer) Add(key keys.InternalKey, value []byte) error {
 	if w.pendingIndex {
 		// Emit a shortened separator between the previous block's last key
 		// and this key.
-		sep := keys.Separator(nil, keys.InternalKey(w.lastKey), key)
-		w.indexB.Add(sep, w.pendingHandle.encode(nil))
-		w.pendingIndex = false
+		w.addIndexEntry(keys.Separator(w.scratch[:0], keys.InternalKey(w.lastKey), key))
 	}
 	if w.numEntries == 0 {
 		w.smallest = append(keys.InternalKey(nil), key...)
@@ -156,7 +182,7 @@ func (w *Writer) Add(key keys.InternalKey, value []byte) error {
 	w.lastKey = append(w.lastKey[:0], key...)
 	w.numEntries++
 	if w.cfg.BloomBitsPerKey > 0 {
-		w.userKeys = append(w.userKeys, append([]byte(nil), key.UserKey()...))
+		w.keyHashes = append(w.keyHashes, bloom.Hash(key.UserKey()))
 	}
 	w.dataBlock.Add(key, value)
 	if w.dataBlock.EstimatedSize() >= w.cfg.BlockSize {
@@ -165,33 +191,55 @@ func (w *Writer) Add(key keys.InternalKey, value []byte) error {
 	return nil
 }
 
+// addIndexEntry emits the pending data block's index entry under sep, which
+// may alias w.scratch: the handle is encoded behind it.
+func (w *Writer) addIndexEntry(sep keys.InternalKey) {
+	w.scratch = w.pendingHandle.encode(sep)
+	w.indexB.Add(w.scratch[:len(sep)], w.scratch[len(sep):])
+	w.pendingIndex = false
+}
+
 func (w *Writer) flushDataBlock() error {
 	if w.dataBlock.Empty() {
 		return nil
 	}
-	handle, err := w.writeBlock(w.dataBlock.Finish())
-	if err != nil {
-		return err
-	}
+	w.pendingHandle = w.appendBlock(w.dataBlock.Finish())
 	w.dataBlock.Reset()
-	w.pendingHandle = handle
 	w.pendingIndex = true
+	if len(w.buf) >= maxBufferedBytes {
+		return w.writeBuffered()
+	}
 	return nil
 }
 
-// writeBlock appends data plus its CRC trailer and returns its handle.
-func (w *Writer) writeBlock(data []byte) (blockHandle, error) {
+// appendBlock buffers data plus its CRC trailer and returns its handle.
+func (w *Writer) appendBlock(data []byte) blockHandle {
+	start := len(w.buf)
+	w.buf = append(w.buf, data...)
+	return w.frameBlock(start)
+}
+
+// frameBlock makes a block of the bytes buffered since start: it appends
+// their CRC trailer and returns the block's handle.
+func (w *Writer) frameBlock(start int) blockHandle {
+	data := w.buf[start:]
 	h := blockHandle{offset: w.offset, length: int64(len(data))}
-	if _, err := w.f.Write(data); err != nil {
-		return blockHandle{}, fmt.Errorf("sstable: write block: %w", err)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.Checksum(data, castagnoli))
+	w.offset += h.length + blockTrailerSize
+	return h
+}
+
+// writeBuffered hands the buffered bytes to the file in one Write.
+func (w *Writer) writeBuffered() error {
+	n, err := w.f.Write(w.buf)
+	if err == nil && n != len(w.buf) {
+		err = io.ErrShortWrite
 	}
-	var trailer [blockTrailerSize]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc32.Checksum(data, castagnoli))
-	if _, err := w.f.Write(trailer[:]); err != nil {
-		return blockHandle{}, fmt.Errorf("sstable: write trailer: %w", err)
+	if err != nil {
+		return fmt.Errorf("sstable: write table: %w", err)
 	}
-	w.offset += int64(len(data)) + blockTrailerSize
-	return h, nil
+	w.buf = w.buf[:0]
+	return nil
 }
 
 // EstimatedSize returns the table size if Finish were called now, ignoring
@@ -206,8 +254,8 @@ func (w *Writer) NumEntries() int { return w.numEntries }
 // Empty reports whether nothing has been added.
 func (w *Writer) Empty() bool { return w.numEntries == 0 }
 
-// Finish writes the filter block, index block, and footer, returning the
-// table's description. It does not sync.
+// Finish appends the filter block, index block, and footer, writes the
+// table out, and returns its description. It does not sync.
 func (w *Writer) Finish() (TableInfo, error) {
 	if w.finished {
 		return TableInfo{}, errors.New("sstable: double Finish")
@@ -217,36 +265,29 @@ func (w *Writer) Finish() (TableInfo, error) {
 		return TableInfo{}, err
 	}
 	if w.pendingIndex {
-		succ := keys.Successor(nil, keys.InternalKey(w.lastKey))
-		w.indexB.Add(succ, w.pendingHandle.encode(nil))
-		w.pendingIndex = false
+		w.addIndexEntry(keys.Successor(w.scratch[:0], keys.InternalKey(w.lastKey)))
 	}
 
 	var filterHandle blockHandle
 	if w.cfg.BloomBitsPerKey > 0 {
-		filter := bloom.Build(w.userKeys, w.cfg.BloomBitsPerKey)
-		var err error
-		filterHandle, err = w.writeBlock(filter)
-		if err != nil {
-			return TableInfo{}, err
-		}
+		// The filter is built in place behind the buffered blocks, then
+		// framed like any other block.
+		start := len(w.buf)
+		w.buf = bloom.AppendFilter(w.buf, w.keyHashes, w.cfg.BloomBitsPerKey)
+		filterHandle = w.frameBlock(start)
 	}
-	indexHandle, err := w.writeBlock(w.indexB.Finish())
-	if err != nil {
+	indexHandle := w.appendBlock(w.indexB.Finish())
+
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(indexHandle.offset))
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(indexHandle.length))
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(filterHandle.offset))
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(filterHandle.length))
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(w.numEntries))
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, Magic)
+	w.offset += FooterSize
+	if err := w.writeBuffered(); err != nil {
 		return TableInfo{}, err
 	}
-
-	var footer [FooterSize]byte
-	binary.LittleEndian.PutUint64(footer[0:], uint64(indexHandle.offset))
-	binary.LittleEndian.PutUint64(footer[8:], uint64(indexHandle.length))
-	binary.LittleEndian.PutUint64(footer[16:], uint64(filterHandle.offset))
-	binary.LittleEndian.PutUint64(footer[24:], uint64(filterHandle.length))
-	binary.LittleEndian.PutUint64(footer[32:], uint64(w.numEntries))
-	binary.LittleEndian.PutUint64(footer[40:], Magic)
-	if _, err := w.f.Write(footer[:]); err != nil {
-		return TableInfo{}, fmt.Errorf("sstable: write footer: %w", err)
-	}
-	w.offset += FooterSize
 
 	metaSize := int64(FooterSize) + indexHandle.length + blockTrailerSize
 	if filterHandle.length > 0 {
