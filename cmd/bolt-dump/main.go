@@ -67,11 +67,23 @@ func run() error {
 			continue
 		}
 		fmt.Printf("\nlevel %d: %d tables, %s\n", level, len(files), fmtBytes(v.LevelBytes(level)))
-		for _, f := range files {
-			physTables[f.PhysNum]++
-			fmt.Printf("  table %6d  phys %6d @%-10d %10s  [%q .. %q]\n",
-				f.Num, f.PhysNum, f.Offset, fmtBytes(f.Size),
-				f.Smallest.UserKey(), f.Largest.UserKey())
+		// Level 0 is listed as the sorted runs it is read as (derived at
+		// open, not recorded in the MANIFEST); a deeper level is one run.
+		runs := [][]*manifest.FileMeta{files}
+		if level == 0 {
+			runs = v.L0Runs()
+		}
+		for i, run := range runs {
+			if level == 0 {
+				fmt.Printf(" run %d of %d: %d tables  [%q .. %q]\n", i+1, len(runs), len(run),
+					run[0].Smallest.UserKey(), run[len(run)-1].Largest.UserKey())
+			}
+			for _, f := range run {
+				physTables[f.PhysNum]++
+				fmt.Printf("  table %6d  phys %6d @%-10d %10s  [%q .. %q]\n",
+					f.Num, f.PhysNum, f.Offset, fmtBytes(f.Size),
+					f.Smallest.UserKey(), f.Largest.UserKey())
+			}
 		}
 	}
 
@@ -116,7 +128,7 @@ func run() error {
 		}
 		readAmp := 1
 		if level == 0 {
-			readAmp = len(files)
+			readAmp = len(v.L0Runs())
 		}
 		fmt.Printf("  L%-5d %8d %8d %12s %8d\n",
 			level, len(files), len(phys), fmtBytes(v.LevelBytes(level)), readAmp)

@@ -161,35 +161,54 @@ func (r *Reader) restart(i int) int {
 	return int(binary.LittleEndian.Uint32(r.restartData[4*i:]))
 }
 
+// badHeader reports an entry header whose named varint is malformed or
+// runs off the block.
+func badHeader(field string, off int) error {
+	return fmt.Errorf("%w: bad %s in the header of the entry at %d", ErrCorrupt, field, off)
+}
+
 // parseHeader decodes the varint header of the entry at off, returning
 // the shared/unshared key lengths, the offset of the key suffix (the
 // value follows it), the value length, and the offset of the next entry.
+//
+// Every length of a typical entry but a long value's fits one varint byte,
+// so each field reads its first byte directly and calls the general
+// decoder only when the continuation bit is set; each check but the last
+// also covers the next field's first byte.
 func (r *Reader) parseHeader(off int) (shared, unshared, kstart, valueLen, next int, err error) {
 	data := r.data
 	if off >= len(data) {
 		return 0, 0, 0, 0, 0, fmt.Errorf("%w: entry offset %d out of range", ErrCorrupt, off)
 	}
 	p := off
-	sharedU, n := binary.Uvarint(data[p:])
-	if n <= 0 {
-		return 0, 0, 0, 0, 0, fmt.Errorf("%w: bad shared varint at %d", ErrCorrupt, p)
+	sharedU, n := uint64(data[p]), 1
+	if sharedU >= 0x80 {
+		sharedU, n = binary.Uvarint(data[p:])
 	}
-	p += n
-	unsharedU, n := binary.Uvarint(data[p:])
-	if n <= 0 {
-		return 0, 0, 0, 0, 0, fmt.Errorf("%w: bad unshared varint at %d", ErrCorrupt, p)
+	if p += n; n <= 0 || p >= len(data) {
+		return 0, 0, 0, 0, 0, badHeader("shared varint", off)
 	}
-	p += n
-	valueLenU, n := binary.Uvarint(data[p:])
-	if n <= 0 {
-		return 0, 0, 0, 0, 0, fmt.Errorf("%w: bad value len at %d", ErrCorrupt, p)
+	unsharedU, n := uint64(data[p]), 1
+	if unsharedU >= 0x80 {
+		unsharedU, n = binary.Uvarint(data[p:])
 	}
-	p += n
-	padLenU, n := binary.Uvarint(data[p:])
-	if n <= 0 {
-		return 0, 0, 0, 0, 0, fmt.Errorf("%w: bad pad len at %d", ErrCorrupt, p)
+	if p += n; n <= 0 || p >= len(data) {
+		return 0, 0, 0, 0, 0, badHeader("unshared varint", off)
 	}
-	p += n
+	valueLenU, n := uint64(data[p]), 1
+	if valueLenU >= 0x80 {
+		valueLenU, n = binary.Uvarint(data[p:])
+	}
+	if p += n; n <= 0 || p >= len(data) {
+		return 0, 0, 0, 0, 0, badHeader("value len", off)
+	}
+	padLenU, n := uint64(data[p]), 1
+	if padLenU >= 0x80 {
+		padLenU, n = binary.Uvarint(data[p:])
+	}
+	if p += n; n <= 0 {
+		return 0, 0, 0, 0, 0, badHeader("pad len", off)
+	}
 	// Bound each length before summing: a crafted varint near 2^64 would
 	// wrap the sum (or turn negative as an int) and slip past the check.
 	limit := uint64(len(data))

@@ -267,3 +267,25 @@ func BenchmarkBlockSeek(b *testing.B) {
 		it.Seek(targets[i%len(targets)])
 	}
 }
+
+// BenchmarkBlockNext walks blocks of the benchmark's record shape (23-byte
+// keys, 256-byte values, 88 bytes of entry padding): the value length is
+// the only header field that needs a second varint byte.
+func BenchmarkBlockNext(b *testing.B) {
+	bld := NewBuilder(0, 88)
+	value := make([]byte, 256)
+	entries := 0
+	for ; bld.EstimatedSize() < 4096; entries++ {
+		bld.Add(ik(fmt.Sprintf("user%019d", entries), 1), value)
+	}
+	r, err := NewReader(bld.Finish())
+	if err != nil {
+		b.Fatal(err)
+	}
+	it := r.Iter()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += entries {
+		for ok := it.First(); ok; ok = it.Next() {
+		}
+	}
+}

@@ -262,16 +262,28 @@ func NewTableCache(fs vfs.FS, capacity, shards int, fdCache *FDCache, blockCache
 	return c
 }
 
-// Get returns an open reader for meta plus a release function that must be
-// called once the caller is done (including after closing any iterator
-// built on the reader). The release reference keeps the underlying file
-// descriptor open even if the table is evicted from the cache meanwhile.
+// Handle is a referenced open table. The reference keeps the underlying
+// file descriptor open even if the table is evicted from the cache
+// meanwhile; Release drops it and must be called exactly once, after any
+// iterator built on Reader is done. It is a plain value, so taking and
+// releasing a table costs no allocation.
+//
+//boltvet:mustclose
+type Handle struct {
+	Reader *sstable.Reader
+	fd     *fdEntry
+}
+
+// Release drops the handle's reference.
+func (h Handle) Release() { h.fd.release() }
+
+// Acquire returns a referenced handle on the open table for meta.
 // Concurrent misses on the same table coalesce into one metadata read:
 // exactly one goroutine opens the descriptor and reads filter+index, the
 // rest wait and share the resulting reader.
-func (c *TableCache) Get(meta *manifest.FileMeta) (*sstable.Reader, func(), error) {
+func (c *TableCache) Acquire(meta *manifest.FileMeta) (Handle, error) {
 	if t, ok := c.lru.get(meta.Num); ok && t.fd.tryAcquire() {
-		return t.Reader, t.fd.release, nil
+		return Handle{t.Reader, t.fd}, nil
 	}
 	fl := &c.flights[c.lru.shardIndex(meta.Num)]
 	fl.mu.Lock()
@@ -280,15 +292,15 @@ func (c *TableCache) Get(meta *manifest.FileMeta) (*sstable.Reader, func(), erro
 		fl.mu.Unlock()
 		<-call.done
 		if call.err != nil {
-			return nil, nil, call.err
+			return Handle{}, call.err
 		}
 		// The leader acquired this waiter's fd reference before publishing.
-		return call.r, call.fd.release, nil
+		return Handle{call.r, call.fd}, nil
 	}
 	if t, ok := c.lru.get(meta.Num); ok && t.fd.tryAcquire() {
 		// A previous flight completed between the miss and taking fl.mu.
 		fl.mu.Unlock()
-		return t.Reader, t.fd.release, nil
+		return Handle{t.Reader, t.fd}, nil
 	}
 	call := &tableCall{done: make(chan struct{})}
 	fl.inflight[meta.Num] = call
@@ -301,7 +313,7 @@ func (c *TableCache) Get(meta *manifest.FileMeta) (*sstable.Reader, func(), erro
 		delete(fl.inflight, meta.Num)
 		fl.mu.Unlock()
 		close(call.done)
-		return nil, nil, err
+		return Handle{}, err
 	}
 	fd.acquire() // the caller's reference
 	c.lru.insert(meta.Num, &Table{Reader: r, fd: fd}, 1)
@@ -316,7 +328,18 @@ func (c *TableCache) Get(meta *manifest.FileMeta) (*sstable.Reader, func(), erro
 		fd.acquire()
 	}
 	close(call.done)
-	return r, fd.release, nil
+	return Handle{r, fd}, nil
+}
+
+// Get is Acquire with the handle unpacked into its reader and a release
+// function. The function value costs an allocation per call; the engine's
+// read paths use Acquire.
+func (c *TableCache) Get(meta *manifest.FileMeta) (*sstable.Reader, func(), error) {
+	h, err := c.Acquire(meta)
+	if err != nil {
+		return nil, nil, err
+	}
+	return h.Reader, h.Release, nil
 }
 
 // openTable performs the miss work: one descriptor acquisition and one

@@ -75,12 +75,12 @@ func BenchmarkCompactionMerge(b *testing.B) {
 		}
 		var entries int
 		for _, m := range metas {
-			r, release, err := db.tableCache.Get(m)
+			h, err := db.tableCache.Acquire(m)
 			if err != nil {
 				b.Fatal(err)
 			}
-			entries += r.NumEntries()
-			release()
+			entries += h.Reader.NumEntries()
+			h.Release()
 			db.tableCache.Evict(m.Num)
 		}
 		if entries != runs*perRun {
@@ -94,4 +94,48 @@ func BenchmarkCompactionMerge(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(mallocs)/float64(b.N*runs*perRun), "allocs/entry")
+}
+
+// BenchmarkScanL0Runs measures 50-entry scans while three flushes of the
+// benchmark's engine sit in level 0 with compactions held off: over two
+// hundred logical SSTables that a scan reads as three sorted runs. It
+// reports the number of sources a scan merges; allocs/op is deterministic
+// and guarded by .github/alloc-baseline.txt (the root package's
+// BenchmarkScan, on a compacted tree, is the row it is held against).
+func BenchmarkScanL0Runs(b *testing.B) {
+	cfg := benchmarkEngineConfig()
+	cfg.BlockCacheBytes = 64 << 20 // every block stays cached: no miss allocates
+	db := openTestDB(b, vfs.NewMem(), cfg)
+	defer db.Close()
+	fillFlushes(b, db, 3)
+	db.mu.Lock()
+	v := db.vs.Current()
+	sources := len(db.readSources(v, db.mem, db.imm))
+	db.mu.Unlock()
+	if len(v.Levels[0]) < 150 || len(v.L0Runs()) != 3 {
+		b.Fatalf("level 0 holds %d tables in %d runs, want three whole flushes", len(v.Levels[0]), len(v.L0Runs()))
+	}
+	starts := make([][]byte, 1024)
+	for i := range starts {
+		starts[i] = []byte(fmt.Sprintf("user%019d", i*7919%1_000_003))
+	}
+	warm := db.NewIter(nil)
+	for ok := warm.First(); ok; ok = warm.Next() {
+	}
+	if err := warm.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		it := db.NewIter(nil)
+		n := 0
+		for ok := it.SeekGE(starts[i%len(starts)]); ok && n < 50; ok = it.Next() {
+			n++
+		}
+		if err := it.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(sources), "sources")
 }

@@ -617,32 +617,14 @@ func (db *DB) compactLocked(c *compaction.Compaction, worker int) error {
 // unmodified — the whole point of separation is that compactions never
 // touch value bytes — but dropped ones are tallied as garbage against
 // their segment (past its GC watermark, per gcOffsets). Called without mu.
+//
+// The merge has one source per sorted run of the inputs, not one per
+// table: a group compaction out of a sorted level is a two-way merge, one
+// out of level 0 merges its runs with the next level's tables, and each
+// run opens its tables lazily, one at a time.
 func (db *DB) writeCompactionTables(c *compaction.Compaction, smallestSnap keys.Seq, dropTombstones bool, gcOffsets map[uint64]int64) ([]*manifest.FileMeta, map[uint64]int64, error) {
-	iters := make([]iterator.Iterator, 0, len(c.Inputs)+len(c.NextInputs))
-	openIter := func(f *manifest.FileMeta) error {
-		r, release, err := db.tableCache.Get(f)
-		if err != nil {
-			return err
-		}
-		iters = append(iters, &releasingIter{
-			Iterator: r.NewIter(sstable.IterOpts{Readahead: compactionReadahead}),
-			release:  release,
-		})
-		return nil
-	}
-	for _, f := range c.Inputs {
-		if err := openIter(f); err != nil {
-			closeAll(iters)
-			return nil, nil, err
-		}
-	}
-	for _, f := range c.NextInputs {
-		if err := openIter(f); err != nil {
-			closeAll(iters)
-			return nil, nil, err
-		}
-	}
-	merged := iterator.NewMerging(iters...)
+	var merged iterator.Merging
+	merged.Init(db.compactionSources(c))
 	defer merged.Close()
 
 	out := db.newTableOutput(c.OutputLevel, c.CutPoints)
@@ -701,16 +683,16 @@ func (db *DB) writeCompactionTables(c *compaction.Compaction, smallestSnap keys.
 // Called without mu.
 func (db *DB) writeSalvageTables(c *compaction.Compaction) (metas []*manifest.FileMeta, skipped int, err error) {
 	f := c.Inputs[0]
-	r, release, err := db.tableCache.Get(f)
+	h, err := db.tableCache.Acquire(f)
 	if err != nil {
 		if errors.Is(err, sstable.ErrCorrupt) {
 			return nil, 1, nil
 		}
 		return nil, 0, err
 	}
-	defer release()
+	defer h.Release()
 	out := db.newTableOutput(c.OutputLevel, nil)
-	skipped, err = r.Salvage(func(ikey keys.InternalKey, value []byte) error {
+	skipped, err = h.Reader.Salvage(func(ikey keys.InternalKey, value []byte) error {
 		return out.add(ikey, value)
 	})
 	if err != nil {
@@ -724,25 +706,35 @@ func (db *DB) writeSalvageTables(c *compaction.Compaction) (metas []*manifest.Fi
 	return metas, skipped, nil
 }
 
-// releasingIter couples a table iterator with its table-cache release.
-type releasingIter struct {
-	iterator.Iterator
-	release func()
+// inputRuns splits compaction inputs from one level into the sorted runs
+// they are read as: a sorted level's tables, in level order, are one run;
+// level 0 and the piles of fragmented profiles are regrouped by physical
+// file.
+func (db *DB) inputRuns(level int, files []*manifest.FileMeta) [][]*manifest.FileMeta {
+	if len(files) == 0 {
+		return nil
+	}
+	if level > 0 && !db.cfg.Fragmented {
+		return [][]*manifest.FileMeta{files}
+	}
+	runs, _ := manifest.SortedRuns(files)
+	return runs
 }
 
-func (r *releasingIter) Close() error {
-	err := r.Iterator.Close()
-	if r.release != nil {
-		r.release()
-		r.release = nil
+// compactionSources returns one run iterator per sorted run of c's inputs.
+func (db *DB) compactionSources(c *compaction.Compaction) []iterator.Iterator {
+	in, next := db.inputRuns(c.Level, c.Inputs), db.inputRuns(c.OutputLevel, c.NextInputs)
+	iters := make([]runIter, 0, len(in)+len(next))
+	sources := make([]iterator.Iterator, 0, cap(iters))
+	add := func(level int, runs [][]*manifest.FileMeta) {
+		for _, files := range runs {
+			iters = append(iters, runIter{db: db, level: level, files: files, forCompaction: true})
+			sources = append(sources, &iters[len(iters)-1])
+		}
 	}
-	return err
-}
-
-func closeAll(iters []iterator.Iterator) {
-	for _, it := range iters {
-		_ = it.Close()
-	}
+	add(c.Level, in)
+	add(c.OutputLevel, next)
+	return sources
 }
 
 // canDropTombstonesLocked reports whether tombstones written by c can be

@@ -665,114 +665,135 @@ type tableSearch struct {
 	ikey keys.InternalKey
 	key  []byte // ikey.UserKey()
 
-	firstConsulted      *manifest.FileMeta
-	firstConsultedLevel int
-	consulted           int
+	// seekVictim is the table a seek charge goes to — the first one
+	// consulted, as in LevelDB — or nil when that table is a slice of a
+	// multi-table level-0 run. Merging one such slice and its overlap
+	// closure into level 1 pays two barriers for a few hundred KiB and
+	// leaves the run where it is; and since every read consults level 0
+	// first, how many of those compactions ran was set by how soon a
+	// worker came free, not by need (DESIGN.md §6f). How many runs a read
+	// merges at level 0 is what the L0 file trigger bounds.
+	seekVictim      *manifest.FileMeta
+	seekVictimLevel int
+	consulted       int
 }
 
-func (s *tableSearch) consult(level int, f *manifest.FileMeta) ([]byte, keys.Seq, keys.Kind, bool, error) {
+// newest is the best answer a lookup has so far among tables that may hold
+// the same user key — different level-0 runs, the tables of a fragmented
+// pile. Their sequence ranges may interleave (after repair, even flush
+// order cannot be assumed), so first-match is not safe: the winner is
+// chosen by entry sequence number.
+type newest struct {
+	value []byte
+	seq   keys.Seq
+	kind  keys.Kind
+	found bool
+}
+
+// consult probes table f and keeps its entry in best if it is the newer.
+// runSlice marks f as one table of a multi-table level-0 run.
+func (s *tableSearch) consult(level int, f *manifest.FileMeta, runSlice bool, best *newest) error {
 	// A quarantined table's span must fail loudly rather than serve a
 	// silently wrong (older or missing) version of the key.
 	if s.v.IsQuarantined(f.Num) {
-		return nil, 0, 0, false, rangeCorruptError(level, f, nil)
+		return rangeCorruptError(level, f, nil)
 	}
 	s.consulted++
-	if s.firstConsulted == nil {
-		s.firstConsulted, s.firstConsultedLevel = f, level
+	if s.consulted == 1 && !runSlice {
+		s.seekVictim, s.seekVictimLevel = f, level
 	}
 	s.db.met.TablesChecked.Add(1)
-	r, release, err := s.db.tableCache.Get(f)
+	h, err := s.db.tableCache.Acquire(f)
 	if err != nil {
-		return nil, 0, 0, false, s.db.maybeQuarantineRead(level, f, err)
+		return s.db.maybeQuarantineRead(level, f, err)
 	}
-	defer release()
-	if !r.MayContain(s.key) {
+	defer h.Release()
+	if !h.Reader.MayContain(s.key) {
 		s.db.met.BloomSkips.Add(1)
-		return nil, 0, 0, false, nil
+		return nil
 	}
-	value, entrySeq, kind, found, err := r.Get(s.ikey)
+	value, seq, kind, found, err := h.Reader.Get(s.ikey)
 	if err != nil {
-		err = s.db.maybeQuarantineRead(level, f, err)
+		return s.db.maybeQuarantineRead(level, f, err)
 	}
-	return value, entrySeq, kind, found, err
+	if found && (!best.found || seq > best.seq) {
+		*best = newest{value, seq, kind, true}
+	}
+	return nil
 }
 
-func (s *tableSearch) finish(value []byte, kind keys.Kind) ([]byte, keys.Kind, bool, error) {
-	s.db.maybeChargeSeek(s.firstConsulted, s.firstConsultedLevel, s.consulted)
-	return value, kind, true, nil
+// runTable returns the one table of a sorted run whose user-key range
+// covers key, or nil: a run's tables are ordered and pairwise disjoint, so
+// both bounds increase with the index and one binary search finds it.
+func runTable(run []*manifest.FileMeta, key []byte) *manifest.FileMeta {
+	idx := sort.Search(len(run), func(i int) bool {
+		return keys.CompareUser(run[i].Largest.UserKey(), key) >= 0
+	})
+	if idx >= len(run) || keys.CompareUser(run[idx].Smallest.UserKey(), key) > 0 {
+		return nil
+	}
+	return run[idx]
 }
 
-// consultOverlapping searches every table in files whose range covers
-// key and returns the newest visible version across them. Level 0 and
-// fragmented levels hold overlapping tables whose sequence ranges may
-// interleave (after repair, even L0's flush ordering cannot be
-// assumed), so first-match is not safe — the winner is chosen by
-// entry sequence number.
-func (s *tableSearch) consultOverlapping(level int, files []*manifest.FileMeta) (value []byte, kind keys.Kind, found bool, err error) {
-	var bestSeq keys.Seq
+// consultRuns consults at most one table per sorted run.
+func (s *tableSearch) consultRuns(level int, runs [][]*manifest.FileMeta, best *newest) error {
+	for _, run := range runs {
+		if f := runTable(run, s.key); f != nil {
+			if err := s.consult(level, f, level == 0 && len(run) > 1, best); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// consultPile walks a fragmented level, whose overlapping tables form no
+// runs, linearly: every table whose range covers key is consulted.
+func (s *tableSearch) consultPile(level int, files []*manifest.FileMeta, best *newest) error {
 	for _, f := range files {
-		if !f.OverlapsUser(s.key, s.key) {
-			continue
-		}
-		v, entrySeq, k, ok, err := s.consult(level, f)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		if ok && (!found || entrySeq > bestSeq) {
-			value, bestSeq, kind, found = v, entrySeq, k, true
+		if f.OverlapsUser(s.key, s.key) {
+			if err := s.consult(level, f, false, best); err != nil {
+				return err
+			}
 		}
 	}
-	return value, kind, found, nil
+	return nil
 }
 
 // searchTables looks ikey's user key up in the table levels of v,
 // returning the newest visible entry raw: tombstones and value-log
-// pointers come back with their kind for the caller to interpret.
+// pointers come back with their kind for the caller to interpret. Level 0
+// is read as its sorted runs and a sorted level is one run, so either way
+// a run costs a binary search and at most one table probe.
 func (db *DB) searchTables(v *manifest.Version, ikey keys.InternalKey) ([]byte, keys.Kind, bool, error) {
 	s := tableSearch{db: db, v: v, ikey: ikey, key: ikey.UserKey()}
-
-	if value, kind, found, err := s.consultOverlapping(0, v.Levels[0]); err != nil {
-		return nil, 0, false, err
-	} else if found {
-		return s.finish(value, kind)
-	}
-	for level := 1; level < manifest.NumLevels; level++ {
+	var best newest
+	for level := 0; level < manifest.NumLevels && !best.found; level++ {
 		files := v.Levels[level]
 		if len(files) == 0 {
 			continue
 		}
-		if db.cfg.Fragmented {
-			value, kind, found, err := s.consultOverlapping(level, files)
-			if err != nil {
-				return nil, 0, false, err
-			}
-			if found {
-				return s.finish(value, kind)
-			}
-			continue
+		var err error
+		switch {
+		case level == 0:
+			err = s.consultRuns(0, v.L0Runs(), &best)
+		case db.cfg.Fragmented:
+			err = s.consultPile(level, files, &best)
+		default:
+			err = s.consultRuns(level, [][]*manifest.FileMeta{files}, &best)
 		}
-		// Sorted level: binary search the single candidate file.
-		idx := sort.Search(len(files), func(i int) bool {
-			return keys.CompareUser(files[i].Largest.UserKey(), s.key) >= 0
-		})
-		if idx >= len(files) || keys.CompareUser(files[idx].Smallest.UserKey(), s.key) > 0 {
-			continue
-		}
-		value, _, kind, found, err := s.consult(level, files[idx])
 		if err != nil {
 			return nil, 0, false, err
 		}
-		if found {
-			return s.finish(value, kind)
-		}
 	}
-	db.maybeChargeSeek(s.firstConsulted, s.firstConsultedLevel, s.consulted)
-	return nil, 0, false, nil
+	db.maybeChargeSeek(s.seekVictim, s.seekVictimLevel, s.consulted)
+	return best.value, best.kind, best.found, nil
 }
 
 // maybeChargeSeek implements LevelDB's seek-compaction accounting: when a
-// read had to consult more than one table, the first consulted table is
-// charged; at zero allowed seeks it becomes a compaction candidate.
+// read had to consult more than one table, the first consulted table (the
+// search's seekVictim, which see) is charged; at zero allowed seeks it
+// becomes a compaction candidate.
 func (db *DB) maybeChargeSeek(f *manifest.FileMeta, level int, consulted int) {
 	if !db.cfg.SeekCompaction || consulted < 2 || f == nil {
 		return
@@ -900,6 +921,9 @@ func (db *DB) CheckInvariants() error {
 }
 
 func (db *DB) checkVersionInvariants(v *manifest.Version) error {
+	if err := v.CheckL0Runs(); err != nil {
+		return err
+	}
 	for level := 1; level < manifest.NumLevels; level++ {
 		if !db.cfg.Fragmented {
 			if err := v.SortedTables(level); err != nil {

@@ -4,78 +4,101 @@ import (
 	"container/list"
 	"sort"
 
+	"github.com/bolt-lsm/bolt/internal/cache"
 	"github.com/bolt-lsm/bolt/internal/iterator"
 	"github.com/bolt-lsm/bolt/internal/keys"
 	"github.com/bolt-lsm/bolt/internal/manifest"
+	"github.com/bolt-lsm/bolt/internal/memtable"
 	"github.com/bolt-lsm/bolt/internal/sstable"
 )
 
-// levelIter iterates a sorted (non-overlapping) level, opening one table
-// at a time through the table cache. v is the pinned version the files
-// came from (the enclosing DBIter holds the reference); it is consulted
-// for quarantine marks so iterating into a corrupt table's span fails
-// with the typed range error instead of serving garbage.
-type levelIter struct {
-	db    *DB
+// runIter iterates one sorted run — a sorted level, one of level 0's runs
+// (manifest.Version.L0Runs), or a compaction's share of either: tables
+// ordered by Smallest with pairwise-disjoint user-key ranges — opening one
+// table at a time through the table cache. The table iterator and the
+// table's cache handle are embedded, so crossing from one table to the
+// next allocates nothing.
+type runIter struct {
+	db *DB
+	// v is the pinned version the files came from (the enclosing DBIter
+	// holds the reference). User reads consult it for quarantine marks, so
+	// iterating into a corrupt table's span fails with the typed range
+	// error instead of serving garbage.
 	v     *manifest.Version
 	level int
 	files []*manifest.FileMeta
-	idx   int
-	cur   iterator.Iterator
-	err   error
+	// forCompaction marks a compaction input: tables are read in
+	// compactionReadahead chunks past the block cache, and failures are
+	// reported raw — the compaction worker decides about quarantine, and a
+	// table quarantined since the pick is still an input.
+	forCompaction bool
+
+	idx      int
+	tbl      sstable.Iter // over files[idx] while opened
+	h        cache.Handle // the reference tbl reads through while opened
+	opened   bool
+	err      error
+	closeErr error // first failure closing a table iterator
 }
 
-var _ iterator.Iterator = (*levelIter)(nil)
+var _ iterator.Iterator = (*runIter)(nil)
 
-func (db *DB) newLevelIter(v *manifest.Version, level int, files []*manifest.FileMeta) *levelIter {
-	return &levelIter{db: db, v: v, level: level, files: files, idx: -1}
-}
-
-func (l *levelIter) open(i int) bool {
+func (l *runIter) open(i int) bool {
 	l.closeCur()
 	if i < 0 || i >= len(l.files) {
 		l.idx = len(l.files)
 		return false
 	}
 	f := l.files[i]
-	if l.v.IsQuarantined(f.Num) {
+	if !l.forCompaction && l.v.IsQuarantined(f.Num) {
 		l.err = rangeCorruptError(l.level, f, nil)
 		return false
 	}
-	r, release, err := l.db.tableCache.Get(f)
+	h, err := l.db.tableCache.Acquire(f)
 	if err != nil {
-		l.err = l.db.maybeQuarantineRead(l.level, f, err)
+		if !l.forCompaction {
+			err = l.db.maybeQuarantineRead(l.level, f, err)
+		}
+		l.err = err
 		return false
 	}
-	l.idx = i
-	l.cur = &releasingIter{Iterator: r.NewIter(sstable.IterOpts{}), release: release}
+	var opts sstable.IterOpts
+	if l.forCompaction {
+		opts.Readahead = compactionReadahead
+	}
+	l.idx, l.h, l.opened = i, h, true
+	l.tbl.Init(h.Reader, opts)
 	return true
 }
 
-func (l *levelIter) closeCur() {
-	if l.cur != nil {
-		_ = l.cur.Close()
-		l.cur = nil
+func (l *runIter) closeCur() {
+	if !l.opened {
+		return
 	}
+	if err := l.tbl.Close(); err != nil && l.closeErr == nil {
+		l.closeErr = err
+	}
+	l.h.Release()
+	l.h, l.opened = cache.Handle{}, false
 }
 
 // First implements iterator.Iterator.
-func (l *levelIter) First() bool {
+func (l *runIter) First() bool {
 	l.err = nil
 	if !l.open(0) {
 		return false
 	}
-	if l.cur.First() {
+	if l.tbl.First() {
 		return true
 	}
-	if l.err = l.cur.Err(); l.err != nil {
+	if l.err = l.tbl.Err(); l.err != nil {
 		return false
 	}
 	return l.nextFile()
 }
 
 // Seek implements iterator.Iterator.
-func (l *levelIter) Seek(target keys.InternalKey) bool {
+func (l *runIter) Seek(target keys.InternalKey) bool {
 	l.err = nil
 	idx := sort.Search(len(l.files), func(i int) bool {
 		return keys.Compare(l.files[i].Largest, target) >= 0
@@ -83,72 +106,94 @@ func (l *levelIter) Seek(target keys.InternalKey) bool {
 	if !l.open(idx) {
 		return false
 	}
-	if l.cur.Seek(target) {
+	if l.tbl.Seek(target) {
 		return true
 	}
-	if l.err = l.cur.Err(); l.err != nil {
+	if l.err = l.tbl.Err(); l.err != nil {
 		return false
 	}
 	return l.nextFile()
 }
 
-func (l *levelIter) nextFile() bool {
+func (l *runIter) nextFile() bool {
 	for {
 		if !l.open(l.idx + 1) {
 			return false
 		}
-		if l.cur.First() {
+		if l.tbl.First() {
 			return true
 		}
-		if l.err = l.cur.Err(); l.err != nil {
+		if l.err = l.tbl.Err(); l.err != nil {
 			return false
 		}
 	}
 }
 
 // Next implements iterator.Iterator.
-func (l *levelIter) Next() bool {
+func (l *runIter) Next() bool {
 	if !l.Valid() {
 		return false
 	}
-	if l.cur.Next() {
+	if l.tbl.Next() {
 		return true
 	}
-	if l.err = l.cur.Err(); l.err != nil {
+	if l.err = l.tbl.Err(); l.err != nil {
 		return false
 	}
 	return l.nextFile()
 }
 
 // Valid implements iterator.Iterator.
-func (l *levelIter) Valid() bool {
-	return l.err == nil && l.cur != nil && l.cur.Valid()
+func (l *runIter) Valid() bool {
+	return l.err == nil && l.opened && l.tbl.Valid()
 }
 
 // Key implements iterator.Iterator.
-func (l *levelIter) Key() keys.InternalKey {
+func (l *runIter) Key() keys.InternalKey {
 	if !l.Valid() {
 		return nil
 	}
-	return l.cur.Key()
+	return l.tbl.Key()
 }
 
 // Value implements iterator.Iterator.
-func (l *levelIter) Value() []byte {
+func (l *runIter) Value() []byte {
 	if !l.Valid() {
 		return nil
 	}
-	return l.cur.Value()
+	return l.tbl.Value()
 }
 
 // Err implements iterator.Iterator.
-func (l *levelIter) Err() error { return l.err }
+func (l *runIter) Err() error { return l.err }
 
-// Close implements iterator.Iterator.
-func (l *levelIter) Close() error {
+// Close implements iterator.Iterator; it reports the first failure closing
+// any of the tables the iterator went through.
+func (l *runIter) Close() error {
 	l.closeCur()
 	l.files = nil
-	return nil
+	return l.closeErr
+}
+
+// forEachRun calls fn for every sorted run the tables of v are read as:
+// level 0's runs, each sorted level whole, and — in fragmented profiles,
+// whose deeper levels pile overlapping tables — each table on its own.
+func (db *DB) forEachRun(v *manifest.Version, fn func(level int, files []*manifest.FileMeta)) {
+	for _, run := range v.L0Runs() {
+		fn(0, run)
+	}
+	for level := 1; level < manifest.NumLevels; level++ {
+		files := v.Levels[level]
+		switch {
+		case len(files) == 0:
+		case db.cfg.Fragmented:
+			for i := range files {
+				fn(level, files[i:i+1])
+			}
+		default:
+			fn(level, files)
+		}
+	}
 }
 
 // DBIter is a forward iterator over the user-visible key space at a fixed
@@ -159,9 +204,9 @@ func (l *levelIter) Close() error {
 type DBIter struct {
 	db     *DB
 	seq    keys.Seq
-	v      *manifest.Version // pinned until Close
+	v      *manifest.Version // pinned until Close; nil when closed or never opened
 	pin    *list.Element     // entry in db.iterPins; holds back value-log punches
-	merged *iterator.Merging
+	merged iterator.Merging
 
 	key     []byte
 	value   []byte
@@ -171,9 +216,14 @@ type DBIter struct {
 }
 
 // NewIter returns an iterator over the database at snap (nil = latest
-// committed state at creation time). Callers must Close it.
+// committed state at creation time). Callers must Close it. On a closed
+// database the iterator is invalid and its Err is ErrClosed.
 func (db *DB) NewIter(snap *Snapshot) *DBIter {
 	db.mu.Lock()
+	if db.closed {
+		db.mu.Unlock()
+		return &DBIter{err: ErrClosed}
+	}
 	// The sequence is read in the critical section that registers the pin:
 	// read before it, a value-GC pass could re-put, find no pin older than
 	// its safeSeq and punch in the window, leaving this iterator pinned at
@@ -189,40 +239,34 @@ func (db *DB) NewIter(snap *Snapshot) *DBIter {
 	// dereference are deferred until Close removes the pin.
 	pin := db.iterPins.PushBack(seq)
 	db.mu.Unlock()
+	return db.newIter(seq, v, pin, mem, imm)
+}
 
-	sources := []iterator.Iterator{mem.NewIter()}
+// readSources returns what a read of a captured state merges: the
+// memtables and one lazy concatenating iterator per sorted run of v, so a
+// scan pays for the number of runs, not the number of tables. The source
+// slice and the run iterators are each sized and allocated once.
+func (db *DB) readSources(v *manifest.Version, mem, imm *memtable.MemTable) []iterator.Iterator {
+	runs := 0
+	db.forEachRun(v, func(int, []*manifest.FileMeta) { runs++ })
+	sources := make([]iterator.Iterator, 0, 2+runs)
+	sources = append(sources, mem.NewIter())
 	if imm != nil {
 		sources = append(sources, imm.NewIter())
 	}
-	// Level 0 and fragmented levels: one iterator per (possibly
-	// overlapping) table. Sorted levels: one lazy concatenating iterator.
-	openTable := func(level int, f *manifest.FileMeta) iterator.Iterator {
-		if v.IsQuarantined(f.Num) {
-			return &iterator.Empty{ErrValue: rangeCorruptError(level, f, nil)}
-		}
-		r, release, err := db.tableCache.Get(f)
-		if err != nil {
-			return &iterator.Empty{ErrValue: db.maybeQuarantineRead(level, f, err)}
-		}
-		return &releasingIter{Iterator: r.NewIter(sstable.IterOpts{}), release: release}
-	}
-	for _, f := range v.Levels[0] {
-		sources = append(sources, openTable(0, f))
-	}
-	for level := 1; level < manifest.NumLevels; level++ {
-		files := v.Levels[level]
-		if len(files) == 0 {
-			continue
-		}
-		if db.cfg.Fragmented {
-			for _, f := range files {
-				sources = append(sources, openTable(level, f))
-			}
-		} else {
-			sources = append(sources, db.newLevelIter(v, level, files))
-		}
-	}
-	return &DBIter{db: db, seq: seq, v: v, pin: pin, merged: iterator.NewMerging(sources...)}
+	iters := make([]runIter, 0, runs)
+	db.forEachRun(v, func(level int, files []*manifest.FileMeta) {
+		iters = append(iters, runIter{db: db, v: v, level: level, files: files})
+		sources = append(sources, &iters[len(iters)-1])
+	})
+	return sources
+}
+
+// newIter builds the iterator over a captured read state.
+func (db *DB) newIter(seq keys.Seq, v *manifest.Version, pin *list.Element, mem, imm *memtable.MemTable) *DBIter {
+	it := &DBIter{db: db, seq: seq, v: v, pin: pin}
+	it.merged.Init(db.readSources(v, mem, imm))
+	return it
 }
 
 // findVisible scans forward from the merged iterator's current position to
@@ -266,6 +310,9 @@ func (it *DBIter) findVisible() bool {
 
 // First positions at the first user key.
 func (it *DBIter) First() bool {
+	if it.v == nil {
+		return false
+	}
 	it.skipKey = nil
 	it.merged.First()
 	return it.findVisible()
@@ -273,6 +320,9 @@ func (it *DBIter) First() bool {
 
 // SeekGE positions at the first user key >= ukey.
 func (it *DBIter) SeekGE(ukey []byte) bool {
+	if it.v == nil {
+		return false
+	}
 	it.skipKey = nil
 	it.merged.Seek(keys.MakeInternalKey(nil, ukey, it.seq, keys.KindSeekMax))
 	return it.findVisible()
@@ -300,17 +350,18 @@ func (it *DBIter) Value() []byte { return it.value }
 func (it *DBIter) Err() error { return it.err }
 
 // Close releases the iterator's table references, version pin, and
-// value-GC pin; punches the pin was holding back run before returning.
+// value-GC pin; punches the pin was holding back run before returning. It
+// reports the first failure closing a source.
 func (it *DBIter) Close() error {
-	if it.merged == nil {
+	if it.v == nil {
 		return nil
 	}
 	err := it.merged.Close()
-	it.merged = nil
 	it.valid = false
 	db := it.db
 	db.mu.Lock()
 	it.v.Unref()
+	it.v = nil
 	db.iterPins.Remove(it.pin)
 	it.pin = nil
 	todo := db.takeReadyVLogPunchesLocked()

@@ -88,22 +88,24 @@ func (db *DB) LevelStats() []metrics.LevelStats {
 				ls.DeadBytes += deadByPhys[p]
 			}
 		}
-		ls.ReadAmp = readAmp(db.cfg.Fragmented, level, files)
+		ls.ReadAmp = readAmp(db.cfg.Fragmented, v, level)
 		out[level] = ls
 	}
 	return out
 }
 
 // readAmp counts the sorted runs a point lookup may consult in one level:
-// every L0 table is its own run; a sorted deeper level is one run; a
+// level 0 contributes its runs (one per flush under compaction files, one
+// per table in legacy layouts); a sorted deeper level is one run; a
 // fragmented (guard-partitioned) deeper level contributes its deepest
 // per-guard stack.
-func readAmp(fragmented bool, level int, files []*manifest.FileMeta) int {
+func readAmp(fragmented bool, v *manifest.Version, level int) int {
+	files := v.Levels[level]
 	switch {
 	case len(files) == 0:
 		return 0
 	case level == 0:
-		return len(files)
+		return len(v.L0Runs())
 	case !fragmented:
 		return 1
 	}

@@ -250,12 +250,12 @@ func (db *DB) Scrub() error {
 // only when it classifies as corruption; transient open errors are skipped
 // (the next pass retries).
 func (db *DB) scrubTable(f *manifest.FileMeta) error {
-	r, release, err := db.tableCache.Get(f)
+	h, err := db.tableCache.Acquire(f)
 	if err != nil {
 		return err
 	}
-	defer release()
-	return r.VerifyTable()
+	defer h.Release()
+	return h.Reader.VerifyTable()
 }
 
 // scrubThrottle sleeps long enough that n verified bytes stay under the

@@ -89,7 +89,16 @@ var _ Iterator = (*Merging)(nil)
 // NewMerging returns a merging iterator over the given sources. The
 // merging iterator owns the sources and closes them on Close.
 func NewMerging(sources ...Iterator) *Merging {
-	return &Merging{sources: sources}
+	m := new(Merging)
+	m.Init(sources)
+	return m
+}
+
+// Init points a zero Merging at sources, which it owns from here on, so an
+// owner can embed one instead of allocating it. The heap is sized once.
+func (m *Merging) Init(sources []Iterator) {
+	m.sources = sources
+	m.heap = make([]mergeItem, 0, len(sources))
 }
 
 func (m *Merging) less(a, b mergeItem) bool {

@@ -3,6 +3,7 @@ package manifest
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -493,4 +494,123 @@ func TestBuilderMaintainsDerivedLevelState(t *testing.T) {
 		e.AddFile(3, vs.Current().Levels[1][1])
 	})
 	apply("level emptied", func(e *VersionEdit) { e.DeleteFile(2, 3) })
+}
+
+// runNums renders runs as table numbers, for comparison.
+func runNums(runs [][]*FileMeta) string {
+	var b strings.Builder
+	for _, run := range runs {
+		b.WriteByte('[')
+		for i, f := range run {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprint(&b, f.Num)
+		}
+		b.WriteByte(']')
+	}
+	return b.String()
+}
+
+// TestSortedRuns: tables sharing a physical file form one run in key order,
+// newest file first; a file whose tables overlap falls back to one run per
+// table; a run that lost tables stays a run; one-file-per-table layouts
+// are single-table runs.
+func TestSortedRuns(t *testing.T) {
+	var lv [NumLevels][]*FileMeta
+	lv[0] = []*FileMeta{
+		// phys 40: a later flush, allocated out of key order on purpose.
+		meta(43, 40, 200, 10, "m", "p"), meta(42, 40, 100, 10, "e", "h"), meta(41, 40, 0, 10, "a", "c"),
+		// phys 30: tables overlap each other ("c".."f" twice).
+		meta(32, 30, 100, 10, "d", "k"), meta(31, 30, 0, 10, "a", "f"),
+		// phys 20: an older flush that lost its middle table to a compaction.
+		meta(23, 20, 200, 10, "s", "z"), meta(21, 20, 0, 10, "a", "b"),
+		// legacy: the table is its own file.
+		meta(10, 10, 0, 10, "a", "z"),
+	}
+	v := NewVersion(lv)
+	if got, want := runNums(v.L0Runs()), "[41 42 43][32][31][21 23][10]"; got != want {
+		t.Fatalf("runs = %s, want %s", got, want)
+	}
+	if got := v.L0PhysFiles(); got != 4 {
+		t.Fatalf("L0PhysFiles = %d, want 4", got)
+	}
+	if err := v.CheckL0Runs(); err != nil {
+		t.Fatal(err)
+	}
+	// Tables that merely share a boundary user key are not disjoint.
+	runs, phys := SortedRuns([]*FileMeta{meta(2, 1, 10, 10, "c", "e"), meta(1, 1, 0, 10, "a", "c")})
+	if runNums(runs) != "[2][1]" || phys != 1 {
+		t.Fatalf("boundary-sharing group: runs %s, %d files", runNums(runs), phys)
+	}
+	if runs, phys := SortedRuns(nil); runs != nil || phys != 0 {
+		t.Fatalf("empty level: runs %v, %d files", runs, phys)
+	}
+	// The listing names each run.
+	if got := v.DebugString(); !strings.Contains(got, "L0 run 1/5: 41(") || !strings.Contains(got, "L0 run 4/5: 21(") {
+		t.Fatalf("DebugString does not list level 0 by run:\n%s", got)
+	}
+	// A tampered derivation is caught.
+	v.l0Runs = v.l0Runs[1:]
+	if err := v.CheckL0Runs(); err == nil {
+		t.Fatal("CheckL0Runs accepted runs that do not cover level 0")
+	}
+}
+
+// TestBuilderDerivesL0Runs: the builder regroups level 0 whenever an edit
+// touches it and shares the runs with the base when none does; nothing
+// about runs is written to the MANIFEST, so recovery derives them again.
+func TestBuilderDerivesL0Runs(t *testing.T) {
+	fs := vfs.NewMem()
+	vs, err := Create(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply := func(build func(e *VersionEdit)) *Version {
+		t.Helper()
+		e := &VersionEdit{}
+		build(e)
+		if err := vs.LogAndApply(e); err != nil {
+			t.Fatal(err)
+		}
+		v := vs.Current()
+		if err := v.CheckL0Runs(); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	v := apply(func(e *VersionEdit) { // one flush
+		e.AddFile(0, meta(11, 10, 0, 10, "a", "f"))
+		e.AddFile(0, meta(12, 10, 10, 10, "g", "p"))
+	})
+	if got := runNums(v.L0Runs()); got != "[11 12]" || v.L0PhysFiles() != 1 {
+		t.Fatalf("after one flush: runs %s, %d files", got, v.L0PhysFiles())
+	}
+	v = apply(func(e *VersionEdit) { // a second flush
+		e.AddFile(0, meta(21, 20, 0, 10, "b", "c"))
+		e.AddFile(0, meta(22, 20, 10, 10, "d", "z"))
+	})
+	if got := runNums(v.L0Runs()); got != "[21 22][11 12]" || v.L0PhysFiles() != 2 {
+		t.Fatalf("after two flushes: runs %s, %d files", got, v.L0PhysFiles())
+	}
+	runs := v.L0Runs()
+	v = apply(func(e *VersionEdit) { e.AddFile(1, meta(30, 30, 0, 10, "a", "z")) })
+	if got := v.L0Runs(); &got[0] != &runs[0] {
+		t.Fatal("untouched level 0: runs were rebuilt instead of shared")
+	}
+	v = apply(func(e *VersionEdit) { e.DeleteFile(0, 11) }) // part of a run compacted away
+	if got := runNums(v.L0Runs()); got != "[21 22][12]" || v.L0PhysFiles() != 2 {
+		t.Fatalf("after a partial compaction: runs %s, %d files", got, v.L0PhysFiles())
+	}
+	if err := vs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	vs2, err := Recover(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vs2.Close()
+	if got := runNums(vs2.Current().L0Runs()); got != "[21 22][12]" {
+		t.Fatalf("recovered runs %s", got)
+	}
 }

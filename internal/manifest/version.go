@@ -74,9 +74,13 @@ type Version struct {
 	// below are derived from them once, and readers share them unlocked.
 	Levels [NumLevels][]*FileMeta
 
-	// l0PhysFiles is the number of distinct physical files backing level
-	// 0, computed once at construction: the write governors consult it on
-	// every governed write, so it must not cost an allocation there.
+	// l0Runs is level 0 regrouped into sorted runs (see SortedRuns), newest
+	// physical file first, and l0PhysFiles the number of distinct physical
+	// files behind them. Both are computed once at construction: reads
+	// consult the runs on every Get and scan, the write governors consult
+	// the count on every governed write, and neither may allocate there.
+	// Nothing about runs is persisted.
+	l0Runs      [][]*FileMeta
 	l0PhysFiles int
 
 	// levelBytes is each level's total table size, so the picker's scores
@@ -178,6 +182,13 @@ func (v *Version) Quarantined() []uint64 {
 // files).
 func (v *Version) L0PhysFiles() int { return v.l0PhysFiles }
 
+// L0Runs returns level 0 as sorted runs, newest physical file first: each
+// run is ordered by Smallest with pairwise-disjoint user-key ranges, so a
+// point lookup consults at most one table of it and a scan reads it through
+// one concatenating iterator. The runs partition Levels[0]. Callers must
+// not modify the result.
+func (v *Version) L0Runs() [][]*FileMeta { return v.l0Runs }
+
 // ID returns the version's position in construction order.
 func (v *Version) ID() uint64 { return v.id }
 
@@ -207,20 +218,54 @@ func (v *Version) LevelBytes(level int) int64 { return v.levelBytes[level] }
 // over the given levels, which must already be in level order. Tests and
 // tools use it; the engine's versions come from the builder.
 func NewVersion(levels [NumLevels][]*FileMeta) *Version {
-	v := &Version{Levels: levels, l0PhysFiles: physFiles(levels[0])}
+	v := &Version{Levels: levels}
 	for level := range v.Levels {
 		v.deriveLevel(level)
 	}
 	return v
 }
 
-// physFiles counts the distinct physical files backing files.
-func physFiles(files []*FileMeta) int {
-	seen := make(map[uint64]struct{}, len(files))
-	for _, f := range files {
-		seen[f.PhysNum] = struct{}{}
+// SortedRuns regroups tables that may overlap each other into sorted runs
+// and counts the distinct physical files behind them. One flush or
+// compaction writes one physical file whose logical SSTables are sorted and
+// pairwise disjoint by construction, so the tables sharing a PhysNum,
+// ordered by Smallest, form one run. A group that is not pairwise
+// user-key-disjoint (repair output, hand-built versions) falls back to one
+// run per table, newest first; legacy one-file-per-table layouts are
+// single-table runs throughout. Runs come newest physical file first. files
+// is not modified.
+func SortedRuns(files []*FileMeta) (runs [][]*FileMeta, physFiles int) {
+	if len(files) == 0 {
+		return nil, 0
 	}
-	return len(seen)
+	sorted := append([]*FileMeta(nil), files...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].PhysNum != sorted[j].PhysNum {
+			return sorted[i].PhysNum > sorted[j].PhysNum
+		}
+		return keys.Compare(sorted[i].Smallest, sorted[j].Smallest) < 0
+	})
+	for lo := 0; lo < len(sorted); {
+		hi := lo + 1
+		disjoint := true
+		for ; hi < len(sorted) && sorted[hi].PhysNum == sorted[lo].PhysNum; hi++ {
+			if keys.CompareUser(sorted[hi-1].Largest.UserKey(), sorted[hi].Smallest.UserKey()) >= 0 {
+				disjoint = false
+			}
+		}
+		physFiles++
+		if disjoint {
+			runs = append(runs, sorted[lo:hi:hi])
+		} else {
+			group := sorted[lo:hi]
+			sort.Slice(group, func(i, j int) bool { return group[i].Num > group[j].Num })
+			for i := range group {
+				runs = append(runs, group[i:i+1:i+1])
+			}
+		}
+		lo = hi
+	}
+	return runs, physFiles
 }
 
 // deriveLevel computes the per-level derived state from Levels[level].
@@ -231,6 +276,9 @@ func (v *Version) deriveLevel(level int) {
 		total += f.Size
 	}
 	v.levelBytes[level] = total
+	if level == 0 {
+		v.l0Runs, v.l0PhysFiles = SortedRuns(files)
+	}
 	disjoint := level > 0
 	for i := 1; i < len(files) && disjoint; i++ {
 		disjoint = keys.CompareUser(files[i-1].Largest.UserKey(), files[i].Smallest.UserKey()) < 0
@@ -307,6 +355,41 @@ func (v *Version) SortedTables(level int) error {
 			return fmt.Errorf("manifest: level %d tables %d and %d overlap: %s vs %s",
 				level, prev.Num, cur.Num, prev.Largest, cur.Smallest)
 		}
+	}
+	return nil
+}
+
+// CheckL0Runs verifies the derived level-0 runs: they partition Levels[0],
+// and every multi-table run shares one physical file, is ordered by
+// Smallest, and is pairwise user-key-disjoint.
+func (v *Version) CheckL0Runs() error {
+	inLevel := make(map[*FileMeta]bool, len(v.Levels[0]))
+	for _, f := range v.Levels[0] {
+		inLevel[f] = true
+	}
+	n := 0
+	for _, run := range v.l0Runs {
+		for i, f := range run {
+			if !inLevel[f] {
+				return fmt.Errorf("manifest: level-0 run holds table %d twice or from outside the level", f.Num)
+			}
+			inLevel[f] = false
+			n++
+			if i == 0 {
+				continue
+			}
+			prev := run[i-1]
+			if prev.PhysNum != f.PhysNum {
+				return fmt.Errorf("manifest: level-0 run mixes physical files %d and %d", prev.PhysNum, f.PhysNum)
+			}
+			if keys.CompareUser(prev.Largest.UserKey(), f.Smallest.UserKey()) >= 0 {
+				return fmt.Errorf("manifest: level-0 run tables %d and %d overlap: %s vs %s",
+					prev.Num, f.Num, prev.Largest, f.Smallest)
+			}
+		}
+	}
+	if n != len(v.Levels[0]) {
+		return fmt.Errorf("manifest: level-0 runs cover %d of %d tables", n, len(v.Levels[0]))
 	}
 	return nil
 }
@@ -409,6 +492,9 @@ func (b *versionBuilder) finish(vs *VersionSet) *Version {
 			v.Levels[level] = b.base.Levels[level]
 			v.levelBytes[level] = b.base.levelBytes[level]
 			v.disjoint[level] = b.base.disjoint[level]
+			if level == 0 {
+				v.l0Runs, v.l0PhysFiles = b.base.l0Runs, b.base.l0PhysFiles
+			}
 			continue
 		}
 		var files []*FileMeta
@@ -439,7 +525,6 @@ func (b *versionBuilder) finish(vs *VersionSet) *Version {
 		v.Levels[level] = files
 		v.deriveLevel(level)
 	}
-	v.l0PhysFiles = physFiles(v.Levels[0])
 	// Quarantine membership survives only while the table does: deleting a
 	// quarantined table (the salvage commit) is what clears its mark.
 	if len(b.quarantined) > 0 {
@@ -509,19 +594,25 @@ func (v *Version) TotalBytes() int64 {
 	return total
 }
 
-// DebugString renders the version layout for tools and tests.
+// DebugString renders the version layout for tools and tests: one line per
+// sorted level, and for level 0 one line per sorted run.
 func (v *Version) DebugString() string {
 	var buf bytes.Buffer
-	for level, files := range v.Levels {
-		if len(files) == 0 {
-			continue
-		}
-		fmt.Fprintf(&buf, "L%d:", level)
+	line := func(label string, files []*FileMeta) {
+		buf.WriteString(label)
 		for _, f := range files {
 			fmt.Fprintf(&buf, " %d(phys=%d@%d,%dB)[%q..%q]",
 				f.Num, f.PhysNum, f.Offset, f.Size, f.Smallest.UserKey(), f.Largest.UserKey())
 		}
 		buf.WriteByte('\n')
+	}
+	for i, run := range v.l0Runs {
+		line(fmt.Sprintf("L0 run %d/%d:", i+1, len(v.l0Runs)), run)
+	}
+	for level := 1; level < NumLevels; level++ {
+		if files := v.Levels[level]; len(files) > 0 {
+			line(fmt.Sprintf("L%d:", level), files)
+		}
 	}
 	return buf.String()
 }

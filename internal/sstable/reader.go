@@ -309,9 +309,9 @@ type IterOpts struct {
 }
 
 // NewIter returns an iterator over the table.
-func (r *Reader) NewIter(opts IterOpts) iterator.Iterator {
-	t := &tableIter{r: r, opts: opts}
-	t.indexIter.Init(r.index)
+func (r *Reader) NewIter(opts IterOpts) *Iter {
+	t := new(Iter)
+	t.Init(r, opts)
 	return t
 }
 
@@ -321,11 +321,15 @@ func (r *Reader) NewIter(opts IterOpts) iterator.Iterator {
 // costs more than the read that fills it.
 var readaheadBufs sync.Pool
 
-// tableIter is the two-level iterator: index iterator over block handles,
+// Iter is the two-level table iterator: index iterator over block handles,
 // block iterator within the current data block. The block reader and both
 // block iterators are embedded and re-initialized per block, so walking a
-// table allocates nothing beyond the iterator itself.
-type tableIter struct {
+// table allocates nothing beyond the iterator itself — and Init re-points
+// it at another table keeping its key buffers, so an owner that embeds one
+// and walks a sequence of tables allocates nothing per table either.
+//
+//boltvet:mustclose
+type Iter struct {
 	r         *Reader
 	opts      IterOpts
 	indexIter block.Iter
@@ -339,9 +343,18 @@ type tableIter struct {
 	raOff int64
 }
 
-var _ iterator.Iterator = (*tableIter)(nil)
+var _ iterator.Iterator = (*Iter)(nil)
 
-func (t *tableIter) loadBlock() bool {
+// Init points the iterator at table r, unpositioned. An iterator being
+// re-pointed gives up what it held of the previous table first, as Close
+// does.
+func (t *Iter) Init(r *Reader, opts IterOpts) {
+	t.releaseReadahead()
+	t.r, t.opts, t.err = r, opts, nil
+	t.indexIter.Init(r.index)
+}
+
+func (t *Iter) loadBlock() bool {
 	t.inBlock = false
 	h, err := decodeHandle(t.indexIter.Value())
 	if err != nil {
@@ -368,7 +381,7 @@ func (t *tableIter) loadBlock() bool {
 }
 
 // readWithReadahead serves block h from a sequential readahead buffer.
-func (t *tableIter) readWithReadahead(h blockHandle) ([]byte, error) {
+func (t *Iter) readWithReadahead(h blockHandle) ([]byte, error) {
 	if err := t.r.checkHandle(h); err != nil {
 		return nil, err
 	}
@@ -413,7 +426,7 @@ func (t *tableIter) readWithReadahead(h blockHandle) ([]byte, error) {
 // releaseReadahead returns the readahead buffer to the pool. Nothing may
 // still read the current block: the iterator is exhausted, failed, or
 // closed.
-func (t *tableIter) releaseReadahead() {
+func (t *Iter) releaseReadahead() {
 	t.inBlock = false
 	if t.raBuf != nil {
 		readaheadBufs.Put(t.raBuf)
@@ -422,7 +435,7 @@ func (t *tableIter) releaseReadahead() {
 }
 
 // First implements iterator.Iterator.
-func (t *tableIter) First() bool {
+func (t *Iter) First() bool {
 	t.err = nil
 	t.inBlock = false
 	if !t.indexIter.First() {
@@ -439,7 +452,7 @@ func (t *tableIter) First() bool {
 }
 
 // Seek implements iterator.Iterator.
-func (t *tableIter) Seek(target keys.InternalKey) bool {
+func (t *Iter) Seek(target keys.InternalKey) bool {
 	t.err = nil
 	t.inBlock = false
 	if !t.indexIter.Seek(target) {
@@ -462,7 +475,7 @@ func (t *tableIter) Seek(target keys.InternalKey) bool {
 // nextBlock advances to the first entry of the next data block. Running off
 // the table's end gives the readahead buffer back early: a merge keeps its
 // exhausted sources open until the whole merge closes.
-func (t *tableIter) nextBlock() bool {
+func (t *Iter) nextBlock() bool {
 	for {
 		if !t.indexIter.Next() {
 			t.err = t.indexIter.Err()
@@ -483,7 +496,7 @@ func (t *tableIter) nextBlock() bool {
 }
 
 // Next implements iterator.Iterator.
-func (t *tableIter) Next() bool {
+func (t *Iter) Next() bool {
 	if !t.Valid() {
 		return false
 	}
@@ -498,12 +511,12 @@ func (t *tableIter) Next() bool {
 }
 
 // Valid implements iterator.Iterator.
-func (t *tableIter) Valid() bool {
+func (t *Iter) Valid() bool {
 	return t.err == nil && t.inBlock && t.blockIter.Valid()
 }
 
 // Key implements iterator.Iterator.
-func (t *tableIter) Key() keys.InternalKey {
+func (t *Iter) Key() keys.InternalKey {
 	if !t.Valid() {
 		return nil
 	}
@@ -511,7 +524,7 @@ func (t *tableIter) Key() keys.InternalKey {
 }
 
 // Value implements iterator.Iterator.
-func (t *tableIter) Value() []byte {
+func (t *Iter) Value() []byte {
 	if !t.Valid() {
 		return nil
 	}
@@ -519,11 +532,11 @@ func (t *tableIter) Value() []byte {
 }
 
 // Err implements iterator.Iterator.
-func (t *tableIter) Err() error { return t.err }
+func (t *Iter) Err() error { return t.err }
 
 // Close implements iterator.Iterator. The underlying file is owned by the
 // table cache, not the iterator.
-func (t *tableIter) Close() error {
+func (t *Iter) Close() error {
 	t.releaseReadahead()
 	return nil
 }
