@@ -1,10 +1,12 @@
 // Command bolt-bench regenerates the paper's figures on the simulated-SSD
-// substrate. Each experiment prints the data series of one figure.
+// substrate. The data series go to stdout — JSON rows for the count
+// series, text tables for the timed figures — and progress to stderr.
 //
 // Usage:
 //
 //	bolt-bench -list
-//	bolt-bench -experiment fig11 [-scale small|medium|large]
+//	bolt-bench -experiment counts -scale small > FIGURES.json
+//	bolt-bench -experiment fig13 [-scale small|medium|large]
 //	bolt-bench -experiment all -scale medium
 package main
 
@@ -26,17 +28,16 @@ func main() {
 
 func run() error {
 	var (
-		experiment = flag.String("experiment", "all", "figure id (fig4, fig6, fig11, fig12a, fig12b, fig13, fig14, fig15, fig16) or 'all'")
+		experiment = flag.String("experiment", "all", "experiment id (counts, fig4, fig6, fig12a, fig12b, fig13, fig14, fig15, fig16, ext-rocksbolt) or 'all'")
 		scaleName  = flag.String("scale", "medium", "experiment scale: small | medium | large")
 		list       = flag.Bool("list", false, "list experiments and exit")
 		statsEvery = flag.Duration("stats-every", 0, "print an engine stats line to stderr at this interval while a database is open (0 disables)")
 	)
 	flag.Parse()
-	bench.StatsEvery = *statsEvery
 
 	if *list {
 		for _, e := range bench.Experiments() {
-			fmt.Printf("%-8s %s\n", e.ID, e.Title)
+			fmt.Printf("%-13s %s\n", e.ID, e.Title)
 		}
 		return nil
 	}
@@ -44,7 +45,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	params := bench.Params{Scale: scale, Out: os.Stdout}
+	params := bench.Params{Scale: scale, Out: os.Stdout, StatsEvery: *statsEvery}
 
 	var todo []bench.Experiment
 	if *experiment == "all" {
@@ -57,12 +58,12 @@ func run() error {
 		todo = []bench.Experiment{e}
 	}
 	for _, e := range todo {
-		fmt.Printf("=== %s: %s\n", e.ID, e.Title)
+		fmt.Fprintf(os.Stderr, "=== %s: %s\n", e.ID, e.Title)
 		start := time.Now()
 		if err := e.Run(params); err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		fmt.Printf("=== %s done in %v\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "=== %s done in %v\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }

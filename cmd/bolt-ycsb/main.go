@@ -21,44 +21,9 @@ import (
 	"time"
 
 	"github.com/bolt-lsm/bolt"
+	"github.com/bolt-lsm/bolt/internal/bench"
 	"github.com/bolt-lsm/bolt/internal/ycsb"
 )
-
-// startStatsLoop prints one engine stats line every interval until the
-// returned stop function runs; stop waits for the loop to exit so it is
-// safe to call immediately before closing the database.
-func startStatsLoop(db *bolt.DB, every time.Duration) (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		var last bolt.Stats
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				s := db.Stats()
-				l0 := 0
-				if ls := db.LevelStats(); len(ls) > 0 {
-					l0 = ls[0].Tables
-				}
-				fmt.Printf("stats: writes=%d gets=%d fsyncs=%d(+%d) flushes=%d compactions=%d stall=%v l0=%d\n",
-					s.Writes, s.Gets, s.Fsyncs, s.Fsyncs-last.Fsyncs,
-					s.MemtableFlushes, s.Compactions,
-					s.StallTime.Round(time.Millisecond), l0)
-				last = s
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
-	}
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -141,29 +106,6 @@ func parseWorkload(name string) (ycsb.Workload, error) {
 	default:
 		return 0, fmt.Errorf("unknown workload %q", name)
 	}
-}
-
-// kv adapts bolt.DB to ycsb.KV.
-type kv struct{ db *bolt.DB }
-
-func (a kv) Put(key, value []byte) error { return a.db.Put(key, value) }
-
-func (a kv) Get(key []byte) (bool, error) {
-	_, err := a.db.Get(key)
-	if errors.Is(err, bolt.ErrNotFound) {
-		return false, nil
-	}
-	return err == nil, err
-}
-
-func (a kv) Scan(start []byte, maxLen int) (int, error) {
-	it := a.db.NewIterator(nil)
-	defer it.Close()
-	n := 0
-	for ok := it.SeekGE(start); ok && n < maxLen; ok = it.Next() {
-		n++
-	}
-	return n, it.Err()
 }
 
 func run() (err error) {
@@ -268,9 +210,7 @@ func run() (err error) {
 			err = cerr
 		}
 	}()
-	if *statsEvery > 0 {
-		defer startStatsLoop(db, *statsEvery)()
-	}
+	defer bench.WatchStats(db, prof.String(), *statsEvery, os.Stdout)()
 	interrupted, stopWatch := watchInterrupt()
 	defer stopWatch()
 
@@ -291,7 +231,7 @@ func run() (err error) {
 		if i > 0 {
 			n = *runOps
 		}
-		res, err := ycsb.Run(kv{db}, ycsb.RunConfig{
+		res, err := ycsb.Run(bench.KV{DB: db}, ycsb.RunConfig{
 			Workload:      w,
 			Distribution:  distribution,
 			RecordCount:   recordCount,

@@ -45,26 +45,3 @@ func TestParseWorkload(t *testing.T) {
 		t.Error("unknown workload accepted")
 	}
 }
-
-func TestKVAdapter(t *testing.T) {
-	db, err := bolt.OpenMem(&bolt.Options{Profile: bolt.ProfileBoLT})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	a := kv{db}
-	if err := a.Put([]byte("k1"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if found, err := a.Get([]byte("k1")); err != nil || !found {
-		t.Fatalf("Get = %v, %v", found, err)
-	}
-	if found, err := a.Get([]byte("absent")); err != nil || found {
-		t.Fatalf("absent Get = %v, %v", found, err)
-	}
-	a.Put([]byte("k2"), []byte("v"))
-	a.Put([]byte("k3"), []byte("v"))
-	if n, err := a.Scan([]byte("k1"), 2); err != nil || n != 2 {
-		t.Fatalf("Scan = %d, %v", n, err)
-	}
-}

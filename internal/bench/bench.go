@@ -1,15 +1,21 @@
-// Package bench implements the paper's evaluation harness: one experiment
-// per figure (4, 6, 11, 12a, 12b, 13, 14, 15, 16), each regenerating the
-// figure's data series on the simulated-SSD substrate. Absolute numbers
-// differ from the authors' testbed; the shapes — who wins, by what factor,
-// where the crossovers are — are the reproduction target (EXPERIMENTS.md
-// records paper-vs-measured for each).
+// Package bench implements the paper's evaluation harness on the
+// simulated-SSD substrate, and is the one place outside benchmark/ that
+// adapts bolt.DB to ycsb.KV, scales a profile's options and reports
+// periodic stats. Experiments come in two kinds, fixed per registry entry:
+// a series whose y-axis is a count (barriers, bytes written) is measured
+// in lock step on the accounting device and is exactly repeatable
+// ("counts", checked in as FIGURES.json); a series whose y-axis is time
+// (throughput, tail latency) runs on the real-time device and prints text.
+// Absolute numbers differ from the authors' testbed; the shapes — who
+// wins, by what factor, where the crossovers are — are the reproduction
+// target (EXPERIMENTS.md records paper-vs-measured for each).
 package bench
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"time"
 
 	"github.com/bolt-lsm/bolt"
@@ -124,6 +130,9 @@ func (s Scale) Options(p bolt.Profile) *bolt.Options {
 		Profile:       p,
 		MemTableBytes: s.div(64 << 20),
 		SSTableBytes:  s.div(profileSSTableBytes(p)),
+		// The paper's max_open_files. An entry count, so it does not scale:
+		// the engine default of 1 000 is smaller than a scaled-down tree.
+		TableCacheEntries: 32_000,
 	}
 	if p == bolt.ProfileBoLT || p == bolt.ProfileHyperBoLT {
 		o.LogicalSSTableBytes = s.div(1 << 20)
@@ -145,25 +154,23 @@ func (s Scale) Options(p bolt.Profile) *bolt.Options {
 	return o
 }
 
-// kvAdapter adapts bolt.DB to ycsb.KV.
-type kvAdapter struct {
-	db *bolt.DB
-}
+// KV adapts bolt.DB to ycsb.KV.
+type KV struct{ DB *bolt.DB }
 
-var _ ycsb.KV = (*kvAdapter)(nil)
+var _ ycsb.KV = KV{}
 
-func (a *kvAdapter) Put(key, value []byte) error { return a.db.Put(key, value) }
+func (a KV) Put(key, value []byte) error { return a.DB.Put(key, value) }
 
-func (a *kvAdapter) Get(key []byte) (bool, error) {
-	_, err := a.db.Get(key)
+func (a KV) Get(key []byte) (bool, error) {
+	_, err := a.DB.Get(key)
 	if errors.Is(err, bolt.ErrNotFound) {
 		return false, nil
 	}
 	return err == nil, err
 }
 
-func (a *kvAdapter) Scan(start []byte, maxLen int) (int, error) {
-	it := a.db.NewIterator(nil)
+func (a KV) Scan(start []byte, maxLen int) (int, error) {
+	it := a.DB.NewIterator(nil)
 	defer it.Close()
 	n := 0
 	for ok := it.SeekGE(start); ok && n < maxLen; ok = it.Next() {
@@ -173,26 +180,52 @@ func (a *kvAdapter) Scan(start []byte, maxLen int) (int, error) {
 	return n, it.Err()
 }
 
+// lockStep drains all background work after every operation, so the next
+// operation always meets the same tree. With one client, one serialized
+// compaction worker and the accounting device (RunSequence sets all
+// three) every flush and compaction pick then depends on the operation
+// stream alone and the store's counters repeat exactly. Neither half
+// suffices: a free-running client races the worker's picks, and a second
+// worker races the first.
+type lockStep struct{ KV }
+
+func (a lockStep) idle(err error) error {
+	if err != nil {
+		return err
+	}
+	return a.DB.WaitIdle()
+}
+
+func (a lockStep) Put(key, value []byte) error { return a.idle(a.KV.Put(key, value)) }
+
+func (a lockStep) Get(key []byte) (bool, error) {
+	found, err := a.KV.Get(key)
+	return found, a.idle(err)
+}
+
+func (a lockStep) Scan(start []byte, maxLen int) (int, error) {
+	n, err := a.KV.Scan(start, maxLen)
+	return n, a.idle(err)
+}
+
 // PhaseResult couples one workload's YCSB result with the store/device
 // counter deltas it caused.
 type PhaseResult struct {
-	Workload ycsb.Workload
-	Result   *ycsb.Result
-	// Fsyncs and BytesWritten are deltas over this phase.
+	Result *ycsb.Result
+	// Fsyncs, BytesWritten and StallTime are deltas over this phase.
 	Fsyncs       int64
 	BytesWritten int64
-	BytesRead    int64
 	StallTime    time.Duration
 }
 
 // SequenceResult is one store's full YCSB sequence (LA, A, B, C, F, D,
 // fresh DB, LE, E).
 type SequenceResult struct {
-	Profile bolt.Profile
-	Label   string
-	Phases  map[ycsb.Workload]*PhaseResult
-	// FinalStats is the first database's final counter snapshot (after D).
+	Phases map[ycsb.Workload]*PhaseResult
+	// FinalStats and FinalSim are the first database's final store and
+	// device counters (after D, or after the last wanted workload).
 	FinalStats bolt.Stats
+	FinalSim   bolt.SimStats
 }
 
 // Throughput returns a phase's throughput in ops/s (0 if absent).
@@ -203,13 +236,38 @@ func (r *SequenceResult) Throughput(w ycsb.Workload) float64 {
 	return 0
 }
 
+// Params is the shared experiment input.
+type Params struct {
+	Scale Scale
+	Out   io.Writer
+	// StatsEvery, when positive, makes every benchmark database print one
+	// engine stats line to stderr at that interval while it is open
+	// (bolt-bench's -stats-every); stderr so the lines interleave with,
+	// but do not corrupt, the figure data on Out.
+	StatsEvery time.Duration
+	// lockStep selects the counting recipe; the count experiments set it,
+	// nothing else does.
+	lockStep bool
+}
+
+func (p Params) printf(format string, args ...any) {
+	fmt.Fprintf(p.Out, format, args...)
+}
+
 // RunSequence executes the paper's YCSB order against a fresh simulated
 // store. Workloads may be restricted via only (nil = all): a group is run
 // up to its last wanted workload (preceding workloads still execute so the
 // store state matches the paper's submission order) and skipped entirely
-// when it contains none.
-func RunSequence(o *bolt.Options, s Scale, dist ycsb.Distribution, only map[ycsb.Workload]bool) (*SequenceResult, error) {
-	out := &SequenceResult{Profile: o.Profile, Phases: map[ycsb.Workload]*PhaseResult{}}
+// when it contains none. In lock step (count experiments) one client drives
+// the store, every operation waits for it to go idle, compactions are
+// serialized onto one worker and the device only accounts (no sleeps).
+func RunSequence(p Params, o *bolt.Options, dist ycsb.Distribution, only map[ycsb.Workload]bool) (*SequenceResult, error) {
+	s := p.Scale
+	disk, opts, threads := s.SimDisk(), *o, s.Threads
+	if p.lockStep {
+		disk.TimeScale, opts.MaxBackgroundCompactions, threads = -1, -1, 1
+	}
+	out := &SequenceResult{Phases: map[ycsb.Workload]*PhaseResult{}}
 	want := func(w ycsb.Workload) bool { return only == nil || only[w] }
 
 	for groupIdx, fullGroup := range ycsb.Sequence() {
@@ -223,12 +281,15 @@ func RunSequence(o *bolt.Options, s Scale, dist ycsb.Distribution, only map[ycsb
 			continue
 		}
 		group := fullGroup[:lastWanted+1]
-		db, err := bolt.OpenSim(o, s.SimDisk())
+		db, err := bolt.OpenSim(&opts, disk)
 		if err != nil {
 			return nil, err
 		}
-		stopStats := watchStats(db, o.Profile.String())
-		kv := &kvAdapter{db: db}
+		stopStats := WatchStats(db, o.Profile.String(), p.StatsEvery, os.Stderr)
+		var kv ycsb.KV = KV{db}
+		if p.lockStep {
+			kv = lockStep{KV{db}}
+		}
 		records := int64(0)
 		prev := db.Stats()
 		for _, w := range group {
@@ -236,7 +297,7 @@ func RunSequence(o *bolt.Options, s Scale, dist ycsb.Distribution, only map[ycsb
 				Workload:     w,
 				Distribution: dist,
 				RecordCount:  records,
-				Threads:      s.Threads,
+				Threads:      threads,
 				ValueSize:    s.ValueSize,
 				Seed:         int64(1000*groupIdx) + int64(w),
 			}
@@ -255,11 +316,9 @@ func RunSequence(o *bolt.Options, s Scale, dist ycsb.Distribution, only map[ycsb
 			cur := db.Stats()
 			if want(w) {
 				out.Phases[w] = &PhaseResult{
-					Workload:     w,
 					Result:       res,
 					Fsyncs:       cur.Fsyncs - prev.Fsyncs,
 					BytesWritten: cur.BytesWritten - prev.BytesWritten,
-					BytesRead:    cur.BytesRead - prev.BytesRead,
 					StallTime:    cur.StallTime - prev.StallTime,
 				}
 			}
@@ -267,6 +326,7 @@ func RunSequence(o *bolt.Options, s Scale, dist ycsb.Distribution, only map[ycsb
 		}
 		if groupIdx == 0 {
 			out.FinalStats = db.Stats()
+			out.FinalSim, _ = db.SimStats()
 		}
 		stopStats()
 		if err := db.Close(); err != nil {
@@ -276,31 +336,23 @@ func RunSequence(o *bolt.Options, s Scale, dist ycsb.Distribution, only map[ycsb
 	return out, nil
 }
 
-// Params is the shared experiment input.
-type Params struct {
-	Scale Scale
-	Out   io.Writer
-}
-
-func (p Params) printf(format string, args ...any) {
-	fmt.Fprintf(p.Out, format, args...)
-}
-
-// Experiment is one figure reproduction.
+// Experiment is one figure reproduction. Whether it counts in lock step or
+// times the real-time device is fixed by its Run function, never by a flag.
 type Experiment struct {
 	ID    string
 	Title string
 	Run   func(Params) error
 }
 
-// Experiments lists every figure reproduction in paper order.
+// Experiments lists every reproduction: the count series first, then the
+// timed figures in paper order.
 func Experiments() []Experiment {
 	return []Experiment{
-		{"fig4", "Fig 4: #fsync and insertion tail latency vs SSTable size (stock LevelDB, Load A)", Fig4},
+		{"counts", "Fig 4a, 11, 12, 13 (Load A): barriers and bytes written, counted in lock step (JSON; FIGURES.json)", Counts},
+		{"fig4", "Fig 4b: insertion tail latency vs SSTable size (stock LevelDB, Load A)", Fig4b},
 		{"fig6", "Fig 6: TableCache eviction overhead (point-query latency, 2 MB vs 64 MB SSTables)", Fig6},
-		{"fig11", "Fig 11: #fsync vs group compaction size (BoLT, Load A)", Fig11},
-		{"fig12a", "Fig 12a: BoLT ablation in LevelDB (+LS/+GC/+STL/+FC)", Fig12a},
-		{"fig12b", "Fig 12b: BoLT ablation in HyperLevelDB", Fig12b},
+		{"fig12a", "Fig 12a: BoLT ablation in LevelDB (+LS/+GC/+STL/+FC), throughput", Fig12a},
+		{"fig12b", "Fig 12b: BoLT ablation in HyperLevelDB, throughput", Fig12b},
 		{"fig13", "Fig 13: YCSB throughput, all stores, zipfian & uniform", Fig13},
 		{"fig14", "Fig 14: tail latency of writes (Load A) and reads (C)", Fig14},
 		{"fig15", "Fig 15: BoLT vs RocksDB, memory-constrained large DB", Fig15},

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -45,6 +46,21 @@ func TestOptionsScaling(t *testing.T) {
 	if s.Options(bolt.ProfileRocksDB).LogicalSSTableBytes != 0 {
 		t.Error("rocks profile got logical sstables")
 	}
+	// Every profile runs on the paper's table cache, except where a figure
+	// constrains it on purpose.
+	for _, prof := range fig13Profiles {
+		if got := s.Options(prof).TableCacheEntries; got != 32_000 {
+			t.Errorf("%v: table cache = %d entries, want the paper's 32000", prof, got)
+		}
+	}
+	big := s.LoadOps * s.BigLoadFactor
+	constrained := s.constrainedTableCache(big, s.ValueSize)
+	if constrained >= 100 {
+		t.Errorf("constrained table cache = %d entries, not a constraint", constrained)
+	}
+	if got := fig15Options(s, bolt.ProfileBoLT, s.ValueSize, big).TableCacheEntries; got != constrained {
+		t.Errorf("fig 15 table cache = %d entries, want the constrained %d", got, constrained)
+	}
 	// div floors at 4 KiB.
 	tiny := Scale{SizeDiv: 1 << 30}
 	if tiny.div(1<<20) != 4096 {
@@ -52,8 +68,31 @@ func TestOptionsScaling(t *testing.T) {
 	}
 }
 
+func TestKVAdapter(t *testing.T) {
+	db, err := bolt.OpenMem(&bolt.Options{Profile: bolt.ProfileBoLT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	a := KV{db}
+	for _, k := range []string{"k1", "k2", "k3"} {
+		if err := a.Put([]byte(k), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if found, err := a.Get([]byte("k1")); err != nil || !found {
+		t.Fatalf("Get = %v, %v", found, err)
+	}
+	if found, err := a.Get([]byte("absent")); err != nil || found {
+		t.Fatalf("absent Get = %v, %v", found, err)
+	}
+	if n, err := a.Scan([]byte("k1"), 2); err != nil || n != 2 {
+		t.Fatalf("Scan = %d, %v", n, err)
+	}
+}
+
 func TestRunSequenceLoadOnly(t *testing.T) {
-	res, err := RunSequence(tinyScale.Options(bolt.ProfileLevelDB), tinyScale, ycsb.Zipfian, loadAOnly)
+	res, err := RunSequence(Params{Scale: tinyScale}, tinyScale.Options(bolt.ProfileLevelDB), ycsb.Zipfian, loadAOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +115,7 @@ func TestRunSequenceFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sequence")
 	}
-	res, err := RunSequence(tinyScale.Options(bolt.ProfileBoLT), tinyScale, ycsb.Zipfian, nil)
+	res, err := RunSequence(Params{Scale: tinyScale}, tinyScale.Options(bolt.ProfileBoLT), ycsb.Zipfian, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +156,7 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
-// TestEveryExperimentRunsAtTinyScale smoke-runs all nine figures.
+// TestEveryExperimentRunsAtTinyScale smoke-runs every registry entry.
 func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow even tiny")
@@ -129,7 +168,8 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
 			out := buf.String()
-			if !strings.Contains(out, "#") || len(out) < 100 {
+			// A text table carries a "# Fig …" caption; a count series is JSON.
+			if !(strings.Contains(out, "#") || json.Valid(buf.Bytes())) || len(out) < 100 {
 				t.Fatalf("%s produced no report:\n%s", e.ID, out)
 			}
 		})

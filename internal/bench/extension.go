@@ -39,7 +39,7 @@ func ExtRocksBoLT(p Params) error {
 	p.printf(" %12s\n", "written(LA)")
 	for _, v := range variants {
 		o := v.opts()
-		res, err := RunSequence(o, s, ycsb.Zipfian, nil)
+		res, err := RunSequence(p, o, ycsb.Zipfian, nil)
 		if err != nil {
 			return err
 		}

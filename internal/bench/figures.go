@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"github.com/bolt-lsm/bolt"
@@ -44,23 +45,27 @@ func latencyHeader() string {
 // loadAOnly restricts a sequence to the Load A phase.
 var loadAOnly = map[ycsb.Workload]bool{ycsb.LoadA: true}
 
-// Fig4 sweeps the SSTable size of stock LevelDB under YCSB Load A and
-// reports the fsync count (4a) and insertion tail latency (4b). Expected
-// shape: fsyncs halve per size doubling; tails improve with size.
-func Fig4(p Params) error {
-	p.printf("# Fig 4 — stock LevelDB, Load A (%d ops x %d B), SSTable size sweep [scale=%s]\n",
+// sstableSweepMB is Figure 4's x-axis: stock LevelDB's SSTable size in MB
+// at paper scale.
+var sstableSweepMB = []int64{1, 2, 4, 8, 16, 32, 64}
+
+// Fig4b sweeps the SSTable size of stock LevelDB under YCSB Load A and
+// reports the insertion tail latency. Expected shape: tails improve with
+// size. (Fig 4a, the fsync count of the same sweep, is a count series.)
+func Fig4b(p Params) error {
+	p.printf("# Fig 4b — stock LevelDB, Load A (%d ops x %d B), SSTable size sweep [scale=%s]\n",
 		p.Scale.LoadOps, p.Scale.ValueSize, p.Scale.Name)
-	p.printf("%-12s %10s %12s %12s%s\n", "sstable", "fsyncs", "ops/s", "stall", latencyHeader())
-	for _, mb := range []int64{1, 2, 4, 8, 16, 32, 64} {
+	p.printf("%-12s %12s %12s%s\n", "sstable", "ops/s", "stall", latencyHeader())
+	for _, mb := range sstableSweepMB {
 		o := p.Scale.Options(bolt.ProfileLevelDB)
 		o.SSTableBytes = p.Scale.div(mb << 20)
-		res, err := RunSequence(o, p.Scale, ycsb.Zipfian, loadAOnly)
+		res, err := RunSequence(p, o, ycsb.Zipfian, loadAOnly)
 		if err != nil {
 			return err
 		}
 		la := res.Phases[ycsb.LoadA]
-		p.printf("%-12s %10d %12.0f %12v%s\n",
-			fmt.Sprintf("%dMB/%d", mb, p.Scale.SizeDiv), la.Fsyncs,
+		p.printf("%-12s %12.0f %12v%s\n",
+			fmt.Sprintf("%dMB/%d", mb, p.Scale.SizeDiv),
 			la.Result.Throughput, la.StallTime.Round(time.Millisecond),
 			fmtLatencyRow(la.Result.Write))
 	}
@@ -76,12 +81,10 @@ func Fig6(p Params) error {
 	p.printf("# Fig 6 — RocksDB profile, %d-record DB, %d point queries, fixed TableCache entries [scale=%s]\n",
 		loadOps, p.Scale.RunOps, p.Scale.Name)
 
-	// Size the TableCache so the 64 MB configuration cannot hold its
-	// (fewer, larger) tables either: both configurations miss, and the
-	// miss penalty difference is what the figure shows.
-	dbBytes := loadOps * int64(p.Scale.ValueSize+120)
-	bigTables := dbBytes / p.Scale.div(64<<20)
-	cacheEntries := int(bigTables/2) + 2
+	// With this budget the 64 MB configuration cannot hold its (fewer,
+	// larger) tables either: both configurations miss, and the miss
+	// penalty difference is what the figure shows.
+	cacheEntries := p.Scale.constrainedTableCache(loadOps, p.Scale.ValueSize)
 
 	p.printf("%-12s %10s %10s %12s %14s%s\n",
 		"sstable", "tc-hits", "tc-miss", "meta-read", "reads/s", latencyHeader())
@@ -93,8 +96,8 @@ func Fig6(p Params) error {
 		if err != nil {
 			return err
 		}
-		stopStats := watchStats(db, fmt.Sprintf("fig6-%dMB", mb))
-		kv := &kvAdapter{db: db}
+		stopStats := WatchStats(db, fmt.Sprintf("fig6-%dMB", mb), p.StatsEvery, os.Stderr)
+		kv := KV{db}
 		if _, err := ycsb.Run(kv, ycsb.RunConfig{
 			Workload: ycsb.LoadA, Ops: loadOps,
 			Threads: p.Scale.Threads, ValueSize: p.Scale.ValueSize, Seed: 1,
@@ -133,37 +136,6 @@ func Fig6(p Params) error {
 		if err := db.Close(); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// Fig11 sweeps BoLT's group compaction size under Load A and reports the
-// fsync count against the stock LevelDB baseline. Expected shape: BoLT at
-// 2 MB groups already roughly halves LevelDB's fsyncs; the count then
-// decreases with group size.
-func Fig11(p Params) error {
-	p.printf("# Fig 11 — #fsync vs group compaction size, Load A (%d ops) [scale=%s]\n",
-		p.Scale.LoadOps, p.Scale.Name)
-	p.printf("%-16s %10s %12s %14s\n", "config", "fsyncs", "ops/s", "written")
-
-	lvl, err := RunSequence(p.Scale.Options(bolt.ProfileLevelDB), p.Scale, ycsb.Zipfian, loadAOnly)
-	if err != nil {
-		return err
-	}
-	la := lvl.Phases[ycsb.LoadA]
-	p.printf("%-16s %10d %12.0f %14s\n", "LevelDB", la.Fsyncs, la.Result.Throughput, fmtBytes(la.BytesWritten))
-
-	for _, mb := range []int64{2, 4, 8, 16, 32, 64} {
-		o := p.Scale.Options(bolt.ProfileBoLT)
-		o.GroupCompactionBytes = p.Scale.div(mb << 20)
-		res, err := RunSequence(o, p.Scale, ycsb.Zipfian, loadAOnly)
-		if err != nil {
-			return err
-		}
-		la := res.Phases[ycsb.LoadA]
-		p.printf("%-16s %10d %12.0f %14s\n",
-			fmt.Sprintf("BoLT GC%dMB/%d", mb, p.Scale.SizeDiv),
-			la.Fsyncs, la.Result.Throughput, fmtBytes(la.BytesWritten))
 	}
 	return nil
 }
@@ -230,7 +202,7 @@ func runAblation(p Params, title string, base, full bolt.Profile) error {
 		title, p.Scale.LoadOps, p.Scale.RunOps, p.Scale.Name)
 	printThroughputHeader(p)
 	for _, v := range ablations(base, full) {
-		res, err := RunSequence(v.opts(p.Scale), p.Scale, ycsb.Zipfian, nil)
+		res, err := RunSequence(p, v.opts(p.Scale), ycsb.Zipfian, nil)
 		if err != nil {
 			return fmt.Errorf("%s: %w", v.label, err)
 		}
@@ -269,7 +241,7 @@ func Fig13(p Params) error {
 			dist, p.Scale.LoadOps, p.Scale.RunOps, p.Scale.Name)
 		printThroughputHeader(p)
 		for _, prof := range fig13Profiles {
-			res, err := RunSequence(p.Scale.Options(prof), p.Scale, dist, nil)
+			res, err := RunSequence(p, p.Scale.Options(prof), dist, nil)
 			if err != nil {
 				return fmt.Errorf("%v/%v: %w", prof, dist, err)
 			}
@@ -286,13 +258,12 @@ func Fig13(p Params) error {
 func Fig14(p Params) error {
 	only := map[ycsb.Workload]bool{ycsb.LoadA: true, ycsb.WorkloadC: true}
 	type row struct {
-		label   string
-		la, c   *histogram.Histogram
-		laCount int64
+		label string
+		la, c *histogram.Histogram
 	}
 	var rows []row
 	for _, prof := range fig13Profiles {
-		res, err := RunSequence(p.Scale.Options(prof), p.Scale, ycsb.Zipfian, only)
+		res, err := RunSequence(p, p.Scale.Options(prof), ycsb.Zipfian, only)
 		if err != nil {
 			return err
 		}
@@ -322,11 +293,17 @@ func fig15Options(s Scale, prof bolt.Profile, valueSize int, records int64) *bol
 	o.L1MaxBytes = s.div(256 << 20)
 	o.L0SlowdownTrigger = 20
 	o.L0StopTrigger = 36
-	// A TableCache too small for the database models the paper's
-	// memory-constrained host.
-	dbBytes := records * int64(valueSize+120)
-	o.TableCacheEntries = int(dbBytes/s.div(64<<20))/2 + 2
+	o.TableCacheEntries = s.constrainedTableCache(records, valueSize)
 	return o
+}
+
+// constrainedTableCache is the deliberate exception to Scale.Options'
+// 32 000 entries: a TableCache that holds half of the database's tables
+// even at 64 MB SSTables, modelling the paper's memory-constrained host
+// (Figures 6, 15 and 16).
+func (s Scale) constrainedTableCache(records int64, valueSize int) int {
+	dbBytes := records * int64(valueSize+120)
+	return int(dbBytes/s.div(64<<20))/2 + 2
 }
 
 type fig15Config struct {
@@ -358,8 +335,9 @@ func Fig15(p Params) error {
 		p.printf("# Fig 15 (%s) — BoLT vs RocksDB, load=%d x %d B [scale=%s]\n",
 			cfg.label, s.LoadOps, s.ValueSize, s.Name)
 		printThroughputHeader(p)
+		p.Scale = s
 		for _, prof := range []bolt.Profile{bolt.ProfileBoLT, bolt.ProfileRocksDB} {
-			res, err := RunSequence(fig15Options(s, prof, cfg.valueSize, records), s, cfg.dist, nil)
+			res, err := RunSequence(p, fig15Options(s, prof, cfg.valueSize, records), cfg.dist, nil)
 			if err != nil {
 				return fmt.Errorf("fig15 %s %v: %w", cfg.label, prof, err)
 			}
@@ -374,15 +352,15 @@ func Fig15(p Params) error {
 // the Figure 15 (1 KB zipfian) configuration. Expected shape: RocksDB
 // shows the higher tails on every workload except E (scans).
 func Fig16(p Params) error {
+	p.Scale.LoadOps *= p.Scale.BigLoadFactor
 	s := p.Scale
-	s.LoadOps = s.LoadOps * s.BigLoadFactor
 	runs := []ycsb.Workload{
 		ycsb.WorkloadA, ycsb.WorkloadB, ycsb.WorkloadC,
 		ycsb.WorkloadD, ycsb.WorkloadE, ycsb.WorkloadF,
 	}
 	results := map[bolt.Profile]*SequenceResult{}
 	for _, prof := range []bolt.Profile{bolt.ProfileBoLT, bolt.ProfileRocksDB} {
-		res, err := RunSequence(fig15Options(s, prof, s.ValueSize, s.LoadOps), s, ycsb.Zipfian, nil)
+		res, err := RunSequence(p, fig15Options(s, prof, s.ValueSize, s.LoadOps), ycsb.Zipfian, nil)
 		if err != nil {
 			return err
 		}

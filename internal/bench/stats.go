@@ -3,28 +3,18 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"time"
 
 	"github.com/bolt-lsm/bolt"
 )
 
-// StatsEvery, when positive, makes every benchmark database print one
-// engine stats line to StatsOut at that interval while it is open — the
-// library-side hook behind bolt-bench's -stats-every flag. StatsOut
-// defaults to stderr so the periodic lines interleave with, but do not
-// corrupt, the figure data written to stdout.
-var (
-	StatsEvery time.Duration
-	StatsOut   io.Writer = os.Stderr
-)
-
-// watchStats starts the periodic stats reporter for db when StatsEvery is
-// set. The returned stop function is idempotent and waits for the reporter
-// to exit, so it is safe to call immediately before db.Close.
-func watchStats(db *bolt.DB, label string) (stop func()) {
-	if StatsEvery <= 0 {
+// WatchStats prints one engine stats line for db to out every interval
+// (never, when every is not positive). The returned stop function waits
+// for the reporter to exit, so it is safe to call immediately before
+// db.Close; call it once.
+func WatchStats(db *bolt.DB, label string, every time.Duration, out io.Writer) (stop func()) {
+	if every <= 0 {
 		return func() {}
 	}
 	done := make(chan struct{})
@@ -32,7 +22,7 @@ func watchStats(db *bolt.DB, label string) (stop func()) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		tick := time.NewTicker(StatsEvery)
+		tick := time.NewTicker(every)
 		defer tick.Stop()
 		var last bolt.Stats
 		for {
@@ -45,7 +35,7 @@ func watchStats(db *bolt.DB, label string) (stop func()) {
 				if ls := db.LevelStats(); len(ls) > 0 {
 					l0 = ls[0].Tables
 				}
-				fmt.Fprintf(StatsOut,
+				fmt.Fprintf(out,
 					"stats[%s]: writes=%d gets=%d fsyncs=%d(+%d) flushes=%d compactions=%d stall=%v l0=%d\n",
 					label, s.Writes, s.Gets, s.Fsyncs, s.Fsyncs-last.Fsyncs,
 					s.MemtableFlushes, s.Compactions,
@@ -54,11 +44,8 @@ func watchStats(db *bolt.DB, label string) (stop func()) {
 			}
 		}
 	}()
-	var once sync.Once
 	return func() {
-		once.Do(func() {
-			close(done)
-			wg.Wait()
-		})
+		close(done)
+		wg.Wait()
 	}
 }

@@ -10,12 +10,10 @@ import (
 	"github.com/bolt-lsm/bolt/internal/iterator"
 	"github.com/bolt-lsm/bolt/internal/keys"
 	"github.com/bolt-lsm/bolt/internal/manifest"
-	"github.com/bolt-lsm/bolt/internal/memtable"
 	"github.com/bolt-lsm/bolt/internal/metrics"
 	"github.com/bolt-lsm/bolt/internal/sstable"
 	"github.com/bolt-lsm/bolt/internal/vfs"
 	"github.com/bolt-lsm/bolt/internal/vlog"
-	"github.com/bolt-lsm/bolt/internal/wal"
 )
 
 // CompactRange synchronously compacts every table overlapping the user-key
@@ -23,6 +21,15 @@ import (
 // after flushing the current memtable. Tools use it to settle a database
 // into its minimal shape; nil,nil compacts everything.
 func (db *DB) CompactRange(start, limit []byte) error {
+	// No unlock window may separate a rotation from the manualActive claim
+	// below, so its wal-rotation event is emitted on the way out, after mu
+	// is released, back-dated to the rotation.
+	var rotations []events.Event
+	defer func() {
+		for _, e := range rotations {
+			db.ev.Emit(e)
+		}
+	}()
 	db.mu.Lock()
 	// Exclude the scheduler in the critical section that rotates the
 	// memtable, not after the flush: the flush lands the L0 tables this
@@ -50,10 +57,12 @@ func (db *DB) CompactRange(start, limit []byte) error {
 		}
 		// Flush current memtable content first so it participates.
 		if !db.mem.Empty() {
-			if err := db.forceMemtableSwitchLocked(); err != nil {
+			logNum, err := db.forceMemtableSwitchLocked()
+			if err != nil {
 				db.mu.Unlock()
 				return err
 			}
+			rotations = append(rotations, events.Event{Type: events.TypeWALRotation, File: logNum, Time: time.Now()})
 		}
 		if !db.manualActive {
 			break
@@ -129,8 +138,9 @@ func (db *DB) CompactRange(start, limit []byte) error {
 }
 
 // forceMemtableSwitchLocked rotates the memtable regardless of its size so
-// a flush of current contents can be awaited.
-func (db *DB) forceMemtableSwitchLocked() error {
+// a flush of current contents can be awaited. It returns the new log number
+// for the caller's wal-rotation event.
+func (db *DB) forceMemtableSwitchLocked() (uint64, error) {
 	// Waiting on leaderActive too: the group-commit leader appends to the
 	// current WAL writer with mu released, so rotating (and closing) it
 	// here while a leader is in that window would race the append.
@@ -140,25 +150,12 @@ func (db *DB) forceMemtableSwitchLocked() error {
 		db.rotateWaiters--
 	}
 	if db.closed {
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	if err := db.pendingErrLocked(); err != nil {
-		return err
+		return 0, err
 	}
-	newLogNum := db.vs.NextFileNum()
-	newWal, err := wal.NewWriter(db.fs, manifest.LogFileName(newLogNum))
-	if err != nil {
-		return err
-	}
-	_ = db.walW.Close()
-	db.obsoleteLogs = append(db.obsoleteLogs, db.walNum)
-	db.walNum = newLogNum
-	db.walW = newWal
-	db.imm = db.mem
-	db.mem = memtable.New()
-	db.met.MemtableSwitch.Add(1)
-	db.maybeScheduleWorkLocked()
-	return nil
+	return db.switchMemtableLocked()
 }
 
 // Worker IDs stamped into events: the dedicated flush thread is worker 0,

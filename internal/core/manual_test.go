@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/bolt-lsm/bolt/internal/events"
 	"github.com/bolt-lsm/bolt/internal/metrics"
 	"github.com/bolt-lsm/bolt/internal/vfs"
 )
@@ -72,6 +73,28 @@ func TestCompactRangeFlushesMemtable(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("memtable content not flushed to tables")
+	}
+	// The forced rotation is in the trace exactly once, names the WAL now
+	// in use, and — emitted after the call's critical sections — is
+	// back-dated to before the flush it caused.
+	db.mu.Lock()
+	walNum := db.walNum
+	db.mu.Unlock()
+	var rotations []events.Event
+	var flushStart events.Event
+	for _, e := range db.Events() {
+		switch e.Type {
+		case events.TypeWALRotation:
+			rotations = append(rotations, e)
+		case events.TypeFlushStart:
+			flushStart = e
+		}
+	}
+	if len(rotations) != 1 || rotations[0].File != walNum {
+		t.Fatalf("wal-rotation events = %+v, want exactly one for log %d", rotations, walNum)
+	}
+	if flushStart.Time.IsZero() || rotations[0].Time.After(flushStart.Time) {
+		t.Fatalf("rotation stamped %v, after its flush started at %v", rotations[0].Time, flushStart.Time)
 	}
 	for i := 0; i < 10; i++ {
 		if _, err := db.Get([]byte(fmt.Sprintf("m%02d", i)), nil); err != nil {
@@ -162,7 +185,7 @@ func testCompactRangeCompactionCount(t *testing.T, cfg Config) {
 	for round := 0; round < 3; round++ {
 		put(round)
 		db.mu.Lock()
-		err := db.forceMemtableSwitchLocked()
+		_, err := db.forceMemtableSwitchLocked()
 		db.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)

@@ -352,25 +352,36 @@ func (db *DB) makeRoomForWriteLocked() error {
 			db.stallOnCondLocked("l0-stop")
 
 		default:
-			// Switch to a fresh memtable and WAL.
-			newLogNum := db.vs.NextFileNum()
-			newWal, err := wal.NewWriter(db.fs, manifest.LogFileName(newLogNum))
+			newLogNum, err := db.switchMemtableLocked()
 			if err != nil {
 				return err
 			}
-			_ = db.walW.Close()
-			db.obsoleteLogs = append(db.obsoleteLogs, db.walNum)
-			db.walNum = newLogNum
-			db.walW = newWal
-			db.imm = db.mem
-			db.mem = memtable.New()
-			db.met.MemtableSwitch.Add(1)
-			db.maybeScheduleWorkLocked()
 			db.mu.Unlock()
 			db.ev.Emit(events.Event{Type: events.TypeWALRotation, File: newLogNum})
 			db.mu.Lock()
 		}
 	}
+}
+
+// switchMemtableLocked retires the memtable and its WAL: a fresh pair takes
+// the writes that follow, the old memtable becomes imm and the scheduler is
+// told. It returns the new log number; the caller emits the wal-rotation
+// event carrying it once it can release mu.
+func (db *DB) switchMemtableLocked() (newLogNum uint64, err error) {
+	newLogNum = db.vs.NextFileNum()
+	newWal, err := wal.NewWriter(db.fs, manifest.LogFileName(newLogNum))
+	if err != nil {
+		return 0, err
+	}
+	_ = db.walW.Close()
+	db.obsoleteLogs = append(db.obsoleteLogs, db.walNum)
+	db.walNum = newLogNum
+	db.walW = newWal
+	db.imm = db.mem
+	db.mem = memtable.New()
+	db.met.MemtableSwitch.Add(1)
+	db.maybeScheduleWorkLocked()
+	return newLogNum, nil
 }
 
 // stallOnCondLocked blocks the leader on db.cond, accounting the stall and

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sync"
 
 	"github.com/bolt-lsm/bolt/internal/vfs"
@@ -78,6 +79,11 @@ func DecodePointer(data []byte) (Pointer, error) {
 	if n3 <= 0 {
 		return Pointer{}, fmt.Errorf("vlog: bad pointer length")
 	}
+	// Offsets and lengths index files and size buffers: one that does not
+	// fit an int64 is corruption, not a position.
+	if off > math.MaxInt64 || length > math.MaxInt64 {
+		return Pointer{}, fmt.Errorf("vlog: pointer offset %d / length %d out of range", off, length)
+	}
 	p.Off, p.Len = int64(off), int64(length)
 	return p, nil
 }
@@ -116,7 +122,7 @@ func parseHeader(hdr []byte) (payloadLen int64, ok bool) {
 // parsePayload splits a checksum-verified payload into key and value.
 func parsePayload(payload []byte) (key, value []byte, err error) {
 	kl, n := binary.Uvarint(payload)
-	if n <= 0 || int64(n)+int64(kl) > int64(len(payload)) {
+	if n <= 0 || kl > uint64(len(payload)-n) {
 		return nil, nil, fmt.Errorf("vlog: bad record key length")
 	}
 	return payload[n : n+int(kl)], payload[n+int(kl):], nil
