@@ -171,10 +171,11 @@ type Options struct {
 	VLogGCChunkBytes int64
 
 	// ScrubInterval enables the background integrity scrubber: every
-	// interval, one pass verifies every live table's block checksums
-	// (bypassing the block cache, so at-rest bit rot is caught even for
-	// cached data) and quarantines corrupt tables for salvage. Zero
-	// disables the scrubber; DB.Scrub runs a pass on demand either way.
+	// interval after the last pass ended, one pass verifies every live
+	// table's block checksums (bypassing the block cache, so at-rest bit
+	// rot is caught even for cached data) and quarantines corrupt tables
+	// for salvage. Zero disables the scrubber; DB.Scrub runs a pass on
+	// demand either way.
 	ScrubInterval time.Duration
 	// ScrubBytesPerSec throttles scrub read bandwidth (default 32 MB/s;
 	// negative disables throttling).
@@ -701,7 +702,9 @@ func (db *DB) SimStats() (SimStats, bool) {
 	}, true
 }
 
-// WaitIdle blocks until background flushes and compactions drain, and
+// WaitIdle blocks until background work — flushes, compactions, value-GC
+// and scrub passes, and any foreground CompactRange, CompactValueLog or
+// Scrub in flight — drains, and
 // surfaces any background failure pending at that point: a fatal engine
 // error, or the read-only degradation (matched by ErrReadOnlyMode).
 func (db *DB) WaitIdle() error { return db.inner.WaitIdle() }
@@ -721,7 +724,8 @@ type RangeCorruptError = core.RangeCorruptError
 // Scrub runs one synchronous integrity pass over all live tables,
 // verifying every block checksum and quarantining corrupt tables for
 // salvage. The background scrubber (Options.ScrubInterval) runs the same
-// pass periodically.
+// pass periodically. A database degraded to read-only returns its
+// pending error (matched by ErrReadOnlyMode) instead.
 func (db *DB) Scrub() error { return db.inner.Scrub() }
 
 // CompactRange synchronously flushes the memtable and compacts every table

@@ -43,7 +43,7 @@ import (
 // positional within a function, not path-sensitive; Waits inside
 // function literals get the loop check but not the lock-state check;
 // cond and predicate identity is type-based. The -race tier and the
-// boltinvariants drain registry are the runtime backstops.
+// TestCloseVs* drain table are the runtime backstops.
 var CondCheck = &Analyzer{
 	Name:       "condcheck",
 	Doc:        "verifies sync.Cond protocol: Wait in a rechecking loop with the bound mutex held, Signal/Broadcast after predicate mutations",

@@ -12,15 +12,15 @@ import (
 // GoLifetime ties every `go` statement to a declared or inferred
 // lifecycle and proves the spawned goroutine is joined. The engine's
 // shutdown correctness rests on Close draining every background
-// goroutine (flush, compaction workers, scrubber, the write-queue
-// leader) before tearing shared state down; the last three shutdown
+// goroutine (the job runner's lane workers, the write-queue leader)
+// before tearing shared state down; the last three shutdown
 // races all came from a goroutine outliving the state it touched.
 //
 // A spawn site declares its lifecycle with an annotation on the spawn
 // line or the line above:
 //
 //	//boltvet:goroutine <tracker> -- <why>
-//	go db.scrubLoop()
+//	go db.runLane(l, w, j)
 //
 // where <tracker> names the field (of the spawned method's receiver, or
 // the spawning function's receiver) that tracks the goroutine's
@@ -50,8 +50,10 @@ import (
 // clear on any instance of the struct type counts, RacerD's ownership
 // trade); the clear path is existential, not universal — a panic
 // between spawn and clear escapes the analysis; calls the graph cannot
-// resolve end the search. The boltinvariants goroutine registry is the
-// runtime twin that closes the gap.
+// resolve end the search. The engine's runtime twin is the TestCloseVs*
+// table in internal/core, which races Close against every lane of its
+// one spawn site under -race and requires the goroutine count back to
+// baseline.
 var GoLifetime = &Analyzer{
 	Name:       "golifetime",
 	Doc:        "ties every go statement to a declared/inferred lifecycle and proves the goroutine is joined",

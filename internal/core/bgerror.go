@@ -46,17 +46,6 @@ func errIsTransient(err error) bool {
 	return !errors.Is(err, manifest.ErrCorrupt)
 }
 
-// enterReadOnlyLocked switches the engine into degraded read-only mode.
-func (db *DB) enterReadOnlyLocked(cause error) {
-	if db.readOnly {
-		return
-	}
-	db.readOnly = true
-	db.roCause = cause
-	db.met.ReadOnlyDegradations.Add(1)
-	db.cond.Broadcast()
-}
-
 // pendingErrLocked returns the error background work has pending for
 // callers: a fatal engine error, or the read-only degradation.
 func (db *DB) pendingErrLocked() error {
@@ -77,20 +66,31 @@ func (db *DB) bgStoppedLocked() bool {
 	return db.closed || db.bgErr != nil || db.readOnly
 }
 
-// retryOrDegradeLocked implements the background failure policy for one
-// failed flush or compaction attempt: transient errors under the retry
-// budget sleep a capped exponential backoff (mu released) and report true
-// (retry); everything else degrades the engine to read-only and reports
-// false. fails is the caller's consecutive-failure counter.
-func (db *DB) retryOrDegradeLocked(fails *int, err error) bool {
-	if db.closed || db.bgErr != nil {
+// retryLocked is the failure policy of a failed background job, keyed by
+// its kind; it reports whether the worker should pick again. A compaction
+// that found a corrupt table quarantines it (the next pick runs its
+// salvage) instead of burning the retry budget; a transient error under
+// the budget sleeps a capped exponential backoff (mu released, cut short
+// by Close); anything else degrades the engine to read-only after a flush
+// or compaction, and only stops a value-GC or scrub pass, whose failure
+// leaves every record and table where it was.
+func (db *DB) retryLocked(k jobKind, err error) bool {
+	if db.bgStoppedLocked() {
 		return false
 	}
+	if k == jobCompaction && db.quarantineCorruptLocked(err) {
+		return true
+	}
+	fails := &db.fails[k]
 	if !errIsTransient(err) || *fails >= db.cfg.BgRetryLimit {
-		db.enterReadOnlyLocked(err)
-		db.mu.Unlock()
-		db.ev.Emit(events.Event{Type: events.TypeBgDegraded, Err: err.Error()})
-		db.mu.Lock()
+		if (k == jobFlush || k == jobCompaction) && !db.readOnly {
+			db.readOnly, db.roCause = true, err
+			db.met.ReadOnlyDegradations.Add(1)
+			db.cond.Broadcast()
+			db.mu.Unlock()
+			db.ev.Emit(events.Event{Type: events.TypeBgDegraded, Err: err.Error()})
+			db.mu.Lock()
+		}
 		return false
 	}
 	*fails++
@@ -98,23 +98,26 @@ func (db *DB) retryOrDegradeLocked(fails *int, err error) bool {
 	delay := backoffDelay(db.cfg.BgRetryBaseDelay, db.cfg.BgRetryMaxDelay, *fails)
 	db.mu.Unlock()
 	db.ev.Emit(events.Event{Type: events.TypeBgRetry, Dur: delay, Err: err.Error()})
-	time.Sleep(delay)
+	select {
+	case <-db.stopc:
+	case <-time.After(delay):
+	}
 	db.mu.Lock()
 	return !db.bgStoppedLocked()
 }
 
-// recoverFaultLocked resets the consecutive-failure counter after a
-// successful attempt, counting the recovery if any retries were spent.
-func (db *DB) recoverFaultLocked(fails *int) {
-	if *fails > 0 {
-		*fails = 0
+// recoverFaultLocked resets kind k's consecutive-failure counter after a
+// successful job, counting the recovery if any retries were spent.
+func (db *DB) recoverFaultLocked(k jobKind) {
+	if db.fails[k] > 0 {
+		db.fails[k] = 0
 		db.met.BgRecoveredFaults.Add(1)
 	}
 }
 
 // backoffDelay is capped exponential backoff with ±25% jitter: attempt 1
-// sleeps ~base, doubling up to maxDelay. Jitter decorrelates the flush and
-// compaction workers when both hit the same fault.
+// sleeps ~base, doubling up to maxDelay. Jitter decorrelates workers that
+// hit the same fault.
 func backoffDelay(base, maxDelay time.Duration, attempt int) time.Duration {
 	d := maxDelay
 	if attempt < 32 {

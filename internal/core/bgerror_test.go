@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/bolt-lsm/bolt/internal/events"
 	"github.com/bolt-lsm/bolt/internal/manifest"
 	"github.com/bolt-lsm/bolt/internal/vfs"
 )
@@ -52,11 +54,15 @@ func fillUntilDegraded(t *testing.T, db *DB, tag string) {
 }
 
 func TestTransientSyncFaultRecovered(t *testing.T) {
-	for _, cfgName := range []string{"leveldb", "bolt"} {
+	for _, cfgName := range []string{"leveldb", "bolt", "separate-flush"} {
 		t.Run(cfgName, func(t *testing.T) {
 			cfg := testConfig()
-			if cfgName == "bolt" {
+			switch cfgName {
+			case "bolt":
 				cfg = boltTestConfig()
+			case "separate-flush":
+				// The fault lands on the dedicated flush lane's first table sync.
+				cfg.SeparateFlushThread = true
 			}
 			efs := vfs.NewErrorFS(vfs.NewMem())
 			db := openTestDB(t, efs, fastRetryConfig(cfg))
@@ -181,15 +187,16 @@ func TestRetryLimitDisabledDegradesImmediately(t *testing.T) {
 }
 
 func TestPunchHoleFallbackRecordsDeadRanges(t *testing.T) {
-	efs := vfs.NewErrorFS(vfs.NewMem())
 	// Every punch reports the backend as incapable; the data itself is
 	// untouched (the injector fails the op before it reaches MemFS).
-	efs.SetInjector(vfs.InjectorFunc(func(op vfs.Op, name string, n int64) error {
+	noPunch := vfs.InjectorFunc(func(op vfs.Op, name string, n int64) error {
 		if op == vfs.OpPunchHole {
 			return fmt.Errorf("backend: %w", vfs.ErrPunchHoleUnsupported)
 		}
 		return nil
-	}))
+	})
+	efs := vfs.NewErrorFS(vfs.NewMem())
+	efs.SetInjector(noPunch)
 
 	db := openTestDB(t, efs, boltTestConfig()) // punches need compaction files
 	defer db.Close()
@@ -260,6 +267,38 @@ func TestPunchHoleFallbackRecordsDeadRanges(t *testing.T) {
 	}
 	if got, err := db.Get([]byte("punch0-00000"), nil); err != nil || len(got) == 0 {
 		t.Fatalf("Get after punch fallbacks = %q, %v", got, err)
+	}
+
+	// Value-log reclaim goes through the same punch routine: a segment GC
+	// collects in chunks falls back exactly like a table range, counted and
+	// traced, and needs no dead-range record (the GC watermark has it).
+	cfg := vlogTestConfig() // no compaction files: every fallback is a segment's
+	cfg.VLogGCGarbageRatio = 1.0
+	cfg.VLogGCChunkBytes = 2 << 10
+	var fallbackEvents int
+	var lmu sync.Mutex
+	cfg.EventListener = func(e events.Event) {
+		if e.Type == events.TypeHolePunchFallback {
+			lmu.Lock()
+			fallbackEvents++
+			lmu.Unlock()
+		}
+	}
+	vfs2 := vfs.NewErrorFS(vfs.NewMem())
+	vfs2.SetInjector(noPunch)
+	vdb := openTestDB(t, vfs2, cfg)
+	defer vdb.Close()
+	putGenerations(t, vdb, "vkey", 2, 40)
+	if err := vdb.CompactValueLog(); err != nil {
+		t.Fatal(err)
+	}
+	lmu.Lock()
+	defer lmu.Unlock()
+	if got := vdb.Metrics().HolePunchFallbacks.Load(); got == 0 || got != int64(fallbackEvents) {
+		t.Fatalf("value-log fallbacks: %d counted, %d traced", got, fallbackEvents)
+	}
+	if vdb.DeadRangeBytes() != 0 {
+		t.Fatalf("value-log fallbacks recorded %d dead-range bytes", vdb.DeadRangeBytes())
 	}
 }
 

@@ -29,51 +29,69 @@ func waitForGoroutines(t *testing.T, baseline int) {
 	}
 }
 
-// requireDrainedRegistry asserts the boltinvariants goroutine registry is
-// empty after Close. Without the tag the registry no-ops and liveNames is
-// always empty, so the assertion is meaningful only under
-// -tags boltinvariants — which is exactly how CI runs it.
-func requireDrainedRegistry(t *testing.T, db *DB) {
-	t.Helper()
-	if names := db.goros.liveNames(); len(names) != 0 {
-		t.Fatalf("goroutine registry not drained by Close: %v", names)
+// TestCloseVsLaneNoLeak races Close against each lane of the job runner
+// with work in flight: Close lands mid-flight without waiting for idle
+// first, and neither a lane's worker slots nor the process goroutine count
+// may show a survivor.
+func TestCloseVsLaneNoLeak(t *testing.T) {
+	for _, tc := range []struct {
+		lane string
+		cfg  func() Config
+		load func(t *testing.T, db *DB)
+	}{
+		{"pool", boltTestConfig, putBurst},
+		{"flush", func() Config {
+			c := boltTestConfig()
+			c.SeparateFlushThread = true
+			return c
+		}, putBurst},
+		{"vlog-gc", vlogTestConfig, func(t *testing.T, db *DB) {
+			// The first generation becomes garbage the GC lane picks up as
+			// soon as CompactRange lets go.
+			putGenerations(t, db, "key", 2, 40)
+			// Close after the first pass, racing the rest.
+			for deadline := time.Now().Add(5 * time.Second); db.met.VLogGCPasses.Load() == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("value GC never ran")
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		}},
+		{"scrub", func() Config {
+			c := testConfig()
+			c.ScrubInterval = time.Millisecond
+			return c
+		}, func(t *testing.T, db *DB) {
+			fill(t, db, 500, 100)
+			// Let the timer fire so Close races a live pass, not an idle
+			// lane.
+			time.Sleep(5 * time.Millisecond)
+		}},
+	} {
+		t.Run(tc.lane, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			db := openTestDB(t, vfs.NewMem(), tc.cfg())
+			tc.load(t, db)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db.mu.Lock()
+			for i, l := range db.lanes {
+				if l.busy != 0 {
+					t.Errorf("lane %d has %d workers after Close", i, l.busy)
+				}
+			}
+			db.mu.Unlock()
+			waitForGoroutines(t, baseline)
+		})
 	}
 }
 
-// TestCloseVsScrubLoopNoLeak races Close against the background scrubber:
-// a short interval keeps scrub passes in flight while Close drains, and
-// neither the registry nor the process goroutine count may show a
-// survivor.
-func TestCloseVsScrubLoopNoLeak(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	cfg := testConfig()
-	cfg.ScrubInterval = time.Millisecond
-	db := openTestDB(t, vfs.NewMem(), cfg)
-	fill(t, db, 500, 100)
-	// Let at least one ticker fire so Close races a live pass, not an
-	// idle loop.
-	time.Sleep(5 * time.Millisecond)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	requireDrainedRegistry(t, db)
-	waitForGoroutines(t, baseline)
-}
-
-// TestCloseVsCompactWorkerNoLeak races Close against flush and compaction
-// workers: the write burst is sized to keep the scheduler spawning, and
-// Close lands mid-flight without waiting for idle first.
-func TestCloseVsCompactWorkerNoLeak(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	db := openTestDB(t, vfs.NewMem(), boltTestConfig())
+// putBurst writes enough to keep flushes and compactions in flight.
+func putBurst(t *testing.T, db *DB) {
 	for i := 0; i < 2000; i++ {
 		if err := db.Put([]byte(fmt.Sprintf("leak-%06d", i)), make([]byte, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	requireDrainedRegistry(t, db)
-	waitForGoroutines(t, baseline)
 }

@@ -55,7 +55,7 @@ func TestCloseWaitsForBackgroundWork(t *testing.T) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.flushActive || db.compactWorkers > 0 {
+	if db.running > 0 {
 		t.Fatal("background work still active after Close")
 	}
 }
@@ -66,7 +66,7 @@ func TestWaitIdleDrainsBacklog(t *testing.T) {
 	fill(t, db, 3000, 100)
 	db.WaitIdle()
 	db.mu.Lock()
-	idle := !db.flushActive && db.compactWorkers == 0 && db.imm == nil
+	idle := db.running == 0 && db.imm == nil
 	db.mu.Unlock()
 	if !idle {
 		t.Fatal("WaitIdle returned while work was active")

@@ -77,64 +77,65 @@ func (db *DB) CompactRange(start, limit []byte) error {
 		db.cond.Broadcast()
 		db.mu.Unlock()
 	}()
-	for (db.imm != nil || db.flushActive || db.compactWorkers > 0) && !db.bgStoppedLocked() {
+	for (db.imm != nil || db.lanes[laneFlush].busy+db.lanes[lanePool].busy > 0) && !db.bgStoppedLocked() {
 		db.maybeScheduleWorkLocked()
 		db.cond.Wait()
 	}
-
-	var manualErr error
-	for level := 0; level < manifest.NumLevels-1 && manualErr == nil; level++ {
-		for !db.bgStoppedLocked() {
-			v := db.vs.Current()
-			inputs := v.Overlaps(level, start, limit)
-			if len(inputs) == 0 {
-				break
-			}
-			c := &compaction.Compaction{
-				Level:       level,
-				OutputLevel: level + 1,
-				Inputs:      inputs,
-				Reason:      compaction.ReasonManual,
-			}
-			smallest, largest := c.Range()
-			if level == 0 {
-				// Level 0 files overlap each other: widen to the closure of
-				// everything in range, so one compaction (one barrier pair)
-				// moves the whole level rather than one table's pile.
-				for {
-					wider := v.Overlaps(0, smallest, largest)
-					if len(wider) == len(c.Inputs) {
-						break
-					}
-					c.Inputs = wider
-					smallest, largest = c.Range()
+	// One compaction per sorted level is exhaustive; level 0 repeats until
+	// nothing in range is left, since flushes keep landing there.
+	level := 0
+	err := db.runForegroundLocked(func() *job {
+		for ; level < manifest.NumLevels-1; level++ {
+			if c := db.manualCompactionLocked(level, start, limit); c != nil {
+				if level > 0 {
+					level++
 				}
-			}
-			c.NextInputs = v.Overlaps(level+1, smallest, largest)
-			// Reserve even though the pool is drained: the in-flight gauge
-			// stays truthful and Release is cheap.
-			r := db.inflight.Reserve(c)
-			err := db.compactLocked(c, manualWorkerID)
-			db.inflight.Release(r)
-			if err != nil {
-				// Manual compactions surface failures to the caller
-				// instead of retrying; the tree is unchanged.
-				manualErr = fmt.Errorf("core: manual compaction: %w", err)
-				break
-			}
-			db.cond.Broadcast()
-			if level > 0 {
-				break // one pass per sorted level is exhaustive
+				return db.reserveLocked(jobCompaction, c)
 			}
 		}
-	}
-	if manualErr != nil {
-		return manualErr
+		return nil
+	})
+	if err != nil {
+		// Manual compactions surface failures to the caller instead of
+		// retrying; the tree is unchanged.
+		return fmt.Errorf("core: manual compaction: %w", err)
 	}
 	// A close mid-compaction is a deliberate shutdown, not a compaction
 	// failure; a background error or degradation observed while waiting
 	// must reach the caller.
 	return db.pendingErrLocked()
+}
+
+// manualCompactionLocked builds CompactRange's compaction of everything at
+// level overlapping [start, limit] into level+1, or returns nil.
+func (db *DB) manualCompactionLocked(level int, start, limit []byte) *compaction.Compaction {
+	v := db.vs.Current()
+	inputs := v.Overlaps(level, start, limit)
+	if len(inputs) == 0 {
+		return nil
+	}
+	c := &compaction.Compaction{
+		Level:       level,
+		OutputLevel: level + 1,
+		Inputs:      inputs,
+		Reason:      compaction.ReasonManual,
+	}
+	smallest, largest := c.Range()
+	if level == 0 {
+		// Level 0 files overlap each other: widen to the closure of
+		// everything in range, so one compaction (one barrier pair) moves
+		// the whole level rather than one table's pile.
+		for {
+			wider := v.Overlaps(0, smallest, largest)
+			if len(wider) == len(c.Inputs) {
+				break
+			}
+			c.Inputs = wider
+			smallest, largest = c.Range()
+		}
+	}
+	c.NextInputs = v.Overlaps(level+1, smallest, largest)
+	return c
 }
 
 // forceMemtableSwitchLocked rotates the memtable regardless of its size so
@@ -156,179 +157,6 @@ func (db *DB) forceMemtableSwitchLocked() (uint64, error) {
 		return 0, err
 	}
 	return db.switchMemtableLocked()
-}
-
-// Worker IDs stamped into events: the dedicated flush thread is worker 0,
-// pool workers are 1..MaxBackgroundCompactions, and foreground manual
-// compactions report manualWorkerID.
-const (
-	flushWorkerID  = 0
-	manualWorkerID = -1
-)
-
-// maybeScheduleWorkLocked is the scheduler: called with mu held whenever
-// flushable or compactable state appears, it tops the bounded worker pool
-// up with pre-reserved jobs. Picking happens here, under mu, so a worker
-// is only spawned when it has conflict-free work in hand — repeated calls
-// while the queue is saturated spawn nothing.
-func (db *DB) maybeScheduleWorkLocked() {
-	if db.bgStoppedLocked() {
-		return
-	}
-	if db.cfg.SeparateFlushThread && db.imm != nil && !db.flushActive {
-		db.flushActive = true
-		db.goros.register("flushLoop")
-		//boltvet:goroutine flushActive -- cleared by flushLoop when the flush claim is returned; Close and WaitIdle drain on it
-		go db.flushLoop()
-	}
-	// Value GC runs on its own goroutine rather than a pool slot: a GC pass
-	// commits through the writer queue, and a write can stall on a full
-	// memtable until a flush runs — with MaxBackgroundCompactions=1 a pool
-	// slot waiting on that write would deadlock against the flush it blocks.
-	if !db.vlogGCActive && !db.manualActive {
-		if gc := db.pickValueGCLocked(); gc != nil {
-			r := db.inflight.Reserve(gc)
-			db.vlogGCActive = true
-			db.goros.register("vlogGCWorker")
-			//boltvet:goroutine vlogGCActive -- cleared by vlogGCWorker on exit; Close and WaitIdle drain on it
-			go db.vlogGCWorker(gc, r)
-		}
-	}
-	for db.compactWorkers < db.cfg.MaxBackgroundCompactions {
-		// In unified mode the pool also drains flushes. The flush claim is
-		// taken here, before the worker runs, for the same reason picks
-		// are: so the next scheduler call sees the claim and does not
-		// spawn a second worker for the same memtable.
-		flushFirst := !db.cfg.SeparateFlushThread && db.imm != nil && !db.flushActive
-		var c *compaction.Compaction
-		var r *compaction.Reservation
-		if !flushFirst {
-			if c, r = db.pickAndReserveLocked(); c == nil {
-				return
-			}
-		} else {
-			db.flushActive = true
-		}
-		db.compactWorkers++
-		db.goros.register("compactWorker")
-		//boltvet:goroutine compactWorkers -- decremented on worker exit; Close and WaitIdle drain on the counter
-		go db.compactWorker(db.takeWorkerSlotLocked(), c, r, flushFirst)
-	}
-}
-
-// takeWorkerSlotLocked allocates the smallest free pool worker ID (1-based;
-// 0 is the dedicated flush thread). The compactWorkers bound guarantees a
-// free slot exists.
-func (db *DB) takeWorkerSlotLocked() int {
-	for i := range db.workerSlots {
-		if !db.workerSlots[i] {
-			db.workerSlots[i] = true
-			return i + 1
-		}
-	}
-	// Unreachable while compactWorkers <= len(workerSlots); be safe anyway.
-	db.workerSlots = append(db.workerSlots, true)
-	return len(db.workerSlots)
-}
-
-func (db *DB) releaseWorkerSlotLocked(w int) {
-	db.workerSlots[w-1] = false
-}
-
-// flushLoop is the dedicated flush worker (SeparateFlushThread profiles).
-// The scheduler takes the flush claim before spawning it.
-func (db *DB) flushLoop() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.runFlushLocked(flushWorkerID)
-	db.goros.done("flushLoop")
-	db.flushActive = false
-	db.cond.Broadcast()
-}
-
-// runFlushLocked drains the immutable memtable under the caller-held flush
-// claim. Failed flushes are retried with backoff (the immutable memtable
-// and its WAL stay in place, so no acknowledged write is at risk); an
-// exhausted retry budget degrades the engine to read-only.
-func (db *DB) runFlushLocked(worker int) {
-	for !db.bgStoppedLocked() && db.imm != nil {
-		if err := db.flushLocked(worker); err != nil {
-			if db.retryOrDegradeLocked(&db.flushFails, err) {
-				continue
-			}
-			return
-		}
-		db.recoverFaultLocked(&db.flushFails)
-		db.cond.Broadcast()
-	}
-}
-
-// compactWorker is one pool worker. It executes the pre-reserved job it
-// was spawned with, then keeps picking until no conflict-free work
-// remains. In unified mode (no separate flush thread) an idle worker also
-// claims pending flushes; flushFirst marks a claim already taken by the
-// scheduler at spawn time. Failures follow the retry-then-degrade policy;
-// a failed compaction leaves the tree unchanged, so after releasing its
-// reservation the retry simply re-picks.
-func (db *DB) compactWorker(w int, c *compaction.Compaction, r *compaction.Reservation, flushFirst bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for !db.bgStoppedLocked() {
-		if flushFirst || (c == nil && !db.cfg.SeparateFlushThread && db.imm != nil && !db.flushActive) {
-			if !flushFirst {
-				db.flushActive = true
-			}
-			flushFirst = false
-			db.runFlushLocked(w)
-			db.flushActive = false
-			db.cond.Broadcast()
-			continue
-		}
-		if c == nil {
-			if c, r = db.pickAndReserveLocked(); c == nil {
-				break
-			}
-		}
-		err := db.compactLocked(c, w)
-		// Release before any retry backoff: a sleeping worker must not
-		// keep other workers away from the tables it failed to compact.
-		db.inflight.Release(r)
-		c, r = nil, nil
-		if err != nil {
-			// A table-corruption finding is contained by quarantining the
-			// table (the next pick runs its salvage) rather than burning
-			// the retry budget toward a whole-DB read-only degradation.
-			if db.quarantineCorruptLocked(err) {
-				continue
-			}
-			if db.retryOrDegradeLocked(&db.compactFails, err) {
-				continue
-			}
-			break
-		}
-		db.recoverFaultLocked(&db.compactFails)
-		db.cond.Broadcast()
-	}
-	// Exits with work still in hand happen when background work stops
-	// (close, degradation): drop the unused claim and reservation.
-	if flushFirst {
-		db.flushActive = false
-	}
-	db.inflight.Release(r)
-	db.goros.done("compactWorker")
-	db.compactWorkers--
-	db.releaseWorkerSlotLocked(w)
-	db.cond.Broadcast()
-}
-
-// pickAndReserveLocked picks the next conflict-free compaction and
-// reserves its footprint in the in-flight registry.
-func (db *DB) pickAndReserveLocked() (*compaction.Compaction, *compaction.Reservation) {
-	c := db.pickCompactionLocked()
-	if c == nil {
-		return nil, nil
-	}
-	return c, db.inflight.Reserve(c)
 }
 
 // pickCompactionLocked returns the next compaction the picker can run
@@ -359,18 +187,13 @@ func (db *DB) pickCompactionLocked() *compaction.Compaction {
 // output files become orphans for the next recovery to collect (they are
 // never deleted here — an apparently failed sync may still have reached
 // the platter, and the MANIFEST of a failed commit may reference them).
-func (db *DB) flushLocked(worker int) error {
+func (db *DB) flushLocked(j *job) error {
 	imm := db.imm
 	logNum := db.walNum // stable: imm != nil blocks further switches
 	vlogW := db.vlogW
 	db.met.MemtableFlushes.Add(1)
-	db.nextJobID++
-	job := db.nextJobID
-	start := time.Now()
-	fsyncsBefore := db.io.Fsyncs.Load()
 
 	db.mu.Unlock()
-	db.ev.Emit(events.Event{Type: events.TypeFlushStart, BytesIn: imm.ApproximateSize(), Job: job, Worker: worker})
 	// The flush barrier covers the value log: every pointer in imm must be
 	// durable before the tables referencing it commit. Without SyncWAL the
 	// commit path never synced these appends; this is where they settle.
@@ -421,6 +244,7 @@ func (db *DB) flushLocked(worker int) error {
 	// The memtable-absence liveness rule (see filterGCBatchLocked) expires
 	// whenever a memtable retires.
 	db.flushEpoch++
+	j.end.Outputs, j.end.BytesOut = len(metas), outBytes
 
 	logs := db.obsoleteLogs
 	db.obsoleteLogs = nil
@@ -430,18 +254,7 @@ func (db *DB) flushLocked(worker int) error {
 		_ = db.fs.Remove(manifest.LogFileName(num))
 	}
 	db.execVLogPunches(punches)
-	db.ev.Emit(events.Event{
-		Type:     events.TypeFlushEnd,
-		Outputs:  len(metas),
-		BytesOut: outBytes,
-		Barriers: db.io.Fsyncs.Load() - fsyncsBefore,
-		Dur:      time.Since(start),
-		Job:      job,
-		Worker:   worker,
-	})
 	db.mu.Lock()
-	db.verifyInvariantsLocked()
-	db.maybeScheduleWorkLocked()
 	return nil
 }
 
@@ -449,11 +262,10 @@ func (db *DB) flushLocked(worker int) error {
 // during I/O. On failure the tree is unchanged and the error is returned
 // for the caller's retry/degrade policy; output files written before the
 // failure are left as orphans (see flushLocked).
-func (db *DB) compactLocked(c *compaction.Compaction, worker int) error {
+func (db *DB) compactLocked(j *job) error {
+	c := j.c
 	db.met.Compactions.Add(1)
 	db.met.CompactionsByReason[compactionReasonBucket(c.Reason)].Add(1)
-	db.nextJobID++
-	job := db.nextJobID
 	v := db.vs.Current()
 	v.Ref() // pin input tables for the duration
 	smallestSnap := db.smallestSnapshotLocked()
@@ -469,8 +281,6 @@ func (db *DB) compactLocked(c *compaction.Compaction, worker int) error {
 			gcOffsets[s.Num] = s.GCOffset
 		}
 	}
-	start := time.Now()
-	fsyncsBefore := db.io.Fsyncs.Load()
 	var levelBytes, nextBytes int64
 	for _, f := range c.Inputs {
 		levelBytes += f.Size
@@ -487,16 +297,6 @@ func (db *DB) compactLocked(c *compaction.Compaction, worker int) error {
 	)
 	salvage := c.Reason == compaction.ReasonSalvage
 	db.mu.Unlock()
-	db.ev.Emit(events.Event{
-		Type:        events.TypeCompactionStart,
-		Level:       c.Level,
-		OutputLevel: c.OutputLevel,
-		Inputs:      len(c.Inputs) + len(c.NextInputs),
-		BytesIn:     levelBytes + nextBytes,
-		Reason:      c.Reason,
-		Job:         job,
-		Worker:      worker,
-	})
 	switch {
 	case salvage:
 		metas, skipped, err = db.writeSalvageTables(c)
@@ -568,25 +368,11 @@ func (db *DB) compactLocked(c *compaction.Compaction, worker int) error {
 			db.zombies = append(db.zombies, zombie{f, deletedIn})
 		}
 	}
-	fallbacks := db.reclaimZombiesLocked()
-	db.verifyInvariantsLocked()
-	db.maybeScheduleWorkLocked()
+	db.reclaimZombiesLocked()
 
-	barriers := db.io.Fsyncs.Load() - fsyncsBefore
-	db.mu.Unlock()
-	db.ev.Emit(events.Event{
-		Type:        events.TypeCompactionEnd,
-		Level:       c.Level,
-		OutputLevel: c.OutputLevel,
-		Outputs:     len(metas),
-		BytesOut:    outBytes,
-		Barriers:    barriers,
-		Dur:         time.Since(start),
-		Job:         job,
-		Worker:      worker,
-	})
+	j.end = events.Event{Level: c.Level, OutputLevel: c.OutputLevel, Outputs: len(metas), BytesOut: outBytes}
 	if len(c.Settled) > 0 {
-		db.ev.Emit(events.Event{
+		j.after = append(j.after, events.Event{
 			Type:        events.TypeSettledPromotion,
 			Level:       c.Level,
 			OutputLevel: c.OutputLevel,
@@ -594,7 +380,7 @@ func (db *DB) compactLocked(c *compaction.Compaction, worker int) error {
 		})
 	}
 	if salvage {
-		db.ev.Emit(events.Event{
+		j.after = append(j.after, events.Event{
 			Type:     events.TypeQuarantineClear,
 			Level:    c.Level,
 			Outputs:  len(metas),
@@ -602,10 +388,6 @@ func (db *DB) compactLocked(c *compaction.Compaction, worker int) error {
 			Inputs:   skipped,
 		})
 	}
-	for _, e := range fallbacks {
-		db.ev.Emit(e)
-	}
-	db.mu.Lock()
 	return nil
 }
 
@@ -800,19 +582,16 @@ type zombie struct {
 // version: whole physical files are unlinked; dead logical SSTables inside
 // still-live compaction files get their byte ranges hole-punched, without
 // any barrier (the BoLT space-reclamation path). Called with mu held;
-// releases it for the file operations. Successful punches emit their
-// events directly (mu is released there); fallback events are returned for
-// the caller to emit in its own unlock window, because the fallback
-// decision is only final after the post-relock liveness re-check.
-func (db *DB) reclaimZombiesLocked() []events.Event {
+// releases it for the file operations.
+func (db *DB) reclaimZombiesLocked() {
 	if len(db.zombies) == 0 {
-		return nil
+		return
 	}
 	oldest := db.vs.OldestLiveID()
 	keep := db.zombies[:0]
 	type punch struct {
-		phys      uint64
-		off, size int64
+		phys uint64
+		r    deadRange
 	}
 	var punches []punch
 	var removals []uint64
@@ -833,14 +612,14 @@ func (db *DB) reclaimZombiesLocked() []events.Event {
 			delete(db.deadRanges, z.PhysNum)
 			removals = append(removals, z.PhysNum)
 		} else if db.cfg.compactionFileMode() {
-			punches = append(punches, punch{z.PhysNum, z.Offset, z.Size})
+			punches = append(punches, punch{z.PhysNum, deadRange{z.Offset, z.Size}})
 		}
 	}
 	clear(db.zombies[len(keep):]) // drop the reclaimed tables' metadata
 	db.zombies = keep
 
 	if len(punches) == 0 && len(removals) == 0 {
-		return nil
+		return
 	}
 	db.mu.Unlock()
 	for _, num := range removals {
@@ -848,38 +627,48 @@ func (db *DB) reclaimZombiesLocked() []events.Event {
 	}
 	var fallbacks []punch
 	for _, p := range punches {
-		// Punching is barrier-free and best-effort. A backend that cannot
-		// punch (vfs.ErrPunchHoleUnsupported) or holds the file read-only
-		// still guarantees the range reads back correctly, so the engine
-		// stays correct — the range is just recorded as dead-but-allocated
-		// space debt. Any other failure is ignored: a missed punch only
-		// costs disk space, never correctness.
-		if f, err := db.fs.Open(manifest.TableFileName(p.phys)); err == nil {
-			perr := f.PunchHole(p.off, p.size)
-			_ = f.Close()
-			switch {
-			case perr == nil:
-				db.met.HolePunches.Add(1)
-				db.ev.Emit(events.Event{Type: events.TypeHolePunch, File: p.phys, BytesOut: p.size})
-			case errors.Is(perr, vfs.ErrPunchHoleUnsupported) || errors.Is(perr, vfs.ErrReadOnly):
-				fallbacks = append(fallbacks, p)
-			}
+		for _, r := range db.punchHoles(manifest.TableFileName(p.phys), p.phys, []deadRange{p.r}) {
+			fallbacks = append(fallbacks, punch{p.phys, r})
 		}
 	}
 	db.mu.Lock()
-	var fallbackEvents []events.Event
 	for _, p := range fallbacks {
-		// Re-check liveness: the file may have been removed while mu was
+		// Record the space debt unless the file was removed while mu was
 		// released, in which case its dead ranges vanished with it.
 		if _, live := db.physRefs[p.phys]; live {
-			db.deadRanges[p.phys] = append(db.deadRanges[p.phys], deadRange{p.off, p.size})
-			db.met.HolePunchFallbacks.Add(1)
-			fallbackEvents = append(fallbackEvents, events.Event{
-				Type: events.TypeHolePunchFallback, File: p.phys, BytesOut: p.size,
-			})
+			db.deadRanges[p.phys] = append(db.deadRanges[p.phys], p.r)
 		}
 	}
-	return fallbackEvents
+}
+
+// punchHoles reclaims dead ranges of one file (table or value-log segment
+// num) by hole punching, barrier-free and best-effort, and returns the
+// ranges the backend could not punch. Called without mu. Every attempt
+// reports once: a punch counts in HolePunches and emits hole-punch; a
+// backend that cannot punch (vfs.ErrPunchHoleUnsupported) or holds the
+// file read-only still reads the range back correctly, so it counts in
+// HolePunchFallbacks and emits hole-punch-fallback — the caller decides
+// what space debt to record. Any other failure is ignored: a missed punch
+// only costs disk space, never correctness.
+func (db *DB) punchHoles(name string, num uint64, ranges []deadRange) (fallbacks []deadRange) {
+	f, err := db.fs.Open(name)
+	if err != nil {
+		return nil
+	}
+	defer f.Close()
+	for _, r := range ranges {
+		perr := f.PunchHole(r.off, r.size)
+		switch {
+		case perr == nil:
+			db.met.HolePunches.Add(1)
+			db.ev.Emit(events.Event{Type: events.TypeHolePunch, File: num, BytesOut: r.size})
+		case errors.Is(perr, vfs.ErrPunchHoleUnsupported) || errors.Is(perr, vfs.ErrReadOnly):
+			db.met.HolePunchFallbacks.Add(1)
+			db.ev.Emit(events.Event{Type: events.TypeHolePunchFallback, File: num, BytesOut: r.size})
+			fallbacks = append(fallbacks, r)
+		}
+	}
+	return fallbacks
 }
 
 // compactionReasonBucket maps a picker reason string onto the per-reason

@@ -80,8 +80,9 @@ type Config struct {
 	ConcurrentWriters bool
 	// SeekCompaction enables LevelDB's read-triggered compaction.
 	SeekCompaction bool
-	// SeparateFlushThread dedicates a second background goroutine to
-	// memtable flushes (RocksDB's flush/compaction thread split).
+	// SeparateFlushThread gives memtable flushes a lane of their own, one
+	// worker beside the compaction pool (RocksDB's flush/compaction thread
+	// split); otherwise the pool drains flushes first.
 	SeparateFlushThread bool
 	// MaxBackgroundCompactions bounds the compaction worker pool: up to
 	// this many compactions with disjoint inputs and non-overlapping

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/bolt-lsm/bolt/internal/batch"
 	"github.com/bolt-lsm/bolt/internal/cache"
@@ -52,10 +53,10 @@ type DB struct {
 	vlogFDs    *cache.FDCache //boltvet:guardedby none -- immutable after Open; cache locks itself
 	vlogReader *vlog.Reader   //boltvet:guardedby none -- immutable after Open; reader is stateless over vlogFDs
 
-	// scrubStop ends the background scrubber: closed once by Close (under
-	// mu, which serializes against double close), selected on by the scrub
-	// goroutine without mu. Nil when the scrubber is disabled.
-	scrubStop chan struct{} //boltvet:guardedby none -- immutable after Open; channel close is its own synchronization
+	// stopc is closed once by Close (under mu, which serializes against
+	// double close); retry backoffs and the scrub throttle select on it
+	// without mu so shutdown never waits out a sleep.
+	stopc chan struct{} //boltvet:guardedby none -- immutable after Open; channel close is its own synchronization
 
 	// mu guards all mutable state below except where noted.
 	mu   sync.Mutex
@@ -76,10 +77,9 @@ type DB struct {
 	// vlogPending accumulates edits for sealed segments (rotations) not yet
 	// recorded in the MANIFEST; the next flush folds them into its edit.
 	vlogPending []manifest.VLogSegmentEdit //boltvet:guardedby mu
-	// vlogGCActive claims the single value-GC worker; vlogGCStuck suppresses
-	// segments whose GC cannot advance (rotted record header mid-segment).
-	vlogGCActive bool            //boltvet:guardedby mu
-	vlogGCStuck  map[uint64]bool //boltvet:guardedby mu
+	// vlogGCStuck suppresses segments whose GC cannot advance (rotted
+	// record header mid-segment).
+	vlogGCStuck map[uint64]bool //boltvet:guardedby mu
 	// flushEpoch counts memtable retirements (imm cleared by a flush); the
 	// GC commit filter uses it to detect whether "key absent from both
 	// memtables" can have changed meaning since its scan.
@@ -109,20 +109,22 @@ type DB struct {
 	// manifestMu serializes MANIFEST commits; acquired without mu held.
 	manifestMu sync.Mutex
 
-	// flushActive claims the single pending flush: held by the dedicated
-	// flush thread, or by whichever pool worker grabbed it in unified
-	// mode. compactWorkers counts live pool workers; workerSlots tracks
-	// which 1-based worker IDs are taken so event traces stay stable.
-	// manualActive stops compaction picks and value-GC passes (flushes keep
-	// running) while CompactRange runs.
-	flushActive    bool   //boltvet:guardedby mu
-	compactWorkers int    //boltvet:guardedby mu
-	workerSlots    []bool //boltvet:guardedby mu
-	manualActive   bool   //boltvet:guardedby mu
+	// The background-job runner (jobs.go). lanes holds each lane's worker
+	// slots; running counts live jobs, background and foreground — the one
+	// drain counter Close and WaitIdle wait on. flushActive is the claim on
+	// the pending flush. manualActive stops compaction picks and value-GC
+	// passes (flushes keep running) while CompactRange runs. scrubDue marks
+	// a background scrub pass due; scrubTimer sets it every interval.
+	lanes        [numLanes]lane //boltvet:guardedby mu
+	running      int            //boltvet:guardedby mu
+	flushActive  bool           //boltvet:guardedby mu
+	manualActive bool           //boltvet:guardedby mu
+	scrubDue     bool           //boltvet:guardedby mu
+	scrubTimer   *time.Timer    //boltvet:guardedby mu
 	// inflight registers the footprint of every executing compaction so
 	// concurrent picks stay conflict-free; guarded by mu like the rest.
 	inflight *compaction.InFlight //boltvet:guardedby mu
-	// nextJobID numbers flushes and compactions for event correlation.
+	// nextJobID numbers jobs for event correlation.
 	nextJobID uint64 //boltvet:guardedby mu
 	bgErr     error  //boltvet:guardedby mu
 	closed    bool   //boltvet:guardedby mu
@@ -133,10 +135,9 @@ type DB struct {
 	// compactions fail with a ReadOnlyError wrapping roCause.
 	readOnly bool  //boltvet:guardedby mu
 	roCause  error //boltvet:guardedby mu
-	// flushFails / compactFails count consecutive failed background
-	// attempts, driving the retry backoff; reset on the next success.
-	flushFails   int //boltvet:guardedby mu
-	compactFails int //boltvet:guardedby mu
+	// fails counts consecutive failed background jobs per kind, driving
+	// the retry backoff; reset on the kind's next success.
+	fails [numJobKinds]int //boltvet:guardedby mu
 
 	// deadRanges records, per physical file, byte ranges whose hole punch
 	// the backend could not perform: logically dead but not reclaimed.
@@ -145,21 +146,13 @@ type DB struct {
 	seekCompactFile  *manifest.FileMeta //boltvet:guardedby mu
 	seekCompactLevel int                //boltvet:guardedby mu
 
-	// scrubActive is true while the scrub goroutine is alive; Close drains
-	// it. quarantinePending dedups concurrent quarantine commits for the
-	// same table while mu is released for the MANIFEST write.
-	scrubActive       bool            //boltvet:guardedby mu
+	// quarantinePending dedups concurrent quarantine commits for the same
+	// table while mu is released for the MANIFEST write.
 	quarantinePending map[uint64]bool //boltvet:guardedby mu
 
 	obsoleteLogs []uint64       //boltvet:guardedby mu
 	zombies      []zombie       //boltvet:guardedby mu
 	physRefs     map[uint64]int //boltvet:guardedby mu
-
-	// goros is the boltinvariants goroutine registry: tracked background
-	// goroutines register at spawn and deregister before clearing their
-	// drain tracker, so Close can assert the drain left nothing behind.
-	// No-op (and zero-cost) in default builds.
-	goros goroutineRegistry //boltvet:guardedby none -- registry carries its own mutex
 }
 
 // Open opens (creating if necessary) a database on fs.
@@ -182,8 +175,9 @@ func Open(fs vfs.FS, cfg Config) (*DB, error) {
 		inflight:          compaction.NewInFlight(),
 		quarantinePending: make(map[uint64]bool),
 		vlogGCStuck:       make(map[uint64]bool),
+		stopc:             make(chan struct{}),
 	}
-	db.workerSlots = make([]bool, cfg.MaxBackgroundCompactions)
+	db.lanes = newLanes(&db.cfg)
 	db.cond = sync.NewCond(&db.mu)
 	db.fs = newCountingFS(wrapInvariantFS(fs), db.io)
 
@@ -227,11 +221,13 @@ func Open(fs vfs.FS, cfg Config) (*DB, error) {
 
 	db.mu.Lock()
 	if cfg.ScrubInterval > 0 {
-		db.scrubStop = make(chan struct{})
-		db.scrubActive = true
-		db.goros.register("scrubLoop")
-		//boltvet:goroutine scrubActive -- cleared by scrubLoop on scrubStop; Close's drain loop waits for it
-		go db.scrubLoop()
+		// The timer only marks a pass due; the scrub lane runs it.
+		db.scrubTimer = time.AfterFunc(cfg.ScrubInterval, func() {
+			db.mu.Lock()
+			db.scrubDue = true
+			db.maybeScheduleWorkLocked()
+			db.mu.Unlock()
+		})
 	}
 	db.maybeScheduleWorkLocked()
 	db.mu.Unlock()
@@ -294,23 +290,24 @@ func (db *DB) recover() error {
 	// the length of its parseable prefix. The commit barrier syncs the
 	// value log before the WAL record, so a WAL batch whose pointers all
 	// land inside this prefix was fully durable when acknowledged, and a
-	// pointer past it belongs to a write that was never acknowledged.
+	// pointer past it belongs to a write that was never acknowledged. A
+	// segment that cannot be read fails recovery instead: guessing its
+	// prefix short would drop acknowledged writes and retire their WAL.
 	vlogValid := make(map[uint64]int64)
-	validLenOf := func(seg uint64) int64 {
-		if v, ok := vlogValid[seg]; ok {
-			return v
+	validLenOf := func(seg uint64) (int64, error) {
+		if v, ok := vlogValid[seg]; ok || !vlogOnDisk[seg] {
+			return v, nil
 		}
-		var valid int64
-		if vlogOnDisk[seg] {
-			if f, ferr := db.fs.Open(manifest.VLogFileName(seg)); ferr == nil {
-				if size, serr := f.Size(); serr == nil {
-					valid = vlog.ValidLength(f, 0, size)
-				}
-				_ = f.Close()
-			}
+		f, err := db.fs.Open(manifest.VLogFileName(seg))
+		if err != nil {
+			return 0, err
 		}
-		vlogValid[seg] = valid
-		return valid
+		defer f.Close()
+		size, err := f.Size()
+		if err == nil {
+			vlogValid[seg], err = vlog.ValidLength(f, 0, size)
+		}
+		return vlogValid[seg], err
 	}
 
 	// Replay WALs at or above the recorded log number, in order.
@@ -338,13 +335,17 @@ func (db *DB) recover() error {
 			// unacknowledged (see validLenOf).
 			resolvable := true
 			if err := b.Iterate(func(_ keys.Seq, kind keys.Kind, _, value []byte) error {
-				if kind == keys.KindSetPtr && resolvable {
-					p, perr := vlog.DecodePointer(value)
-					if perr != nil || p.Off+p.Len > validLenOf(p.Seg) {
-						resolvable = false
-					}
+				if kind != keys.KindSetPtr || !resolvable {
+					return nil
 				}
-				return nil
+				p, err := vlog.DecodePointer(value)
+				if err != nil {
+					resolvable = false
+					return nil
+				}
+				valid, err := validLenOf(p.Seg)
+				resolvable = p.Off+p.Len <= valid
+				return err
 			}); err != nil {
 				return err
 			}
@@ -402,7 +403,7 @@ func (db *DB) recover() error {
 	edit := &manifest.VersionEdit{}
 	edit.SetLogNum(db.walNum)
 	for seg := range refSegs {
-		edit.AddVLogSegment(manifest.VLogSegmentEdit{Num: seg, Size: validLenOf(seg)})
+		edit.AddVLogSegment(manifest.VLogSegmentEdit{Num: seg, Size: vlogValid[seg]})
 	}
 	if !replayed.Empty() {
 		metas, err := db.writeTables(replayed.NewIter(), 0)
@@ -586,10 +587,30 @@ func (db *DB) get(key []byte, snap *Snapshot) ([]byte, error) {
 	if snap != nil {
 		seq = snap.seq
 	}
+	value, kind, found, err := db.lookup(key, seq)
+	switch {
+	case err != nil:
+		return nil, err
+	case !found || kind == keys.KindDelete:
+		return nil, ErrNotFound
+	case kind == keys.KindSetPtr:
+		if value, err = db.vlogGet(value); err != nil {
+			return nil, err
+		}
+	}
+	db.met.GetHits.Add(1)
+	return value, nil
+}
+
+// lookup returns the newest entry for key visible at seq — memtable, then
+// immutable memtable, then the tables — raw: tombstones and value-log
+// pointers come back with their kind for the caller to interpret. A plain
+// memtable value is copied out of the arena.
+func (db *DB) lookup(key []byte, seq keys.Seq) ([]byte, keys.Kind, bool, error) {
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
-		return nil, ErrClosed
+		return nil, 0, false, ErrClosed
 	}
 	mem, imm := db.mem, db.imm
 	v := db.vs.Current()
@@ -599,50 +620,17 @@ func (db *DB) get(key []byte, snap *Snapshot) ([]byte, error) {
 
 	// One seek key serves the memtables and every table probe below.
 	ikey := keys.MakeInternalKey(nil, key, seq, keys.KindSeekMax)
-	if value, kind, found := mem.GetSeek(ikey); found {
-		return db.getResolve(value, kind)
-	}
-	if imm != nil {
-		if value, kind, found := imm.GetSeek(ikey); found {
-			return db.getResolve(value, kind)
-		}
-	}
-	value, kind, found, err := db.searchTables(v, ikey)
-	if err != nil {
-		return nil, err
+	value, kind, found := mem.GetSeek(ikey)
+	if !found && imm != nil {
+		value, kind, found = imm.GetSeek(ikey)
 	}
 	if !found {
-		return nil, ErrNotFound
+		return db.searchTables(v, ikey)
 	}
-	if kind == keys.KindDelete {
-		return nil, ErrNotFound
+	if kind == keys.KindSet {
+		value = append([]byte(nil), value...)
 	}
-	if kind == keys.KindSetPtr {
-		value, err = db.vlogGet(value)
-		if err != nil {
-			return nil, err
-		}
-	}
-	db.met.GetHits.Add(1)
-	return value, nil
-}
-
-// getResolve turns a raw memtable hit into a Get result: tombstones miss,
-// pointers dereference through the value log, plain values copy out.
-func (db *DB) getResolve(value []byte, kind keys.Kind) ([]byte, error) {
-	switch kind {
-	case keys.KindDelete:
-		return nil, ErrNotFound
-	case keys.KindSetPtr:
-		value, err := db.vlogGet(value)
-		if err != nil {
-			return nil, err
-		}
-		db.met.GetHits.Add(1)
-		return value, nil
-	}
-	db.met.GetHits.Add(1)
-	return append([]byte(nil), value...), nil
+	return value, kind, true, nil
 }
 
 // vlogGet dereferences an encoded value-log pointer.
@@ -819,28 +807,23 @@ func (db *DB) Close() error {
 		return ErrClosed
 	}
 	db.closed = true
-	if db.scrubStop != nil {
-		close(db.scrubStop)
+	close(db.stopc)
+	if db.scrubTimer != nil {
+		db.scrubTimer.Stop()
 	}
 	db.cond.Broadcast()
-	// Waiting on manualActive too (not just background workers) keeps the
-	// version set and caches alive until a concurrent CompactRange has
-	// observed the close and unwound. Waiting on the writer queue keeps
-	// the WAL writer alive until the in-flight group-commit leader has
-	// finished its off-mu append: new writers are rejected at entry once
-	// closed is set, and each queued writer becomes leader in turn, sees
-	// closed in makeRoomForWriteLocked, and returns ErrClosed — so the queue
-	// drains itself through the normal leader chain. scrubActive keeps the
-	// version set alive until the scrubber (which pins versions) exits.
-	for db.flushActive || db.compactWorkers > 0 || db.manualActive ||
-		db.leaderActive || len(db.writers) > 0 || db.scrubActive || db.vlogGCActive {
+	// running covers every job, lane worker or foreground. Waiting on
+	// manualActive too keeps the version set and caches alive until a
+	// concurrent CompactRange has observed the close and unwound between
+	// its jobs. Waiting on the writer queue keeps the WAL writer alive
+	// until the in-flight group-commit leader has finished its off-mu
+	// append: new writers are rejected at entry once closed is set, and
+	// each queued writer becomes leader in turn, sees closed in
+	// makeRoomForWriteLocked, and returns ErrClosed — so the queue drains
+	// itself through the normal leader chain.
+	for db.running > 0 || db.manualActive || db.leaderActive || len(db.writers) > 0 {
 		db.cond.Wait()
 	}
-	// Under boltinvariants: every tracked goroutine deregisters before it
-	// clears its drain tracker (in the same critical section), so a
-	// completed drain implies an empty registry — a survivor here is a
-	// leaked goroutine the trackers lost sight of.
-	db.goros.assertDrained()
 	// Every reader is gone, so deferred value-log punches are all safe now.
 	punches := db.vlogPunchQueue
 	db.vlogPunchQueue = nil
@@ -874,15 +857,15 @@ func (db *DB) Close() error {
 	return firstErr
 }
 
-// WaitIdle blocks until all background work (pending flushes and
-// compactions) has drained, and reports the pending background error, if
+// WaitIdle blocks until every job has drained (background lanes and
+// foreground entries alike), and reports the pending background error, if
 // any — a wait cut short by a fatal error or a read-only degradation must
 // not look like a clean drain. Benchmarks use it to separate load-phase
 // compaction debt from read-phase measurements.
 func (db *DB) WaitIdle() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for (db.flushActive || db.compactWorkers > 0 || db.manualActive || db.imm != nil || db.vlogGCActive) && !db.bgStoppedLocked() {
+	for (db.running > 0 || db.manualActive) && !db.bgStoppedLocked() {
 		db.cond.Wait()
 	}
 	if db.closed {

@@ -232,7 +232,7 @@ func TestObsoleteTablesDeletedFromDisk(t *testing.T) {
 	// Tables on disk must be exactly the live set (plus nothing zombie
 	// once background work quiesces; allow the zombie list to drain).
 	db.mu.Lock()
-	for db.compactWorkers > 0 || db.flushActive {
+	for db.running > 0 {
 		db.cond.Wait()
 	}
 	live := map[uint64]bool{}

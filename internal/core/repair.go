@@ -82,7 +82,11 @@ func Repair(fs vfs.FS, cfg Config) (*RepairReport, error) {
 				maxPhys = num
 			}
 			report.FilesScanned++
-			if valid := vlogValidLength(fs, name); valid > 0 {
+			valid, err := vlogValidLength(fs, name)
+			if err != nil {
+				return nil, err
+			}
+			if valid > 0 {
 				vlogSegs = append(vlogSegs, manifest.VLogSegmentEdit{Num: num, Size: valid})
 				salvagedFiles = append(salvagedFiles, name)
 			}
@@ -162,17 +166,18 @@ func Repair(fs vfs.FS, cfg Config) (*RepairReport, error) {
 }
 
 // vlogValidLength returns the CRC-walked valid prefix of a value-log
-// segment (0 if unreadable). Hole-punched payloads are traversed; a torn
-// or rotted header stops the walk.
-func vlogValidLength(fs vfs.FS, name string) int64 {
+// segment. Hole-punched payloads are traversed; a torn or rotted header
+// stops the walk. A segment that cannot be read fails the repair rather
+// than being dropped with every value it holds.
+func vlogValidLength(fs vfs.FS, name string) (int64, error) {
 	f, err := fs.Open(name)
 	if err != nil {
-		return 0
+		return 0, err
 	}
 	defer f.Close()
 	size, err := f.Size()
 	if err != nil {
-		return 0
+		return 0, err
 	}
 	return vlog.ValidLength(f, 0, size)
 }

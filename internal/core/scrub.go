@@ -145,69 +145,62 @@ func (db *DB) quarantineCorruptLocked(err error) bool {
 	return false
 }
 
-// scrubLoop is the background integrity scrubber (Config.ScrubInterval > 0):
-// every interval it runs one full pass over the live tables. It exits when
-// Close closes scrubStop.
-func (db *DB) scrubLoop() {
-	t := time.NewTicker(db.cfg.ScrubInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-db.scrubStop:
-			db.mu.Lock()
-			db.goros.done("scrubLoop")
-			db.scrubActive = false
-			db.cond.Broadcast()
-			db.mu.Unlock()
-			return
-		case <-t.C:
-			_ = db.Scrub()
-		}
-	}
-}
-
 // Scrub runs one synchronous integrity pass: every live, unreserved,
 // not-yet-quarantined table is verified block by block against its
 // checksums (bypassing the block cache, so at-rest bit rot is seen even
 // for cached data). Corrupt tables are quarantined for salvage. The pass
 // throttles to Config.ScrubBytesPerSec and skips tables reserved by
 // in-flight compactions — their data is being rewritten anyway, and the
-// version pin below keeps every scanned table's file alive regardless.
+// pass's version pin keeps every scanned table's file alive regardless.
+// The background scrubber (Config.ScrubInterval) runs the same pass on
+// the scrub lane. An engine whose background work has stopped (degraded
+// to read-only) returns its pending error instead.
 func (db *DB) Scrub() error {
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	if db.closed {
-		db.mu.Unlock()
 		return ErrClosed
 	}
+	if err := db.pendingErrLocked(); err != nil {
+		return err
+	}
+	pass := db.scrubJobLocked()
+	return db.runForegroundLocked(func() *job {
+		j := pass
+		pass = nil
+		return j
+	})
+}
+
+// scrubTarget is one table a scrub pass verifies.
+type scrubTarget struct {
+	level int
+	f     *manifest.FileMeta
+}
+
+// scrubJobLocked claims one scrub pass: it pins the current version and
+// lists every not-yet-quarantined table in it.
+func (db *DB) scrubJobLocked() *job {
 	v := db.vs.Current()
 	v.Ref()
-	db.mu.Unlock()
-	defer v.Unref()
-
-	type target struct {
-		level int
-		f     *manifest.FileMeta
-	}
-	var targets []target
-	var totalBytes int64
+	j := &job{kind: jobScrub, v: v}
 	for level := range v.Levels {
 		for _, f := range v.Levels[level] {
-			if v.IsQuarantined(f.Num) {
-				continue
+			if !v.IsQuarantined(f.Num) {
+				j.targets = append(j.targets, scrubTarget{level, f})
+				j.start.BytesIn += f.Size
 			}
-			targets = append(targets, target{level, f})
-			totalBytes += f.Size
 		}
 	}
-	db.ev.Emit(events.Event{Type: events.TypeScrubStart, Inputs: len(targets), BytesIn: totalBytes})
-	start := time.Now()
+	j.start.Inputs = len(j.targets)
+	return j
+}
 
-	var (
-		verified  int
-		bytesRead int64
-		findings  int
-	)
-	for _, t := range targets {
+// scrubLocked verifies a scrub job's tables. Called with mu held; releases
+// it for the pass.
+func (db *DB) scrubLocked(j *job) error {
+	db.mu.Unlock()
+	for _, t := range j.targets {
 		db.mu.Lock()
 		stop := db.closed
 		skip := db.inflight.FileReserved(t.f.Num) || db.vs.Current().IsQuarantined(t.f.Num)
@@ -219,12 +212,12 @@ func (db *DB) Scrub() error {
 			continue
 		}
 		verr := db.scrubTable(t.f)
-		verified++
-		bytesRead += t.f.Size
+		j.end.Inputs++
+		j.end.BytesIn += t.f.Size
 		db.met.ScrubTables.Add(1)
 		db.met.ScrubBytes.Add(t.f.Size)
 		if verr != nil && errors.Is(verr, sstable.ErrCorrupt) {
-			findings++
+			j.end.Outputs++
 			db.ev.Emit(events.Event{
 				Type:  events.TypeScrubFinding,
 				Level: t.level,
@@ -236,13 +229,7 @@ func (db *DB) Scrub() error {
 		db.scrubThrottle(t.f.Size)
 	}
 	db.met.ScrubPasses.Add(1)
-	db.ev.Emit(events.Event{
-		Type:    events.TypeScrubEnd,
-		Inputs:  verified,
-		BytesIn: bytesRead,
-		Outputs: findings,
-		Dur:     time.Since(start),
-	})
+	db.mu.Lock()
 	return nil
 }
 
@@ -269,7 +256,7 @@ func (db *DB) scrubThrottle(n int64) {
 		return
 	}
 	select {
-	case <-db.scrubStop:
+	case <-db.stopc:
 	case <-time.After(d):
 	}
 }

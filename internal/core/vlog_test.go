@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"github.com/bolt-lsm/bolt/internal/events"
 	"github.com/bolt-lsm/bolt/internal/manifest"
 	"github.com/bolt-lsm/bolt/internal/vfs"
 )
@@ -345,5 +348,158 @@ func TestRepairRebuildsVLogSegments(t *testing.T) {
 		if err != nil || !bytes.Equal(got, bigValue(key, 0)) {
 			t.Fatalf("after repair: Get(%s) = %d bytes, %v", key, len(got), err)
 		}
+	}
+}
+
+// putGenerations writes gens generations of n separated values under
+// prefix, each settled by CompactRange, so every generation but the last is
+// value-log garbage the GC can collect.
+func putGenerations(t *testing.T, db *DB, prefix string, gens, n int) {
+	t.Helper()
+	for gen := 0; gen < gens; gen++ {
+		for i := 0; i < n; i++ {
+			key := fmt.Sprintf("%s%03d", prefix, i)
+			if err := db.Put([]byte(key), bigValue(key, gen)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.CompactRange(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// isVLog matches value-log segment files.
+func isVLog(name string) bool {
+	kind, _, ok := manifest.ParseFileName(name)
+	return ok && kind == manifest.KindValueLog
+}
+
+// failOneVLogRead returns an injector failing the first value-log ReadAt
+// it sees, once, with a transient fault.
+func failOneVLogRead() vfs.Injector {
+	var fired atomic.Bool
+	return vfs.InjectorFunc(func(op vfs.Op, name string, n int64) error {
+		if op != vfs.OpReadAt || !isVLog(name) || !fired.CompareAndSwap(false, true) {
+			return nil
+		}
+		return &vfs.InjectedError{Op: op, Name: name}
+	})
+}
+
+// TestOpenVLogReadFaultKeepsAckedWrites: a read fault on the value log
+// while recovery walks it is not a torn tail. Open must fail rather than
+// replay a truncated WAL and retire it, and the acknowledged write must
+// survive for the next, fault-free open.
+func TestOpenVLogReadFaultKeepsAckedWrites(t *testing.T) {
+	mem := vfs.NewMem()
+	cfg := vlogTestConfig()
+	cfg.SyncWAL = true
+	db := openTestDB(t, mem, cfg)
+	if err := db.Put([]byte("acked"), bigValue("acked", 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	efs := vfs.NewErrorFS(mem)
+	efs.SetInjector(failOneVLogRead())
+	if db, err := Open(efs, cfg); err == nil {
+		got, gerr := db.Get([]byte("acked"), nil)
+		_ = db.Close()
+		if gerr != nil || !bytes.Equal(got, bigValue("acked", 0)) {
+			t.Fatalf("Open over a value-log read fault succeeded but Get = %d bytes, %v", len(got), gerr)
+		}
+	}
+
+	db = openTestDB(t, mem, cfg)
+	defer db.Close()
+	if got, err := db.Get([]byte("acked"), nil); err != nil || !bytes.Equal(got, bigValue("acked", 0)) {
+		t.Fatalf("fault-free reopen: Get = %d bytes, %v", len(got), err)
+	}
+}
+
+// TestValueGCTransientFaultDoesNotStickSegment: one transient read fault
+// while value GC walks a segment must not exclude the segment from GC. The
+// segment stays collectable and the next pass collects it.
+func TestValueGCTransientFaultDoesNotStickSegment(t *testing.T) {
+	efs := vfs.NewErrorFS(vfs.NewMem())
+	cfg := fastRetryConfig(vlogTestConfig())
+	cfg.VLogGCGarbageRatio = 1.0 // manual GC only
+	db := openTestDB(t, efs, cfg)
+	defer db.Close()
+
+	const n = 40
+	putGenerations(t, db, "key", 2, n)
+
+	efs.SetInjector(failOneVLogRead())
+	var inj *vfs.InjectedError
+	if err := db.CompactValueLog(); err != nil && !errors.As(err, &inj) {
+		t.Fatalf("CompactValueLog over a read fault = %v", err)
+	}
+	if err := db.CompactValueLog(); err != nil {
+		t.Fatalf("fault-free CompactValueLog = %v", err)
+	}
+	db.mu.Lock()
+	stuck := len(db.vlogGCStuck)
+	var left []uint64
+	for _, s := range db.vs.Current().VLogSegments() {
+		if s.Num != db.vlogW.Seg() && s.Garbage > 0 && s.GCOffset < s.Size {
+			left = append(left, s.Num)
+		}
+	}
+	db.mu.Unlock()
+	if stuck != 0 || len(left) != 0 {
+		t.Fatalf("after a transient fault: %d segments stuck, garbage left in %v", stuck, left)
+	}
+	if ro, cause := db.ReadOnly(); ro {
+		t.Fatalf("value-GC fault degraded the engine: %v", cause)
+	}
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("key%03d", i)
+		if got, err := db.Get([]byte(key), nil); err != nil || !bytes.Equal(got, bigValue(key, 1)) {
+			t.Fatalf("after GC: Get(%s) = %d bytes, %v", key, len(got), err)
+		}
+	}
+}
+
+// TestValueGCRetriesTransientFault: on the background lane the same fault
+// is retried with backoff, announced by a bg-retry event, and never
+// degrades the engine.
+func TestValueGCRetriesTransientFault(t *testing.T) {
+	efs := vfs.NewErrorFS(vfs.NewMem())
+	cfg := fastRetryConfig(vlogTestConfig())
+	cfg.VLogGCGarbageRatio = 1.0 // background GC takes only fully dead segments
+	var retries atomic.Int64
+	cfg.EventListener = func(e events.Event) {
+		if e.Type == events.TypeBgRetry && strings.Contains(e.Err, "injected") {
+			retries.Add(1)
+		}
+	}
+	db := openTestDB(t, efs, cfg)
+	defer db.Close()
+
+	putGenerations(t, db, "key", 1, 40)
+	// Puts and compactions never read the value log: the first read from
+	// here on is the GC walk the next generation's garbage triggers.
+	efs.SetInjector(failOneVLogRead())
+	putGenerations(t, db, "key", 1, 40)
+	if err := db.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	m := db.Metrics()
+	if retries.Load() != 1 || m.BgRecoveredFaults.Load() == 0 {
+		t.Fatalf("bg-retry events %d, recovered faults %d: the GC fault was not retried",
+			retries.Load(), m.BgRecoveredFaults.Load())
+	}
+	if ro, cause := db.ReadOnly(); ro {
+		t.Fatalf("value-GC fault degraded the engine: %v", cause)
+	}
+	db.mu.Lock()
+	stuck := len(db.vlogGCStuck)
+	db.mu.Unlock()
+	if stuck != 0 || m.VLogGCPasses.Load() == 0 {
+		t.Fatalf("%d segments stuck, %d GC passes", stuck, m.VLogGCPasses.Load())
 	}
 }

@@ -2,11 +2,8 @@ package core
 
 import (
 	"errors"
-	"time"
 
 	"github.com/bolt-lsm/bolt/internal/batch"
-	"github.com/bolt-lsm/bolt/internal/compaction"
-	"github.com/bolt-lsm/bolt/internal/events"
 	"github.com/bolt-lsm/bolt/internal/keys"
 	"github.com/bolt-lsm/bolt/internal/manifest"
 	"github.com/bolt-lsm/bolt/internal/metrics"
@@ -61,68 +58,30 @@ type gcCommit struct {
 	aborted bool
 }
 
-// pickValueGCLocked returns the next value-GC job, or nil. Requires an
-// active value-log writer: re-puts have nowhere to go without one.
-func (db *DB) pickValueGCLocked() *compaction.Compaction {
-	if db.vlogW == nil || db.closed {
-		return nil
-	}
-	env := compaction.Env{InFlight: db.inflight}
-	return db.picker.PickValueGC(db.vs.Current(), env, db.vlogW.Seg(),
-		db.cfg.VLogGCGarbageRatio, db.vlogGCStuck)
-}
-
-// vlogGCWorker is the dedicated value-GC goroutine, spawned by the
-// scheduler with a reserved job. It is deliberately not a pool worker: a
-// GC commit can stall on a full memtable until a flush runs, and with
-// MaxBackgroundCompactions=1 a pool slot blocked that way would deadlock
-// against the flush it is waiting for.
-func (db *DB) vlogGCWorker(c *compaction.Compaction, r *compaction.Reservation) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for c != nil && !db.bgStoppedLocked() {
-		err := db.valueGCPassLocked(c)
-		db.inflight.Release(r)
-		c, r = nil, nil
-		if err != nil {
-			// GC failure never threatens data — the old records stay where
-			// they are. Stop; the next scheduler trigger tries again.
-			break
-		}
-		db.cond.Broadcast()
-		if c = db.pickValueGCLocked(); c != nil {
-			r = db.inflight.Reserve(c)
-		}
-	}
-	db.inflight.Release(r)
-	db.goros.done("vlogGCWorker")
-	db.vlogGCActive = false
-	db.cond.Broadcast()
-}
-
 // errGCChunkFull stops the segment walk once a pass has scanned its chunk
 // budget (at a record boundary, so a record straddling the budget still
 // completes).
 var errGCChunkFull = errors.New("core: gc chunk full")
 
-// valueGCPassLocked runs one chunk-sized GC pass over c.VLogSegment.
+// valueGCPassLocked runs one chunk-sized GC pass over the job's segment.
 // Called with mu held; releases it for the scan, liveness checks, and the
 // re-put commit. An aborted pass (stale liveness) returns nil without
-// advancing the watermark — the caller simply re-picks and re-scans.
-func (db *DB) valueGCPassLocked(c *compaction.Compaction) error {
-	seg := c.VLogSegment
+// advancing the watermark — the caller simply re-picks and re-scans. A
+// failed read or liveness check is returned for the runner's retry; only
+// a walk that read fine and still made no progress (a rotted record
+// header) marks the segment stuck.
+func (db *DB) valueGCPassLocked(j *job) error {
+	seg := j.c.VLogSegment
+	j.end.File = seg
 	s, ok := db.vs.Current().VLogSegment(seg)
 	if !ok || db.vlogW == nil {
 		return nil
 	}
 	db.met.CompactionsByReason[metrics.CompactionValueGC].Add(1)
-	db.nextJobID++
-	job := db.nextJobID
 	epoch := db.flushEpoch
 	start := s.GCOffset
 	segSize := s.Size
 	chunkBudget := db.cfg.VLogGCChunkBytes
-	passStart := time.Now()
 	db.mu.Unlock()
 
 	// Scan one chunk of records. Punched or rotted payloads (header ok,
@@ -157,7 +116,6 @@ func (db *DB) valueGCPassLocked(c *compaction.Compaction) error {
 	})
 	if werr != nil && !errors.Is(werr, errGCChunkFull) {
 		db.mu.Lock()
-		db.vlogGCStuck[seg] = true
 		return werr
 	}
 	if chunkEnd == start {
@@ -177,7 +135,6 @@ func (db *DB) valueGCPassLocked(c *compaction.Compaction) error {
 		live, err := db.pointsAt(rec.key, rec.ptr)
 		if err != nil {
 			db.mu.Lock()
-			db.vlogGCStuck[seg] = true
 			return err
 		}
 		if live {
@@ -233,20 +190,12 @@ func (db *DB) valueGCPassLocked(c *compaction.Compaction) error {
 	db.vlogPunchQueue = append(db.vlogPunchQueue, vlogPunch{
 		seg: seg, ranges: punchRanges, removeFile: full, safeSeq: safeSeq,
 	})
+	// BytesOut is what this pass made reclaimable; the punches themselves
+	// may still be deferred behind old readers.
+	j.end.BytesIn, j.end.BytesOut, j.end.Outputs = chunkEnd-start, reclaimed, len(entries)
 	todo := db.takeReadyVLogPunchesLocked()
 	db.mu.Unlock()
 	db.execVLogPunches(todo)
-	db.ev.Emit(events.Event{
-		Type:    events.TypeVLogGC,
-		File:    seg,
-		BytesIn: chunkEnd - start,
-		// BytesOut is what this pass made reclaimable; the punches
-		// themselves may still be deferred behind old readers.
-		BytesOut: reclaimed,
-		Outputs:  len(entries),
-		Dur:      time.Since(passStart),
-		Job:      job,
-	})
 	db.mu.Lock()
 	return nil
 }
@@ -255,31 +204,9 @@ func (db *DB) valueGCPassLocked(c *compaction.Compaction) error {
 // a pointer equal to expect. Called without mu; runs the full read path at
 // the latest sequence.
 func (db *DB) pointsAt(key []byte, expect vlog.Pointer) (bool, error) {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return false, ErrClosed
-	}
-	mem, imm := db.mem, db.imm
-	v := db.vs.Current()
-	v.Ref()
-	db.mu.Unlock()
-	defer v.Unref()
-
-	ikey := keys.MakeInternalKey(nil, key, keys.MaxSeq, keys.KindSeekMax)
-	value, kind, found := mem.GetSeek(ikey)
-	if !found && imm != nil {
-		value, kind, found = imm.GetSeek(ikey)
-	}
-	if !found {
-		var err error
-		value, kind, found, err = db.searchTables(v, ikey)
-		if err != nil {
-			return false, err
-		}
-	}
-	if !found || kind != keys.KindSetPtr {
-		return false, nil
+	value, kind, found, err := db.lookup(key, keys.MaxSeq)
+	if err != nil || !found || kind != keys.KindSetPtr {
+		return false, err
 	}
 	p, err := vlog.DecodePointer(value)
 	return err == nil && p == expect, nil
@@ -375,10 +302,9 @@ func (db *DB) takeReadyVLogPunchesLocked() []vlogPunch {
 
 // execVLogPunches performs deferred value-log reclamation: hole punches
 // for partially collected chunks, file removal for fully collected
-// segments. Called without mu. Punching is best-effort exactly like table
-// reclamation (see reclaimZombiesLocked): an unsupported backend costs
-// space, never correctness — and unlike table ranges the space debt needs
-// no tracking, because the GC watermark already records the range as
+// segments. Called without mu. Punching goes through the table path's
+// punchHoles; unlike table ranges, a fallback's space debt needs no
+// tracking, because the GC watermark already records the range as
 // collected.
 func (db *DB) execVLogPunches(todo []vlogPunch) {
 	for _, p := range todo {
@@ -388,21 +314,7 @@ func (db *DB) execVLogPunches(todo []vlogPunch) {
 			_ = db.fs.Remove(name)
 			continue
 		}
-		f, err := db.fs.Open(name)
-		if err != nil {
-			continue
-		}
-		for _, r := range p.ranges {
-			perr := f.PunchHole(r.off, r.size)
-			switch {
-			case perr == nil:
-				db.met.HolePunches.Add(1)
-				db.ev.Emit(events.Event{Type: events.TypeHolePunch, File: p.seg, BytesOut: r.size})
-			case errors.Is(perr, vfs.ErrPunchHoleUnsupported) || errors.Is(perr, vfs.ErrReadOnly):
-				db.met.HolePunchFallbacks.Add(1)
-			}
-		}
-		_ = f.Close()
+		db.punchHoles(name, p.seg, p.ranges)
 	}
 }
 
@@ -437,30 +349,18 @@ func (db *DB) rotateVLogLocked() (sealedSeg uint64, sealedSize int64) {
 func (db *DB) CompactValueLog() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for !db.bgStoppedLocked() {
-		if db.vlogGCActive {
-			// A background pass owns the claim; wait it out rather than
-			// racing it for segments.
+	err := db.runForegroundLocked(func() *job {
+		// A background pass owns its segment; wait the lane out rather
+		// than racing it for segments.
+		for db.lanes[laneValueGC].busy > 0 && !db.bgStoppedLocked() {
 			db.cond.Wait()
-			continue
 		}
-		if db.vlogW == nil {
-			break
-		}
-		env := compaction.Env{InFlight: db.inflight}
 		// Tiny positive ratio: collect any segment with nonzero garbage,
 		// but never churn a garbage-free one.
-		c := db.picker.PickValueGC(db.vs.Current(), env, db.vlogW.Seg(), 1e-12, db.vlogGCStuck)
-		if c == nil {
-			break
-		}
-		r := db.inflight.Reserve(c)
-		err := db.valueGCPassLocked(c)
-		db.inflight.Release(r)
-		if err != nil {
-			return err
-		}
-		db.cond.Broadcast()
+		return db.valueGCJobLocked(1e-12)
+	})
+	if err != nil {
+		return err
 	}
 	if db.closed {
 		return ErrClosed

@@ -34,16 +34,17 @@ const (
 	// TypeFlushStart marks the start of a memtable flush; BytesIn is the
 	// memtable's approximate size.
 	TypeFlushStart Type = iota + 1
-	// TypeFlushEnd marks a committed flush: Outputs tables, BytesOut table
-	// bytes, Barriers fsyncs paid, Dur wall time.
+	// TypeFlushEnd marks a flush's end: Outputs tables, BytesOut table
+	// bytes, Barriers fsyncs paid, Dur wall time; Err is set when it
+	// failed and committed nothing.
 	TypeFlushEnd
 	// TypeCompactionStart marks a picked compaction: Level/OutputLevel,
 	// Inputs tables (both levels), BytesIn input bytes, Reason the picker's
 	// cause (size, seek, manual).
 	TypeCompactionStart
-	// TypeCompactionEnd marks a committed compaction with its outcome:
+	// TypeCompactionEnd marks a compaction's end with its outcome:
 	// Outputs tables, BytesOut bytes written, Barriers fsyncs paid, Dur
-	// wall time.
+	// wall time; Err is set when it failed and committed nothing.
 	TypeCompactionEnd
 	// TypeSettledPromotion marks tables promoted without rewrite by a
 	// settled compaction; Outputs is the promoted-table count.
@@ -62,8 +63,8 @@ const (
 	// TypeWALRotation marks a memtable switch to a fresh WAL; File is the
 	// new log number.
 	TypeWALRotation
-	// TypeBgRetry marks a failed background flush/compaction attempt being
-	// retried; Err is the failure, Dur the backoff delay.
+	// TypeBgRetry marks a failed background job (flush, compaction, value
+	// GC, scrub) being retried; Err is the failure, Dur the backoff delay.
 	TypeBgRetry
 	// TypeBgDegraded marks the engine entering read-only mode; Err is the
 	// unrecoverable cause.
@@ -71,7 +72,7 @@ const (
 	// TypeScrubStart marks the start of one background integrity pass;
 	// Inputs is the table count the pass will walk, BytesIn their bytes.
 	TypeScrubStart
-	// TypeScrubEnd marks a completed pass: Inputs tables actually verified,
+	// TypeScrubEnd marks a pass's end: Inputs tables actually verified,
 	// BytesIn bytes read, Outputs corruption findings, Dur wall time.
 	TypeScrubEnd
 	// TypeScrubFinding marks one corrupt table discovered by the scrubber;
@@ -92,9 +93,11 @@ const (
 	// replaced; File is the new segment number, BytesOut the sealed
 	// segment's final size.
 	TypeVLogRotation
-	// TypeVLogGC marks one committed value-GC chunk pass: File is the
+	// TypeVLogGC marks the end of one value-GC chunk pass: File is the
 	// segment, BytesIn the bytes scanned, BytesOut the bytes reclaimed,
-	// Outputs the live records re-put, Dur the pass wall time.
+	// Outputs the live records re-put, Dur the pass wall time, Barriers
+	// the fsyncs paid; zero bytes when the pass aborted, Err when it
+	// failed.
 	TypeVLogGC
 )
 
@@ -177,15 +180,20 @@ type Event struct {
 	File uint64
 	// Reason is a static cause tag (compaction reason, stall cause).
 	Reason string
-	// Err is the failure text for bg-retry / bg-degraded events.
+	// Err is the failure text for bg-retry / bg-degraded events and for
+	// the end event of a failed job.
 	Err string
 	// Job is the engine-assigned, monotonically increasing ID shared by
-	// the start and end events of one flush or compaction, so interleaved
-	// parallel work can be correlated. Zero means unnumbered.
+	// the start and end events of one background job — flush, compaction,
+	// value-GC pass, scrub pass — so interleaved parallel work can be
+	// correlated. Zero means unnumbered.
 	Job uint64
-	// Worker identifies the goroutine that ran the job: 0 is the
-	// dedicated flush thread, 1..N are compaction pool workers, and -1 is
-	// a foreground (manual) compaction. Only meaningful when Job != 0.
+	// Worker identifies the lane worker that ran the job; IDs are unique
+	// across lanes. With N = MaxBackgroundCompactions: 0 is the dedicated
+	// flush lane (SeparateFlushThread), 1..N the compaction pool, N+1 the
+	// value-GC lane, N+2 the scrub lane, and -1 foreground work
+	// (CompactRange, CompactValueLog, Scrub). Only meaningful when
+	// Job != 0.
 	Worker int
 }
 
@@ -240,12 +248,12 @@ func (e Event) String() string {
 			e.File, e.BytesIn, e.BytesOut, e.Outputs, e.Dur.Round(time.Microsecond))
 	}
 	if e.Job != 0 {
-		switch e.Type {
-		case TypeFlushStart, TypeFlushEnd, TypeCompactionStart, TypeCompactionEnd:
-			fmt.Fprintf(&b, " job=%d", e.Job)
-			if e.Worker >= 0 {
-				fmt.Fprintf(&b, " w=%d", e.Worker)
-			}
+		fmt.Fprintf(&b, " job=%d", e.Job)
+		if e.Worker >= 0 {
+			fmt.Fprintf(&b, " w=%d", e.Worker)
+		}
+		if e.Err != "" {
+			fmt.Fprintf(&b, " err=%s", e.Err)
 		}
 	}
 	return b.String()

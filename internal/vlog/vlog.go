@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"sync"
 
@@ -305,17 +306,20 @@ type WalkRecord struct {
 
 // Walk scans the segment from offset `from` to `size`, invoking fn for
 // each record whose header parses. It stops cleanly at the first invalid
-// header (a torn tail) and returns the offset it reached — the segment's
-// valid length. Records whose header is intact but whose payload fails its
-// CRC (punched or rotted payloads) are still visited, with PayloadOK
-// false, and do not stop the walk.
+// header or short read (a torn tail) and returns the offset it reached —
+// the segment's valid length. Any other read error is returned with the
+// offset reached: a failed read says nothing about where the valid prefix
+// ends, and treating it as a torn tail would truncate acknowledged
+// records. Records whose header is intact but whose payload fails its CRC
+// (punched or rotted payloads) are still visited, with PayloadOK false,
+// and do not stop the walk.
 func Walk(f vfs.File, from, size int64, fn func(WalkRecord) error) (valid int64, err error) {
 	off := from
 	var buf []byte
 	for off+HeaderSize <= size {
 		var hdr [HeaderSize]byte
 		if err := vfs.ReadFull(f, hdr[:], off); err != nil {
-			return off, nil
+			return off, tornTail(err)
 		}
 		plen, ok := parseHeader(hdr[:])
 		if !ok || plen < 1 || off+HeaderSize+plen > size {
@@ -326,7 +330,7 @@ func Walk(f vfs.File, from, size int64, fn func(WalkRecord) error) (valid int64,
 		}
 		payload := buf[:plen]
 		if err := vfs.ReadFull(f, payload, off+HeaderSize); err != nil {
-			return off, nil
+			return off, tornTail(err)
 		}
 		rec := WalkRecord{Off: off, Len: HeaderSize + plen}
 		if payloadOK(hdr[:], payload) {
@@ -346,10 +350,19 @@ func Walk(f vfs.File, from, size int64, fn func(WalkRecord) error) (valid int64,
 	return off, nil
 }
 
+// tornTail maps a read error inside Walk to its verdict: a short read ends
+// the valid prefix (nil), anything else is a fault the caller must see.
+func tornTail(err error) error {
+	if errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil
+	}
+	return err
+}
+
 // ValidLength returns the byte length of the segment's parseable record
 // prefix starting at `from` (recovery uses it to bound pointer validation
-// past the last durably recorded size).
-func ValidLength(f vfs.File, from, size int64) int64 {
-	valid, _ := Walk(f, from, size, nil)
-	return valid
+// past the last durably recorded size), or the read error that kept Walk
+// from finding it.
+func ValidLength(f vfs.File, from, size int64) (int64, error) {
+	return Walk(f, from, size, nil)
 }

@@ -145,8 +145,29 @@ func TestWalkTornTail(t *testing.T) {
 		t.Fatalf("walk after torn header: valid=%d seen=%d, want valid=%d seen=%d",
 			valid, seen, last.Off, len(ptrs)-1)
 	}
-	if got := ValidLength(f, 0, size); got != last.Off {
-		t.Fatalf("ValidLength=%d want %d", got, last.Off)
+	if got, err := ValidLength(f, 0, size); got != last.Off || err != nil {
+		t.Fatalf("ValidLength=%d, %v want %d", got, err, last.Off)
+	}
+}
+
+// TestWalkReturnsReadFault: a read that fails is not a torn tail. Walk
+// returns the fault (and the offset it reached) instead of reporting a
+// valid prefix that ends at the failed read.
+func TestWalkReturnsReadFault(t *testing.T) {
+	efs := vfs.NewErrorFS(vfs.NewMem())
+	ptrs := writeSegment(t, efs, "000005.vlog", 5, 4)
+	f, err := efs.Open("000005.vlog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	size, _ := f.Size()
+	// Fail the read of the third record's header.
+	efs.SetInjector(vfs.FailNth(vfs.OpReadAt, efs.OpCount(vfs.OpReadAt)+5, false))
+	valid, err := ValidLength(f, 0, size)
+	var inj *vfs.InjectedError
+	if !errors.As(err, &inj) || valid != ptrs[2].Off {
+		t.Fatalf("ValidLength over a read fault = %d, %v; want %d and the fault", valid, err, ptrs[2].Off)
 	}
 }
 
