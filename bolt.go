@@ -802,6 +802,7 @@ const (
 	EventConfigClamp       = events.TypeConfigClamp
 	EventVLogRotation      = events.TypeVLogRotation
 	EventVLogGC            = events.TypeVLogGC
+	EventVLogGCStuck       = events.TypeVLogGCStuck
 )
 
 // Events returns the retained event trace, oldest first. The ring holds

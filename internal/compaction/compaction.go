@@ -265,26 +265,49 @@ func (p *Picker) PickSalvage(v *manifest.Version, env Env) *Compaction {
 	return nil
 }
 
+// VLogCursor is the engine's in-memory value-GC progress on one segment,
+// which runs ahead of the version: GC passes whose watermark advance waits
+// for the next flush to become durable still count as done, so passes
+// chain on a segment without waiting for that flush.
+type VLogCursor struct {
+	// GCOffset is the newest pending watermark (ignored when not above the
+	// version's).
+	GCOffset int64
+	// GarbageDelta is the sum of the pending advances' garbage deltas.
+	GarbageDelta int64
+	// Skip excludes the segment from picking: its GC cannot advance past a
+	// rotted record header (without the skip it would hog every pick
+	// forever), or its recorded size is stale.
+	Skip bool
+}
+
+// Apply returns s's watermark and garbage with the cursor's pending
+// progress folded in.
+func (c VLogCursor) Apply(s manifest.VLogSegment) (gcOffset, garbage int64) {
+	return max(s.GCOffset, c.GCOffset), max(s.Garbage+c.GarbageDelta, 0)
+}
+
 // PickValueGC returns a value-GC compaction for the sealed segment whose
 // uncollected bytes are deadest, or nil when no segment crosses minRatio.
 // activeSeg (the segment the writer is appending to) is never picked: its
 // size is still growing and its records may be newer than any flushed
-// table. Segments in skip are passed over (the engine marks a segment
-// stuck when its GC cannot advance past a rotted record header — without
-// the skip it would hog every pick forever). The executor lives in
-// internal/core; like salvage, the Reason tag is how it recognizes the
-// pick. Value GC is scheduled independently of Pick — it competes for a
-// worker, not for table reservations.
-func (p *Picker) PickValueGC(v *manifest.Version, env Env, activeSeg uint64, minRatio float64, skip map[uint64]bool) *Compaction {
+// table. cursors carries the engine's progress ahead of v (see
+// VLogCursor). The executor lives in internal/core; like salvage, the
+// Reason tag is how it recognizes the pick. Value GC is scheduled
+// independently of Pick — it competes for a worker, not for table
+// reservations.
+func (p *Picker) PickValueGC(v *manifest.Version, env Env, activeSeg uint64, minRatio float64, cursors map[uint64]VLogCursor) *Compaction {
 	var best *Compaction
 	bestRatio := -1.0
 	for _, s := range v.VLogSegments() {
-		if s.Num == activeSeg || s.Size == 0 || s.GCOffset >= s.Size || skip[s.Num] {
+		cur := cursors[s.Num]
+		gcOffset, garbage := cur.Apply(s)
+		if s.Num == activeSeg || s.Size == 0 || gcOffset >= s.Size || cur.Skip {
 			continue
 		}
-		remaining := s.Size - s.GCOffset
-		ratio := float64(s.Garbage) / float64(remaining)
-		if ratio < minRatio && s.Garbage < remaining {
+		remaining := s.Size - gcOffset
+		ratio := float64(garbage) / float64(remaining)
+		if ratio < minRatio && garbage < remaining {
 			continue
 		}
 		if ratio <= bestRatio {

@@ -226,12 +226,31 @@ func (db *DB) flushLocked(j *job) error {
 	if db.vlogW != nil {
 		edit.AddVLogSegment(manifest.VLogSegmentEdit{Num: db.vlogW.Seg(), Size: db.vlogW.SyncedSize()})
 	}
+	// Value-GC advances committed into the memtable this flush retires, or
+	// an older one, become durable with it (vloggc.go, rule 2).
+	for _, a := range db.vlogAdvances {
+		if a.gen < logNum {
+			a.addTo(edit)
+		}
+	}
 	if err := db.logAndApplyLocked(edit); err != nil {
 		return fmt.Errorf("core: flush commit: %w", err)
 	}
 	// Rotations during logAndApply's unlock window appended behind the
-	// applied prefix; drop only what this edit recorded.
+	// applied prefix; drop only what this edit recorded. GC passes in that
+	// window recorded advances of a newer generation, which stay pending;
+	// the logged ones license their punches now.
 	db.vlogPending = db.vlogPending[pendingApplied:]
+	pending := db.vlogAdvances[:0]
+	for _, a := range db.vlogAdvances {
+		if a.gen < logNum {
+			db.vlogPunchQueue = append(db.vlogPunchQueue, a.vlogPunch)
+		} else {
+			pending = append(pending, a)
+		}
+	}
+	clear(db.vlogAdvances[len(pending):])
+	db.vlogAdvances = pending
 	var outBytes int64
 	for _, m := range metas {
 		db.physRefs[m.PhysNum]++
@@ -271,14 +290,15 @@ func (db *DB) compactLocked(j *job) error {
 	smallestSnap := db.smallestSnapshotLocked()
 	dropTombstones := db.canDropTombstonesLocked(v, c)
 	// Garbage accounting: a dropped pointer entry is value-log garbage,
-	// but only if it lands past the segment's GC watermark — below it the
-	// bytes are already reclaimed and counting them again would inflate
-	// the ratio. Snapshot the watermarks from the pinned version.
+	// but only if it lands past the segment's GC cursor — below it the
+	// bytes are already collected (or pending collection) and counting
+	// them again would inflate the ratio. Snapshot the cursors now.
 	var gcOffsets map[uint64]int64
 	if segs := v.VLogSegments(); len(segs) > 0 {
+		cursors := db.vlogCursorsLocked()
 		gcOffsets = make(map[uint64]int64, len(segs))
 		for _, s := range segs {
-			gcOffsets[s.Num] = s.GCOffset
+			gcOffsets[s.Num], _ = cursors[s.Num].Apply(s)
 		}
 	}
 	var levelBytes, nextBytes int64
@@ -547,8 +567,15 @@ func (db *DB) canDropTombstonesLocked(v *manifest.Version, c *compaction.Compact
 }
 
 // logAndApplyLocked commits edit with the MANIFEST barrier paid outside
-// the engine mutex. Called with mu held; mu is held again on return.
+// the engine mutex. Called with mu held; mu is held again on return. With
+// invariants on, an edit that would log a value-GC advance before its
+// memtable is flushed panics before anything is written.
 func (db *DB) logAndApplyLocked(edit *manifest.VersionEdit) error {
+	if db.cfg.VerifyInvariants || InvariantsEnabled {
+		if err := db.checkGCAdvancesLocked(edit); err != nil {
+			panic(err)
+		}
+	}
 	db.mu.Unlock()
 	db.manifestMu.Lock()
 	db.mu.Lock()

@@ -80,13 +80,17 @@ type DB struct {
 	// vlogGCStuck suppresses segments whose GC cannot advance (rotted
 	// record header mid-segment).
 	vlogGCStuck map[uint64]bool //boltvet:guardedby mu
+	// vlogAdvances holds value-GC passes whose watermark advance waits for
+	// the flush of their memtable generation (vloggc.go, rule 2).
+	vlogAdvances []vlogAdvance //boltvet:guardedby mu
 	// flushEpoch counts memtable retirements (imm cleared by a flush); the
 	// GC commit filter uses it to detect whether "key absent from both
 	// memtables" can have changed meaning since its scan.
 	flushEpoch uint64 //boltvet:guardedby mu
 	// iterPins records the snapshot sequence of every open iterator, and
-	// vlogPunchQueue holds value-log hole punches deferred until no pinned
-	// reader (snapshot, iterator) predates the GC commit that killed them.
+	// vlogPunchQueue holds value-log hole punches, durable in the MANIFEST,
+	// deferred until no pinned reader (snapshot, iterator) predates the GC
+	// commit that killed them.
 	iterPins       *list.List  //boltvet:guardedby mu -- of keys.Seq, unordered
 	vlogPunchQueue []vlogPunch //boltvet:guardedby mu
 
@@ -825,6 +829,8 @@ func (db *DB) Close() error {
 		db.cond.Wait()
 	}
 	// Every reader is gone, so deferred value-log punches are all safe now.
+	// Value-GC advances no flush has logged are dropped with their punches:
+	// the reopened engine re-scans those chunks and finds them dead.
 	punches := db.vlogPunchQueue
 	db.vlogPunchQueue = nil
 	db.mu.Unlock()

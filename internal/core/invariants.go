@@ -57,3 +57,41 @@ func (barrierChecker) OnSync(name string, content []byte, dirty func(name string
 		}
 	}
 }
+
+// checkGCAdvancesLocked is the runtime check of value-GC rule 2
+// (vloggc.go): every GC advance edit logs — a raised watermark or a
+// segment deletion — must be a pending advance whose memtable generation
+// is flushed by edit or an earlier edit, i.e. lies below the log number
+// edit sets or the version set already holds.
+func (db *DB) checkGCAdvancesLocked(edit *manifest.VersionEdit) error {
+	flushed := db.vs.LogNum()
+	if edit.LogNum != nil {
+		flushed = max(flushed, *edit.LogNum)
+	}
+	check := func(seg uint64, full bool, gcOffset int64) error {
+		for _, a := range db.vlogAdvances {
+			if a.seg != seg || a.removeFile != full || (!full && a.gcOffset != gcOffset) {
+				continue
+			}
+			if a.gen >= flushed {
+				return fmt.Errorf("boltinvariants: edit logs value GC of segment %d from memtable generation %d, "+
+					"which no flush has covered (log number %d)", seg, a.gen, flushed)
+			}
+			return nil
+		}
+		return fmt.Errorf("boltinvariants: edit logs value GC of segment %d that no pending pass recorded", seg)
+	}
+	for _, s := range edit.VLogSegments {
+		if s.GCOffset > 0 {
+			if err := check(s.Num, false, s.GCOffset); err != nil {
+				return err
+			}
+		}
+	}
+	for _, seg := range edit.VLogDeleted {
+		if err := check(seg, true, 0); err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -118,3 +118,57 @@ func TestWrapInvariantFSMatchesBuildTag(t *testing.T) {
 		t.Fatal("default build: wrapInvariantFS must be the identity")
 	}
 }
+
+// TestGCAdvanceBeforeFlushPanics: logAndApplyLocked refuses an edit that
+// logs a value-GC advance whose memtable generation no flush has covered —
+// the pass's re-puts and the newer versions behind its liveness verdicts
+// may still be unsynced — and one no pass recorded at all.
+func TestGCAdvanceBeforeFlushPanics(t *testing.T) {
+	db := openTestDB(t, vfs.NewMem(), vlogTestConfig())
+	defer db.Close()
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	const seg = 99
+	for _, tc := range []struct {
+		name    string
+		pending []vlogAdvance
+		edit    func(*manifest.VersionEdit)
+	}{
+		{"unflushed-watermark", []vlogAdvance{{vlogPunch: vlogPunch{seg: seg}, gen: db.walNum, gcOffset: 4096}},
+			func(e *manifest.VersionEdit) {
+				e.AddVLogSegment(manifest.VLogSegmentEdit{Num: seg, GCOffset: 4096})
+			}},
+		{"unflushed-delete", []vlogAdvance{{vlogPunch: vlogPunch{seg: seg, removeFile: true}, gen: db.walNum}},
+			func(e *manifest.VersionEdit) { e.DeleteVLogSegment(seg) }},
+		{"no-pass", nil,
+			func(e *manifest.VersionEdit) {
+				e.AddVLogSegment(manifest.VLogSegmentEdit{Num: seg, GCOffset: 4096})
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db.vlogAdvances = tc.pending
+			defer func() { db.vlogAdvances = nil }()
+			edit := &manifest.VersionEdit{}
+			tc.edit(edit)
+			defer func() {
+				r := recover()
+				if r == nil || !strings.Contains(fmt.Sprint(r), "value GC of segment 99") {
+					t.Fatalf("recovered %v, want the GC-advance invariant panic", r)
+				}
+			}()
+			_ = db.logAndApplyLocked(edit) //boltvet:ignore errflow -- the call must panic, not return
+			t.Fatal("unreachable: logAndApplyLocked returned")
+		})
+	}
+
+	// The same advance is accepted once its generation is flushed — by the
+	// edit itself, as flushLocked's edit does.
+	db.vlogAdvances = []vlogAdvance{{vlogPunch: vlogPunch{seg: seg}, gen: db.walNum, gcOffset: 4096}}
+	defer func() { db.vlogAdvances = nil }()
+	edit := &manifest.VersionEdit{}
+	edit.SetLogNum(db.walNum + 1)
+	edit.AddVLogSegment(manifest.VLogSegmentEdit{Num: seg, GCOffset: 4096})
+	if err := db.checkGCAdvancesLocked(edit); err != nil {
+		t.Fatalf("flush-covered advance rejected: %v", err)
+	}
+}

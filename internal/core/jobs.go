@@ -270,14 +270,14 @@ func (db *DB) flushJobLocked() *job {
 }
 
 // valueGCJobLocked picks the sealed segment with the most garbage at or
-// above ratio. It requires an active value-log writer: re-puts have
-// nowhere to go without one.
+// above ratio, as its GC cursor sees it. It requires an active value-log
+// writer: re-puts have nowhere to go without one.
 func (db *DB) valueGCJobLocked(ratio float64) *job {
 	if db.vlogW == nil {
 		return nil
 	}
 	env := compaction.Env{InFlight: db.inflight}
-	return db.reserveLocked(jobValueGC, db.picker.PickValueGC(db.vs.Current(), env, db.vlogW.Seg(), ratio, db.vlogGCStuck))
+	return db.reserveLocked(jobValueGC, db.picker.PickValueGC(db.vs.Current(), env, db.vlogW.Seg(), ratio, db.vlogCursorsLocked()))
 }
 
 // reserveLocked wraps c, if any, as a job of kind k, reserving its

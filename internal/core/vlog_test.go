@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -501,5 +502,232 @@ func TestValueGCRetriesTransientFault(t *testing.T) {
 	db.mu.Unlock()
 	if stuck != 0 || m.VLogGCPasses.Load() == 0 {
 		t.Fatalf("%d segments stuck, %d GC passes", stuck, m.VLogGCPasses.Load())
+	}
+}
+
+// TestValueGCWaitsForUnsyncedNewerVersion: with SyncWAL=false, a GC pass
+// may decide a record dead only because a newer version sits in an
+// unsynced memtable. The pass's watermark advance — and with it the
+// segment's deletion — must not become durable before that memtable is
+// flushed, or a crash loses the newer version and leaves the durable
+// tables pointing into a deleted segment.
+func TestValueGCWaitsForUnsyncedNewerVersion(t *testing.T) {
+	mem := vfs.NewMem()
+	cfg := vlogTestConfig()
+	cfg.VLogGCGarbageRatio = 1 // manual GC only
+	db := openTestDB(t, mem, cfg)
+	defer db.Close()
+
+	put := func(lo, hi, gen int) {
+		for i := lo; i < hi; i++ {
+			key := fmt.Sprintf("k%03d", i)
+			if err := db.Put([]byte(key), bigValue(key, gen)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put(0, 20, 0)
+	if err := db.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	put(0, 10, 1)
+	if err := db.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	put(10, 20, 1) // memtable only: the newer versions are unsynced
+	if err := db.CompactValueLog(); err != nil {
+		t.Fatal(err)
+	}
+
+	crashed := openTestDB(t, mem.CrashClone(), cfg)
+	defer crashed.Close()
+	for i := 0; i < 20; i++ {
+		key := fmt.Sprintf("k%03d", i)
+		got, err := crashed.Get([]byte(key), nil)
+		if err != nil {
+			t.Errorf("after crash: Get(%s): %v", key, err)
+			continue
+		}
+		if !bytes.Equal(got, bigValue(key, 0)) && !bytes.Equal(got, bigValue(key, 1)) {
+			t.Errorf("after crash: Get(%s) = a value never written", key)
+		}
+	}
+}
+
+// TestValueGCSkipsSegmentWithPendingSeal: a segment sealed since the last
+// flush is recorded in the version at the size that flush saw, not at its
+// sealed size. Collecting it against the stale size would count it fully
+// collected and delete the records past that size, which the memtable
+// still points at.
+func TestValueGCSkipsSegmentWithPendingSeal(t *testing.T) {
+	db := openTestDB(t, vfs.NewMem(), vlogTestConfig())
+	defer db.Close()
+	put := func(lo, hi, gen int) {
+		for i := lo; i < hi; i++ {
+			key := fmt.Sprintf("k%03d", i)
+			if err := db.Put([]byte(key), bigValue(key, gen)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Three keys and their overwrites fill most of the first segment; the
+	// compaction records it at that size and counts half of it garbage.
+	put(0, 3, 0)
+	put(0, 3, 1)
+	if err := db.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	put(3, 5, 0) // seals the segment; its size record waits for a flush
+	if err := db.CompactValueLog(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		key := fmt.Sprintf("k%03d", i)
+		if _, err := db.Get([]byte(key), nil); err != nil {
+			t.Errorf("Get(%s): %v", key, err)
+		}
+	}
+}
+
+// TestBackgroundValueGCPaysNoBarriers: background value-GC passes between
+// two flushes add nothing to the fsync count — the re-puts commit like any
+// unsynced batch and the advances wait for the next flush.
+func TestBackgroundValueGCPaysNoBarriers(t *testing.T) {
+	db := openTestDB(t, vfs.NewMem(), vlogTestConfig())
+	defer db.Close()
+	// Generation 0 becomes garbage when the second CompactRange drops its
+	// pointers; the GC lane picks it up as soon as that call lets go.
+	putGenerations(t, db, "key", 2, 40)
+	fsyncs, flushes := db.IO().Fsyncs.Load(), db.met.MemtableFlushes.Load()
+	passes := db.met.VLogGCPasses.Load()
+	if err := db.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.met.VLogGCPasses.Load() - passes; got == 0 {
+		t.Fatal("no background value-GC pass ran")
+	}
+	if got := db.met.MemtableFlushes.Load() - flushes; got != 0 {
+		t.Fatalf("%d flushes during the GC passes; the test needs none", got)
+	}
+	if got := db.IO().Fsyncs.Load() - fsyncs; got != 0 {
+		t.Fatalf("background value-GC passes paid %d fsyncs, want 0", got)
+	}
+	db.mu.Lock()
+	pending := len(db.vlogAdvances)
+	db.mu.Unlock()
+	if pending == 0 {
+		t.Fatal("the passes recorded no pending advance")
+	}
+}
+
+// TestCompactValueLogPaysOneFlush: any number of passes cost CompactValueLog
+// one flush's barriers — the value-log sync, the table sync and the
+// MANIFEST sync — and it returns with the space reclaimed.
+func TestCompactValueLogPaysOneFlush(t *testing.T) {
+	fs := vfs.NewMem()
+	cfg := vlogTestConfig()
+	cfg.VLogGCGarbageRatio = 1.0 // manual GC only
+	cfg.VLogGCChunkBytes = 2 << 10
+	db := openTestDB(t, fs, cfg)
+	// Half of generation 0 stays live, so the passes re-put records.
+	const n = 24
+	for gen := 0; gen < 2; gen++ {
+		for i := 0; i < n; i++ {
+			if gen == 1 && i%2 == 1 {
+				continue
+			}
+			key := fmt.Sprintf("key%03d", i)
+			if err := db.Put([]byte(key), bigValue(key, gen)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.CompactRange(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Reopen with a roomy active segment, so the re-puts do not seal it (a
+	// seal is a barrier of its own).
+	cfg.VLogSegmentBytes = 1 << 20
+	db = openTestDB(t, fs, cfg)
+	defer db.Close()
+	fsyncs, flushes, passes := db.IO().Fsyncs.Load(), db.met.MemtableFlushes.Load(), db.met.VLogGCPasses.Load()
+	if err := db.CompactValueLog(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.met.VLogGCPasses.Load() - passes; got < 3 {
+		t.Fatalf("%d passes, the test needs at least 3", got)
+	}
+	if got := db.met.MemtableFlushes.Load() - flushes; got != 1 {
+		t.Fatalf("CompactValueLog ran %d flushes, want 1", got)
+	}
+	if got := db.IO().Fsyncs.Load() - fsyncs; got != 3 {
+		t.Fatalf("CompactValueLog paid %d fsyncs, want 3 (vlog, table, MANIFEST)", got)
+	}
+	db.mu.Lock()
+	pending, queued := len(db.vlogAdvances), len(db.vlogPunchQueue)
+	db.mu.Unlock()
+	if pending != 0 || queued != 0 || db.met.HolePunches.Load() == 0 {
+		t.Fatalf("after CompactValueLog: %d advances pending, %d punches queued, %d punched",
+			pending, queued, db.met.HolePunches.Load())
+	}
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("key%03d", i)
+		want := bigValue(key, 1-i%2)
+		if got, err := db.Get([]byte(key), nil); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("after GC: Get(%s) = %d bytes, %v", key, len(got), err)
+		}
+	}
+}
+
+// TestValueGCStuckSegmentReported: a rotted record header that blocks a
+// segment's GC walk is reported — a vlog-gc-stuck event naming the segment
+// and a counted metric — and the segment is left out of later picks while
+// the rest of the log is collected.
+func TestValueGCStuckSegmentReported(t *testing.T) {
+	mem := vfs.NewMem()
+	cfg := vlogTestConfig()
+	cfg.VLogGCGarbageRatio = 1.0 // manual GC only
+	var mu sync.Mutex
+	var stuck []events.Event
+	cfg.EventListener = func(e events.Event) {
+		if e.Type == events.TypeVLogGCStuck {
+			mu.Lock()
+			stuck = append(stuck, e)
+			mu.Unlock()
+		}
+	}
+	db := openTestDB(t, mem, cfg)
+	defer db.Close()
+	putGenerations(t, db, "key", 2, 40)
+
+	db.mu.Lock()
+	rotted := db.vs.Current().VLogSegments()[0]
+	db.mu.Unlock()
+	if err := mem.CorruptFileRange(manifest.VLogFileName(rotted.Num), rotted.GCOffset, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CompactValueLog(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CompactValueLog(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(stuck) != 1 || stuck[0].File != rotted.Num || stuck[0].BytesOut != rotted.Size-rotted.GCOffset {
+		t.Fatalf("stuck events %v, want one for segment %d stranding %dB", stuck, rotted.Num, rotted.Size-rotted.GCOffset)
+	}
+	if got := db.Metrics().Snapshot().VLogGCStuck; got != 1 {
+		t.Fatalf("VLogGCStuck = %d, want 1", got)
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for _, s := range db.vs.Current().VLogSegments() {
+		if s.Num != rotted.Num && s.Num != db.vlogW.Seg() && s.Garbage > 0 && s.GCOffset < s.Size {
+			t.Errorf("segment %d left uncollected beside the stuck one", s.Num)
+		}
 	}
 }

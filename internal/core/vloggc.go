@@ -2,8 +2,11 @@ package core
 
 import (
 	"errors"
+	"time"
 
 	"github.com/bolt-lsm/bolt/internal/batch"
+	"github.com/bolt-lsm/bolt/internal/compaction"
+	"github.com/bolt-lsm/bolt/internal/events"
 	"github.com/bolt-lsm/bolt/internal/keys"
 	"github.com/bolt-lsm/bolt/internal/manifest"
 	"github.com/bolt-lsm/bolt/internal/metrics"
@@ -15,22 +18,38 @@ import (
 //
 // A GC pass scans one chunk of a sealed segment, liveness-checks every
 // record against the tree, re-puts the live ones through the normal write
-// path (so they land in the active segment with full commit durability),
-// advances the segment's GC watermark in the MANIFEST, and hole-punches
-// the scanned payload ranges. Three ordering rules keep it safe:
+// path (so they land in the active segment), and records a pending
+// advance: the segment's new GC watermark and the payload ranges it may
+// hole-punch. A pass pays no barrier of its own. Four ordering rules keep
+// it safe:
 //
 //  1. Liveness is decided twice: once at scan time through the full read
 //     path, and again under mu at commit time (filterGCBatchLocked), so a
 //     user overwrite that lands between the two can never be shadowed by
 //     a re-put carrying a newer sequence number.
-//  2. The re-put commit forces the value-log and WAL syncs regardless of
-//     SyncWAL: the punch that follows destroys the only other copy.
-//  3. Punching is gated on readers. safeSeq is the visible sequence
-//     captured after the re-put commit; any reader at or past it resolves
-//     the re-put (or something newer), never the dead record. Punches
-//     wait in vlogPunchQueue until no snapshot or open iterator predates
-//     safeSeq. The one reader class that holds no pin — a latest-seq Get
-//     already in flight — is covered by Get's single retry on ErrCorrupt.
+//  2. The advance rides the flush. The re-put commit is an ordinary batch
+//     (synced only under SyncWAL), and the advance is tagged with the
+//     memtable generation — the WAL number — active when the pass
+//     committed. flushLocked logs every advance of the memtable it retires
+//     or an older one in its own edit: by then the vlog sync and table
+//     sync of that flush have made durable both the re-puts and every
+//     newer version that decided a record dead, even ones that were only
+//     in an unsynced memtable at scan time. logAndApplyLocked asserts the
+//     rule under VerifyInvariants. An advance lost to a crash or Close
+//     costs a re-scan: the scanned records then read as dead.
+//  3. Passes run ahead of the MANIFEST: the in-memory cursor
+//     (vlogCursorsLocked) folds pending advances into what the picker, the
+//     next pass and compaction's garbage accounting see, so passes chain
+//     on a segment without waiting for a flush, and a chunk is never
+//     scanned twice.
+//  4. Punching is gated on durability and readers. A punch enters
+//     vlogPunchQueue only once its advance is durable; safeSeq is the
+//     visible sequence captured after the re-put commit, and any reader at
+//     or past it resolves the re-put (or something newer), never the dead
+//     record. Punches wait in the queue until no snapshot or open iterator
+//     predates safeSeq. The one reader class that holds no pin — a
+//     latest-seq Get already in flight — is covered by Get's single retry
+//     on ErrCorrupt.
 
 // vlogPunch is one deferred reclamation: payload ranges (or the whole
 // file) of a collected segment chunk, executable once no pinned reader
@@ -40,6 +59,26 @@ type vlogPunch struct {
 	ranges     []deadRange
 	removeFile bool // segment fully collected: unlink instead of punching
 	safeSeq    keys.Seq
+}
+
+// vlogAdvance is one GC pass's progress waiting for the flush that makes
+// it durable (rule 2): the watermark edit, and the punch it then licenses.
+type vlogAdvance struct {
+	vlogPunch
+	// gen is the WAL number of the memtable active when the pass
+	// committed; a flush edit whose LogNum is above it covers the advance.
+	gen          uint64
+	gcOffset     int64
+	garbageDelta int64
+}
+
+// addTo logs the advance in edit: a fully collected segment is deleted.
+func (a vlogAdvance) addTo(edit *manifest.VersionEdit) {
+	if a.removeFile {
+		edit.DeleteVLogSegment(a.seg)
+		return
+	}
+	edit.AddVLogSegment(manifest.VLogSegmentEdit{Num: a.seg, GCOffset: a.gcOffset, GarbageDelta: a.garbageDelta})
 }
 
 // gcEntry is one record the GC pass found live at scan time.
@@ -63,13 +102,14 @@ type gcCommit struct {
 // completes).
 var errGCChunkFull = errors.New("core: gc chunk full")
 
-// valueGCPassLocked runs one chunk-sized GC pass over the job's segment.
-// Called with mu held; releases it for the scan, liveness checks, and the
-// re-put commit. An aborted pass (stale liveness) returns nil without
-// advancing the watermark — the caller simply re-picks and re-scans. A
-// failed read or liveness check is returned for the runner's retry; only
-// a walk that read fine and still made no progress (a rotted record
-// header) marks the segment stuck.
+// valueGCPassLocked runs one chunk-sized GC pass over the job's segment,
+// starting at its cursor. Called with mu held; releases it for the scan,
+// liveness checks, and the re-put commit. A pass that completes records
+// a pending advance (rule 2) and pays no barrier. An aborted pass (stale
+// liveness) returns nil without advancing the cursor — the caller simply
+// re-picks and re-scans. A failed read or liveness check is returned for
+// the runner's retry; only a walk that read fine and still made no
+// progress (a rotted record header) marks the segment stuck.
 func (db *DB) valueGCPassLocked(j *job) error {
 	seg := j.c.VLogSegment
 	j.end.File = seg
@@ -79,7 +119,7 @@ func (db *DB) valueGCPassLocked(j *job) error {
 	}
 	db.met.CompactionsByReason[metrics.CompactionValueGC].Add(1)
 	epoch := db.flushEpoch
-	start := s.GCOffset
+	start, _ := db.vlogCursorsLocked()[seg].Apply(s)
 	segSize := s.Size
 	chunkBudget := db.cfg.VLogGCChunkBytes
 	db.mu.Unlock()
@@ -121,9 +161,11 @@ func (db *DB) valueGCPassLocked(j *job) error {
 	if chunkEnd == start {
 		// Zero progress: a rotted record header blocks the walk. Mark the
 		// segment stuck — its uncollected tail leaks space but no data —
-		// so the picker stops choosing it.
+		// so the picker stops choosing it, and report it.
 		db.mu.Lock()
 		db.vlogGCStuck[seg] = true
+		db.met.VLogGCStuck.Add(1)
+		j.after = append(j.after, events.Event{Type: events.TypeVLogGCStuck, File: seg, BytesIn: start, BytesOut: segSize - start})
 		return nil
 	}
 
@@ -154,28 +196,18 @@ func (db *DB) valueGCPassLocked(j *job) error {
 			return err
 		}
 		if gc.aborted {
-			// Stale liveness: discard this pass (no watermark advance, no
-			// punches — entries already re-put read as dead on re-scan).
+			// Stale liveness: discard this pass (no advance, no punches —
+			// entries already re-put read as dead on re-scan).
 			db.mu.Lock()
 			return nil
 		}
 	}
 
-	// Commit the watermark advance, then queue the punches behind it.
+	// Record the advance for the flush that retires the current memtable:
+	// the re-puts are in it (or in an older one), and so is every newer
+	// version the liveness checks saw.
 	db.mu.Lock()
-	if db.bgStoppedLocked() {
-		return nil
-	}
 	full := chunkEnd >= segSize
-	edit := &manifest.VersionEdit{}
-	if full {
-		edit.DeleteVLogSegment(seg)
-	} else {
-		edit.AddVLogSegment(manifest.VLogSegmentEdit{Num: seg, GCOffset: chunkEnd, GarbageDelta: -deadBytes})
-	}
-	if err := db.logAndApplyLocked(edit); err != nil {
-		return err
-	}
 	var reclaimed int64
 	if full {
 		reclaimed = segSize - start
@@ -186,18 +218,48 @@ func (db *DB) valueGCPassLocked(j *job) error {
 	}
 	db.met.VLogGCPasses.Add(1)
 	db.met.VLogReclaimedBytes.Add(reclaimed)
-	safeSeq := db.VisibleSeq()
-	db.vlogPunchQueue = append(db.vlogPunchQueue, vlogPunch{
-		seg: seg, ranges: punchRanges, removeFile: full, safeSeq: safeSeq,
+	db.vlogAdvances = append(db.vlogAdvances, vlogAdvance{
+		vlogPunch:    vlogPunch{seg: seg, ranges: punchRanges, removeFile: full, safeSeq: db.VisibleSeq()},
+		gen:          db.walNum,
+		gcOffset:     chunkEnd,
+		garbageDelta: -deadBytes,
 	})
 	// BytesOut is what this pass made reclaimable; the punches themselves
-	// may still be deferred behind old readers.
+	// wait for the next flush, and may then be deferred behind old readers.
 	j.end.BytesIn, j.end.BytesOut, j.end.Outputs = chunkEnd-start, reclaimed, len(entries)
-	todo := db.takeReadyVLogPunchesLocked()
-	db.mu.Unlock()
-	db.execVLogPunches(todo)
-	db.mu.Lock()
 	return nil
+}
+
+// vlogCursorsLocked returns the value-GC progress ahead of the version
+// (rule 3; see compaction.VLogCursor): each segment's pending advances
+// folded together, and a Skip mark on stuck segments and on sealed
+// segments whose size record still waits in vlogPending — the version's
+// size for those is stale, and a pass that took it for the end would
+// delete the records past it.
+func (db *DB) vlogCursorsLocked() map[uint64]compaction.VLogCursor {
+	n := len(db.vlogAdvances) + len(db.vlogGCStuck) + len(db.vlogPending)
+	if n == 0 {
+		return nil
+	}
+	cursors := make(map[uint64]compaction.VLogCursor, n)
+	for _, a := range db.vlogAdvances {
+		c := cursors[a.seg]
+		c.GCOffset = max(c.GCOffset, a.gcOffset)
+		c.GarbageDelta += a.garbageDelta
+		cursors[a.seg] = c
+	}
+	skip := func(seg uint64) {
+		c := cursors[seg]
+		c.Skip = true
+		cursors[seg] = c
+	}
+	for seg := range db.vlogGCStuck {
+		skip(seg)
+	}
+	for _, s := range db.vlogPending {
+		skip(s.Num)
+	}
+	return cursors
 }
 
 // pointsAt reports whether the newest version of key in the whole tree is
@@ -344,9 +406,19 @@ func (db *DB) rotateVLogLocked() (sealedSeg uint64, sealedSize int64) {
 
 // CompactValueLog synchronously runs value-GC passes until no sealed
 // segment has uncollected garbage (any nonzero amount qualifies — the
-// configured background ratio is ignored). Tests and tools use it to
-// settle the value log deterministically.
+// configured background ratio is ignored), then retires the memtable and
+// waits for its flush, which logs every pass's advance and reclaims the
+// space: one flush's barriers for any number of passes. Tests and tools
+// use it to settle the value log deterministically.
 func (db *DB) CompactValueLog() error {
+	// The rotation's wal-rotation event is emitted once mu is released
+	// (deferred calls run last-registered first).
+	var rotation []events.Event
+	defer func() {
+		for _, e := range rotation {
+			db.ev.Emit(e)
+		}
+	}()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	err := db.runForegroundLocked(func() *job {
@@ -361,6 +433,18 @@ func (db *DB) CompactValueLog() error {
 	})
 	if err != nil {
 		return err
+	}
+	if len(db.vlogAdvances) > 0 && !db.bgStoppedLocked() {
+		logNum, err := db.forceMemtableSwitchLocked()
+		if err != nil {
+			return err
+		}
+		rotation = append(rotation, events.Event{Type: events.TypeWALRotation, File: logNum, Time: time.Now()})
+		// Wait for the flush job to end, punches included, not just for
+		// the MANIFEST commit that clears imm (as CompactRange waits).
+		for retired := db.imm; (db.imm == retired || db.lanes[laneFlush].busy+db.lanes[lanePool].busy > 0) && !db.bgStoppedLocked(); {
+			db.cond.Wait()
+		}
 	}
 	if db.closed {
 		return ErrClosed

@@ -32,10 +32,10 @@ type dbWriter struct {
 	mem      *memtable.MemTable
 	wg       *sync.WaitGroup
 	// gc marks a value-GC commit: its batch is built under mu by
-	// filterGCBatchLocked once the writer is leader, it never groups with
-	// other writers, and it forces the value-log and WAL syncs regardless
-	// of SyncWAL (its side effect — punching the old records — must not
-	// outrun the durability of the re-puts).
+	// filterGCBatchLocked once the writer is leader, so it never joins
+	// another leader's group. Otherwise it commits like any batch — synced
+	// only under SyncWAL: the punches it licenses wait for the flush that
+	// makes the re-puts durable (vloggc.go, rule 2).
 	gc *gcCommit
 }
 
@@ -112,11 +112,13 @@ func (db *DB) commit(w *dbWriter) error {
 		// WAL record that references it — recovery relies on this order to
 		// treat any unresolvable pointer as an unacknowledged write.
 		extracted := false
-		if vlogW != nil && w.gc == nil {
+		if vlogW != nil {
 			group, extracted, err = db.separateValues(group, startSeq, vlogW)
 		}
-		forceSync := w.gc != nil
-		if err == nil && (extracted || forceSync) && (db.cfg.SyncWAL || forceSync) && vlogW != nil {
+		// Under SyncWAL every commit leaves the value log synced, so this
+		// sync has work only when the group appended: separated values, or
+		// a value-GC batch's re-puts.
+		if err == nil && db.cfg.SyncWAL && vlogW != nil {
 			err = vlogW.Sync()
 		}
 
@@ -124,7 +126,7 @@ func (db *DB) commit(w *dbWriter) error {
 		if err == nil {
 			err = walW.AddRecord(group.Repr())
 		}
-		if err == nil && (db.cfg.SyncWAL || forceSync) {
+		if err == nil && db.cfg.SyncWAL {
 			err = walW.Sync()
 		}
 		db.met.WALRecords.Add(1)
@@ -237,14 +239,10 @@ func (db *DB) buildGroupLocked() (*batch.Batch, []*dbWriter) {
 	leader := db.writers[0]
 	members := []*dbWriter{leader}
 	group := leader.b
-	if leader.gc != nil {
-		// A GC commit stands alone: its batch was purpose-built under mu
-		// and its forced syncs must not tax innocent bystanders.
-		return group, members
-	}
 	total := leader.b.Size()
 	grouped := false
 	for _, next := range db.writers[1:] {
+		// A value-GC writer's batch is built only once it leads.
 		if next.gc != nil || total+next.b.Size() > maxGroupCommitBytes {
 			break
 		}

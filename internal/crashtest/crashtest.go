@@ -18,6 +18,11 @@
 // Torn runs additionally expose a random prefix of each file's unsynced
 // tail (optionally with garbage bytes) in the image, and fall back to
 // Repair when the image no longer opens.
+//
+// RunUnsynced checks the contract of SyncWAL=false, the paper's setting,
+// where a commit is durable only once a flush covers it: no read fails,
+// and every key reads a version at least as new as the one the last
+// completed flush (or reopen) before the crash made durable.
 package crashtest
 
 import (
@@ -29,6 +34,7 @@ import (
 	"sync"
 
 	"github.com/bolt-lsm/bolt/internal/core"
+	"github.com/bolt-lsm/bolt/internal/events"
 	"github.com/bolt-lsm/bolt/internal/vfs"
 )
 
@@ -45,9 +51,9 @@ type Options struct {
 	Seed int64
 	// Ops is the workload length (default 300).
 	Ops int
-	// Profile is the engine configuration under test. SyncWAL is forced on:
-	// the harness verifies acknowledged durability, which is only promised
-	// for synced commits.
+	// Profile is the engine configuration under test. Run forces SyncWAL
+	// on — it verifies acknowledged durability, which is only promised for
+	// synced commits — and RunUnsynced forces it off.
 	Profile core.Config
 	// Torn also tears unsynced tails in the crash image. Torn runs disable
 	// deletes: Repair can resurrect a deleted key from a salvaged table,
@@ -87,16 +93,29 @@ type model struct {
 	// attempts logs every begin in order, so a crash snapshot can be
 	// topped up with the attempts begun while the image was being taken.
 	attempts []attempt
+
+	// The unsynced oracle's floor. acks logs the attempt index of every
+	// acknowledged write in acknowledgement order; the first covered of
+	// them are durable. flushStarts holds, per flush job of the open
+	// database, how many writes were acknowledged when it started;
+	// flushedOK the jobs that committed, maxFlushedOK the newest of them.
+	acks         []int
+	covered      int
+	flushStarts  map[uint64]int
+	flushedOK    map[uint64]bool
+	maxFlushedOK uint64
 }
 
 type attempt struct{ k, v string }
 
 func newModel() *model {
-	return &model{
+	m := &model{
 		acked: make(map[string]string),
 		maybe: make(map[string]map[string]bool),
 		tried: make(map[string]map[string]bool),
 	}
+	m.reopened(false)
+	return m
 }
 
 func addVal(m map[string]map[string]bool, k, v string) {
@@ -124,7 +143,48 @@ func (m *model) end(k, v string, ok bool) {
 	m.mu.Lock()
 	m.acked[k] = v
 	delete(m.maybe, k)
+	// The workload is one goroutine: the write ending is the last begun.
+	m.acks = append(m.acks, len(m.attempts)-1)
 	m.mu.Unlock()
+}
+
+// listen is the engine's event listener; it advances the unsynced floor.
+// A write acknowledged before flush job j started is in the memtable j
+// flushes, in the one active during j, or already durable. Flushes retire
+// memtables in order, so once j and any later flush job have committed,
+// both memtables are durable.
+func (m *model) listen(e events.Event) {
+	switch {
+	case e.Type == events.TypeFlushStart:
+		m.mu.Lock()
+		m.flushStarts[e.Job] = len(m.acks)
+		m.mu.Unlock()
+	case e.Type == events.TypeFlushEnd && e.Err == "":
+		m.mu.Lock()
+		m.flushedOK[e.Job] = true
+		m.maxFlushedOK = max(m.maxFlushedOK, e.Job)
+		for j, mark := range m.flushStarts {
+			if m.flushedOK[j] && j < m.maxFlushedOK {
+				m.covered = max(m.covered, mark)
+				delete(m.flushStarts, j)
+			}
+		}
+		m.mu.Unlock()
+	}
+}
+
+// reopened resets the flush tracking for a new database instance (job
+// numbers restart); after a successful open, recovery has flushed every
+// acknowledged write, so all of them are durable.
+func (m *model) reopened(ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.flushStarts = make(map[uint64]int)
+	m.flushedOK = make(map[uint64]bool)
+	m.maxFlushedOK = 0
+	if ok {
+		m.covered = len(m.acks)
+	}
 }
 
 // modelSnapshot is a deep copy of the model at the crash point.
@@ -134,6 +194,11 @@ type modelSnapshot struct {
 	tried map[string]map[string]bool
 	// attempts is how many attempts had begun when the copy was taken.
 	attempts int
+	// log and durable are the attempt log and the durable acknowledged
+	// attempts (the unsynced oracle's floor), as of the copy; log is
+	// extended by addAttemptsSince.
+	log     []attempt
+	durable []int
 }
 
 // addAttemptsSince folds into s, as in-flight values, the attempts m has
@@ -145,6 +210,7 @@ func (s *modelSnapshot) addAttemptsSince(m *model) {
 		addVal(s.maybe, a.k, a.v)
 		addVal(s.tried, a.k, a.v)
 	}
+	s.log = m.attempts
 }
 
 func copySets(src map[string]map[string]bool) map[string]map[string]bool {
@@ -166,7 +232,9 @@ func (m *model) snapshot() *modelSnapshot {
 	for k, v := range m.acked {
 		acked[k] = v
 	}
-	return &modelSnapshot{acked: acked, maybe: copySets(m.maybe), tried: copySets(m.tried), attempts: len(m.attempts)}
+	// The logs are append-only: sharing their prefixes is a copy.
+	return &modelSnapshot{acked: acked, maybe: copySets(m.maybe), tried: copySets(m.tried), attempts: len(m.attempts),
+		log: m.attempts, durable: m.acks[:m.covered]}
 }
 
 // crashClass is a set of op sites and a rule for drawing the crash point.
@@ -270,18 +338,25 @@ func (c *crasher) state() (fired bool, img *vfs.MemFS, at *modelSnapshot, punche
 // Run executes one seeded crash-recovery cycle and verifies the image.
 // A non-nil error is a crash-safety violation (or a harness failure),
 // never an expected storage fault.
-func Run(opts Options) (*Result, error) {
+func Run(opts Options) (*Result, error) { return run(opts, true) }
+
+// RunUnsynced is Run with SyncWAL forced off, checked against the unsynced
+// contract (see the package comment).
+func RunUnsynced(opts Options) (*Result, error) { return run(opts, false) }
+
+func run(opts Options, syncWAL bool) (*Result, error) {
 	if opts.Ops <= 0 {
 		opts.Ops = 300
 	}
+	m := newModel()
 	cfg := opts.Profile
-	cfg.SyncWAL = true
+	cfg.SyncWAL = syncWAL
 	cfg.VerifyInvariants = true
+	cfg.EventListener = m.listen
 
 	rng := rand.New(rand.NewSource(opts.Seed))
 	class := classes[int(uint64(opts.Seed)%uint64(len(classes)))]
 	efs := vfs.NewErrorFS(vfs.NewMem())
-	m := newModel()
 	cr := &crasher{
 		efs:      efs,
 		m:        m,
@@ -319,10 +394,12 @@ func Run(opts Options) (*Result, error) {
 			// Clean close + reopen while the crash point is still armed:
 			// covers recovery-time barrier sites.
 			_ = db.Close() //boltvet:ignore errflow -- injected faults make close errors expected; recovery is validated on reopen
+			m.reopened(false)
 			db, err = core.Open(efs, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("seed %d op %d: reopen: %w", opts.Seed, i, err)
 			}
+			m.reopened(true)
 		case rng.Intn(120) == 0:
 			// A manual full compaction: the main producer of hole punches
 			// (dead logical tables inside still-live compaction files), so
@@ -357,8 +434,8 @@ func Run(opts Options) (*Result, error) {
 	repaired, err := verifyImage(opts.Seed, img, cfg, at, punched, fired)
 	res.Repaired = repaired
 	if err != nil {
-		return res, fmt.Errorf("seed %d class %s (torn=%v, fired=%v): %w",
-			opts.Seed, class.name, opts.Torn, fired, err)
+		return res, fmt.Errorf("seed %d class %s (torn=%v, fired=%v, syncWAL=%v): %w",
+			opts.Seed, class.name, opts.Torn, fired, syncWAL, err)
 	}
 	return res, nil
 }
@@ -389,37 +466,13 @@ func verifyImage(seed int64, img *vfs.MemFS, cfg core.Config, at *modelSnapshot,
 		return repaired, fmt.Errorf("invariants: %w", err)
 	}
 
-	// Property 1+2: every acknowledged write is present and no key
-	// regressed below its acknowledged value.
-	for k, v := range at.acked {
-		got, gerr := db.Get([]byte(k), nil)
-		switch {
-		case gerr == nil:
-			g := string(got)
-			if !repaired {
-				if v != tombstone && g != v && !at.maybe[k][g] {
-					return repaired, fmt.Errorf("key %q = %q, want acked %q or an in-flight value", k, g, v)
-				}
-				if v == tombstone && !at.maybe[k][g] {
-					return repaired, fmt.Errorf("deleted key %q resurfaced as %q without an in-flight write", k, g)
-				}
-			} else if !at.tried[k][g] {
-				return repaired, fmt.Errorf("repaired key %q = %q, never written", k, g)
-			}
-		case errors.Is(gerr, core.ErrNotFound):
-			switch {
-			case v == tombstone: // acknowledged delete: absence is the contract
-			case at.maybe[k][tombstone]: // an in-flight delete may be durable
-			case repaired && punched:
-				// Salvage legitimately loses tables chained behind a
-				// punched hole; those tables held only dead data unless
-				// the crash hit mid-punch — which is exactly this case.
-			default:
-				return repaired, fmt.Errorf("acked key %q lost (repaired=%v)", k, repaired)
-			}
-		default:
-			return repaired, fmt.Errorf("get %q: %w", k, gerr)
-		}
+	// Properties 1+2: nothing durable is lost or regressed.
+	check := checkAcked
+	if !cfg.SyncWAL {
+		check = checkFloor
+	}
+	if err := check(db, at, repaired, punched); err != nil {
+		return repaired, err
 	}
 
 	// Property 3: everything in the store was actually written by the
@@ -453,8 +506,9 @@ func verifyImage(seed int64, img *vfs.MemFS, cfg core.Config, at *modelSnapshot,
 	}
 
 	// Property 4 (exactness on clean close): every acked live key is
-	// present with exactly its acked value.
-	if !fired {
+	// present with exactly its acked value. Without SyncWAL, Close leaves
+	// the WAL tail unsynced, so the clean image is a crash image too.
+	if !fired && cfg.SyncWAL {
 		for k, v := range at.acked {
 			if v == tombstone {
 				continue
@@ -475,4 +529,84 @@ func verifyImage(seed int64, img *vfs.MemFS, cfg core.Config, at *modelSnapshot,
 		return repaired, fmt.Errorf("probe get = %q, %v", got, gerr)
 	}
 	return repaired, nil
+}
+
+// checkAcked is properties 1+2 of the synced contract: every acknowledged
+// write is present and no key regressed below its acknowledged value.
+func checkAcked(db *core.DB, at *modelSnapshot, repaired, punched bool) error {
+	for k, v := range at.acked {
+		got, gerr := db.Get([]byte(k), nil)
+		switch {
+		case gerr == nil:
+			g := string(got)
+			if !repaired {
+				if v != tombstone && g != v && !at.maybe[k][g] {
+					return fmt.Errorf("key %q = %q, want acked %q or an in-flight value", k, g, v)
+				}
+				if v == tombstone && !at.maybe[k][g] {
+					return fmt.Errorf("deleted key %q resurfaced as %q without an in-flight write", k, g)
+				}
+			} else if !at.tried[k][g] {
+				return fmt.Errorf("repaired key %q = %q, never written", k, g)
+			}
+		case errors.Is(gerr, core.ErrNotFound):
+			switch {
+			case v == tombstone: // acknowledged delete: absence is the contract
+			case at.maybe[k][tombstone]: // an in-flight delete may be durable
+			case repaired && punched:
+				// Salvage legitimately loses tables chained behind a
+				// punched hole; those tables held only dead data unless
+				// the crash hit mid-punch — which is exactly this case.
+			default:
+				return fmt.Errorf("acked key %q lost (repaired=%v)", k, repaired)
+			}
+		default:
+			return fmt.Errorf("get %q: %w", k, gerr)
+		}
+	}
+	return nil
+}
+
+// checkFloor is properties 1+2 of the unsynced contract: every key the
+// workload touched reads without error, and reads its newest durable
+// acknowledged version or something newer — a later attempt, or absence
+// through a later delete. A repaired image is held only to reading
+// attempted values (Repair may resurface older versions), and may lose
+// keys behind a punched hole (see verifyImage).
+func checkFloor(db *core.DB, at *modelSnapshot, repaired, punched bool) error {
+	floor := make(map[string]int)
+	for _, i := range at.durable {
+		floor[at.log[i].k] = i
+	}
+	latest := make(map[string]map[string]int) // key → value → newest attempt
+	for i, a := range at.log {
+		if latest[a.k] == nil {
+			latest[a.k] = make(map[string]int)
+		}
+		latest[a.k][a.v] = i
+	}
+	for k, vals := range latest {
+		f, durable := floor[k]
+		got, err := db.Get([]byte(k), nil)
+		g := tombstone
+		switch {
+		case err == nil:
+			g = string(got)
+		case !errors.Is(err, core.ErrNotFound):
+			return fmt.Errorf("get %q: %w", k, err)
+		}
+		i, tried := vals[g]
+		newer := !durable || (tried && i >= f)
+		switch {
+		case g != tombstone && !tried:
+			return fmt.Errorf("key %q = %q, never written", k, g)
+		case repaired:
+			if g == tombstone && !newer && !punched {
+				return fmt.Errorf("durable key %q lost (repaired)", k)
+			}
+		case !newer:
+			return fmt.Errorf("key %q = %q, older than its durable version %q", k, g, at.log[f].v)
+		}
+	}
+	return nil
 }

@@ -94,11 +94,17 @@ const (
 	// segment's final size.
 	TypeVLogRotation
 	// TypeVLogGC marks the end of one value-GC chunk pass: File is the
-	// segment, BytesIn the bytes scanned, BytesOut the bytes reclaimed,
-	// Outputs the live records re-put, Dur the pass wall time, Barriers
-	// the fsyncs paid; zero bytes when the pass aborted, Err when it
-	// failed.
+	// segment, BytesIn the bytes scanned, BytesOut the bytes made
+	// reclaimable (reclaimed once the next flush logs the pass), Outputs
+	// the live records re-put, Dur the pass wall time, Barriers the fsyncs
+	// paid (none of its own); zero bytes when the pass aborted, Err when
+	// it failed.
 	TypeVLogGC
+	// TypeVLogGCStuck marks a value-log segment whose GC a rotted record
+	// header blocks: File is the segment, BytesIn the offset of the
+	// header, BytesOut the bytes left uncollected. The segment is no
+	// longer picked.
+	TypeVLogGCStuck
 )
 
 // String names the type.
@@ -144,6 +150,8 @@ func (t Type) String() string {
 		return "vlog-rotation"
 	case TypeVLogGC:
 		return "vlog-gc"
+	case TypeVLogGCStuck:
+		return "vlog-gc-stuck"
 	default:
 		return fmt.Sprintf("event(%d)", uint8(t))
 	}
@@ -246,6 +254,8 @@ func (e Event) String() string {
 	case TypeVLogGC:
 		fmt.Fprintf(&b, " vlog=%d scanned=%dB reclaimed=%dB reput=%d dur=%v",
 			e.File, e.BytesIn, e.BytesOut, e.Outputs, e.Dur.Round(time.Microsecond))
+	case TypeVLogGCStuck:
+		fmt.Fprintf(&b, " vlog=%d at=%d stranded=%dB", e.File, e.BytesIn, e.BytesOut)
 	}
 	if e.Job != 0 {
 		fmt.Fprintf(&b, " job=%d", e.Job)

@@ -85,8 +85,9 @@ type Metrics struct {
 	VLogAppends        atomic.Int64 // values extracted into the value log
 	VLogAppendedBytes  atomic.Int64 // record bytes appended to the value log
 	VLogDerefs         atomic.Int64 // pointer dereferences on the read path
-	VLogGCPasses       atomic.Int64 // value-GC chunk passes committed
-	VLogReclaimedBytes atomic.Int64 // value-log bytes reclaimed (watermark advances)
+	VLogGCPasses       atomic.Int64 // value-GC chunk passes completed
+	VLogReclaimedBytes atomic.Int64 // value-log bytes the passes made reclaimable
+	VLogGCStuck        atomic.Int64 // segments whose GC a rotted record header blocks
 
 	// Integrity: scrub, quarantine, salvage.
 	ScrubPasses      atomic.Int64 // completed background scrub passes
@@ -149,6 +150,7 @@ type Snapshot struct {
 	VLogDerefs         int64
 	VLogGCPasses       int64
 	VLogReclaimedBytes int64
+	VLogGCStuck        int64
 
 	ScrubPasses      int64
 	ScrubTables      int64
@@ -210,6 +212,7 @@ func (m *Metrics) snapshotScalars() Snapshot {
 		VLogDerefs:         m.VLogDerefs.Load(),
 		VLogGCPasses:       m.VLogGCPasses.Load(),
 		VLogReclaimedBytes: m.VLogReclaimedBytes.Load(),
+		VLogGCStuck:        m.VLogGCStuck.Load(),
 
 		ScrubPasses:      m.ScrubPasses.Load(),
 		ScrubTables:      m.ScrubTables.Load(),

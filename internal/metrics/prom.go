@@ -144,8 +144,9 @@ func (m *Metrics) WriteProm(p *PromWriter) {
 	p.Counter("bolt_vlog_appends_total", "Values separated into the value log at commit.", s.VLogAppends)
 	p.Counter("bolt_vlog_appended_bytes_total", "Record bytes appended to the value log.", s.VLogAppendedBytes)
 	p.Counter("bolt_vlog_derefs_total", "Reads that dereferenced a value-log pointer.", s.VLogDerefs)
-	p.Counter("bolt_vlog_gc_passes_total", "Value-log GC passes committed.", s.VLogGCPasses)
-	p.Counter("bolt_vlog_reclaimed_bytes_total", "Value-log bytes reclaimed by GC watermark advances.", s.VLogReclaimedBytes)
+	p.Counter("bolt_vlog_gc_passes_total", "Value-log GC passes completed.", s.VLogGCPasses)
+	p.Counter("bolt_vlog_reclaimed_bytes_total", "Value-log bytes made reclaimable by GC passes.", s.VLogReclaimedBytes)
+	p.Counter("bolt_vlog_gc_stuck_segments_total", "Value-log segments whose GC a rotted record header blocks.", s.VLogGCStuck)
 
 	p.Counter("bolt_gets_total", "Point lookups.", s.Gets)
 	p.Counter("bolt_get_hits_total", "Point lookups that found a value.", s.GetHits)
