@@ -1,14 +1,15 @@
 // Command bolt-vet runs the BoLT-specific static-analysis suite
 // (internal/boltvet) over the module:
 //
-//	syncerr      — discarded durability-barrier errors (Sync, SyncDir,
-//	               Close, LogAndApply, CommitPrepared)
 //	barrierorder — MANIFEST commits not preceded by a data-file sync
-//	lockcheck    — mutex-guarded field access vs the *Locked convention
-//	lockorder    — double mutex acquisition through any call chain, and
+//	lockorder    — double mutex acquisition through any call chain (a
+//	               *Locked method starts with its guards held), and
 //	               cycles in the lock-acquisition-order graph
-//	errflow      — barrier-born errors that die in a helper or wrap chain
-//	atomicfield  — plain access to (or copies of) sync/atomic fields
+//	errflow      — durability-barrier errors (Sync, SyncDir, LogAndApply,
+//	               CommitPrepared, WriteFile, bare Close) discarded at the
+//	               call or dying in a helper or wrap chain
+//	atomicfield  — plain access to (or copies of) sync/atomic and
+//	               //boltvet:guardedby atomic fields
 //	guardedby    — //boltvet:guardedby field annotations checked against
 //	               the lock-set analysis at every access site
 //	mustclose    — //boltvet:mustclose values tracked from creation to a
@@ -30,7 +31,7 @@
 //	go run ./cmd/bolt-vet -json ./... | jq .analyzer
 //	go run ./cmd/bolt-vet -timing ./...          # per-analyzer wall time
 //	go run ./cmd/bolt-vet -list -timing ./...    # listing with measured times
-//	go run ./cmd/bolt-vet internal/boltvet/testdata/src/syncerr   # vet fixtures on purpose
+//	go run ./cmd/bolt-vet internal/boltvet/testdata/src/errflow   # vet fixtures on purpose
 //
 // Run it from the module root: package loading resolves module-internal
 // imports relative to the working directory. Exit status: 0 clean, 1

@@ -5,17 +5,18 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
+	"strings"
 )
 
-// AtomicField extends vet's copylocks to BoLT's metrics and state structs.
-// Fields whose type comes from sync/atomic (atomic.Int64, atomic.Uint64,
-// atomic.Value, ...) and plain fields annotated `// guarded-by: atomic`
-// must never be:
+// AtomicField extends vet's copylocks to BoLT's metrics and state structs,
+// and owns the `//boltvet:guardedby atomic` rule. Fields whose type comes
+// from sync/atomic (atomic.Int64, atomic.Uint64, atomic.Value, ...) and
+// plain fields annotated `//boltvet:guardedby atomic` must never be:
 //
 //   - read or written plainly (atomic fields expose only their
-//     Load/Store/Add/... methods; annotated fields may only be used as
-//     &x.f operands for the sync/atomic functions),
+//     Load/Store/Add/... methods; annotated plain fields may only be used
+//     as &x.f operands for the sync/atomic functions; an annotated array
+//     of atomics is checked element by element, like any atomic field),
 //   - passed or assigned by value, or
 //   - copied via their enclosing struct (assignment, value parameter,
 //     value receiver, value return type, range value, composite-literal
@@ -26,16 +27,34 @@ import (
 // copylocks does not catch any of this because sync/atomic types have no
 // Lock method.
 var AtomicField = &Analyzer{
-	Name: "atomicfield",
-	Doc:  "forbids plain access to sync/atomic (or guarded-by: atomic) fields and copies of structs containing them",
-	Run:  runAtomicField,
+	Name:       "atomicfield",
+	Doc:        "forbids plain access to sync/atomic (or //boltvet:guardedby atomic) fields and copies of structs containing them",
+	RunProgram: runAtomicField,
 }
 
-// guardedByAtomicRe marks a plain-typed field that must only be accessed
-// through the sync/atomic functions.
-var guardedByAtomicRe = regexp.MustCompile(`(?i)\bguarded-by:\s*atomic\b`)
+// runAtomicField checks every package against the program's atomic
+// annotations ("pkgpath.StructName" -> field name set), so an annotated
+// field is policed in every package that can reach it.
+func runAtomicField(prog *Program) []Finding {
+	annotated := make(map[string]map[string]bool)
+	for key, spec := range prog.guardTable() {
+		if spec.guard != "atomic" {
+			continue
+		}
+		owner := strings.TrimSuffix(key, "."+spec.fieldName)
+		if annotated[owner] == nil {
+			annotated[owner] = make(map[string]bool)
+		}
+		annotated[owner][spec.fieldName] = true
+	}
+	var out []Finding
+	for _, p := range prog.Pkgs {
+		out = append(out, atomicFieldPackage(p, annotated)...)
+	}
+	return out
+}
 
-func runAtomicField(p *Package) []Finding {
+func atomicFieldPackage(p *Package, annotated map[string]map[string]bool) []Finding {
 	var out []Finding
 	report := func(pos token.Pos, format string, args ...any) {
 		out = append(out, Finding{
@@ -44,8 +63,6 @@ func runAtomicField(p *Package) []Finding {
 			Message:  fmt.Sprintf(format, args...),
 		})
 	}
-
-	annotated := collectGuardedByAtomic(p)
 
 	for _, file := range p.Files {
 		parents := buildParentMap(file)
@@ -132,13 +149,15 @@ func checkFieldAccess(p *Package, sel *ast.SelectorExpr, parents map[ast.Node]as
 			ownerName(fieldVar), fieldVar.Name(), typeLabel(fieldVar.Type()))
 		return
 	}
-	if isAnnotatedField(p, sel, fieldVar, annotated) {
-		if ctx, ok := parent.(*ast.UnaryExpr); ok && ctx.Op == token.AND {
-			return // &x.f for atomic.LoadInt64/AddInt64/...
-		}
-		report(sel.Sel.Pos(), "field %s.%s is declared guarded-by: atomic; access it only through sync/atomic functions on &%s",
-			ownerName(fieldVar), fieldVar.Name(), fieldVar.Name())
+	owner := annotatedOwner(p, sel, fieldVar, annotated)
+	if owner == "" || atomicBearing(fieldVar.Type(), nil) {
+		return // an array of atomics: its elements are atomic fields
 	}
+	if ctx, ok := parent.(*ast.UnaryExpr); ok && ctx.Op == token.AND {
+		return // &x.f for atomic.LoadInt64/AddInt64/...
+	}
+	report(sel.Sel.Pos(), "field %s.%s is //boltvet:guardedby atomic; access it only through sync/atomic functions on &%s",
+		owner, fieldVar.Name(), fieldVar.Name())
 }
 
 // checkValueCopy flags e when its value is an atomic-bearing struct/array
@@ -182,55 +201,21 @@ func checkSignature(p *Package, fd *ast.FuncDecl, annotated map[string]map[strin
 	}
 }
 
-// collectGuardedByAtomic gathers `// guarded-by: atomic` annotated fields:
-// "pkgpath.StructName" -> field name set.
-func collectGuardedByAtomic(p *Package) map[string]map[string]bool {
-	out := make(map[string]map[string]bool)
-	path := ""
-	if p.Types != nil {
-		path = p.Types.Path()
-	}
-	for _, file := range p.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok {
-				return true
-			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				if !guardedByAtomicRe.MatchString(fieldCommentText(field)) {
-					continue
-				}
-				key := path + "." + ts.Name.Name
-				if out[key] == nil {
-					out[key] = make(map[string]bool)
-				}
-				for _, name := range field.Names {
-					out[key][name.Name] = true
-				}
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// isAnnotatedField reports whether sel resolves to a guarded-by: atomic
-// field of a struct declared in this package.
-func isAnnotatedField(p *Package, sel *ast.SelectorExpr, fieldVar *types.Var, annotated map[string]map[string]bool) bool {
+// annotatedOwner returns the struct name when sel resolves to a
+// //boltvet:guardedby atomic field, else "".
+func annotatedOwner(p *Package, sel *ast.SelectorExpr, fieldVar *types.Var, annotated map[string]map[string]bool) string {
 	named := namedOf(typeOf(p, sel.X))
 	if named == nil {
-		return false
+		return ""
 	}
 	pkg := ""
 	if named.Obj().Pkg() != nil {
 		pkg = named.Obj().Pkg().Path()
 	}
-	fields := annotated[pkg+"."+named.Obj().Name()]
-	return fields != nil && fields[fieldVar.Name()]
+	if !annotated[pkg+"."+named.Obj().Name()][fieldVar.Name()] {
+		return ""
+	}
+	return named.Obj().Name()
 }
 
 // selectedField resolves sel to the struct field it selects, or nil when
@@ -281,8 +266,8 @@ func isAtomicNamed(t types.Type) bool {
 }
 
 // atomicBearing reports whether t is a non-pointer struct/array that
-// (recursively) contains a sync/atomic field or a guarded-by: atomic
-// annotated field of this package.
+// (recursively) contains a sync/atomic field or a //boltvet:guardedby
+// atomic field.
 func atomicBearing(t types.Type, annotated map[string]map[string]bool) bool {
 	return bearingRec(t, annotated, make(map[types.Type]bool))
 }

@@ -1,24 +1,24 @@
 // Package boltvet implements BoLT-specific static analysis. The engine's
 // crash consistency rests on invariants that ordinary Go tooling cannot
-// see: durability-barrier errors must never be dropped (syncerr), the
+// see: durability-barrier errors must never be dropped (errflow), the
 // MANIFEST commit record must not validate data that has not been synced
 // (barrierorder), and mutex-guarded state must only be touched under its
 // mutex or from methods following the *Locked naming convention
-// (lockcheck). cmd/bolt-vet runs every analyzer over the module; the
-// analyzers themselves are tested against testdata fixtures with
-// `// want "regexp"` expectations.
+// (guardedby, lockorder). cmd/bolt-vet runs every analyzer over the
+// module; the analyzers themselves are tested against testdata fixtures
+// with `// want "regexp"` expectations.
 //
 // Findings can be suppressed with a comment on the same line or the line
 // above:
 //
-//	//boltvet:ignore syncerr -- reason
+//	//boltvet:ignore errflow -- reason
 //	//boltvet:ignore all -- reason
 //
 // or for a whole function by placing the comment in the function's doc
 // comment, or for a region (generated or test-harness code) by bracketing
 // it:
 //
-//	//boltvet:ignore-begin syncerr -- reason
+//	//boltvet:ignore-begin errflow -- reason
 //	...
 //	//boltvet:ignore-end
 //
@@ -65,8 +65,7 @@ type Package struct {
 
 // Analyzer is one named check. Run sees one package at a time; RunProgram
 // sees the whole-program call graph with computed summaries. An analyzer
-// sets either or both (lockcheck pairs a lexical Run with an
-// interprocedural RunProgram).
+// sets either or both.
 type Analyzer struct {
 	Name       string
 	Doc        string
@@ -76,7 +75,7 @@ type Analyzer struct {
 
 // All returns every analyzer in the suite.
 func All() []*Analyzer {
-	return []*Analyzer{SyncErr, BarrierOrder, LockCheck, LockOrder, ErrFlow, AtomicField, GuardedBy, MustClose, GoLifetime, CondCheck, SummaryCheck}
+	return []*Analyzer{BarrierOrder, LockOrder, ErrFlow, AtomicField, GuardedBy, MustClose, GoLifetime, CondCheck, SummaryCheck}
 }
 
 // AnalyzerTiming is one row of the -timing report: how long an analyzer
@@ -374,27 +373,6 @@ func (s *suppressions) suppressed(f Finding) bool {
 // --- shared type helpers ---
 
 var errorType = types.Universe.Lookup("error").Type()
-
-// callResultHasError reports whether the call expression's result includes
-// an error value, using type information when available. Without type info
-// it conservatively returns false (no finding rather than a false one).
-func callResultHasError(p *Package, call *ast.CallExpr) bool {
-	tv, ok := p.Info.Types[call]
-	if !ok {
-		return false
-	}
-	switch t := tv.Type.(type) {
-	case *types.Tuple:
-		for i := 0; i < t.Len(); i++ {
-			if types.Identical(t.At(i).Type(), errorType) {
-				return true
-			}
-		}
-		return false
-	default:
-		return tv.Type != nil && types.Identical(tv.Type, errorType)
-	}
-}
 
 // errorResultIndices returns the result positions of call holding an error.
 func errorResultIndices(p *Package, call *ast.CallExpr) []int {

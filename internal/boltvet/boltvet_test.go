@@ -65,7 +65,14 @@ func collectWants(t *testing.T, dir string) []*expectation {
 	return wants
 }
 
-func runFixture(t *testing.T, fixture string, analyzer *Analyzer) {
+func runFixture(t *testing.T, fixture string, analyzers ...*Analyzer) {
+	t.Helper()
+	runFixtureFile(t, fixture, "", analyzers...)
+}
+
+// runFixtureFile is runFixture restricted to the findings and wants of one
+// file of the fixture package; an empty file means the whole package.
+func runFixtureFile(t *testing.T, fixture, file string, analyzers ...*Analyzer) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", fixture)
 	pkgs, err := Load(LoadConfig{}, dir)
@@ -75,10 +82,25 @@ func runFixture(t *testing.T, fixture string, analyzer *Analyzer) {
 	if len(pkgs) == 0 {
 		t.Fatalf("load %s: no packages", dir)
 	}
-	findings := RunAll(pkgs, []*Analyzer{analyzer})
+	findings := RunAll(pkgs, analyzers)
 	wants := collectWants(t, dir)
+	if file != "" {
+		var kept []*expectation
+		for _, w := range wants {
+			if w.file == file {
+				kept = append(kept, w)
+			}
+		}
+		if len(kept) == 0 {
+			t.Fatalf("fixture %s declares no // want expectations in %s", dir, file)
+		}
+		wants = kept
+	}
 
 	for _, f := range findings {
+		if file != "" && filepath.Base(f.Pos.Filename) != file {
+			continue
+		}
 		matched := false
 		for _, w := range wants {
 			if !w.hit && filepath.Base(f.Pos.Filename) == w.file && f.Pos.Line == w.line && w.re.MatchString(f.Message) {
@@ -98,16 +120,22 @@ func runFixture(t *testing.T, fixture string, analyzer *Analyzer) {
 	}
 }
 
-func TestSyncErrFixture(t *testing.T)      { runFixture(t, "syncerr", SyncErr) }
 func TestBarrierOrderFixture(t *testing.T) { runFixture(t, "barrierorder", BarrierOrder) }
-func TestLockCheckFixture(t *testing.T)    { runFixture(t, "lockcheck", LockCheck) }
 func TestLockOrderFixture(t *testing.T)    { runFixture(t, "lockorder", LockOrder) }
 func TestErrFlowFixture(t *testing.T)      { runFixture(t, "errflow", ErrFlow) }
-func TestAtomicFieldFixture(t *testing.T)  { runFixture(t, "atomicfield", AtomicField) }
-func TestGuardedByFixture(t *testing.T)    { runFixture(t, "guardedby", GuardedBy) }
-func TestMustCloseFixture(t *testing.T)    { runFixture(t, "mustclose", MustClose) }
-func TestGoLifetimeFixture(t *testing.T)   { runFixture(t, "golifetime", GoLifetime) }
-func TestCondCheckFixture(t *testing.T)    { runFixture(t, "condcheck", CondCheck) }
+
+// TestSyncErrFixture checks errflow's direct-site rules on their own: a
+// barrier or Close error discarded bare, via _, by defer or go, or by a
+// dead assignment at the call itself.
+func TestSyncErrFixture(t *testing.T)     { runFixtureFile(t, "errflow", "direct.go", ErrFlow) }
+func TestAtomicFieldFixture(t *testing.T) { runFixture(t, "atomicfield", AtomicField) }
+func TestMustCloseFixture(t *testing.T)   { runFixture(t, "mustclose", MustClose) }
+func TestGoLifetimeFixture(t *testing.T)  { runFixture(t, "golifetime", GoLifetime) }
+func TestCondCheckFixture(t *testing.T)   { runFixture(t, "condcheck", CondCheck) }
+
+// TestGuardedByFixture checks the whole guard vocabulary: guardedby owns
+// the mu and none rules, atomicfield the atomic one.
+func TestGuardedByFixture(t *testing.T) { runFixture(t, "guardedby", GuardedBy, AtomicField) }
 
 // TestSummaryCheckFixture asserts directly instead of via // want comments:
 // a directive is the entire line comment (the regexp is $-anchored so prose
@@ -164,9 +192,9 @@ func TestIgnoreBlockSuppresses(t *testing.T) {
 // here rather than silently vetting nothing.
 func TestFixturesTripTheDriver(t *testing.T) {
 	for _, fixture := range []string{
-		"syncerr", "barrierorder", "lockcheck", "lockorder",
-		"errflow", "atomicfield", "guardedby", "mustclose",
-		"golifetime", "condcheck", "summarycheck",
+		"barrierorder", "lockorder", "errflow", "atomicfield",
+		"guardedby", "mustclose", "golifetime", "condcheck",
+		"summarycheck",
 	} {
 		pkgs, err := Load(LoadConfig{}, filepath.Join("testdata", "src", fixture))
 		if err != nil {

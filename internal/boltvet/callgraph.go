@@ -10,7 +10,7 @@ import (
 )
 
 // This file builds the whole-program layer the interprocedural analyzers
-// (lockorder, errflow, the lockcheck upgrade) run on: a type-aware static
+// (lockorder, errflow, guardedby, ...) run on: a type-aware static
 // call graph over every loaded package, with bounded resolution of
 // interface calls and method values.
 //
@@ -43,8 +43,18 @@ type FuncInfo struct {
 	// Calls are the resolved static call sites in body order.
 	Calls []*CallSite
 
-	locks *lockSummary
-	errs  *errSummary
+	locks   *lockSummary
+	errs    *errSummary
+	parents map[ast.Node]ast.Node // see parentMap
+}
+
+// parentMap returns the parent map of fi's body, built on first use and
+// shared by every pass and analyzer.
+func (fi *FuncInfo) parentMap() map[ast.Node]ast.Node {
+	if fi.parents == nil {
+		fi.parents = buildParentMap(fi.Decl.Body)
+	}
+	return fi.parents
 }
 
 // CallSite is one call expression with its resolved callee keys (several
@@ -72,6 +82,11 @@ type Program struct {
 
 	// methodsByName indexes concrete methods for interface resolution.
 	methodsByName map[string][]*FuncInfo
+
+	// guards is the //boltvet:guardedby table (guardTable builds it on
+	// first use); guardFindings are the vocabulary errors found parsing it.
+	guards        guardTable
+	guardFindings []Finding
 }
 
 // Func returns the FuncInfo for key, or nil.
@@ -272,19 +287,18 @@ func (prog *Program) resolveCallee(p *Package, call *ast.CallExpr, bindings map[
 }
 
 // resolveInterfaceCall fans an interface method call out to the concrete
-// methods of the program whose name and non-receiver signature match —
+// methods of the program whose name and non-receiver signature match and
+// whose receiver type declares every other method of the interface too —
 // the "receiver type set" resolution, bounded by maxInterfaceTargets.
 // Signatures are compared as package-qualified strings because the
 // candidates may live in different type-check universes.
 func (prog *Program) resolveInterfaceCall(fn *types.Func, sig *types.Signature) []string {
 	want := signatureShape(sig)
+	iface, _ := sig.Recv().Type().Underlying().(*types.Interface)
 	var out []string
 	for _, cand := range prog.methodsByName[fn.Name()] {
 		csig := declSignature(cand)
-		if csig == nil {
-			continue
-		}
-		if signatureShape(csig) != want {
+		if csig == nil || signatureShape(csig) != want || !prog.hasMethods(cand, csig, iface) {
 			continue
 		}
 		out = append(out, cand.Key)
@@ -297,6 +311,36 @@ func (prog *Program) resolveInterfaceCall(fn *types.Func, sig *types.Signature) 
 		prog.Stats.InterfaceFanouts++
 	}
 	return out
+}
+
+// hasMethods reports whether cand's receiver type declares every method of
+// iface, matched by name and shape. A receiver struct with an embedded
+// field is kept unconditionally: promotion may supply a missing method.
+func (prog *Program) hasMethods(cand *FuncInfo, csig *types.Signature, iface *types.Interface) bool {
+	named := namedOf(csig.Recv().Type())
+	if iface == nil || named == nil {
+		return true
+	}
+	if st, ok := named.Underlying().(*types.Struct); ok {
+		for i := 0; i < st.NumFields(); i++ {
+			if st.Field(i).Embedded() {
+				return true
+			}
+		}
+	}
+	recvPrefix := strings.TrimSuffix(cand.Key, cand.Name)
+	for i := 0; i < iface.NumMethods(); i++ {
+		m := iface.Method(i)
+		sib := prog.Funcs[recvPrefix+m.Name()]
+		if sib == nil {
+			return false
+		}
+		ssig := declSignature(sib)
+		if ssig == nil || signatureShape(ssig) != signatureShape(m.Type().(*types.Signature)) {
+			return false
+		}
+	}
+	return true
 }
 
 // declSignature returns the checked signature of a declared function.

@@ -80,12 +80,17 @@ func TestErrSummariesTwoHop(t *testing.T) {
 		t.Errorf("layer2's chain = %q, want %q", got, "barrier -> Sync")
 	}
 
-	drop := prog.Func(path + ".dropStmt")
-	if drop == nil {
-		t.Fatal("dropStmt not in program")
-	}
-	if drop.errs.returnsBarrier {
-		t.Error("dropStmt returns nothing; it must not summarize as returning a barrier error")
+	// dropStmt returns nothing; inLiteral's only returned Sync error is a
+	// function literal's; closeReturned returns a Close error, which is
+	// weak.
+	for _, name := range []string{"dropStmt", "inLiteral", "closeReturned"} {
+		fi := prog.Func(path + "." + name)
+		if fi == nil {
+			t.Fatalf("%s not in program", name)
+		}
+		if fi.errs.returnsBarrier {
+			t.Errorf("%s must not summarize as returning a barrier error", name)
+		}
 	}
 }
 
@@ -115,5 +120,27 @@ func TestCallGraphResolution(t *testing.T) {
 	}
 	if prog.Stats.Funcs == 0 || prog.Stats.Edges == 0 {
 		t.Errorf("degenerate graph stats: %+v", prog.Stats)
+	}
+}
+
+// TestInterfaceFanOut pins interface-call resolution: a candidate method
+// is kept only when its receiver declares every method of the interface
+// (or embeds a field that may supply one), so writer.Seal's call through
+// Syncer does not resolve to writer.Sync.
+func TestInterfaceFanOut(t *testing.T) {
+	prog, path := loadProgram(t, "lockorder")
+	ws := prog.Func(path + ".(writer).Seal")
+	if ws == nil {
+		t.Fatal("writer.Seal not in program")
+	}
+	var got []string
+	for _, cs := range ws.Calls {
+		if calleeName(cs.Call) == "Sync" {
+			got = append(got, cs.Targets...)
+		}
+	}
+	want := []string{path + ".(diskFile).Sync", path + ".(wrapped).Sync"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("w.f.Sync resolves to %v, want %v", got, want)
 	}
 }

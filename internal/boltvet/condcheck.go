@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
-	"strings"
 )
 
 // CondCheck verifies the engine's sync.Cond protocol, the mechanism
@@ -101,8 +99,6 @@ type condState struct {
 	// transSigs maps function key -> cond keys it may signal through any
 	// call chain.
 	transSigs map[string]map[string]bool
-	// parents caches per-function parent maps.
-	parents map[string]map[ast.Node]ast.Node
 }
 
 func runCondCheck(prog *Program) []Finding {
@@ -113,7 +109,6 @@ func runCondCheck(prog *Program) []Finding {
 		waitLoopAt:  make(map[string]string),
 		directSigs:  make(map[string][]sigPos),
 		transSigs:   make(map[string]map[string]bool),
-		parents:     make(map[string]map[ast.Node]ast.Node),
 	}
 	var out []Finding
 	cc.collectBindings()
@@ -133,15 +128,6 @@ func (cc *condState) funcs() []*FuncInfo {
 		}
 	}
 	return out
-}
-
-func (cc *condState) parentMap(fi *FuncInfo) map[ast.Node]ast.Node {
-	if m, ok := cc.parents[fi.Key]; ok {
-		return m
-	}
-	m := buildParentMap(fi.Decl.Body)
-	cc.parents[fi.Key] = m
-	return m
 }
 
 // collectBindings learns the cond -> mutex association from
@@ -206,7 +192,7 @@ func (cc *condState) collectWaits(out *[]Finding) []bareWait {
 	var bares []bareWait
 	for _, fi := range cc.funcs() {
 		p := fi.Pkg
-		parents := cc.parentMap(fi)
+		parents := fi.parentMap()
 		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -284,7 +270,7 @@ func (cc *condState) checkBareWaits(bares []bareWait, out *[]Finding) {
 	for _, bw := range bares {
 		sites := 0
 		for _, caller := range cc.funcs() {
-			parents := cc.parentMap(caller)
+			parents := caller.parentMap()
 			for _, cs := range caller.Calls {
 				if !hasTarget(cs, bw.fi.Key) {
 					continue
@@ -357,41 +343,8 @@ func (cc *condState) checkWaitLockState(out *[]Finding) {
 				})
 			}
 		}
-		w.walkFrom(condEntryState(fi))
+		w.walkFrom(cc.prog.entryState(fi))
 	}
-}
-
-// condEntryState seeds a *Locked function's receiver mutexes held at
-// entry mode, mirroring guardedby: the caller's declared hold must not
-// read as "Wait without the mutex" or as a spurious second lock.
-func condEntryState(fi *FuncInfo) *lockState {
-	st := newLockState()
-	if !strings.HasSuffix(fi.Name, "Locked") || fi.Decl.Recv == nil || len(fi.Decl.Recv.List) == 0 {
-		return st
-	}
-	tv, ok := fi.Pkg.Info.Types[fi.Decl.Recv.List[0].Type]
-	if !ok {
-		return st
-	}
-	named := namedOf(tv.Type)
-	if named == nil {
-		return st
-	}
-	structType, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return st
-	}
-	pkg := ""
-	if named.Obj().Pkg() != nil {
-		pkg = named.Obj().Pkg().Path()
-	}
-	for i := 0; i < structType.NumFields(); i++ {
-		f := structType.Field(i)
-		if isMutexType(f.Type()) {
-			st.held[pkg+"."+named.Obj().Name()+"."+f.Name()] = lockEntry
-		}
-	}
-	return st
 }
 
 // computeSignalSummaries gathers direct Signal/Broadcast sites and

@@ -14,24 +14,22 @@ import (
 // record), a call argument (panic, logging, append, ...), a comparison or
 // other use in an expression, and a channel send.
 //
-// The split with syncerr: syncerr polices the call site of a *direct*
-// barrier call (bare statement, `_ =`, defer/go, never-mentioned err).
-// errflow adds the interprocedural half — a call to any helper whose
-// summary says it returns a barrier-born error is itself a barrier site,
-// and discarding its error is reported with the witness chain down to the
-// barrier — plus wrap-chain deaths, where a direct barrier error is copied
-// or wrapped and the wrapped value then dies.
+// A barrier site is a direct barrier call or a call to any helper whose
+// summary says it returns a barrier-born error. At either, a bare
+// statement, a `_ =` discard, a defer or go statement, and a captured
+// error that is never handled are findings; a helper's report carries the
+// witness chain down to the barrier, since its name does not say
+// "barrier". Close is a weak site: only a bare Close statement whose
+// result is an error is reported (`_ = f.Close()` is a visible,
+// reviewable best-effort choice), and a returned Close error does not make
+// the function's own error barrier-born.
 //
-// `_ =` at the original barrier site is syncerr's (reported there); at a
-// helper call site it is a finding here: the helper's name does not say
-// "barrier", so the discard is not reviewable without the chain.
-//
-// Test files are exempt, matching syncerr: they run on the in-memory
-// filesystem and discard errors on purpose; the bgerror recovery tests are
-// the runtime twin of this analyzer.
+// Test files are exempt: they run on the in-memory filesystem and discard
+// errors on purpose; the bgerror recovery tests are the runtime twin of
+// this analyzer.
 var ErrFlow = &Analyzer{
 	Name:       "errflow",
-	Doc:        "taint-tracks barrier-born errors; reports paths where the error dies unhandled",
+	Doc:        "reports barrier errors (Sync/SyncDir/LogAndApply/CommitPrepared/WriteFile, bare Close) discarded at the call or dying in a helper or wrap chain",
 	RunProgram: runErrFlow,
 }
 
@@ -51,43 +49,35 @@ func runErrFlow(prog *Program) []Finding {
 		}
 		t := analyzeErrFlow(prog, fi)
 		for _, src := range t.sources {
-			chain := strings.Join(src.chain, " -> ")
+			what, chain := src.name, strings.Join(src.chain, " -> ")
+			carries := "it carries a durability-barrier error (" + chain + ")"
 			if src.direct {
-				// Call-site discards of a direct barrier call are syncerr's
-				// territory; errflow adds only the wrap/copy death.
-				if src.discarded != "" || src.consumed {
-					continue
-				}
-				if src.mentioned {
-					report(fi, src.call.Pos(),
-						"error from %s is copied or wrapped but never handled; the barrier error dies in %s",
-						src.name, fi.Name)
-				}
-				continue
+				what, carries = exprString(src.call.Fun), "it is a durability barrier"
 			}
-			switch src.discarded {
-			case "stmt":
-				report(fi, src.call.Pos(),
-					"result of %s is discarded, but it carries a durability-barrier error (%s)",
-					src.name, chain)
-			case "underscore":
-				report(fi, src.call.Pos(),
-					"error from %s is discarded via _, but it carries a durability-barrier error (%s); handle it or suppress with a reason at this site",
-					src.name, chain)
-			case "defer":
-				report(fi, src.call.Pos(),
-					"error from deferred %s is discarded; it carries a durability-barrier error (%s)",
-					src.name, chain)
-			case "go":
-				report(fi, src.call.Pos(),
-					"error from %s spawned in a goroutine is discarded; it carries a durability-barrier error (%s)",
-					src.name, chain)
-			default:
-				if !src.consumed {
+			switch {
+			case src.weak:
+				if src.discarded == "stmt" {
 					report(fi, src.call.Pos(),
-						"error from %s is captured but never handled; the barrier error (%s) dies in %s",
-						src.name, chain, fi.Name)
+						"result of %s is discarded; handle the error, or mark a best-effort close explicit with `_ =`", what)
 				}
+			case src.discarded == "stmt":
+				report(fi, src.call.Pos(), "result of %s is discarded, but %s", what, carries)
+			case src.discarded == "underscore":
+				report(fi, src.call.Pos(),
+					"error from %s is discarded via _, but %s; handle it or suppress with a reason at this site", what, carries)
+			case src.discarded == "defer":
+				report(fi, src.call.Pos(), "error from deferred %s is discarded; %s", what, carries)
+			case src.discarded == "go":
+				report(fi, src.call.Pos(), "error from %s spawned in a goroutine is discarded; %s", what, carries)
+			case src.consumed:
+			case src.direct && src.mentioned:
+				report(fi, src.call.Pos(),
+					"error from %s is copied or wrapped but never handled; the barrier error dies in %s", src.name, fi.Name)
+			case src.direct:
+				report(fi, src.call.Pos(), "error from %s is assigned but never used; the barrier error dies in %s", what, fi.Name)
+			default:
+				report(fi, src.call.Pos(),
+					"error from %s is captured but never handled; the barrier error (%s) dies in %s", src.name, chain, fi.Name)
 			}
 		}
 	}

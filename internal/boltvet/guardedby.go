@@ -9,17 +9,15 @@ import (
 	"strings"
 )
 
-// GuardedBy verifies the machine-readable field-guard vocabulary. Where
-// lockcheck reads prose ("mu guards ... below") and checks a naming
-// convention, guardedby reads explicit per-field annotations and checks
-// every access site against the summary-backed lock-set analysis:
+// GuardedBy verifies the field-guard vocabulary — the one way a field
+// declares what protects it — and checks every access site against the
+// summary-backed lock-set analysis:
 //
 //	//boltvet:guardedby mu            — accessed only with mu (a
 //	                                    sync.Mutex/RWMutex field of the
 //	                                    same struct) held
 //	//boltvet:guardedby atomic        — accessed only through sync/atomic
-//	                                    (field methods for atomic.* types,
-//	                                    &x.f operands otherwise)
+//	                                    (enforced by atomicfield)
 //	//boltvet:guardedby none -- <why> — deliberately outside the regime;
 //	                                    the reason is mandatory
 //
@@ -84,16 +82,25 @@ type guardedAccess struct {
 	pos   token.Pos
 }
 
-func runGuardedBy(prog *Program) []Finding {
-	var out []Finding
-	table := make(guardTable)
-	for _, p := range prog.Pkgs {
-		collectGuardedBy(p, table, &out)
+// guardTable returns the program's parsed annotations, built once and
+// shared by guardedby, lockorder and condcheck; the vocabulary findings
+// from the parse are kept for guardedby to report.
+func (prog *Program) guardTable() guardTable {
+	if prog.guards == nil {
+		prog.guards = make(guardTable)
+		for _, p := range prog.Pkgs {
+			collectGuardedBy(p, prog.guards, &prog.guardFindings)
+		}
 	}
+	return prog.guards
+}
+
+func runGuardedBy(prog *Program) []Finding {
+	table := prog.guardTable()
+	out := append([]Finding(nil), prog.guardFindings...)
 	if len(table) == 0 {
 		return out
 	}
-	checkAtomicSpecs(prog, table, &out)
 
 	// Entry obligations of *Locked functions, to a fixed point: a *Locked
 	// function inherits the unsatisfied obligations of the *Locked
@@ -187,7 +194,7 @@ func walkGuardedAccesses(prog *Program, fi *FuncInfo, table guardTable, needs ma
 	}
 	w.onCall = func(cs *CallSite, st *lockState, deferred bool) {
 		if deferred {
-			return // execution-time state unknowable; lockcheck's trade
+			return // execution-time state unknowable
 		}
 		for _, target := range cs.Targets {
 			callee := prog.Funcs[target]
@@ -214,17 +221,19 @@ func walkGuardedAccesses(prog *Program, fi *FuncInfo, table guardTable, needs ma
 			}
 		}
 	}
-	w.walkFrom(entryState(fi, table, isLocked))
+	w.walkFrom(prog.entryState(fi))
 	return localNeeds, out
 }
 
-// entryState builds the initial lock state: a *Locked method starts with
-// every annotation-referenced mutex of its receiver struct held at
-// lockEntry — the caller's declared hold — so unlock-then-relock loops
-// join back to "held" instead of decaying to spurious window reports.
-func entryState(fi *FuncInfo, table guardTable, isLocked bool) *lockState {
+// entryState builds a function's initial lock state, the one *Locked
+// entry seed every lock-state analyzer walks from: a *Locked method starts
+// with every annotation-referenced mutex of its receiver struct held at
+// lockEntry — the caller's declared hold. guardedby turns accesses under
+// it into caller obligations, lockorder reports re-acquiring it as a
+// self-deadlock, and condcheck accepts it as the Wait's mutex.
+func (prog *Program) entryState(fi *FuncInfo) *lockState {
 	st := newLockState()
-	if !isLocked || fi.Decl.Recv == nil {
+	if !strings.HasSuffix(fi.Name, "Locked") || fi.Decl.Recv == nil {
 		return st
 	}
 	recvType := receiverTypeName(fi.Decl)
@@ -232,9 +241,9 @@ func entryState(fi *FuncInfo, table guardTable, isLocked bool) *lockState {
 	if fi.Pkg.Types != nil {
 		pkgPath = fi.Pkg.Types.Path()
 	}
-	for _, spec := range table {
-		if spec.key != "" && spec.structName == recvType &&
-			strings.HasPrefix(spec.key, pkgPath+"."+recvType+".") {
+	prefix := pkgPath + "." + recvType + "."
+	for _, spec := range prog.guardTable() {
+		if spec.key != "" && spec.structName == recvType && strings.HasPrefix(spec.key, prefix) {
 			st.held[spec.key] = lockEntry
 		}
 	}
@@ -257,7 +266,8 @@ func needKeysEqual(a, b map[string]*guardedAccess) bool {
 }
 
 // lookupGuardedField resolves sel to a mutex-annotated field's spec, or
-// nil (unannotated, atomic, or none specs check elsewhere or not at all).
+// nil (atomic specs are atomicfield's; none and unannotated fields are
+// not checked).
 func lookupGuardedField(p *Package, sel *ast.SelectorExpr, table guardTable) *guardSpec {
 	s, ok := p.Info.Selections[sel]
 	if !ok || s.Kind() != types.FieldVal {
@@ -462,75 +472,24 @@ func guardExemptType(typeStr string) bool {
 	return false
 }
 
-// checkAtomicSpecs enforces `//boltvet:guardedby atomic` on plain-typed
-// fields: every access must be an &x.f operand for the sync/atomic
-// functions. Fields of sync/atomic types are already fully policed by
-// atomicfield and skipped here.
-func checkAtomicSpecs(prog *Program, table guardTable, out *[]Finding) {
-	hasAtomic := false
-	for _, spec := range table {
-		if spec.guard == "atomic" {
-			hasAtomic = true
-			break
-		}
+// typeExprString renders a field type well enough to recognize mutexes
+// and other guards ("sync.Mutex", "*sync.Cond", ...).
+func typeExprString(e ast.Expr) string {
+	switch v := e.(type) {
+	case *ast.Ident:
+		return v.Name
+	case *ast.SelectorExpr:
+		return typeExprString(v.X) + "." + v.Sel.Name
+	case *ast.StarExpr:
+		return "*" + typeExprString(v.X)
+	case *ast.ArrayType:
+		return "[]" + typeExprString(v.Elt)
+	case *ast.MapType:
+		return "map[" + typeExprString(v.Key) + "]" + typeExprString(v.Value)
+	case *ast.IndexExpr:
+		return typeExprString(v.X)
+	case *ast.IndexListExpr:
+		return typeExprString(v.X)
 	}
-	if !hasAtomic {
-		return
-	}
-	for _, p := range prog.Pkgs {
-		for _, file := range p.Files {
-			if isTestFile(p, file) {
-				continue
-			}
-			parents := buildParentMap(file)
-			ast.Inspect(file, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				spec, fieldVar := lookupAtomicSpec(p, sel, table)
-				if spec == nil || isAtomicNamed(fieldVar.Type()) {
-					return true
-				}
-				parent := parents[sel]
-				if pp, ok := parent.(*ast.ParenExpr); ok {
-					parent = parents[pp]
-				}
-				if u, ok := parent.(*ast.UnaryExpr); ok && u.Op == token.AND {
-					return true
-				}
-				*out = append(*out, Finding{
-					Pos:      p.Fset.Position(sel.Sel.Pos()),
-					Analyzer: "guardedby",
-					Message: fmt.Sprintf("field %s.%s is //boltvet:guardedby atomic; access it only as &%s through sync/atomic functions",
-						spec.structName, spec.fieldName, spec.fieldName),
-				})
-				return true
-			})
-		}
-	}
-}
-
-func lookupAtomicSpec(p *Package, sel *ast.SelectorExpr, table guardTable) (*guardSpec, *types.Var) {
-	s, ok := p.Info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return nil, nil
-	}
-	fieldVar, ok := s.Obj().(*types.Var)
-	if !ok {
-		return nil, nil
-	}
-	named := namedOf(typeOf(p, sel.X))
-	if named == nil {
-		return nil, nil
-	}
-	pkg := ""
-	if named.Obj().Pkg() != nil {
-		pkg = named.Obj().Pkg().Path()
-	}
-	spec := table[pkg+"."+named.Obj().Name()+"."+fieldVar.Name()]
-	if spec == nil || spec.guard != "atomic" {
-		return nil, nil
-	}
-	return spec, fieldVar
+	return ""
 }

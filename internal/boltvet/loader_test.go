@@ -9,7 +9,7 @@ import (
 // TestLoaderBuildTags pins the build-tag contract: a file behind
 // //go:build boltinvariants must be excluded by a plain Load and included —
 // and analyzed, not merely parsed — when the tag is passed. The tagged
-// fixture's only syncerr violation lives in the tagged file, so "silently
+// fixture's only errflow violation lives in the tagged file, so "silently
 // skipped" and "clean" are distinguishable.
 func TestLoaderBuildTags(t *testing.T) {
 	dir := filepath.Join("testdata", "src", "tagged")
@@ -24,7 +24,7 @@ func TestLoaderBuildTags(t *testing.T) {
 	if n := len(pkgs[0].Files); n != 1 {
 		t.Fatalf("untagged load parsed %d files, want 1 (inv.go must be excluded)", n)
 	}
-	if findings := RunAll(pkgs, []*Analyzer{SyncErr}); len(findings) != 0 {
+	if findings := RunAll(pkgs, []*Analyzer{ErrFlow}); len(findings) != 0 {
 		t.Fatalf("untagged load produced findings: %v", findings)
 	}
 
@@ -38,7 +38,7 @@ func TestLoaderBuildTags(t *testing.T) {
 	if n := len(pkgs[0].Files); n != 2 {
 		t.Fatalf("tagged load parsed %d files, want 2 (inv.go silently skipped)", n)
 	}
-	findings := RunAll(pkgs, []*Analyzer{SyncErr})
+	findings := RunAll(pkgs, []*Analyzer{ErrFlow})
 	if len(findings) != 1 {
 		t.Fatalf("tagged load: got %d findings, want 1: %v", len(findings), findings)
 	}

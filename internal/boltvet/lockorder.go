@@ -14,7 +14,9 @@ import (
 //     already holds, through any call chain (sync.Mutex and sync.RWMutex
 //     self-deadlock; only RLock-under-RLock is tolerated, though even that
 //     can deadlock against a queued writer — the -race/stress tier owns
-//     that case).
+//     that case). A *Locked method is walked from the entry state, so
+//     acquiring — directly or through a callee — a mutex its name
+//     declares held is the same finding.
 //  2. Lock-order cycles: the global acquired-while-holding graph (edge
 //     A→B when some path acquires B while holding A) must stay acyclic;
 //     a cycle is a potential cross-goroutine deadlock.
@@ -90,7 +92,7 @@ func runLockOrder(prog *Program) []Finding {
 				})
 			}
 		})
-		w.walk()
+		w.walkFrom(prog.entryState(fi))
 	}
 
 	out = append(out, lockCycleFindings(prog, edges)...)

@@ -225,7 +225,7 @@ func paramFatesEqual(a, b map[int]*paramFate) bool {
 // value is used in fi: discharged, or leaked with a forwarding witness.
 func valueFate(prog *Program, fi *FuncInfo, objs map[types.Object]bool, fates map[string]map[int]*paramFate) *paramFate {
 	p := fi.Pkg
-	parents := buildParentMap(fi.Decl.Body)
+	parents := fi.parentMap()
 	sites := make(map[*ast.CallExpr]*CallSite, len(fi.Calls))
 	for _, cs := range fi.Calls {
 		sites[cs.Call] = cs
@@ -405,7 +405,7 @@ func numParams(fd *ast.FuncDecl) int {
 // discharges.
 func checkCreations(prog *Program, fi *FuncInfo, obligated map[string]bool, fates map[string]map[int]*paramFate) []Finding {
 	p := fi.Pkg
-	parents := buildParentMap(fi.Decl.Body)
+	parents := fi.parentMap()
 	sites := make(map[*ast.CallExpr]*CallSite, len(fi.Calls))
 	for _, cs := range fi.Calls {
 		sites[cs.Call] = cs

@@ -32,9 +32,9 @@ const maxSummaryPasses = 16
 type lockMode uint8
 
 const (
-	// lockEntry marks a mutex held by the caller's declaration (*Locked
-	// entry seeding), not acquired in the body: the weakest mode, so joins
-	// with self-acquired paths stay caller-held. Only guardedby seeds it.
+	// lockEntry marks a mutex held by the caller's declaration (the *Locked
+	// entry seed, Program.entryState), not acquired in the body: the
+	// weakest mode, so joins with self-acquired paths stay caller-held.
 	lockEntry lockMode = iota + 1
 	lockRead
 	lockWrite
@@ -173,7 +173,7 @@ func (w *lockWalker) walk() {
 }
 
 // walkFrom runs the walker with a caller-provided initial state (the
-// lockcheck upgrade seeds the mutexes a *Locked name declares held).
+// *Locked entry seed).
 func (w *lockWalker) walkFrom(st *lockState) {
 	w.walkStmts(w.fi.Decl.Body.List, st)
 }
@@ -521,7 +521,7 @@ type errSummary struct {
 func buildErrSummary(prog *Program, fi *FuncInfo) *errSummary {
 	t := analyzeErrFlow(prog, fi)
 	for _, src := range t.sources {
-		if src.returned {
+		if src.returned && !src.weak && !src.inLit {
 			return &errSummary{returnsBarrier: true, chain: src.chain}
 		}
 	}
@@ -561,17 +561,24 @@ func ComputeSummaries(prog *Program) {
 // --- per-function error taint (shared by errflow and the summaries) ---
 
 // errSource is one barrier-error origin inside a function: a direct
-// barrier call or a call to a helper whose summary returns a barrier error.
+// barrier call, a call to a helper whose summary returns a barrier error,
+// or a weak Close.
 type errSource struct {
 	call   *ast.CallExpr
 	name   string
 	chain  []string // [callee, ..., barrier method]
 	direct bool
+	// weak marks a Close: reported only as a bare statement, never traced,
+	// and never a reason to summarize the function as barrier-born.
+	weak bool
+	// inLit marks a direct site inside a function literal: traced within
+	// the literal, whose returns are not the function's.
+	inLit bool
 	// discarded is non-empty when the call's results are structurally
 	// dropped: "stmt", "underscore", "defer", "go".
 	discarded string
 	// mentioned is true when a tainted value is referenced at all after
-	// capture (syncerr owns the never-mentioned direct case).
+	// capture.
 	mentioned bool
 	// consumed is true when the taint reaches a sink: a return, a call
 	// argument (other than an fmt.Errorf wrap), a field/map/slice store, a
@@ -585,10 +592,20 @@ type errTaint struct {
 	sources []*errSource
 }
 
-// errBarrierMethods is the errflow origin set; it matches syncerr's
-// barrier list (Close is deliberately absent: closes are best-effort on
-// error paths, and syncerr already polices bare ones).
-var errBarrierMethods = barrierMethods
+// barrierMethods are the durability barriers: an error from any of these
+// means data the engine believes durable may not be. Discarding one —
+// even explicitly with `_ =` — is a crash-consistency bug. Close is not
+// one: closes are best-effort on error and read paths, so only a bare
+// Close statement is reported (an explicit `_ =` is a reviewable choice).
+var barrierMethods = map[string]bool{
+	"Sync":           true,
+	"SyncDir":        true,
+	"LogAndApply":    true,
+	"CommitPrepared": true,
+	// WriteFile syncs both the file and its directory entry (it backs the
+	// CURRENT pointer switch); dropping its error loses the barrier.
+	"WriteFile": true,
+}
 
 // analyzeErrFlow computes, for each barrier-error origin in fi, whether
 // the error provably reaches a sink. It is flow-insensitive within the
@@ -597,34 +614,22 @@ var errBarrierMethods = barrierMethods
 func analyzeErrFlow(prog *Program, fi *FuncInfo) *errTaint {
 	p := fi.Pkg
 	t := &errTaint{}
-	parents := buildParentMap(fi.Decl.Body)
 	sites := make(map[*ast.CallExpr]*CallSite, len(fi.Calls))
 	for _, cs := range fi.Calls {
 		sites[cs.Call] = cs
 	}
 
-	// Named result objects: assignment into one is a return.
-	resultObjs := make(map[types.Object]bool)
-	if fi.Decl.Type.Results != nil {
-		for _, f := range fi.Decl.Type.Results.List {
-			for _, name := range f.Names {
-				if obj := p.Info.Defs[name]; obj != nil {
-					resultObjs[obj] = true
-				}
-			}
-		}
-	}
-
-	// Collect sources.
-	inspectSkipFuncLit(fi.Decl.Body, func(n ast.Node) {
+	// Collect sources. Direct sites are found inside function literals too;
+	// helper sites only where the call graph resolved them.
+	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
-			return
+			return true
 		}
 		name := calleeName(call)
-		if errBarrierMethods[name] && callResultHasError(p, call) {
+		if barrierMethods[name] && len(errorResultIndices(p, call)) > 0 {
 			t.sources = append(t.sources, &errSource{call: call, name: name, chain: []string{name}, direct: true})
-			return
+			return true
 		}
 		if cs, ok := sites[call]; ok {
 			for _, target := range cs.Targets {
@@ -635,24 +640,54 @@ func analyzeErrFlow(prog *Program, fi *FuncInfo) *errTaint {
 						name:  callee.Name,
 						chain: append([]string{callee.Name}, callee.errs.chain...),
 					})
-					break
+					return true
 				}
 			}
 		}
+		if name == "Close" && len(errorResultIndices(p, call)) > 0 {
+			t.sources = append(t.sources, &errSource{call: call, name: name, chain: []string{name}, direct: true, weak: true})
+		}
+		return true
 	})
 	if len(t.sources) == 0 {
 		return t
 	}
 
+	parents := fi.parentMap()
 	for _, src := range t.sources {
-		traceSource(p, fi, src, parents, resultObjs)
+		traceSource(p, fi, src, parents)
 	}
 	return t
 }
 
 // traceSource follows one origin's error through copies and fmt.Errorf
-// wraps until it is consumed, returned, or dies.
-func traceSource(p *Package, fi *FuncInfo, src *errSource, parents map[ast.Node]ast.Node, resultObjs map[types.Object]bool) {
+// wraps until it is consumed, returned, or dies. The scope is the
+// innermost function (declaration or literal) containing the call.
+func traceSource(p *Package, fi *FuncInfo, src *errSource, parents map[ast.Node]ast.Node) {
+	if src.weak {
+		if _, bare := parents[src.call].(*ast.ExprStmt); bare {
+			src.discarded = "stmt"
+		}
+		return
+	}
+	body, ftype := fi.Decl.Body, fi.Decl.Type
+	for n := parents[src.call]; n != nil; n = parents[n] {
+		if lit, ok := n.(*ast.FuncLit); ok {
+			body, ftype, src.inLit = lit.Body, lit.Type, true
+			break
+		}
+	}
+	// Named result objects: assignment into one is a return.
+	resultObjs := make(map[types.Object]bool)
+	if ftype.Results != nil {
+		for _, f := range ftype.Results.List {
+			for _, name := range f.Names {
+				if obj := p.Info.Defs[name]; obj != nil {
+					resultObjs[obj] = true
+				}
+			}
+		}
+	}
 	taintedObjs := make(map[types.Object]bool)
 	taintedCalls := map[*ast.CallExpr]bool{src.call: true}
 
@@ -758,7 +793,7 @@ func traceSource(p *Package, fi *FuncInfo, src *errSource, parents map[ast.Node]
 	// for consumption.
 	for {
 		grew := false
-		inspectSkipFuncLit(fi.Decl.Body, func(n ast.Node) {
+		inspectSkipFuncLit(body, func(n ast.Node) {
 			as, ok := n.(*ast.AssignStmt)
 			if !ok || len(as.Lhs) != len(as.Rhs) {
 				return
@@ -807,9 +842,23 @@ func traceSource(p *Package, fi *FuncInfo, src *errSource, parents map[ast.Node]
 		}
 	}
 
+	// A tainted value used inside a nested function literal escapes into a
+	// closure this walk does not follow: count it as handled.
+	ast.Inspect(body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok {
+			ast.Inspect(lit.Body, func(m ast.Node) bool {
+				if id, ok := m.(*ast.Ident); ok && taintedObjs[p.Info.Uses[id]] {
+					src.mentioned, src.consumed = true, true
+				}
+				return !src.consumed
+			})
+		}
+		return !src.consumed
+	})
+
 	// Consumption scan: any use of a tainted object that is not a plain
 	// copy, a blank discard, or an fmt.Errorf wrap argument is a sink.
-	inspectSkipFuncLit(fi.Decl.Body, func(n ast.Node) {
+	inspectSkipFuncLit(body, func(n ast.Node) {
 		id, ok := n.(*ast.Ident)
 		if !ok {
 			return

@@ -1,13 +1,13 @@
 // Package atomicfield is the fixture corpus for the copylocks-extension
-// analyzer: sync/atomic fields and guarded-by: atomic fields must never be
-// accessed plainly or copied.
+// analyzer: sync/atomic fields and //boltvet:guardedby atomic fields must
+// never be accessed plainly or copied.
 package atomicfield
 
 import "sync/atomic"
 
 type M struct {
 	hits atomic.Int64
-	raw  int64 // guarded-by: atomic (updated from the write path, read by stats)
+	raw  int64 //boltvet:guardedby atomic -- updated from the write path, read by stats
 	name string
 }
 
@@ -19,11 +19,11 @@ func plainRead(m *M) int64 {
 }
 
 func plainWriteGuarded(m *M) {
-	m.raw = 7 // want `field atomicfield.raw is declared guarded-by: atomic`
+	m.raw = 7 // want `field M\.raw is //boltvet:guardedby atomic`
 }
 
 func plainReadGuarded(m *M) int64 {
-	return m.raw // want `field atomicfield.raw is declared guarded-by: atomic`
+	return m.raw // want `field M\.raw is //boltvet:guardedby atomic`
 }
 
 // --- copy positives, including the cross-function return-by-value pair ---

@@ -8,12 +8,13 @@ package condcheck
 import "sync"
 
 // q is the drain-loop shape: cond bound to mu via sync.NewCond, ready
-// as the waited predicate, mu2 as the second-lock hazard.
+// as the waited predicate, mu2 as the second-lock hazard. The annotation
+// is what seeds mu as held on entry to stallLocked.
 type q struct {
 	mu    sync.Mutex
 	mu2   sync.Mutex
 	cond  *sync.Cond
-	ready bool
+	ready bool //boltvet:guardedby mu
 }
 
 // newQ pins the freshness exemption: mutating the predicate on a local

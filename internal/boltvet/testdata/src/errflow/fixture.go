@@ -40,7 +40,7 @@ func dropDead() {
 	_ = err
 }
 
-// --- direct positive: wrap-chain death syncerr cannot see ---
+// --- direct positive: wrap-chain death ---
 
 func wrapDeath() {
 	err := f.Sync() // want `error from Sync is copied or wrapped but never handled; the barrier error dies in wrapDeath`

@@ -16,8 +16,9 @@ type store struct {
 	count int    //boltvet:guardedby mu
 	name  string //boltvet:guardedby mu
 
-	hits int64        //boltvet:guardedby atomic
-	gen  atomic.Int64 //boltvet:guardedby atomic
+	hits  int64           //boltvet:guardedby atomic
+	gen   atomic.Int64    //boltvet:guardedby atomic
+	perOp [2]atomic.Int64 //boltvet:guardedby atomic -- each element is an atomic.Int64
 
 	capacity int //boltvet:guardedby none -- set once before the store is shared
 
@@ -79,6 +80,8 @@ func (s *store) CallerBad() {
 func (s *store) Atomics() int64 {
 	atomic.AddInt64(&s.hits, 1)
 	s.gen.Add(1)
+	// ok: element access to an annotated array of atomics.
+	s.perOp[1].Add(1)
 	return s.hits // want `field store\.hits is //boltvet:guardedby atomic`
 }
 

@@ -6,7 +6,7 @@
 package summarycheck
 
 func reasonless() {
-	//boltvet:ignore syncerr
+	//boltvet:ignore errflow
 	_ = 1
 }
 
@@ -17,12 +17,12 @@ func unknownName() {
 
 // reasoned is the negative: a well-formed suppression produces nothing.
 func reasoned() {
-	//boltvet:ignore syncerr -- fixture: well-formed directive
+	//boltvet:ignore errflow -- fixture: well-formed directive
 	_ = 1
 }
 
 func blockReasonless() {
-	//boltvet:ignore-begin syncerr
+	//boltvet:ignore-begin errflow
 	_ = 1
 	//boltvet:ignore-end
 }
@@ -40,7 +40,7 @@ func blockOrphanEnd() {
 
 // blockGood is the negative: a balanced, reasoned pair produces nothing.
 func blockGood() {
-	//boltvet:ignore-begin syncerr -- fixture: well-formed block
+	//boltvet:ignore-begin errflow -- fixture: well-formed block
 	_ = 1
 	//boltvet:ignore-end
 }

@@ -1,6 +1,6 @@
 // Package tagged is the fixture corpus for build-tag loading: inv.go is
 // only part of the package under the boltinvariants tag, and it carries
-// the package's only syncerr violation. A loader that silently drops
+// the package's only errflow violation. A loader that silently drops
 // tagged files makes this package look clean.
 package tagged
 

@@ -248,7 +248,7 @@ func (db *DB) sstConfig() sstable.Config {
 
 // recover loads or creates the on-disk state.
 //
-//boltvet:ignore lockcheck, guardedby -- open-time initialization; no background goroutine exists until Open returns
+//boltvet:ignore guardedby -- open-time initialization; no background goroutine exists until Open returns
 func (db *DB) recover() error {
 	names, err := db.fs.List()
 	if err != nil {
@@ -438,7 +438,7 @@ func (db *DB) recover() error {
 
 // removeOrphans deletes files not referenced by the recovered state.
 //
-//boltvet:ignore lockcheck, guardedby -- called only from recover, before concurrency starts
+//boltvet:ignore guardedby -- called only from recover, before concurrency starts
 func (db *DB) removeOrphans() {
 	names, err := db.fs.List()
 	if err != nil {

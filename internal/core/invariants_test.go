@@ -65,7 +65,7 @@ func TestBarrierCheckerPanicsOnUnsyncedTable(t *testing.T) {
 			t.Fatalf("panic message does not name the dirty table: %q", msg)
 		}
 	}()
-	_ = mf.Sync() //boltvet:ignore syncerr -- the call must panic, not return
+	_ = mf.Sync()
 	t.Fatal("unreachable: Sync returned")
 }
 
@@ -104,7 +104,7 @@ func TestBarrierCheckerAllowsSyncedTable(t *testing.T) {
 				t.Error("second MANIFEST over dirty table 9: expected panic")
 			}
 		}()
-		_ = mf2.Sync() //boltvet:ignore syncerr -- the call must panic, not return
+		_ = mf2.Sync()
 	}()
 }
 

@@ -460,7 +460,7 @@ func verifyImage(seed int64, img *vfs.MemFS, cfg core.Config, at *modelSnapshot,
 			return repaired, fmt.Errorf("reopen after repair: %w", err)
 		}
 	}
-	defer db.Close() //boltvet:ignore errflow,syncerr -- read-only verification teardown; the properties below are the signal
+	defer db.Close() //boltvet:ignore errflow -- read-only verification teardown; the properties below are the signal
 
 	if err := db.CheckInvariants(); err != nil {
 		return repaired, fmt.Errorf("invariants: %w", err)

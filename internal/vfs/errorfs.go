@@ -215,20 +215,19 @@ func FilterCorruptName(pred func(name string) bool, c Corruptor) Corruptor {
 // result fails the operation before it reaches the wrapped filesystem, so
 // an injected Sync failure really does leave the affected bytes unsynced.
 type ErrorFS struct {
-	inner FS
+	inner FS //boltvet:guardedby none -- immutable after NewErrorFS
 
 	// counts is the per-op occurrence counter feeding Injector.Inject.
-	counts [numOps]atomic.Int64
+	counts [numOps]atomic.Int64 //boltvet:guardedby atomic
 
-	// mu guards the fields below.
 	mu   sync.Mutex
-	inj  Injector
-	corr Corruptor
+	inj  Injector  //boltvet:guardedby mu
+	corr Corruptor //boltvet:guardedby mu
 	// pending holds, per file name, the bytes written through this ErrorFS
 	// since the file's last successful sync — the data a torn crash image
 	// may partially expose. Tracking is by name at handle-creation time;
 	// the engine never renames a file it still writes through.
-	pending map[string][]byte
+	pending map[string][]byte //boltvet:guardedby mu
 }
 
 var _ FS = (*ErrorFS)(nil)

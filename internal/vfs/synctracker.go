@@ -35,13 +35,12 @@ func NewSyncTrackerFS(inner FS, checker SyncChecker) FS {
 }
 
 type syncTrackerFS struct {
-	inner   FS
-	checker SyncChecker
+	inner   FS          //boltvet:guardedby none -- immutable after NewSyncTrackerFS
+	checker SyncChecker //boltvet:guardedby none -- immutable after NewSyncTrackerFS
 
-	// mu guards the maps below.
 	mu      sync.Mutex
-	dirty   map[string]int64  // name -> unsynced bytes
-	content map[string][]byte // captured names -> full content
+	dirty   map[string]int64  //boltvet:guardedby mu -- name -> unsynced bytes
+	content map[string][]byte //boltvet:guardedby mu -- captured names -> full content
 }
 
 var _ FS = (*syncTrackerFS)(nil)

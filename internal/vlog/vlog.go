@@ -185,8 +185,6 @@ func (w *Writer) Append(key, value []byte) (Pointer, error) {
 
 // Sync makes all appended records durable. On a sealed writer it is a
 // no-op (sealing synced the segment).
-//
-//boltvet:ignore lockorder -- w.f.Sync is vfs.File's Sync, not Writer's; the call-graph over-approximates interface dispatch by method name
 func (w *Writer) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -218,8 +216,6 @@ func (w *Writer) SyncedSize() int64 {
 
 // Seal syncs and closes the write handle; the segment is immutable
 // afterwards. Safe to call twice.
-//
-//boltvet:ignore lockorder -- sealLocked's w.f.Sync is vfs.File's Sync, not Writer's; the call-graph over-approximates interface dispatch by method name
 func (w *Writer) Seal() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
