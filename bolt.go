@@ -569,110 +569,41 @@ func (it *Iterator) Err() error { return it.it.Err() }
 // Close releases the iterator.
 func (it *Iterator) Close() error { return it.it.Close() }
 
-// Stats is a combined snapshot of engine and I/O counters — everything the
-// paper's figures are built from.
+// Stats is a combined snapshot of the engine's counters and its caches —
+// everything the paper's figures are built from. The counters are declared
+// once, each with its meaning, in internal/metrics.Counters and promoted
+// here; those the figures read:
+//
+//   - Fsyncs: fsync/fdatasync barriers issued (Figures 4a and 11).
+//   - BytesWritten, BytesRead: file-level totals (Figure 12's side graph);
+//     write amplification is BytesWritten / BytesIn.
+//   - Writes, Gets, BytesIn: committed operations, lookups and accepted
+//     user payload bytes.
+//   - StallSlowdown, StallStops, StallTime (nanoseconds): write-governor
+//     activity.
+//   - MemtableFlushes, Compactions, SeekCompactions, SettledPromotions,
+//     CompactionBytesIn, CompactionBytesOut: background work, counted when
+//     it commits.
+//   - HolePunches: dead ranges reclaimed barrier-free, of logical SSTables
+//     and of value-log segments alike; HolePunchFallbacks: ranges the
+//     backend could not punch.
+//   - VLogAppends, VLogAppendedBytes, VLogDerefs: records separated into
+//     the value log and reads that followed a pointer back into it;
+//     VLogGCPasses, VLogReclaimedBytes: value-GC progress.
+//
+// The cache fields come from core.CacheStats: TableHits, TableMisses and
+// MetaBytesRead quantify the metadata-caching overhead of Section 2.6 (a
+// table-cache miss reads the whole filter+index region); BlockHits,
+// BlockMisses, BlockUsedBytes and the resolved shard counts describe the
+// block cache (see Options.CacheShards).
 type Stats struct {
-	// Fsyncs is the number of fsync/fdatasync barriers issued (Figures 4a
-	// and 11).
-	Fsyncs int64
-	// BytesWritten / BytesRead are file-level totals (Figure 12's side
-	// graph).
-	BytesWritten int64
-	BytesRead    int64
-	// HolePunches counts barrier-free logical-SSTable reclamations.
-	HolePunches int64
-
-	// Writes / Gets count committed operations and lookups; BytesIn is
-	// the accepted user payload volume (write amplification =
-	// BytesWritten / BytesIn).
-	Writes  int64
-	Gets    int64
-	BytesIn int64
-	// StallSlowdown / StallStops / StallTime describe write-governor
-	// activity.
-	StallSlowdown int64
-	StallStops    int64
-	StallTime     time.Duration
-
-	// Compactions / MemtableFlushes / SettledPromotions / SeekCompactions
-	// describe background activity.
-	Compactions       int64
-	MemtableFlushes   int64
-	SettledPromotions int64
-	SeekCompactions   int64
-	// CompactionBytesIn/Out measure compaction traffic (write
-	// amplification = (BytesWritten)/(user bytes)).
-	CompactionBytesIn  int64
-	CompactionBytesOut int64
-
-	// TablesChecked / BloomSkips describe read-path table consultation.
-	TablesChecked int64
-	BloomSkips    int64
-
-	// VLogAppends / VLogAppendedBytes count records separated into the
-	// value log at commit time; VLogDerefs counts reads that followed a
-	// pointer back into it. VLogGCPasses and VLogReclaimedBytes describe
-	// value-GC progress (bytes the GC watermark reclaimed, whether hole-
-	// punched or unlinked with a fully collected segment).
-	VLogAppends        int64
-	VLogAppendedBytes  int64
-	VLogDerefs         int64
-	VLogGCPasses       int64
-	VLogReclaimedBytes int64
-
-	// TableCacheHits/Misses and MetaBytesRead quantify the metadata-
-	// caching overhead of Section 2.6 (a TableCache miss reads the whole
-	// filter+index region, proportional to SSTable size).
-	TableCacheHits   int64
-	TableCacheMisses int64
-	MetaBytesRead    int64
-	BlockCacheHits   int64
-	BlockCacheMisses int64
-
-	// BlockCacheUsedBytes is the block cache's resident charge;
-	// CacheShards is the resolved per-cache shard count (see
-	// Options.CacheShards).
-	BlockCacheUsedBytes int64
-	CacheShards         int
+	metrics.Snapshot
+	core.CacheStats
 }
 
 // Stats returns current counters.
 func (db *DB) Stats() Stats {
-	ios := db.inner.IO().Snapshot()
-	m := db.inner.Metrics().Snapshot()
-	cs := db.inner.CacheStats()
-	return Stats{
-		TableCacheHits:      cs.TableHits,
-		TableCacheMisses:    cs.TableMisses,
-		MetaBytesRead:       cs.MetaBytesRead,
-		BlockCacheHits:      cs.BlockHits,
-		BlockCacheMisses:    cs.BlockMisses,
-		BlockCacheUsedBytes: cs.BlockUsedBytes,
-		CacheShards:         cs.BlockShards,
-		Fsyncs:              ios.Fsyncs,
-		BytesWritten:        ios.BytesWritten,
-		BytesRead:           ios.BytesRead,
-		HolePunches:         ios.HolePunches,
-		Writes:              m.Writes,
-		Gets:                m.Gets,
-		BytesIn:             m.BytesIn,
-		StallSlowdown:       m.StallSlowdown,
-		StallStops:          m.StallStops,
-		StallTime:           m.StallTime,
-		Compactions:         m.Compactions,
-		MemtableFlushes:     m.MemtableFlushes,
-		SettledPromotions:   m.SettledPromotions,
-		SeekCompactions:     m.SeekCompactions,
-		CompactionBytesIn:   m.CompactionBytesIn,
-		CompactionBytesOut:  m.CompactionBytesOut,
-		TablesChecked:       m.TablesChecked,
-		BloomSkips:          m.BloomSkips,
-		VLogAppends:         m.VLogAppends,
-		VLogAppendedBytes:   m.VLogAppendedBytes,
-		VLogDerefs:          m.VLogDerefs,
-		VLogGCPasses:        m.VLogGCPasses,
-		VLogReclaimedBytes:  m.VLogReclaimedBytes,
-	}
+	return Stats{db.inner.Metrics().Snapshot(), db.inner.CacheStats()}
 }
 
 // SimStats reports the simulated device counters; ok is false when the DB

@@ -258,7 +258,7 @@ func run() (err error) {
 	s := db.Stats()
 	fmt.Printf("\nstats: fsyncs=%d written=%d read=%d compactions=%d cmp-out=%d flushes=%d settled=%d stalls=%v holes=%d\n",
 		s.Fsyncs, s.BytesWritten, s.BytesRead, s.Compactions, s.CompactionBytesOut,
-		s.MemtableFlushes, s.SettledPromotions, s.StallTime.Round(time.Millisecond),
+		s.MemtableFlushes, s.SettledPromotions, time.Duration(s.StallTime).Round(time.Millisecond),
 		s.HolePunches)
 	if s.VLogAppends > 0 {
 		fmt.Printf("vlog: appends=%d appended=%d derefs=%d gc-passes=%d reclaimed=%d\n",

@@ -319,7 +319,7 @@ func RunSequence(p Params, o *bolt.Options, dist ycsb.Distribution, only map[ycs
 					Result:       res,
 					Fsyncs:       cur.Fsyncs - prev.Fsyncs,
 					BytesWritten: cur.BytesWritten - prev.BytesWritten,
-					StallTime:    cur.StallTime - prev.StallTime,
+					StallTime:    time.Duration(cur.StallTime - prev.StallTime),
 				}
 			}
 			prev = cur

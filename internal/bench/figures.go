@@ -128,8 +128,8 @@ func Fig6(p Params) error {
 		after := db.Stats()
 		p.printf("%-12s %10d %10d %12s %14.0f%s\n",
 			fmt.Sprintf("%dMB/%d", mb, p.Scale.SizeDiv),
-			after.TableCacheHits-before.TableCacheHits,
-			after.TableCacheMisses-before.TableCacheMisses,
+			after.TableHits-before.TableHits,
+			after.TableMisses-before.TableMisses,
 			fmtBytes(after.MetaBytesRead-before.MetaBytesRead),
 			res.Throughput, fmtLatencyRow(res.Read))
 		stopStats()

@@ -39,7 +39,7 @@ func WatchStats(db *bolt.DB, label string, every time.Duration, out io.Writer) (
 					"stats[%s]: writes=%d gets=%d fsyncs=%d(+%d) flushes=%d compactions=%d stall=%v l0=%d\n",
 					label, s.Writes, s.Gets, s.Fsyncs, s.Fsyncs-last.Fsyncs,
 					s.MemtableFlushes, s.Compactions,
-					s.StallTime.Round(time.Millisecond), l0)
+					time.Duration(s.StallTime).Round(time.Millisecond), l0)
 				last = s
 			}
 		}

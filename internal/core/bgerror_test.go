@@ -106,6 +106,70 @@ func TestTransientSyncFaultRecovered(t *testing.T) {
 	}
 }
 
+// TestCountersAgreeWithEvents: the completed-work counters count commits,
+// not attempts. A flush and a compaction that each fail one table sync and
+// succeed on retry are counted once, like their error-free end events.
+func TestCountersAgreeWithEvents(t *testing.T) {
+	efs := vfs.NewErrorFS(vfs.NewMem())
+	var armed atomic.Bool
+	efs.SetInjector(vfs.FilterName(isSST, vfs.InjectorFunc(func(op vfs.Op, name string, _ int64) error {
+		if op == vfs.OpSync && armed.CompareAndSwap(true, false) {
+			return &vfs.InjectedError{Op: op, Name: name}
+		}
+		return nil
+	})))
+	var mu sync.Mutex
+	done, failed := map[events.Type]int64{}, map[events.Type]int64{}
+	cfg := fastRetryConfig(boltTestConfig())
+	cfg.MaxBackgroundCompactions = -1 // one job at a time: an armed sync is the job's own
+	cfg.EventListener = func(e events.Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch e.Type {
+		case events.TypeFlushStart:
+			armed.Store(failed[events.TypeFlushEnd] == 0)
+		case events.TypeCompactionStart:
+			armed.Store(failed[events.TypeCompactionEnd] == 0)
+		case events.TypeFlushEnd, events.TypeCompactionEnd:
+			armed.Store(false)
+		}
+		if e.Err != "" {
+			failed[e.Type]++
+		} else {
+			done[e.Type]++
+		}
+	}
+	db := openTestDB(t, efs, cfg)
+	defer db.Close()
+	for round := 0; round < 6; round++ {
+		fillToFlush(t, db, fmt.Sprintf("agree%d", round))
+		if err := db.WaitIdle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := db.Metrics().Snapshot()
+	mu.Lock()
+	defer mu.Unlock()
+	if failed[events.TypeFlushEnd] == 0 || failed[events.TypeCompactionEnd] == 0 {
+		t.Fatalf("the test needs a failed flush and a failed compaction; failed: %v", failed)
+	}
+	for _, c := range []struct {
+		name    string
+		counted int64
+		end     events.Type
+	}{
+		{"flushes", s.MemtableFlushes, events.TypeFlushEnd},
+		{"compactions", s.Compactions, events.TypeCompactionEnd},
+		{"hole punches", s.HolePunches, events.TypeHolePunch},
+		{"punch fallbacks", s.HolePunchFallbacks, events.TypeHolePunchFallback},
+	} {
+		if c.counted != done[c.end] {
+			t.Errorf("%s: %d counted, %d %s events without error", c.name, c.counted, done[c.end], c.end)
+		}
+	}
+}
+
 func TestPermanentSyncFaultDegradesToReadOnly(t *testing.T) {
 	efs := vfs.NewErrorFS(vfs.NewMem())
 	db := openTestDB(t, efs, fastRetryConfig(testConfig()))

@@ -50,7 +50,7 @@ func TestCloseVsLaneNoLeak(t *testing.T) {
 			// soon as CompactRange lets go.
 			putGenerations(t, db, "key", 2, 40)
 			// Close after the first pass, racing the rest.
-			for deadline := time.Now().Add(5 * time.Second); db.met.VLogGCPasses.Load() == 0; {
+			for deadline := time.Now().Add(5 * time.Second); db.met.Snapshot().VLogGCPasses == 0; {
 				if time.Now().After(deadline) {
 					t.Fatal("value GC never ran")
 				}

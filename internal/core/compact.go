@@ -174,11 +174,7 @@ func (db *DB) pickCompactionLocked() *compaction.Compaction {
 		SeekLevel:      db.seekCompactLevel,
 	}
 	db.seekCompactFile = nil
-	c := db.picker.Pick(db.vs.Current(), env)
-	if c != nil && c.Reason == compaction.ReasonSeek {
-		db.met.SeekCompactions.Add(1)
-	}
-	return c
+	return db.picker.Pick(db.vs.Current(), env)
 }
 
 // flushLocked converts the immutable memtable into level-0 tables. Called
@@ -191,7 +187,6 @@ func (db *DB) flushLocked(j *job) error {
 	imm := db.imm
 	logNum := db.walNum // stable: imm != nil blocks further switches
 	vlogW := db.vlogW
-	db.met.MemtableFlushes.Add(1)
 
 	db.mu.Unlock()
 	// The flush barrier covers the value log: every pointer in imm must be
@@ -283,8 +278,6 @@ func (db *DB) flushLocked(j *job) error {
 // failure are left as orphans (see flushLocked).
 func (db *DB) compactLocked(j *job) error {
 	c := j.c
-	db.met.Compactions.Add(1)
-	db.met.CompactionsByReason[compactionReasonBucket(c.Reason)].Add(1)
 	v := db.vs.Current()
 	v.Ref() // pin input tables for the duration
 	smallestSnap := db.smallestSnapshotLocked()
@@ -368,18 +361,20 @@ func (db *DB) compactLocked(j *job) error {
 		db.physRefs[m.PhysNum]++
 		outBytes += m.Size
 	}
+	db.met.CompactionsByReason[compactionReasonBucket(c.Reason)].Add(1)
 	db.met.CompactionBytesIn.Add(c.InputBytes())
 	db.met.CompactionBytesOut.Add(outBytes)
 	db.met.TablesCreated.Add(int64(len(metas)))
 	db.met.SettledPromotions.Add(int64(len(c.Settled)))
-	db.met.LevelCompactionsOut[c.Level].Add(1)
-	db.met.LevelCompactionsIn[c.OutputLevel].Add(1)
 	db.met.LevelBytesRead[c.Level].Add(levelBytes)
 	db.met.LevelBytesRead[c.OutputLevel].Add(nextBytes)
 	db.met.LevelBytesWritten[c.OutputLevel].Add(outBytes)
 	if salvage {
 		db.met.Salvages.Add(1)
 		db.met.SalvageSkipped.Add(int64(skipped))
+	} else {
+		db.met.LevelCompactionsOut[c.Level].Add(1)
+		db.met.LevelCompactionsIn[c.OutputLevel].Add(1)
 	}
 
 	deletedIn := db.vs.Current().ID()
@@ -712,8 +707,6 @@ func compactionReasonBucket(reason string) metrics.CompactionReason {
 		return metrics.CompactionManual
 	case compaction.ReasonSalvage:
 		return metrics.CompactionSalvage
-	case compaction.ReasonValueGC:
-		return metrics.CompactionValueGC
 	default:
 		return metrics.CompactionSize
 	}

@@ -8,6 +8,7 @@ import (
 
 	"github.com/bolt-lsm/bolt/internal/batch"
 	"github.com/bolt-lsm/bolt/internal/manifest"
+	"github.com/bolt-lsm/bolt/internal/metrics"
 	"github.com/bolt-lsm/bolt/internal/vfs"
 )
 
@@ -155,10 +156,11 @@ func TestFlushAndCompactionPreserveData(t *testing.T) {
 			const n = 3000
 			fill(t, db, n, 100)
 			checkFilled(t, db, n, 100)
-			if db.met.MemtableFlushes.Load() == 0 {
+			s := db.met.Snapshot()
+			if s.MemtableFlushes == 0 {
 				t.Error("no flush happened; test scale wrong")
 			}
-			if db.met.Compactions.Load() == 0 {
+			if s.Compactions == 0 {
 				t.Error("no compaction happened; test scale wrong")
 			}
 			if err := db.CheckInvariants(); err != nil {
@@ -428,7 +430,7 @@ func TestSeekCompactionTriggers(t *testing.T) {
 	// Hammer reads on a key range so allowed-seeks drain.
 	for i := 0; i < 60000; i++ {
 		db.Get([]byte(fmt.Sprintf("key%08d", i%2000)), nil)
-		if db.met.SeekCompactions.Load() > 0 {
+		if db.met.CompactionsByReason[metrics.CompactionSeek].Load() > 0 {
 			return
 		}
 	}

@@ -193,7 +193,7 @@ func (db *DB) runJobLocked(j *job, worker int) error {
 	db.nextJobID++
 	id := db.nextJobID
 	begin := time.Now()
-	fsyncs := db.io.Fsyncs.Load()
+	fsyncs := db.met.Fsyncs.Load()
 	types := jobEvents[j.kind]
 	if types[0] != 0 {
 		e := j.start
@@ -220,7 +220,7 @@ func (db *DB) runJobLocked(j *job, worker int) error {
 	db.releaseLocked(j)
 	e := j.end
 	e.Type, e.Job, e.Worker = types[1], id, worker
-	e.Dur, e.Barriers = time.Since(begin), db.io.Fsyncs.Load()-fsyncs
+	e.Dur, e.Barriers = time.Since(begin), db.met.Fsyncs.Load()-fsyncs
 	if err != nil {
 		e.Err = err.Error()
 	}

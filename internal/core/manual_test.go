@@ -195,16 +195,16 @@ func testCompactRangeCompactionCount(t *testing.T, cfg Config) {
 		}
 	}
 	put(3)
-	if files := db.NumLevelFiles(); files[0] == 0 || db.Metrics().Compactions.Load() != 0 {
-		t.Fatalf("tree not as arranged: files %v, %d compactions", files, db.Metrics().Compactions.Load())
+	if files, n := db.NumLevelFiles(), db.Metrics().Snapshot().Compactions; files[0] == 0 || n != 0 {
+		t.Fatalf("tree not as arranged: files %v, %d compactions", files, n)
 	}
 
 	fsyncs := db.IO().Fsyncs.Load()
 	if err := db.CompactRange(nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	m := db.Metrics()
-	if total, manual := m.Compactions.Load(), m.CompactionsByReason[metrics.CompactionManual].Load(); total != 6 || manual != 6 {
+	m := db.Metrics().Snapshot()
+	if total, manual := m.Compactions, m.CompactionsByReason[metrics.CompactionManual]; total != 6 || manual != 6 {
 		t.Fatalf("%d compactions, %d of them manual; want 6 and 6\n%s", total, manual, db.DebugVersion())
 	}
 	if got := db.IO().Fsyncs.Load() - fsyncs; got != 14 {

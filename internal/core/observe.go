@@ -121,8 +121,8 @@ func readAmp(fragmented bool, v *manifest.Version, level int) int {
 	return maxStack
 }
 
-// WriteMetrics renders the full metric surface — engine counters, latency
-// summaries, per-level stats, cache and file-level I/O counters — in the
+// WriteMetrics renders the full metric surface — engine and file-level I/O
+// counters, latency summaries, per-level stats, cache counters — in the
 // Prometheus text exposition format.
 func (db *DB) WriteMetrics(w io.Writer) error {
 	p := metrics.NewPromWriter(w)
@@ -130,16 +130,7 @@ func (db *DB) WriteMetrics(w io.Writer) error {
 	p.Levels(db.LevelStats())
 
 	cs := db.CacheStats()
-	p.Counter("bolt_table_cache_hits_total", "TableCache hits.", cs.TableHits)
-	p.Counter("bolt_table_cache_misses_total", "TableCache misses.", cs.TableMisses)
 	p.Counter("bolt_table_cache_meta_bytes_total", "Filter+index bytes read on TableCache misses.", cs.MetaBytesRead)
-	p.Counter("bolt_block_cache_hits_total", "BlockCache hits.", cs.BlockHits)
-	p.Counter("bolt_block_cache_misses_total", "BlockCache misses.", cs.BlockMisses)
-	if db.fdCache != nil {
-		fh, fm := db.fdCache.Stats()
-		p.Counter("bolt_fd_cache_hits_total", "FD cache hits.", fh)
-		p.Counter("bolt_fd_cache_misses_total", "FD cache misses.", fm)
-	}
 
 	// The bolt_cache_* family is the sharded-cache surface: per-cache
 	// aggregated counters plus the resolved shard count, one uniform name
@@ -162,15 +153,6 @@ func (db *DB) WriteMetrics(w io.Writer) error {
 		p.Gauge("bolt_cache_fd_used_bytes", "FD cache resident charge (open handles).", float64(db.fdCache.Len()))
 		p.Gauge("bolt_cache_fd_shards", "FD cache shard count.", float64(db.fdCache.Shards()))
 	}
-
-	ios := db.io.Snapshot()
-	p.Counter("bolt_fsyncs_total", "Barriers (fsync/fdatasync) issued.", ios.Fsyncs)
-	p.Counter("bolt_io_bytes_written_total", "Bytes written at the file layer.", ios.BytesWritten)
-	p.Counter("bolt_io_bytes_read_total", "Bytes read at the file layer.", ios.BytesRead)
-	p.Counter("bolt_file_opens_total", "File opens.", ios.FileOpens)
-	p.Counter("bolt_file_creates_total", "File creates.", ios.FileCreates)
-	p.Counter("bolt_file_removes_total", "File removes.", ios.FileRemoves)
-
 	p.Gauge("bolt_dead_range_bytes", "Dead-but-unreclaimed bytes across all files.", float64(db.DeadRangeBytes()))
 	p.Gauge("bolt_inflight_compactions", "Compactions currently executing.", float64(db.InFlightCompactions()))
 	p.Gauge("bolt_quarantined_tables", "Tables currently under corruption quarantine.", float64(db.QuarantinedTables()))

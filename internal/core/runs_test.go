@@ -689,7 +689,7 @@ func TestRunSlicesAreNotSeekVictims(t *testing.T) {
 	if err := db.WaitIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.met.SeekCompactions.Load() + db.met.Compactions.Load(); got != 0 {
+	if got := db.met.Snapshot().Compactions; got != 0 {
 		t.Fatalf("%d compactions ran", got)
 	}
 	for _, f := range v.Levels[0] {

@@ -500,8 +500,8 @@ func TestValueGCRetriesTransientFault(t *testing.T) {
 	db.mu.Lock()
 	stuck := len(db.vlogGCStuck)
 	db.mu.Unlock()
-	if stuck != 0 || m.VLogGCPasses.Load() == 0 {
-		t.Fatalf("%d segments stuck, %d GC passes", stuck, m.VLogGCPasses.Load())
+	if passes := m.Snapshot().VLogGCPasses; stuck != 0 || passes == 0 {
+		t.Fatalf("%d segments stuck, %d GC passes", stuck, passes)
 	}
 }
 
@@ -598,18 +598,18 @@ func TestBackgroundValueGCPaysNoBarriers(t *testing.T) {
 	// Generation 0 becomes garbage when the second CompactRange drops its
 	// pointers; the GC lane picks it up as soon as that call lets go.
 	putGenerations(t, db, "key", 2, 40)
-	fsyncs, flushes := db.IO().Fsyncs.Load(), db.met.MemtableFlushes.Load()
-	passes := db.met.VLogGCPasses.Load()
+	before := db.met.Snapshot()
 	if err := db.WaitIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.met.VLogGCPasses.Load() - passes; got == 0 {
+	after := db.met.Snapshot()
+	if after.VLogGCPasses == before.VLogGCPasses {
 		t.Fatal("no background value-GC pass ran")
 	}
-	if got := db.met.MemtableFlushes.Load() - flushes; got != 0 {
+	if got := after.MemtableFlushes - before.MemtableFlushes; got != 0 {
 		t.Fatalf("%d flushes during the GC passes; the test needs none", got)
 	}
-	if got := db.IO().Fsyncs.Load() - fsyncs; got != 0 {
+	if got := after.Fsyncs - before.Fsyncs; got != 0 {
 		t.Fatalf("background value-GC passes paid %d fsyncs, want 0", got)
 	}
 	db.mu.Lock()
@@ -653,17 +653,18 @@ func TestCompactValueLogPaysOneFlush(t *testing.T) {
 	cfg.VLogSegmentBytes = 1 << 20
 	db = openTestDB(t, fs, cfg)
 	defer db.Close()
-	fsyncs, flushes, passes := db.IO().Fsyncs.Load(), db.met.MemtableFlushes.Load(), db.met.VLogGCPasses.Load()
+	before := db.met.Snapshot()
 	if err := db.CompactValueLog(); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.met.VLogGCPasses.Load() - passes; got < 3 {
+	after := db.met.Snapshot()
+	if got := after.VLogGCPasses - before.VLogGCPasses; got < 3 {
 		t.Fatalf("%d passes, the test needs at least 3", got)
 	}
-	if got := db.met.MemtableFlushes.Load() - flushes; got != 1 {
+	if got := after.MemtableFlushes - before.MemtableFlushes; got != 1 {
 		t.Fatalf("CompactValueLog ran %d flushes, want 1", got)
 	}
-	if got := db.IO().Fsyncs.Load() - fsyncs; got != 3 {
+	if got := after.Fsyncs - before.Fsyncs; got != 3 {
 		t.Fatalf("CompactValueLog paid %d fsyncs, want 3 (vlog, table, MANIFEST)", got)
 	}
 	db.mu.Lock()

@@ -117,7 +117,6 @@ func (db *DB) valueGCPassLocked(j *job) error {
 	if !ok || db.vlogW == nil {
 		return nil
 	}
-	db.met.CompactionsByReason[metrics.CompactionValueGC].Add(1)
 	epoch := db.flushEpoch
 	start, _ := db.vlogCursorsLocked()[seg].Apply(s)
 	segSize := s.Size
@@ -216,7 +215,7 @@ func (db *DB) valueGCPassLocked(j *job) error {
 			reclaimed += r.size
 		}
 	}
-	db.met.VLogGCPasses.Add(1)
+	db.met.CompactionsByReason[metrics.CompactionValueGC].Add(1)
 	db.met.VLogReclaimedBytes.Add(reclaimed)
 	db.vlogAdvances = append(db.vlogAdvances, vlogAdvance{
 		vlogPunch:    vlogPunch{seg: seg, ranges: punchRanges, removeFile: full, safeSeq: db.VisibleSeq()},

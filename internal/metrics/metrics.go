@@ -1,10 +1,11 @@
-// Package metrics defines the engine's counters. Everything the paper
+// Package metrics declares the engine's counters. Everything the paper
 // plots — fsync counts, total bytes written, write-stall time, compaction
-// activity, cache behaviour — is accumulated here, lock-free, and read
-// through Snapshot.
+// activity, cache behaviour — is one field of Counters, accumulated
+// lock-free in Metrics, read through Snapshot and exported by WriteProm.
 package metrics
 
 import (
+	"reflect"
 	"sync/atomic"
 	"time"
 
@@ -14,7 +15,8 @@ import (
 
 // CompactionReason buckets completed compactions by what triggered them,
 // indexing the per-reason counters. The two size triggers (L0 file count,
-// level bytes) share the size bucket.
+// level bytes) share the size bucket; the table-compaction reasons precede
+// CompactionValueGC.
 type CompactionReason int
 
 // The per-reason compaction counter buckets.
@@ -35,68 +37,89 @@ var CompactionReasonNames = [NumCompactionReasons]string{
 	"size", "seek", "settled", "fragmented", "manual", "salvage", "value-gc",
 }
 
-// Metrics is the live counter set of one DB instance.
-type Metrics struct {
-	// Write path.
-	Writes          atomic.Int64 // committed operations
-	BytesIn         atomic.Int64 // user payload bytes accepted
-	StallSlowdown   atomic.Int64 // L0SlowDown events (1 ms sleeps)
-	StallStops      atomic.Int64 // L0Stop / memtable-full blocking events
-	StallTimeNs     atomic.Int64 // total time writers spent stalled
-	WALRecords      atomic.Int64
-	GroupCommits    atomic.Int64 // leader commits (batches may be grouped)
-	MemtableSwitch  atomic.Int64
-	MemtableFlushes atomic.Int64
+// Counters is the one declaration of the engine's counters: Metrics holds
+// it as atomics, Snapshot as values, and Snapshot, WriteProm and bolt.Stats
+// are generated from it. Each field is one fact, counted once, when what
+// it counts has committed.
+//
+// Tags: prom is the exported series name and help its description; type
+// is "gauge" for a gauge (default: counter) or "seconds" for a nanosecond
+// total exported as a gauge in seconds; label names the label of an
+// array's elements, "level" (the index) or "reason" (CompactionReasonNames).
+type Counters[T any] struct {
+	// Write path. StallTime is in nanoseconds.
+	Writes         T `prom:"bolt_writes_total" help:"Committed write operations."`
+	BytesIn        T `prom:"bolt_bytes_in_total" help:"User payload bytes accepted."`
+	StallSlowdown  T `prom:"bolt_stall_slowdown_total" help:"L0 slowdown events (1ms write delays)."`
+	StallStops     T `prom:"bolt_stall_stops_total" help:"Blocking write stalls (L0 stop or memtable full)."`
+	StallTime      T `prom:"bolt_stall_seconds" type:"seconds" help:"Total time writers spent stalled."`
+	WALRecords     T `prom:"bolt_wal_records_total" help:"WAL records appended."`
+	GroupCommits   T `prom:"bolt_group_commits_total" help:"Leader group commits."`
+	MemtableSwitch T `prom:"bolt_memtable_switches_total" help:"Memtable rotations."`
 
-	// Compaction.
-	Compactions        atomic.Int64
-	SettledPromotions  atomic.Int64 // tables promoted without rewrite
-	CompactionBytesIn  atomic.Int64 // bytes read by compactions
-	CompactionBytesOut atomic.Int64 // bytes written by compactions
-	TablesCreated      atomic.Int64
-	TablesDeleted      atomic.Int64
-	HolePunches        atomic.Int64
-	SeekCompactions    atomic.Int64
-	// CompactionsByReason splits Compactions by trigger (see
-	// CompactionReason).
-	CompactionsByReason [NumCompactionReasons]atomic.Int64
+	// File-level I/O, counted by the engine's VFS wrapper whatever the
+	// backend. Fsyncs is the number the paper plots in Figures 4a and 11;
+	// BytesWritten is the "total written bytes" side graph of Figure 12.
+	Fsyncs       T `prom:"bolt_fsyncs_total" help:"Barriers (fsync/fdatasync) issued."`
+	BytesWritten T `prom:"bolt_io_bytes_written_total" help:"Bytes written at the file layer."`
+	BytesRead    T `prom:"bolt_io_bytes_read_total" help:"Bytes read at the file layer."`
+	FileOpens    T `prom:"bolt_file_opens_total" help:"File opens."`
+	FileCreates  T `prom:"bolt_file_creates_total" help:"File creates."`
+	FileRemoves  T `prom:"bolt_file_removes_total" help:"File removes."`
+
+	// Compaction. CompactionsByReason counts committed compactions by
+	// trigger, value-GC passes included (see CompactionReason). HolePunches
+	// counts dead table ranges and value-log ranges alike.
+	CompactionsByReason [NumCompactionReasons]T `prom:"bolt_compactions_by_reason_total" label:"reason" help:"Compactions completed, by trigger."`
+	SettledPromotions   T                       `prom:"bolt_settled_promotions_total" help:"Tables promoted without rewrite by settled compactions."`
+	CompactionBytesIn   T                       `prom:"bolt_compaction_bytes_in_total" help:"Bytes read by compactions."`
+	CompactionBytesOut  T                       `prom:"bolt_compaction_bytes_out_total" help:"Bytes written by compactions."`
+	TablesCreated       T                       `prom:"bolt_tables_created_total" help:"Logical SSTables created."`
+	TablesDeleted       T                       `prom:"bolt_tables_deleted_total" help:"Logical SSTables deleted."`
+	HolePunches         T                       `prom:"bolt_hole_punches_total" help:"Dead ranges reclaimed barrier-free."`
+	HolePunchFallbacks  T                       `prom:"bolt_hole_punch_fallbacks_total" help:"Punches degraded to dead-range accounting."`
+
+	// Per-level compaction activity, indexed by level. A flush counts as a
+	// compaction into L0; an L(n)->L(n+1) compaction counts out of n and
+	// into n+1, with bytes attributed the same way; a salvage, which
+	// rewrites tables within their level, counts only its bytes. Exported
+	// as gauges under their historical names.
+	LevelCompactionsIn  [manifest.NumLevels]T `prom:"bolt_level_compactions_in" type:"gauge" label:"level" help:"Compactions that wrote into the level."`
+	LevelCompactionsOut [manifest.NumLevels]T `prom:"bolt_level_compactions_out" type:"gauge" label:"level" help:"Compactions that read from the level."`
+	LevelBytesRead      [manifest.NumLevels]T `prom:"bolt_level_bytes_read" type:"gauge" label:"level" help:"Compaction bytes read from the level."`
+	LevelBytesWritten   [manifest.NumLevels]T `prom:"bolt_level_bytes_written" type:"gauge" label:"level" help:"Flush and compaction bytes written into the level."`
 
 	// Read path.
-	Gets          atomic.Int64
-	GetHits       atomic.Int64
-	TablesChecked atomic.Int64 // tables consulted across all gets
-	BloomSkips    atomic.Int64 // tables skipped by bloom filters
-
-	// Per-level compaction activity, indexed by level. A flush counts as
-	// a compaction into L0; an L(n)->L(n+1) compaction counts out of n and
-	// into n+1, with bytes attributed the same way.
-	LevelCompactionsIn  [manifest.NumLevels]atomic.Int64 // compactions that wrote into the level
-	LevelCompactionsOut [manifest.NumLevels]atomic.Int64 // compactions that read from the level
-	LevelBytesRead      [manifest.NumLevels]atomic.Int64 // compaction bytes read from the level
-	LevelBytesWritten   [manifest.NumLevels]atomic.Int64 // flush+compaction bytes written into the level
+	Gets          T `prom:"bolt_gets_total" help:"Point lookups."`
+	GetHits       T `prom:"bolt_get_hits_total" help:"Point lookups that found a value."`
+	TablesChecked T `prom:"bolt_tables_checked_total" help:"Tables consulted across all gets."`
+	BloomSkips    T `prom:"bolt_bloom_skips_total" help:"Tables skipped by bloom filters."`
 
 	// Background-failure handling.
-	BgRetries            atomic.Int64 // flush/compaction attempts retried after a transient failure
-	BgRecoveredFaults    atomic.Int64 // background ops that succeeded after failed attempts
-	ReadOnlyDegradations atomic.Int64 // entries into read-only mode
-	HolePunchFallbacks   atomic.Int64 // punches degraded to dead-range accounting
+	BgRetries            T `prom:"bolt_bg_retries_total" help:"Background attempts retried after transient failures."`
+	BgRecoveredFaults    T `prom:"bolt_bg_recovered_faults_total" help:"Background ops that succeeded after failed attempts."`
+	ReadOnlyDegradations T `prom:"bolt_read_only_degradations_total" help:"Entries into read-only mode."`
 
 	// Value log (WAL-time key-value separation).
-	VLogAppends        atomic.Int64 // values extracted into the value log
-	VLogAppendedBytes  atomic.Int64 // record bytes appended to the value log
-	VLogDerefs         atomic.Int64 // pointer dereferences on the read path
-	VLogGCPasses       atomic.Int64 // value-GC chunk passes completed
-	VLogReclaimedBytes atomic.Int64 // value-log bytes the passes made reclaimable
-	VLogGCStuck        atomic.Int64 // segments whose GC a rotted record header blocks
+	VLogAppends        T `prom:"bolt_vlog_appends_total" help:"Values separated into the value log at commit."`
+	VLogAppendedBytes  T `prom:"bolt_vlog_appended_bytes_total" help:"Record bytes appended to the value log."`
+	VLogDerefs         T `prom:"bolt_vlog_derefs_total" help:"Reads that dereferenced a value-log pointer."`
+	VLogReclaimedBytes T `prom:"bolt_vlog_reclaimed_bytes_total" help:"Value-log bytes made reclaimable by GC passes."`
+	VLogGCStuck        T `prom:"bolt_vlog_gc_stuck_segments_total" help:"Value-log segments whose GC a rotted record header blocks."`
 
 	// Integrity: scrub, quarantine, salvage.
-	ScrubPasses      atomic.Int64 // completed background scrub passes
-	ScrubTables      atomic.Int64 // tables verified by the scrubber
-	ScrubBytes       atomic.Int64 // table bytes the scrubber read
-	ScrubCorruptions atomic.Int64 // corruption findings (scrub + lazy detection)
-	Quarantines      atomic.Int64 // tables placed under quarantine
-	Salvages         atomic.Int64 // salvage compactions that cleared a quarantine
-	SalvageSkipped   atomic.Int64 // unrecoverable blocks dropped by salvages
+	ScrubPasses      T `prom:"bolt_scrub_passes_total" help:"Completed background integrity scrub passes."`
+	ScrubTables      T `prom:"bolt_scrub_tables_verified_total" help:"Tables verified by the scrubber."`
+	ScrubBytes       T `prom:"bolt_scrub_bytes_read_total" help:"Table bytes read by the scrubber."`
+	ScrubCorruptions T `prom:"bolt_scrub_corruptions_total" help:"Table corruption findings (scrub and lazy detection)."`
+	Quarantines      T `prom:"bolt_quarantines_total" help:"Tables placed under quarantine."`
+	Salvages         T `prom:"bolt_salvages_total" help:"Salvage compactions that cleared a quarantine."`
+	SalvageSkipped   T `prom:"bolt_salvage_skipped_blocks_total" help:"Unrecoverable blocks dropped by salvage compactions."`
+}
+
+// Metrics is the live counter set of one DB instance.
+type Metrics struct {
+	Counters[atomic.Int64]
 
 	// Latency histograms.
 	WriteLatency histogram.Histogram
@@ -105,121 +128,56 @@ type Metrics struct {
 }
 
 // AddStall records a writer stall of the given duration.
-func (m *Metrics) AddStall(d time.Duration) { m.StallTimeNs.Add(int64(d)) }
+func (m *Metrics) AddStall(d time.Duration) { m.StallTime.Add(int64(d)) }
 
-// Snapshot is a point-in-time copy of the counters.
+// Snapshot is a point-in-time copy of the counters, plus the totals other
+// counters already hold: those are derived here, never counted twice.
 type Snapshot struct {
-	Writes          int64
-	BytesIn         int64
-	StallSlowdown   int64
-	StallStops      int64
-	StallTime       time.Duration
-	WALRecords      int64
-	GroupCommits    int64
-	MemtableSwitch  int64
-	MemtableFlushes int64
+	Counters[int64]
 
-	Compactions        int64
-	SettledPromotions  int64
-	CompactionBytesIn  int64
-	CompactionBytesOut int64
-	TablesCreated      int64
-	TablesDeleted      int64
-	HolePunches        int64
-	SeekCompactions    int64
-
-	CompactionsByReason [NumCompactionReasons]int64
-
-	Gets          int64
-	GetHits       int64
-	TablesChecked int64
-	BloomSkips    int64
-
-	LevelCompactionsIn  [manifest.NumLevels]int64
-	LevelCompactionsOut [manifest.NumLevels]int64
-	LevelBytesRead      [manifest.NumLevels]int64
-	LevelBytesWritten   [manifest.NumLevels]int64
-
-	BgRetries            int64
-	BgRecoveredFaults    int64
-	ReadOnlyDegradations int64
-	HolePunchFallbacks   int64
-
-	VLogAppends        int64
-	VLogAppendedBytes  int64
-	VLogDerefs         int64
-	VLogGCPasses       int64
-	VLogReclaimedBytes int64
-	VLogGCStuck        int64
-
-	ScrubPasses      int64
-	ScrubTables      int64
-	ScrubBytes       int64
-	ScrubCorruptions int64
-	Quarantines      int64
-	Salvages         int64
-	SalvageSkipped   int64
+	MemtableFlushes int64 `prom:"bolt_memtable_flushes_total" help:"Memtable flushes completed."`
+	Compactions     int64 `prom:"bolt_compactions_total" help:"Compactions completed."`
+	SeekCompactions int64 `prom:"bolt_seek_compactions_total" help:"Compactions triggered by seek misses."`
+	VLogGCPasses    int64 `prom:"bolt_vlog_gc_passes_total" help:"Value-log GC passes completed."`
 }
 
-// Snapshot copies the scalar counters (histograms are read directly).
+// Snapshot copies the counters (histograms are read directly) and derives
+// the totals.
 func (m *Metrics) Snapshot() Snapshot {
-	s := m.snapshotScalars()
-	for r := CompactionReason(0); r < NumCompactionReasons; r++ {
-		s.CompactionsByReason[r] = m.CompactionsByReason[r].Load()
+	var s Snapshot
+	dst := leaves[int64](reflect.ValueOf(&s.Counters).Elem())
+	for i, c := range leaves[atomic.Int64](reflect.ValueOf(&m.Counters).Elem()) {
+		*dst[i] = c.Load()
 	}
-	for l := 0; l < manifest.NumLevels; l++ {
-		s.LevelCompactionsIn[l] = m.LevelCompactionsIn[l].Load()
-		s.LevelCompactionsOut[l] = m.LevelCompactionsOut[l].Load()
-		s.LevelBytesRead[l] = m.LevelBytesRead[l].Load()
-		s.LevelBytesWritten[l] = m.LevelBytesWritten[l].Load()
+	s.MemtableFlushes = s.LevelCompactionsIn[0]
+	for _, n := range s.CompactionsByReason[:CompactionValueGC] {
+		s.Compactions += n
 	}
+	s.SeekCompactions = s.CompactionsByReason[CompactionSeek]
+	s.VLogGCPasses = s.CompactionsByReason[CompactionValueGC]
 	return s
 }
 
-func (m *Metrics) snapshotScalars() Snapshot {
-	return Snapshot{
-		Writes:          m.Writes.Load(),
-		BytesIn:         m.BytesIn.Load(),
-		StallSlowdown:   m.StallSlowdown.Load(),
-		StallStops:      m.StallStops.Load(),
-		StallTime:       time.Duration(m.StallTimeNs.Load()),
-		WALRecords:      m.WALRecords.Load(),
-		GroupCommits:    m.GroupCommits.Load(),
-		MemtableSwitch:  m.MemtableSwitch.Load(),
-		MemtableFlushes: m.MemtableFlushes.Load(),
-
-		Compactions:        m.Compactions.Load(),
-		SettledPromotions:  m.SettledPromotions.Load(),
-		CompactionBytesIn:  m.CompactionBytesIn.Load(),
-		CompactionBytesOut: m.CompactionBytesOut.Load(),
-		TablesCreated:      m.TablesCreated.Load(),
-		TablesDeleted:      m.TablesDeleted.Load(),
-		HolePunches:        m.HolePunches.Load(),
-		SeekCompactions:    m.SeekCompactions.Load(),
-
-		Gets:          m.Gets.Load(),
-		GetHits:       m.GetHits.Load(),
-		TablesChecked: m.TablesChecked.Load(),
-		BloomSkips:    m.BloomSkips.Load(),
-
-		BgRetries:            m.BgRetries.Load(),
-		BgRecoveredFaults:    m.BgRecoveredFaults.Load(),
-		ReadOnlyDegradations: m.ReadOnlyDegradations.Load(),
-		HolePunchFallbacks:   m.HolePunchFallbacks.Load(),
-
-		VLogAppends:        m.VLogAppends.Load(),
-		VLogAppendedBytes:  m.VLogAppendedBytes.Load(),
-		VLogDerefs:         m.VLogDerefs.Load(),
-		VLogGCPasses:       m.VLogGCPasses.Load(),
-		VLogReclaimedBytes: m.VLogReclaimedBytes.Load(),
-		VLogGCStuck:        m.VLogGCStuck.Load(),
-
-		ScrubPasses:      m.ScrubPasses.Load(),
-		ScrubTables:      m.ScrubTables.Load(),
-		ScrubBytes:       m.ScrubBytes.Load(),
-		ScrubCorruptions: m.ScrubCorruptions.Load(),
-		Quarantines:      m.Quarantines.Load(),
-		Salvages:         m.Salvages.Load(),
-		SalvageSkipped:   m.SalvageSkipped.Load(),
+// leaves returns a pointer to every T in the addressable struct v, in
+// declaration order: embedded structs are walked in place, arrays element
+// by element.
+func leaves[T any](v reflect.Value) []*T {
+	var out []*T
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch {
+		case v.Type() == reflect.TypeFor[T]():
+			out = append(out, v.Addr().Interface().(*T))
+		case v.Kind() == reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case v.Kind() == reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		}
 	}
+	walk(v)
+	return out
 }

@@ -3,6 +3,8 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"reflect"
+	"time"
 
 	"github.com/bolt-lsm/bolt/internal/histogram"
 )
@@ -67,14 +69,6 @@ func (p *PromWriter) Gauge(name, help string, v float64) {
 	p.printf("# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 }
 
-// LabeledCounter emits one counter sample per label value.
-func (p *PromWriter) LabeledCounter(name, help, label string, names []string, values []int64) {
-	p.printf("# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	for i, n := range names {
-		p.printf("%s{%s=%q} %d\n", name, label, n, values[i])
-	}
-}
-
 // LevelGauge emits one gauge sample per level, labelled level="N".
 func (p *PromWriter) LevelGauge(name, help string, value func(LevelStats) float64, levels []LevelStats) {
 	p.printf("# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
@@ -102,70 +96,76 @@ func (p *PromWriter) Levels(levels []LevelStats) {
 		func(l LevelStats) float64 { return float64(l.Bytes) }, levels)
 	p.LevelGauge("bolt_level_dead_bytes", "Dead-range bytes awaiting reclamation per level.",
 		func(l LevelStats) float64 { return float64(l.DeadBytes) }, levels)
-	p.LevelGauge("bolt_level_compactions_in", "Compactions that wrote into the level.",
-		func(l LevelStats) float64 { return float64(l.CompactionsIn) }, levels)
-	p.LevelGauge("bolt_level_compactions_out", "Compactions that read from the level.",
-		func(l LevelStats) float64 { return float64(l.CompactionsOut) }, levels)
-	p.LevelGauge("bolt_level_bytes_read", "Compaction bytes read from the level.",
-		func(l LevelStats) float64 { return float64(l.BytesRead) }, levels)
-	p.LevelGauge("bolt_level_bytes_written", "Flush and compaction bytes written into the level.",
-		func(l LevelStats) float64 { return float64(l.BytesWritten) }, levels)
 	p.LevelGauge("bolt_level_read_amp", "Sorted runs a point read may consult in the level.",
 		func(l LevelStats) float64 { return float64(l.ReadAmp) }, levels)
 	p.LevelGauge("bolt_level_write_amp", "Bytes written into the level per user byte accepted.",
 		func(l LevelStats) float64 { return l.WriteAmp }, levels)
 }
 
-// WriteProm emits the full scalar counter set plus the latency summaries.
+// family is one exported series of Snapshot: a field's tags and the
+// number of values it holds (its array length, or 1).
+type family struct {
+	name, help, typ, label string
+	n                      int
+}
+
+// families lists Snapshot's fields in the order leaves walks them.
+var families = familiesOf(reflect.TypeFor[Snapshot]())
+
+func familiesOf(t reflect.Type) []family {
+	var out []family
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if f.Anonymous {
+			out = append(out, familiesOf(f.Type)...)
+			continue
+		}
+		fam := family{name: f.Tag.Get("prom"), help: f.Tag.Get("help"),
+			typ: f.Tag.Get("type"), label: f.Tag.Get("label"), n: 1}
+		if f.Type.Kind() == reflect.Array {
+			fam.n = f.Type.Len()
+		}
+		out = append(out, fam)
+	}
+	return out
+}
+
+// WriteProm emits every counter and derived total of Snapshot, then the
+// latency summaries.
 func (m *Metrics) WriteProm(p *PromWriter) {
 	s := m.Snapshot()
-	p.Counter("bolt_writes_total", "Committed write operations.", s.Writes)
-	p.Counter("bolt_bytes_in_total", "User payload bytes accepted.", s.BytesIn)
-	p.Counter("bolt_stall_slowdown_total", "L0 slowdown events (1ms write delays).", s.StallSlowdown)
-	p.Counter("bolt_stall_stops_total", "Blocking write stalls (L0 stop or memtable full).", s.StallStops)
-	p.Gauge("bolt_stall_seconds", "Total time writers spent stalled.", s.StallTime.Seconds())
-	p.Counter("bolt_wal_records_total", "WAL records appended.", s.WALRecords)
-	p.Counter("bolt_group_commits_total", "Leader group commits.", s.GroupCommits)
-	p.Counter("bolt_memtable_switches_total", "Memtable rotations.", s.MemtableSwitch)
-	p.Counter("bolt_memtable_flushes_total", "Memtable flushes completed.", s.MemtableFlushes)
-
-	p.Counter("bolt_compactions_total", "Compactions completed.", s.Compactions)
-	p.Counter("bolt_settled_promotions_total", "Tables promoted without rewrite by settled compactions.", s.SettledPromotions)
-	p.Counter("bolt_compaction_bytes_in_total", "Bytes read by compactions.", s.CompactionBytesIn)
-	p.Counter("bolt_compaction_bytes_out_total", "Bytes written by compactions.", s.CompactionBytesOut)
-	p.Counter("bolt_tables_created_total", "Logical SSTables created.", s.TablesCreated)
-	p.Counter("bolt_tables_deleted_total", "Logical SSTables deleted.", s.TablesDeleted)
-	p.Counter("bolt_hole_punches_total", "Dead ranges reclaimed barrier-free.", s.HolePunches)
-	p.Counter("bolt_hole_punch_fallbacks_total", "Punches degraded to dead-range accounting.", s.HolePunchFallbacks)
-	p.Counter("bolt_seek_compactions_total", "Compactions triggered by seek misses.", s.SeekCompactions)
-	p.LabeledCounter("bolt_compactions_by_reason_total", "Compactions completed, by trigger.",
-		"reason", CompactionReasonNames[:], s.CompactionsByReason[:])
-
-	p.Counter("bolt_vlog_appends_total", "Values separated into the value log at commit.", s.VLogAppends)
-	p.Counter("bolt_vlog_appended_bytes_total", "Record bytes appended to the value log.", s.VLogAppendedBytes)
-	p.Counter("bolt_vlog_derefs_total", "Reads that dereferenced a value-log pointer.", s.VLogDerefs)
-	p.Counter("bolt_vlog_gc_passes_total", "Value-log GC passes completed.", s.VLogGCPasses)
-	p.Counter("bolt_vlog_reclaimed_bytes_total", "Value-log bytes made reclaimable by GC passes.", s.VLogReclaimedBytes)
-	p.Counter("bolt_vlog_gc_stuck_segments_total", "Value-log segments whose GC a rotted record header blocks.", s.VLogGCStuck)
-
-	p.Counter("bolt_gets_total", "Point lookups.", s.Gets)
-	p.Counter("bolt_get_hits_total", "Point lookups that found a value.", s.GetHits)
-	p.Counter("bolt_tables_checked_total", "Tables consulted across all gets.", s.TablesChecked)
-	p.Counter("bolt_bloom_skips_total", "Tables skipped by bloom filters.", s.BloomSkips)
-
-	p.Counter("bolt_bg_retries_total", "Background attempts retried after transient failures.", s.BgRetries)
-	p.Counter("bolt_bg_recovered_faults_total", "Background ops that succeeded after failed attempts.", s.BgRecoveredFaults)
-	p.Counter("bolt_read_only_degradations_total", "Entries into read-only mode.", s.ReadOnlyDegradations)
-
-	p.Counter("bolt_scrub_passes_total", "Completed background integrity scrub passes.", s.ScrubPasses)
-	p.Counter("bolt_scrub_tables_verified_total", "Tables verified by the scrubber.", s.ScrubTables)
-	p.Counter("bolt_scrub_bytes_read_total", "Table bytes read by the scrubber.", s.ScrubBytes)
-	p.Counter("bolt_scrub_corruptions_total", "Table corruption findings (scrub and lazy detection).", s.ScrubCorruptions)
-	p.Counter("bolt_quarantines_total", "Tables placed under quarantine.", s.Quarantines)
-	p.Counter("bolt_salvages_total", "Salvage compactions that cleared a quarantine.", s.Salvages)
-	p.Counter("bolt_salvage_skipped_blocks_total", "Unrecoverable blocks dropped by salvage compactions.", s.SalvageSkipped)
-
+	vals := leaves[int64](reflect.ValueOf(&s).Elem())
+	for _, f := range families {
+		p.emit(f, vals[:f.n])
+		vals = vals[f.n:]
+	}
 	p.Summary("bolt_write_latency_seconds", "Write operation latency.", &m.WriteLatency)
 	p.Summary("bolt_read_latency_seconds", "Point-read latency.", &m.ReadLatency)
 	p.Summary("bolt_scan_latency_seconds", "Scan latency.", &m.ScanLatency)
+}
+
+// emit writes one family: its header, then one sample per value.
+func (p *PromWriter) emit(f family, vals []*int64) {
+	typ := "counter"
+	if f.typ != "" {
+		typ = "gauge"
+	}
+	p.printf("# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, typ)
+	for i, v := range vals {
+		labels := ""
+		switch f.label {
+		case "level":
+			labels = fmt.Sprintf("{level=\"%d\"}", i)
+		case "reason":
+			labels = fmt.Sprintf("{reason=%q}", CompactionReasonNames[i])
+		}
+		switch f.typ {
+		case "gauge":
+			p.printf("%s%s %g\n", f.name, labels, float64(*v))
+		case "seconds":
+			p.printf("%s%s %g\n", f.name, labels, time.Duration(*v).Seconds())
+		default:
+			p.printf("%s%s %d\n", f.name, labels, *v)
+		}
+	}
 }

@@ -2,7 +2,14 @@ package metrics
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"reflect"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -55,13 +62,77 @@ func TestWritePromFormat(t *testing.T) {
 	}
 }
 
-func TestSnapshotCopiesLevelCounters(t *testing.T) {
+// TestCounterTableRoundTrip gives every counter a distinct value through
+// the table and checks that Snapshot and WriteProm each report every value
+// exactly once, and that the derived totals read the counters they stand
+// for.
+func TestCounterTableRoundTrip(t *testing.T) {
 	var m Metrics
-	m.LevelBytesWritten[1].Add(100)
-	m.LevelCompactionsOut[0].Add(2)
+	var want []string
+	for i, c := range leaves[atomic.Int64](reflect.ValueOf(&m.Counters).Elem()) {
+		v := int64(i+1) * 1001
+		c.Store(v)
+		want = append(want, strconv.FormatInt(v, 10))
+	}
+	slices.Sort(want)
+
 	s := m.Snapshot()
-	if s.LevelBytesWritten[1] != 100 || s.LevelCompactionsOut[0] != 2 {
-		t.Fatalf("snapshot level counters: %+v", s)
+	got := regexp.MustCompile(`[0-9]+`).FindAllString(fmt.Sprint(s.Counters), -1)
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("Snapshot values %v, want %v", got, want)
+	}
+	var compactions int64
+	for _, n := range s.CompactionsByReason[:CompactionValueGC] {
+		compactions += n
+	}
+	derived := map[string]int64{
+		"bolt_memtable_flushes_total": s.LevelCompactionsIn[0],
+		"bolt_compactions_total":      compactions,
+		"bolt_seek_compactions_total": s.CompactionsByReason[CompactionSeek],
+		"bolt_vlog_gc_passes_total":   s.CompactionsByReason[CompactionValueGC],
+	}
+
+	var b strings.Builder
+	m.WriteProm(NewPromWriter(&b))
+	got = got[:0]
+	for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+		fields := strings.Fields(line)
+		name, _, _ := strings.Cut(fields[0], "{")
+		if fields[0] == "#" || strings.Contains(name, "latency_seconds") {
+			continue
+		}
+		v, err := strconv.ParseFloat(fields[1], 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		if strings.HasSuffix(name, "_seconds") {
+			v = math.Round(v * 1e9)
+		}
+		if d, ok := derived[name]; ok {
+			if int64(v) != d {
+				t.Errorf("%s = %v, want %d", name, v, d)
+			}
+			delete(derived, name)
+			continue
+		}
+		got = append(got, strconv.FormatInt(int64(v), 10))
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("WriteProm values %v, want %v", got, want)
+	}
+	if len(derived) != 0 {
+		t.Errorf("derived totals not exported: %v", derived)
+	}
+
+	names := map[string]bool{}
+	valid := regexp.MustCompile(`^bolt_[a-z0-9_]+$`)
+	for _, f := range families {
+		if !valid.MatchString(f.name) || names[f.name] || f.help == "" {
+			t.Errorf("series %q: invalid, repeated or without help", f.name)
+		}
+		names[f.name] = true
 	}
 }
 
