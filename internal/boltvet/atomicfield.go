@@ -1,11 +1,9 @@
 package boltvet
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // AtomicField extends vet's copylocks to BoLT's metrics and state structs,
@@ -37,46 +35,36 @@ var AtomicField = &Analyzer{
 // field is policed in every package that can reach it.
 func runAtomicField(prog *Program) []Finding {
 	annotated := make(map[string]map[string]bool)
-	for key, spec := range prog.guardTable() {
+	for _, spec := range prog.guardTable() {
 		if spec.guard != "atomic" {
 			continue
 		}
-		owner := strings.TrimSuffix(key, "."+spec.fieldName)
-		if annotated[owner] == nil {
-			annotated[owner] = make(map[string]bool)
+		if annotated[spec.owner] == nil {
+			annotated[spec.owner] = make(map[string]bool)
 		}
-		annotated[owner][spec.fieldName] = true
+		annotated[spec.owner][spec.fieldName] = true
 	}
-	var out []Finding
+	r := &reporter{analyzer: "atomicfield"}
 	for _, p := range prog.Pkgs {
-		out = append(out, atomicFieldPackage(p, annotated)...)
+		atomicFieldPackage(p, annotated, r)
 	}
-	return out
+	return r.out
 }
 
-func atomicFieldPackage(p *Package, annotated map[string]map[string]bool) []Finding {
-	var out []Finding
-	report := func(pos token.Pos, format string, args ...any) {
-		out = append(out, Finding{
-			Pos:      p.Fset.Position(pos),
-			Analyzer: "atomicfield",
-			Message:  fmt.Sprintf(format, args...),
-		})
-	}
-
+func atomicFieldPackage(p *Package, annotated map[string]map[string]bool, r *reporter) {
 	for _, file := range p.Files {
 		parents := buildParentMap(file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch v := n.(type) {
 			case *ast.SelectorExpr:
-				checkFieldAccess(p, v, parents, annotated, report)
+				checkFieldAccess(p, v, parents, annotated, r)
 			case *ast.AssignStmt:
-				for _, r := range v.Rhs {
-					checkValueCopy(p, r, annotated, report, "assigned")
+				for _, rhs := range v.Rhs {
+					checkValueCopy(p, rhs, annotated, r, "assigned")
 				}
 			case *ast.ValueSpec:
 				for _, val := range v.Values {
-					checkValueCopy(p, val, annotated, report, "assigned")
+					checkValueCopy(p, val, annotated, r, "assigned")
 				}
 			case *ast.CallExpr:
 				if tv, ok := p.Info.Types[v.Fun]; ok && tv.IsType() {
@@ -86,18 +74,18 @@ func atomicFieldPackage(p *Package, annotated map[string]map[string]bool) []Find
 					return true
 				}
 				for _, arg := range v.Args {
-					checkValueCopy(p, arg, annotated, report, "passed")
+					checkValueCopy(p, arg, annotated, r, "passed")
 				}
 			case *ast.CompositeLit:
 				for _, elt := range v.Elts {
 					if kv, ok := elt.(*ast.KeyValueExpr); ok {
 						elt = kv.Value
 					}
-					checkValueCopy(p, elt, annotated, report, "copied into a composite literal:")
+					checkValueCopy(p, elt, annotated, r, "copied into a composite literal:")
 				}
 			case *ast.ReturnStmt:
-				for _, r := range v.Results {
-					checkValueCopy(p, r, annotated, report, "returned")
+				for _, res := range v.Results {
+					checkValueCopy(p, res, annotated, r, "returned")
 				}
 			case *ast.RangeStmt:
 				if v.Value != nil {
@@ -112,20 +100,19 @@ func atomicFieldPackage(p *Package, annotated map[string]map[string]bool) []Find
 						}
 					}
 					if t != nil && atomicBearing(t, annotated) {
-						report(v.Value.Pos(), "range copies values of %s, which contains sync/atomic fields; range over indices or pointers", typeLabel(t))
+						r.at(p, v.Value.Pos(), "range copies values of %s, which contains sync/atomic fields; range over indices or pointers", typeLabel(t))
 					}
 				}
 			case *ast.FuncDecl:
-				checkSignature(p, v, annotated, report)
+				checkSignature(p, v, annotated, r)
 			}
 			return true
 		})
 	}
-	return out
 }
 
 // checkFieldAccess enforces the plain-access rule on one selector.
-func checkFieldAccess(p *Package, sel *ast.SelectorExpr, parents map[ast.Node]ast.Node, annotated map[string]map[string]bool, report func(token.Pos, string, ...any)) {
+func checkFieldAccess(p *Package, sel *ast.SelectorExpr, parents map[ast.Node]ast.Node, annotated map[string]map[string]bool, r *reporter) {
 	fieldVar := selectedField(p, sel)
 	if fieldVar == nil {
 		return
@@ -145,7 +132,7 @@ func checkFieldAccess(p *Package, sel *ast.SelectorExpr, parents map[ast.Node]as
 				return // &x.f — pointer passing, no copy
 			}
 		}
-		report(sel.Sel.Pos(), "plain access to atomic field %s.%s (type %s); use its Load/Store/Add methods",
+		r.at(p, sel.Sel.Pos(), "plain access to atomic field %s.%s (type %s); use its Load/Store/Add methods",
 			ownerName(fieldVar), fieldVar.Name(), typeLabel(fieldVar.Type()))
 		return
 	}
@@ -156,13 +143,13 @@ func checkFieldAccess(p *Package, sel *ast.SelectorExpr, parents map[ast.Node]as
 	if ctx, ok := parent.(*ast.UnaryExpr); ok && ctx.Op == token.AND {
 		return // &x.f for atomic.LoadInt64/AddInt64/...
 	}
-	report(sel.Sel.Pos(), "field %s.%s is //boltvet:guardedby atomic; access it only through sync/atomic functions on &%s",
+	r.at(p, sel.Sel.Pos(), "field %s.%s is //boltvet:guardedby atomic; access it only through sync/atomic functions on &%s",
 		owner, fieldVar.Name(), fieldVar.Name())
 }
 
 // checkValueCopy flags e when its value is an atomic-bearing struct/array
 // being copied (anything but constructing a fresh composite literal).
-func checkValueCopy(p *Package, e ast.Expr, annotated map[string]map[string]bool, report func(token.Pos, string, ...any), verb string) {
+func checkValueCopy(p *Package, e ast.Expr, annotated map[string]map[string]bool, r *reporter, verb string) {
 	e = ast.Unparen(e)
 	if _, isLit := e.(*ast.CompositeLit); isLit {
 		return
@@ -171,12 +158,12 @@ func checkValueCopy(p *Package, e ast.Expr, annotated map[string]map[string]bool
 	if t == nil || !atomicBearing(t, annotated) {
 		return
 	}
-	report(e.Pos(), "value of %s is %s by value, copying its sync/atomic fields; use a pointer", typeLabel(t), verb)
+	r.at(p, e.Pos(), "value of %s is %s by value, copying its sync/atomic fields; use a pointer", typeLabel(t), verb)
 }
 
 // checkSignature flags value receivers, parameters, and results of
 // atomic-bearing type on a function declaration.
-func checkSignature(p *Package, fd *ast.FuncDecl, annotated map[string]map[string]bool, report func(token.Pos, string, ...any)) {
+func checkSignature(p *Package, fd *ast.FuncDecl, annotated map[string]map[string]bool, r *reporter) {
 	check := func(fl *ast.FieldList, what string) {
 		if fl == nil {
 			return
@@ -187,7 +174,7 @@ func checkSignature(p *Package, fd *ast.FuncDecl, annotated map[string]map[strin
 				continue
 			}
 			if atomicBearing(tv.Type, annotated) {
-				report(f.Type.Pos(), "%s %s of %s takes %s by value, copying its sync/atomic fields; use a pointer",
+				r.at(p, f.Type.Pos(), "%s %s of %s takes %s by value, copying its sync/atomic fields; use a pointer",
 					what, typeLabel(tv.Type), fd.Name.Name, typeLabel(tv.Type))
 			}
 		}
@@ -204,18 +191,11 @@ func checkSignature(p *Package, fd *ast.FuncDecl, annotated map[string]map[strin
 // annotatedOwner returns the struct name when sel resolves to a
 // //boltvet:guardedby atomic field, else "".
 func annotatedOwner(p *Package, sel *ast.SelectorExpr, fieldVar *types.Var, annotated map[string]map[string]bool) string {
-	named := namedOf(typeOf(p, sel.X))
-	if named == nil {
+	t := typeOf(p, sel.X)
+	if !annotated[typeKey(t)][fieldVar.Name()] {
 		return ""
 	}
-	pkg := ""
-	if named.Obj().Pkg() != nil {
-		pkg = named.Obj().Pkg().Path()
-	}
-	if !annotated[pkg+"."+named.Obj().Name()][fieldVar.Name()] {
-		return ""
-	}
-	return named.Obj().Name()
+	return namedOf(t).Obj().Name()
 }
 
 // selectedField resolves sel to the struct field it selects, or nil when
@@ -283,14 +263,8 @@ func bearingRec(t types.Type, annotated map[string]map[string]bool, seen map[typ
 		if isAtomicNamed(v) {
 			return true
 		}
-		if len(annotated) > 0 {
-			pkg := ""
-			if v.Obj().Pkg() != nil {
-				pkg = v.Obj().Pkg().Path()
-			}
-			if annotated[pkg+"."+v.Obj().Name()] != nil {
-				return true
-			}
+		if annotated[typeKey(v)] != nil {
+			return true
 		}
 		return bearingRec(v.Underlying(), annotated, seen)
 	case *types.Struct:

@@ -34,9 +34,11 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"time"
+	"unicode"
 )
 
 // Finding is one diagnostic produced by an analyzer.
@@ -61,6 +63,8 @@ type Package struct {
 	// TypeErrors holds soft type-checking errors; analysis proceeds with
 	// partial type information.
 	TypeErrors []error
+
+	dirs *directiveIndex // see directives
 }
 
 // Analyzer is one named check. Run sees one package at a time; RunProgram
@@ -162,101 +166,148 @@ func RunAllTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []AnalyzerT
 	return out, timings
 }
 
-// ignoreRe matches a boltvet:ignore directive, capturing the analyzer name
-// list and the (mandatory for suppression) ` -- reason` tail. Anchored at
-// the start of the comment so prose that merely mentions the directive
-// syntax does not parse as one.
-var ignoreRe = regexp.MustCompile(`^//\s*boltvet:ignore\s+([A-Za-z][A-Za-z, ]*?)\s*(?:--\s*(\S.*))?$`)
-
-// ignoreBeginRe and ignoreEndRe bracket a block suppression. The begin
-// carries the analyzer list and mandatory reason; the end is bare.
-var (
-	ignoreBeginRe = regexp.MustCompile(`^//\s*boltvet:ignore-begin\s+([A-Za-z][A-Za-z, ]*?)\s*(?:--\s*(\S.*))?$`)
-	ignoreEndRe   = regexp.MustCompile(`^//\s*boltvet:ignore-end\s*$`)
-)
-
-// parseIgnoreBlockDirective decodes a begin/end marker: kind is "begin",
-// "end", or "" for non-markers. A reasonless begin parses (so hygiene can
-// report it) but suppresses nothing.
-func parseIgnoreBlockDirective(text string) (kind string, names []string, reason string) {
-	if ignoreEndRe.MatchString(text) {
-		return "end", nil, ""
-	}
-	m := ignoreBeginRe.FindStringSubmatch(text)
-	if m == nil {
-		return "", nil, ""
-	}
-	for _, n := range strings.Split(m[1], ",") {
-		n = strings.TrimSpace(n)
-		if n != "" {
-			names = append(names, n)
-		}
-	}
-	return "begin", names, strings.TrimSpace(m[2])
+// directiveVerbs is the whole //boltvet: vocabulary. Any other verb is a
+// typo that would silently check nothing, and summary reports it.
+var directiveVerbs = map[string]bool{
+	"ignore": true, "ignore-begin": true, "ignore-end": true,
+	"guardedby": true, "goroutine": true, "mustclose": true,
 }
 
-// ignoreBlockProblem is one hygiene defect in a file's begin/end pairs,
-// reported by the summary analyzer.
-type ignoreBlockProblem struct {
-	pos  token.Pos
-	kind string // "reasonless", "unterminated", "orphan-end"
+// directiveRe matches a //boltvet:<verb> comment. Anchored at the start of
+// the comment so prose that merely mentions the syntax is not a directive.
+var directiveRe = regexp.MustCompile(`^//\s*boltvet:(\S*)(.*)$`)
+
+// directive is one parsed //boltvet:<verb> <args> -- <reason> comment.
+type directive struct {
+	verb   string
+	args   []string // split at spaces and commas
+	reason string   // after " -- "; "" when absent
+	pos    token.Pos
+	file   string
+	line   int
 }
 
-// collectIgnoreBlocks pairs a file's begin/end markers into suppression
-// spans (well-formed, reasoned pairs only) and reports the rest.
-func collectIgnoreBlocks(p *Package, f *ast.File) (spans []supSpan, problems []ignoreBlockProblem) {
-	type open struct {
-		line     int
-		names    map[string]bool // nil when reasonless
-		pos      token.Pos
-		file     string
-		reasoned bool
+// directiveIndex is a package's directives, parsed once and read by the
+// suppressions, summary, guardedby, golifetime and mustclose.
+type directiveIndex struct {
+	list      []*directive // file order
+	byComment map[*ast.Comment]*directive
+}
+
+// directives returns p's directive index, building it on first use.
+func (p *Package) directives() *directiveIndex {
+	if p.dirs != nil {
+		return p.dirs
 	}
-	var stack []open
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			kind, list, reason := parseIgnoreBlockDirective(c.Text)
-			switch kind {
-			case "begin":
-				pos := p.Fset.Position(c.Pos())
-				o := open{line: pos.Line, pos: c.Pos(), file: pos.Filename, reasoned: reason != ""}
-				if !o.reasoned {
-					problems = append(problems, ignoreBlockProblem{pos: c.Pos(), kind: "reasonless"})
-				} else if len(list) > 0 {
-					o.names = make(map[string]bool, len(list))
-					for _, n := range list {
-						o.names[n] = true
-					}
-				}
-				stack = append(stack, o)
-			case "end":
-				if len(stack) == 0 {
-					problems = append(problems, ignoreBlockProblem{pos: c.Pos(), kind: "orphan-end"})
+	p.dirs = &directiveIndex{byComment: make(map[*ast.Comment]*directive)}
+	for _, f := range p.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				m := directiveRe.FindStringSubmatch(c.Text)
+				if m == nil {
 					continue
 				}
-				o := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if o.names != nil {
-					spans = append(spans, supSpan{file: o.file, start: o.line, end: p.Fset.Position(c.Pos()).Line, names: o.names})
+				args, reason, _ := strings.Cut(m[2], "--")
+				pos := p.Fset.Position(c.Pos())
+				d := &directive{
+					verb:   m[1],
+					args:   strings.FieldsFunc(args, func(r rune) bool { return r == ',' || unicode.IsSpace(r) }),
+					reason: strings.TrimSpace(reason),
+					pos:    c.Pos(),
+					file:   pos.Filename,
+					line:   pos.Line,
 				}
+				p.dirs.list = append(p.dirs.list, d)
+				p.dirs.byComment[c] = d
 			}
 		}
 	}
-	for _, o := range stack {
-		problems = append(problems, ignoreBlockProblem{pos: o.pos, kind: "unterminated"})
+	return p.dirs
+}
+
+// inGroups returns the directive with the given verb among the comment
+// groups (the last one wins), or nil.
+func (p *Package) inGroups(verb string, groups ...*ast.CommentGroup) *directive {
+	var found *directive
+	for _, cg := range groups {
+		if cg == nil {
+			continue
+		}
+		for _, c := range cg.List {
+			if d := p.directives().byComment[c]; d != nil && d.verb == verb {
+				found = d
+			}
+		}
 	}
-	return spans, problems
+	return found
+}
+
+// ignoreNames returns the analyzers an ignore directive suppresses: only
+// a reasoned directive naming at least one suppresses anything.
+func ignoreNames(d *directive) map[string]bool {
+	if d == nil || d.verb != "ignore" || d.reason == "" || len(d.args) == 0 {
+		return nil
+	}
+	return nameSet(d.args)
+}
+
+func nameSet(names []string) map[string]bool {
+	set := make(map[string]bool, len(names))
+	for _, n := range names {
+		set[n] = true
+	}
+	return set
+}
+
+// ignoreBlocks pairs p's ignore-begin/ignore-end directives, file by file,
+// into suppression spans (well-formed, reasoned pairs only). A reasonless
+// begin, an unterminated begin and an orphan end suppress nothing and are
+// reported to r (nil drops them).
+func ignoreBlocks(p *Package, r *reporter) []supSpan {
+	var spans []supSpan
+	var open []*directive
+	unterminated := func() {
+		for _, d := range open {
+			r.at(p, d.pos, "boltvet:ignore-begin has no matching boltvet:ignore-end; the block suppresses nothing")
+		}
+		open = nil
+	}
+	file := ""
+	for _, d := range p.directives().list {
+		if d.file != file {
+			unterminated()
+			file = d.file
+		}
+		switch d.verb {
+		case "ignore-begin":
+			if d.reason == "" {
+				r.at(p, d.pos, "boltvet:ignore-begin without a reason suppresses nothing; write `//boltvet:ignore-begin <analyzer> -- <why>`")
+			}
+			open = append(open, d)
+		case "ignore-end":
+			if len(open) == 0 {
+				r.at(p, d.pos, "boltvet:ignore-end has no matching boltvet:ignore-begin")
+				continue
+			}
+			b := open[len(open)-1]
+			open = open[:len(open)-1]
+			if b.reason != "" && len(b.args) > 0 {
+				spans = append(spans, supSpan{file: file, start: b.line, end: d.line, names: nameSet(b.args)})
+			}
+		}
+	}
+	unterminated()
+	return spans
 }
 
 // suppressions indexes //boltvet:ignore comments by file line and by
 // function extent.
 type suppressions struct {
-	fset *token.FileSet
 	// lines maps filename -> line -> set of suppressed analyzer names
 	// ("all" suppresses everything).
 	lines map[string]map[int]map[string]bool
-	// spans suppress an analyzer over a position range (function bodies
-	// whose doc comment carries the ignore).
+	// spans suppress an analyzer over a line range: function bodies whose
+	// doc comment carries the ignore, and ignore-begin/end blocks.
 	spans []supSpan
 }
 
@@ -266,84 +317,39 @@ type supSpan struct {
 	names      map[string]bool
 }
 
-// parseIgnoreDirective decodes a boltvet:ignore comment. ok is false when
-// the comment is not a directive at all; a directive without a reason
-// returns ok with an empty reason (reported by the summary analyzer, and
-// suppressing nothing).
-func parseIgnoreDirective(text string) (names []string, reason string, ok bool) {
-	m := ignoreRe.FindStringSubmatch(text)
-	if m == nil {
-		return nil, "", false
-	}
-	for _, n := range strings.Split(m[1], ",") {
-		n = strings.TrimSpace(n)
-		if n != "" {
-			names = append(names, n)
-		}
-	}
-	return names, strings.TrimSpace(m[2]), true
-}
-
-// parseIgnoreNames returns the analyzer set a comment suppresses: only
-// reasoned directives suppress.
-func parseIgnoreNames(text string) map[string]bool {
-	list, reason, ok := parseIgnoreDirective(text)
-	if !ok || reason == "" || len(list) == 0 {
-		return nil
-	}
-	names := make(map[string]bool, len(list))
-	for _, n := range list {
-		names[n] = true
-	}
-	return names
-}
-
 func newSuppressions(pkgs []*Package) *suppressions {
 	s := &suppressions{lines: make(map[string]map[int]map[string]bool)}
 	for _, p := range pkgs {
-		s.fset = p.Fset
-		for _, f := range p.Files {
-			blockSpans, _ := collectIgnoreBlocks(p, f)
-			s.spans = append(s.spans, blockSpans...)
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					names := parseIgnoreNames(c.Text)
-					if names == nil {
-						continue
-					}
-					pos := p.Fset.Position(c.Pos())
-					byLine := s.lines[pos.Filename]
-					if byLine == nil {
-						byLine = make(map[int]map[string]bool)
-						s.lines[pos.Filename] = byLine
-					}
-					if byLine[pos.Line] == nil {
-						byLine[pos.Line] = make(map[string]bool)
-					}
-					for n := range names {
-						byLine[pos.Line][n] = true
-					}
-				}
+		s.spans = append(s.spans, ignoreBlocks(p, nil)...)
+		for _, d := range p.directives().list {
+			names := ignoreNames(d)
+			if names == nil {
+				continue
 			}
+			if s.lines[d.file] == nil {
+				s.lines[d.file] = make(map[int]map[string]bool)
+			}
+			if s.lines[d.file][d.line] == nil {
+				s.lines[d.file][d.line] = make(map[string]bool)
+			}
+			for n := range names {
+				s.lines[d.file][d.line][n] = true
+			}
+		}
+		for _, f := range p.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Doc == nil {
 					continue
 				}
-				var names map[string]bool
+				names := make(map[string]bool)
 				for _, c := range fd.Doc.List {
-					if n := parseIgnoreNames(c.Text); n != nil {
-						if names == nil {
-							names = make(map[string]bool)
-						}
-						for k := range n {
-							names[k] = true
-						}
+					for n := range ignoreNames(p.directives().byComment[c]) {
+						names[n] = true
 					}
 				}
-				if names != nil {
-					start := p.Fset.Position(fd.Pos())
-					end := p.Fset.Position(fd.End())
+				if len(names) > 0 {
+					start, end := p.Fset.Position(fd.Pos()), p.Fset.Position(fd.End())
 					s.spans = append(s.spans, supSpan{file: start.Filename, start: start.Line, end: end.Line, names: names})
 				}
 			}
@@ -368,6 +374,19 @@ func (s *suppressions) suppressed(f Finding) bool {
 		}
 	}
 	return false
+}
+
+// reporter collects one analyzer's findings.
+type reporter struct {
+	analyzer string
+	out      []Finding
+}
+
+// at records a finding at pos in p; a nil reporter drops it.
+func (r *reporter) at(p *Package, pos token.Pos, format string, args ...any) {
+	if r != nil {
+		r.out = append(r.out, Finding{Pos: p.Fset.Position(pos), Analyzer: r.analyzer, Message: fmt.Sprintf(format, args...)})
+	}
 }
 
 // --- shared type helpers ---
@@ -423,6 +442,46 @@ func exprString(e ast.Expr) string {
 		return "*" + exprString(v.X)
 	}
 	return "expr"
+}
+
+// qualify is the program-wide key of a package-level name,
+// "pkgpath.Name"; a struct field extends its type's key,
+// "pkgpath.Type.field". Keys are strings because the same type can have
+// distinct objects in different type-check universes.
+func qualify(pkg *types.Package, name string) string {
+	if pkg == nil {
+		return "." + name
+	}
+	return pkg.Path() + "." + name
+}
+
+// typeKey keys the named type behind t (through pointers and aliases), or
+// returns "".
+func typeKey(t types.Type) string {
+	if named := namedOf(t); named != nil {
+		return qualify(named.Obj().Pkg(), named.Obj().Name())
+	}
+	return ""
+}
+
+// fieldKey keys field name of the named type behind t, or returns "".
+func fieldKey(t types.Type, name string) string {
+	if k := typeKey(t); k != "" {
+		return k + "." + name
+	}
+	return ""
+}
+
+// isSync reports whether obj is one of the named members of package sync.
+func isSync(obj types.Object, names ...string) bool {
+	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && slices.Contains(names, obj.Name())
+}
+
+// isSyncType reports whether t (through pointers and aliases) is one of the
+// named sync types.
+func isSyncType(t types.Type, names ...string) bool {
+	named := namedOf(t)
+	return named != nil && isSync(named.Obj(), names...)
 }
 
 // isTestFile reports whether the file is a *_test.go file.

@@ -138,9 +138,8 @@ func TestCondCheckFixture(t *testing.T)   { runFixture(t, "condcheck", CondCheck
 func TestGuardedByFixture(t *testing.T) { runFixture(t, "guardedby", GuardedBy, AtomicField) }
 
 // TestSummaryCheckFixture asserts directly instead of via // want comments:
-// a directive is the entire line comment (the regexp is $-anchored so prose
-// cannot parse as one), which leaves no room for a trailing want on the
-// same line.
+// a directive is the entire line comment (its reason runs to the end of
+// the line), which leaves no room for a trailing want on the same line.
 func TestSummaryCheckFixture(t *testing.T) {
 	dir := filepath.Join("testdata", "src", "summarycheck")
 	pkgs, err := Load(LoadConfig{}, dir)
@@ -154,6 +153,9 @@ func TestSummaryCheckFixture(t *testing.T) {
 		"boltvet:ignore-begin without a reason",
 		`ignore-begin names unknown analyzer "snycerr"`,
 		"boltvet:ignore-end has no matching boltvet:ignore-begin",
+		"unknown directive //boltvet:mustclos checks nothing",
+		"unknown directive //boltvet:gaurdedby checks nothing",
+		"unknown directive //boltvet:gorutine checks nothing",
 		"boltvet:ignore-begin has no matching boltvet:ignore-end",
 	}
 	if len(findings) != len(wantParts) {
@@ -173,15 +175,55 @@ func TestSummaryCheckFixture(t *testing.T) {
 
 // TestIgnoreBlockSuppresses pins the span mechanics end-to-end: the
 // mustclose fixture's blockSuppressed region leaks twice inside a
-// reasoned begin/end pair and must produce no findings there.
+// reasoned begin/end pair, which must suppress exactly those two.
 func TestIgnoreBlockSuppresses(t *testing.T) {
 	pkgs, err := Load(LoadConfig{}, filepath.Join("testdata", "src", "mustclose"))
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	for _, f := range RunAll(pkgs, []*Analyzer{MustClose}) {
-		if f.Pos.Line >= 107 && f.Pos.Line <= 118 {
-			t.Errorf("finding inside the ignore-begin/end block: %s", f)
+	var begin, end int
+	for _, d := range pkgs[0].directives().list {
+		switch d.verb {
+		case "ignore-begin":
+			begin = d.line
+		case "ignore-end":
+			end = d.line
+		}
+	}
+	if begin == 0 || end <= begin {
+		t.Fatalf("fixture block spans lines %d-%d; want one begin/end pair", begin, end)
+	}
+	inBlock := func(findings []Finding) int {
+		n := 0
+		for _, f := range findings {
+			if f.Pos.Line >= begin && f.Pos.Line <= end {
+				n++
+			}
+		}
+		return n
+	}
+	prog := BuildProgram(pkgs)
+	ComputeSummaries(prog)
+	if n := inBlock(MustClose.RunProgram(prog)); n != 2 {
+		t.Errorf("unsuppressed: %d mustclose findings in the block (lines %d-%d), want 2", n, begin, end)
+	}
+	if n := inBlock(RunAll(pkgs, []*Analyzer{MustClose})); n != 0 {
+		t.Errorf("%d findings inside the ignore-begin/end block", n)
+	}
+}
+
+// BenchmarkRunAll times one bolt-vet pass over the module (call graph,
+// summaries and every analyzer), with the packages loaded once outside the
+// timer, so `-count 5` gives the suite's wall time as a median.
+func BenchmarkRunAll(b *testing.B) {
+	pkgs, err := Load(LoadConfig{Tests: true}, filepath.Join("..", "..")+"/...")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if findings := RunAll(pkgs, All()); len(findings) != 0 {
+			b.Fatalf("%d findings, want 0: %v", len(findings), findings[0])
 		}
 	}
 }

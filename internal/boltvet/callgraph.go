@@ -40,12 +40,27 @@ type FuncInfo struct {
 	Pkg  *Package
 	Decl *ast.FuncDecl
 
-	// Calls are the resolved static call sites in body order.
-	Calls []*CallSite
+	// Calls are the resolved static call sites in body order, outside
+	// function literals; LitCalls are those inside them, which run at an
+	// unknown time (a deferred closure, a spawned goroutine) and so feed
+	// only the summaries that ignore order (the may-clear set).
+	Calls    []*CallSite
+	LitCalls []*CallSite
 
-	locks   *lockSummary
-	errs    *errSummary
 	parents map[ast.Node]ast.Node // see parentMap
+	sites   map[*ast.CallExpr]*CallSite
+}
+
+// site returns the resolved call site of call (outside function
+// literals), or nil.
+func (fi *FuncInfo) site(call *ast.CallExpr) *CallSite {
+	if fi.sites == nil {
+		fi.sites = make(map[*ast.CallExpr]*CallSite, len(fi.Calls))
+		for _, cs := range fi.Calls {
+			fi.sites[cs.Call] = cs
+		}
+	}
+	return fi.sites[call]
 }
 
 // parentMap returns the parent map of fi's body, built on first use and
@@ -82,6 +97,12 @@ type Program struct {
 
 	// methodsByName indexes concrete methods for interface resolution.
 	methodsByName map[string][]*FuncInfo
+	// checked is funcs' cache.
+	checked []*FuncInfo
+
+	// The summaries ComputeSummaries iterates to a fixed point.
+	locks map[*FuncInfo]lockSummary
+	errs  map[*FuncInfo][]string // barrier chains
 
 	// guards is the //boltvet:guardedby table (guardTable builds it on
 	// first use); guardFindings are the vocabulary errors found parsing it.
@@ -175,27 +196,33 @@ func BuildProgram(pkgs []*Package) *Program {
 		sort.Slice(fis, func(i, j int) bool { return fis[i].Key < fis[j].Key })
 	}
 	// Pass 2: resolve call sites.
-	for _, fi := range prog.sortedFuncs() {
+	for _, fi := range prog.Funcs {
 		prog.resolveCalls(fi)
 	}
 	return prog
 }
 
-// sortedFuncs returns the functions in deterministic key order.
-func (prog *Program) sortedFuncs() []*FuncInfo {
-	out := make([]*FuncInfo, 0, len(prog.Funcs))
-	for _, fi := range prog.Funcs {
-		out = append(out, fi)
+// funcs returns, in key order, the functions declared outside test files:
+// the set every summary kind is computed over and every analyzer checks.
+// Tests are the runtime twins' territory, and no non-test function can
+// call into a test file.
+func (prog *Program) funcs() []*FuncInfo {
+	if prog.checked == nil {
+		prog.checked = []*FuncInfo{}
+		for _, fi := range prog.Funcs {
+			if !strings.HasSuffix(fi.Pkg.Fset.Position(fi.Decl.Pos()).Filename, "_test.go") {
+				prog.checked = append(prog.checked, fi)
+			}
+		}
+		sort.Slice(prog.checked, func(i, j int) bool { return prog.checked[i].Key < prog.checked[j].Key })
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	return prog.checked
 }
 
-// resolveCalls fills fi.Calls with the statically resolvable callees of
-// every call expression in fi's body, in source order. Method values bound
-// to local variables (v := x.Method; v()) resolve through a per-function
-// binding map; FuncLit bodies are skipped (their calls belong to no
-// summary — a documented soundness limit).
+// resolveCalls fills fi.Calls and fi.LitCalls with the statically
+// resolvable callees of every call expression in fi's body, in source
+// order. Method values bound to local variables (v := x.Method; v())
+// resolve through a per-function binding map.
 func (prog *Program) resolveCalls(fi *FuncInfo) {
 	p := fi.Pkg
 	// bindings: local variable object -> bound function key.
@@ -225,18 +252,29 @@ func (prog *Program) resolveCalls(fi *FuncInfo) {
 		}
 	})
 
-	inspectSkipFuncLit(fi.Decl.Body, func(n ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return
-		}
+	record := func(into *[]*CallSite, call *ast.CallExpr) {
 		targets := prog.resolveCallee(p, call, bindings)
 		if len(targets) == 0 {
 			prog.Stats.OpaqueCalls++
 			return
 		}
 		prog.Stats.Edges += len(targets)
-		fi.Calls = append(fi.Calls, &CallSite{Call: call, Targets: targets})
+		*into = append(*into, &CallSite{Call: call, Targets: targets})
+	}
+	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.FuncLit:
+			ast.Inspect(v.Body, func(m ast.Node) bool {
+				if call, ok := m.(*ast.CallExpr); ok {
+					record(&fi.LitCalls, call)
+				}
+				return true
+			})
+			return false
+		case *ast.CallExpr:
+			record(&fi.Calls, v)
+		}
+		return true
 	})
 }
 
@@ -396,18 +434,7 @@ func lockKeyOf(p *Package, expr ast.Expr) string {
 	expr = ast.Unparen(expr)
 	switch v := expr.(type) {
 	case *ast.SelectorExpr:
-		base := ast.Unparen(v.X)
-		tv, ok := p.Info.Types[base]
-		if !ok {
-			return ""
-		}
-		if named := namedOf(tv.Type); named != nil {
-			pkg := ""
-			if named.Obj().Pkg() != nil {
-				pkg = named.Obj().Pkg().Path()
-			}
-			return pkg + "." + named.Obj().Name() + "." + v.Sel.Name
-		}
+		return fieldKey(typeOf(p, ast.Unparen(v.X)), v.Sel.Name)
 	case *ast.Ident:
 		obj := p.Info.Uses[v]
 		if obj == nil {
@@ -415,10 +442,19 @@ func lockKeyOf(p *Package, expr ast.Expr) string {
 		}
 		if _, isVar := obj.(*types.Var); isVar && obj.Parent() != nil && obj.Pkg() != nil &&
 			obj.Parent() == obj.Pkg().Scope() {
-			return obj.Pkg().Path() + "." + obj.Name()
+			return qualify(obj.Pkg(), obj.Name())
 		}
 	}
 	return ""
+}
+
+// fieldKeyOf identifies a struct-field selector as "pkgpath.Type.field",
+// or "" for anything that is not a field access on a named struct.
+func fieldKeyOf(p *Package, sel *ast.SelectorExpr) string {
+	if s, ok := p.Info.Selections[sel]; !ok || s.Kind() != types.FieldVal {
+		return ""
+	}
+	return fieldKey(typeOf(p, sel.X), sel.Sel.Name)
 }
 
 // shortLockKey trims the module path prefix for diagnostics.
@@ -450,8 +486,7 @@ func mutexOpOf(p *Package, call *ast.CallExpr) (key string, acquire, read, ok bo
 	default:
 		return "", false, false, false
 	}
-	tv, hasType := p.Info.Types[sel.X]
-	if !hasType || !isMutexType(tv.Type) {
+	if !isSyncType(typeOf(p, sel.X), "Mutex", "RWMutex") {
 		return "", false, false, false
 	}
 	key = lockKeyOf(p, sel.X)
@@ -459,18 +494,6 @@ func mutexOpOf(p *Package, call *ast.CallExpr) (key string, acquire, read, ok bo
 		return "", false, false, false
 	}
 	return key, acquire, read, true
-}
-
-// isMutexType reports whether t (possibly behind a pointer) is
-// sync.Mutex or sync.RWMutex.
-func isMutexType(t types.Type) bool {
-	named := namedOf(t)
-	if named == nil {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
 }
 
 // posOf renders a token position for witnesses.

@@ -30,9 +30,9 @@ func TestLockSummariesTwoHop(t *testing.T) {
 	if middle == nil {
 		t.Fatalf("middle not in program; keys: %v", len(prog.Funcs))
 	}
-	acq := middle.locks.acquires[mu]
+	acq := prog.locks[middle][mu]
 	if acq == nil {
-		t.Fatalf("middle's summary does not acquire %s: %+v", mu, middle.locks.acquires)
+		t.Fatalf("middle's summary does not acquire %s: %+v", mu, prog.locks[middle])
 	}
 	if got := strings.Join(acq.chain, " -> "); got != "inner" {
 		t.Errorf("middle's chain = %q, want %q", got, "inner")
@@ -45,7 +45,7 @@ func TestLockSummariesTwoHop(t *testing.T) {
 	if relocks == nil {
 		t.Fatal("relocks not in program")
 	}
-	racq := relocks.locks.acquires[mu]
+	racq := prog.locks[relocks][mu]
 	if racq == nil {
 		t.Fatalf("relocks' summary does not acquire %s", mu)
 	}
@@ -58,12 +58,12 @@ func TestLockSummariesTwoHop(t *testing.T) {
 		t.Fatal("readInner not in program")
 	}
 	rw := path + ".S.rw"
-	if a := readInner.locks.acquires[rw]; a == nil || !a.read {
+	if a := prog.locks[readInner][rw]; a == nil || !a.read {
 		t.Errorf("readInner must summarize a read acquire of %s, got %+v", rw, a)
 	}
 }
 
-// TestErrSummariesTwoHop pins the errflow half: returnsBarrier propagates
+// TestErrSummariesTwoHop pins the errflow half: the barrier chain propagates
 // through two hops of helpers and carries the witness chain down to the
 // barrier method.
 func TestErrSummariesTwoHop(t *testing.T) {
@@ -73,10 +73,7 @@ func TestErrSummariesTwoHop(t *testing.T) {
 	if layer2 == nil {
 		t.Fatal("layer2 not in program")
 	}
-	if !layer2.errs.returnsBarrier {
-		t.Fatal("layer2 must summarize as returning a barrier-born error")
-	}
-	if got := strings.Join(layer2.errs.chain, " -> "); got != "barrier -> Sync" {
+	if got := strings.Join(prog.errs[layer2], " -> "); got != "barrier -> Sync" {
 		t.Errorf("layer2's chain = %q, want %q", got, "barrier -> Sync")
 	}
 
@@ -88,7 +85,7 @@ func TestErrSummariesTwoHop(t *testing.T) {
 		if fi == nil {
 			t.Fatalf("%s not in program", name)
 		}
-		if fi.errs.returnsBarrier {
+		if prog.errs[fi] != nil {
 			t.Errorf("%s must not summarize as returning a barrier error", name)
 		}
 	}

@@ -1,7 +1,6 @@
 package boltvet
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 )
@@ -60,7 +59,7 @@ func condOpOf(p *Package, call *ast.CallExpr) (key, op string, ok bool) {
 	default:
 		return "", "", false
 	}
-	if !isCondType(typeOf(p, sel.X)) {
+	if !isSyncType(typeOf(p, sel.X), "Cond") {
 		return "", "", false
 	}
 	key = lockKeyOf(p, sel.X)
@@ -93,12 +92,12 @@ type condState struct {
 	waitedPreds map[string]map[string]bool
 	// waitLoopAt maps predicate field key -> a witness wait-loop position.
 	waitLoopAt map[string]string
-	// directSigs maps function key -> its direct signal sites (function
+	// directSigs maps each function to its direct signal sites (function
 	// literals included: a deferred closure's Broadcast still runs).
-	directSigs map[string][]sigPos
-	// transSigs maps function key -> cond keys it may signal through any
-	// call chain.
-	transSigs map[string]map[string]bool
+	directSigs map[*FuncInfo][]sigPos
+	// transSigs is the may-signal summary: the cond keys a function may
+	// signal through any call chain.
+	transSigs map[*FuncInfo]map[string]bool
 }
 
 func runCondCheck(prog *Program) []Finding {
@@ -107,27 +106,16 @@ func runCondCheck(prog *Program) []Finding {
 		binds:       make(map[string]string),
 		waitedPreds: make(map[string]map[string]bool),
 		waitLoopAt:  make(map[string]string),
-		directSigs:  make(map[string][]sigPos),
-		transSigs:   make(map[string]map[string]bool),
+		directSigs:  make(map[*FuncInfo][]sigPos),
 	}
-	var out []Finding
+	r := &reporter{analyzer: "condcheck"}
 	cc.collectBindings()
-	bares := cc.collectWaits(&out)
-	cc.checkBareWaits(bares, &out)
-	cc.checkWaitLockState(&out)
+	bares := cc.collectWaits(r)
+	cc.checkBareWaits(bares, r)
+	cc.checkWaitLockState(r)
 	cc.computeSignalSummaries()
-	cc.checkMissedWakeups(&out)
-	return out
-}
-
-func (cc *condState) funcs() []*FuncInfo {
-	var out []*FuncInfo
-	for _, fi := range cc.prog.sortedFuncs() {
-		if fi.Decl != nil && !funcInTestFile(fi) {
-			out = append(out, fi)
-		}
-	}
-	return out
+	cc.checkMissedWakeups(r)
+	return r.out
 }
 
 // collectBindings learns the cond -> mutex association from
@@ -144,7 +132,7 @@ func (cc *condState) collectBindings() {
 		}
 		cc.binds[condKey] = mutexKey
 	}
-	for _, fi := range cc.funcs() {
+	for _, fi := range cc.prog.funcs() {
 		p := fi.Pkg
 		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 			as, ok := n.(*ast.AssignStmt)
@@ -153,22 +141,19 @@ func (cc *condState) collectBindings() {
 			}
 			for i := range as.Lhs {
 				lhs, rhs := ast.Unparen(as.Lhs[i]), ast.Unparen(as.Rhs[i])
-				if call, ok := rhs.(*ast.CallExpr); ok && isNewCondCall(p, call) && len(call.Args) == 1 {
-					bind(lockKeyOf(p, lhs), mutexOperandKey(p, call.Args[0]))
-					continue
+				if call, ok := rhs.(*ast.CallExpr); ok && len(call.Args) == 1 {
+					if fn := funcObjOf(p, ast.Unparen(call.Fun)); fn != nil && isSync(fn, "NewCond") {
+						bind(lockKeyOf(p, lhs), mutexOperandKey(p, call.Args[0]))
+						continue
+					}
 				}
-				if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "L" && isCondType(typeOf(p, sel.X)) {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "L" && isSyncType(typeOf(p, sel.X), "Cond") {
 					bind(lockKeyOf(p, sel.X), mutexOperandKey(p, rhs))
 				}
 			}
 			return true
 		})
 	}
-}
-
-func isNewCondCall(p *Package, call *ast.CallExpr) bool {
-	fn := funcObjOf(p, ast.Unparen(call.Fun))
-	return fn != nil && fn.Name() == "NewCond" && fn.Pkg() != nil && fn.Pkg().Path() == "sync"
 }
 
 // mutexOperandKey resolves &mu (or a plain mutex-typed expression) to
@@ -178,7 +163,7 @@ func mutexOperandKey(p *Package, e ast.Expr) string {
 	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
 		e = ast.Unparen(u.X)
 	}
-	if !isMutexType(typeOf(p, e)) {
+	if !isSyncType(typeOf(p, e), "Mutex", "RWMutex") {
 		return ""
 	}
 	return lockKeyOf(p, e)
@@ -188,9 +173,9 @@ func mutexOperandKey(p *Package, e ast.Expr) string {
 // contribute their loop condition's fields to the waited-predicate set;
 // waits with no loop inside a function literal are reported here; bare
 // waits at function top level are returned for the call-site check.
-func (cc *condState) collectWaits(out *[]Finding) []bareWait {
+func (cc *condState) collectWaits(r *reporter) []bareWait {
 	var bares []bareWait
-	for _, fi := range cc.funcs() {
+	for _, fi := range cc.prog.funcs() {
 		p := fi.Pkg
 		parents := fi.parentMap()
 		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
@@ -209,11 +194,7 @@ func (cc *condState) collectWaits(out *[]Finding) []bareWait {
 					cc.recordPredicates(p, forStmt, key)
 				}
 			case inLit:
-				*out = append(*out, Finding{
-					Pos:      p.Fset.Position(call.Pos()),
-					Analyzer: "condcheck",
-					Message:  fmt.Sprintf("Wait on %s outside a for loop; a wakeup is a hint, recheck the predicate in a loop", shortLockKey(key)),
-				})
+				r.at(p, call.Pos(), "Wait on %s outside a for loop; a wakeup is a hint, recheck the predicate in a loop", shortLockKey(key))
 			default:
 				bares = append(bares, bareWait{fi: fi, call: call, key: key})
 			}
@@ -266,10 +247,10 @@ func (cc *condState) recordPredicates(p *Package, loop *ast.ForStmt, condKey str
 // checkBareWaits applies the one-level relaxation: a function whose
 // Wait has no local loop passes only when every one of its call sites
 // is inside a loop.
-func (cc *condState) checkBareWaits(bares []bareWait, out *[]Finding) {
+func (cc *condState) checkBareWaits(bares []bareWait, r *reporter) {
 	for _, bw := range bares {
 		sites := 0
-		for _, caller := range cc.funcs() {
+		for _, caller := range cc.prog.funcs() {
 			parents := caller.parentMap()
 			for _, cs := range caller.Calls {
 				if !hasTarget(cs, bw.fi.Key) {
@@ -277,21 +258,13 @@ func (cc *condState) checkBareWaits(bares []bareWait, out *[]Finding) {
 				}
 				sites++
 				if loop, _ := enclosingLoop(parents, cs.Call); loop == nil {
-					*out = append(*out, Finding{
-						Pos:      caller.Pkg.Fset.Position(cs.Call.Pos()),
-						Analyzer: "condcheck",
-						Message: fmt.Sprintf("%s calls %s, which Waits on %s, from outside a loop; the predicate is rechecked only when the call site loops",
-							caller.Name, bw.fi.Name, shortLockKey(bw.key)),
-					})
+					r.at(caller.Pkg, cs.Call.Pos(), "%s calls %s, which Waits on %s, from outside a loop; the predicate is rechecked only when the call site loops",
+						caller.Name, bw.fi.Name, shortLockKey(bw.key))
 				}
 			}
 		}
 		if sites == 0 {
-			*out = append(*out, Finding{
-				Pos:      bw.fi.Pkg.Fset.Position(bw.call.Pos()),
-				Analyzer: "condcheck",
-				Message:  fmt.Sprintf("Wait on %s outside a for loop; a wakeup is a hint, recheck the predicate in a loop", shortLockKey(bw.key)),
-			})
+			r.at(bw.fi.Pkg, bw.call.Pos(), "Wait on %s outside a for loop; a wakeup is a hint, recheck the predicate in a loop", shortLockKey(bw.key))
 		}
 	}
 }
@@ -308,8 +281,8 @@ func hasTarget(cs *CallSite, key string) bool {
 // checkWaitLockState replays each function through the lock walker and
 // checks every Wait's mutex discipline: the bound mutex held, no other
 // acquired mutex held across the sleep.
-func (cc *condState) checkWaitLockState(out *[]Finding) {
-	for _, fi := range cc.funcs() {
+func (cc *condState) checkWaitLockState(r *reporter) {
+	for _, fi := range cc.prog.funcs() {
 		p := fi.Pkg
 		w := newLockWalker(cc.prog, fi, nil)
 		w.onCall = func(cs *CallSite, st *lockState, deferred bool) {
@@ -323,85 +296,53 @@ func (cc *condState) checkWaitLockState(out *[]Finding) {
 			mk := cc.binds[key]
 			if mk != "" {
 				if _, held := st.held[mk]; !held {
-					*out = append(*out, Finding{
-						Pos:      p.Fset.Position(cs.Call.Pos()),
-						Analyzer: "condcheck",
-						Message: fmt.Sprintf("%s Waits on %s without holding %s, the cond's mutex; Wait's internal unlock panics or races",
-							fi.Name, shortLockKey(key), shortLockKey(mk)),
-					})
+					r.at(p, cs.Call.Pos(), "%s Waits on %s without holding %s, the cond's mutex; Wait's internal unlock panics or races",
+						fi.Name, shortLockKey(key), shortLockKey(mk))
 				}
 			}
 			for _, hk := range sortedKeys(st.held) {
 				if hk == mk || st.held[hk] == lockEntry {
 					continue
 				}
-				*out = append(*out, Finding{
-					Pos:      p.Fset.Position(cs.Call.Pos()),
-					Analyzer: "condcheck",
-					Message: fmt.Sprintf("%s Waits on %s while holding %s; Wait releases only the cond's mutex, so %s stays held across the sleep (deadlock hazard)",
-						fi.Name, shortLockKey(key), shortLockKey(hk), shortLockKey(hk)),
-				})
+				r.at(p, cs.Call.Pos(), "%s Waits on %s while holding %s; Wait releases only the cond's mutex, so %s stays held across the sleep (deadlock hazard)",
+					fi.Name, shortLockKey(key), shortLockKey(hk), shortLockKey(hk))
 			}
 		}
 		w.walkFrom(cc.prog.entryState(fi))
 	}
 }
 
-// computeSignalSummaries gathers direct Signal/Broadcast sites and
-// iterates the may-signal sets to a fixed point over the call graph.
-// Go-spawned calls count: waking a waiter from a goroutine the mutation
-// just scheduled is the engine's normal shape.
+// computeSignalSummaries gathers direct Signal/Broadcast sites and drives
+// the may-signal sets to a fixed point over the call graph. Go-spawned
+// calls count: waking a waiter from a goroutine the mutation just
+// scheduled is the engine's normal shape.
 func (cc *condState) computeSignalSummaries() {
-	funcs := cc.funcs()
-	for _, fi := range funcs {
+	direct := make(map[*FuncInfo]map[string]bool)
+	for _, fi := range cc.prog.funcs() {
 		p := fi.Pkg
 		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if key, op, ok := condOpOf(p, call); ok && op != "Wait" {
-				cc.directSigs[fi.Key] = append(cc.directSigs[fi.Key], sigPos{pos: call.Pos(), key: key})
+			if call, ok := n.(*ast.CallExpr); ok {
+				if key, op, ok := condOpOf(p, call); ok && op != "Wait" {
+					cc.directSigs[fi] = append(cc.directSigs[fi], sigPos{pos: call.Pos(), key: key})
+					if direct[fi] == nil {
+						direct[fi] = make(map[string]bool)
+					}
+					direct[fi][key] = true
+				}
 			}
 			return true
 		})
 	}
-	for pass := 0; pass < maxSummaryPasses; pass++ {
-		changed := false
-		for _, fi := range funcs {
-			set := cc.transSigs[fi.Key]
-			if set == nil {
-				set = make(map[string]bool)
-				cc.transSigs[fi.Key] = set
-			}
-			before := len(set)
-			for _, s := range cc.directSigs[fi.Key] {
-				set[s.key] = true
-			}
-			for _, cs := range fi.Calls {
-				for _, t := range cs.Targets {
-					for k := range cc.transSigs[t] {
-						set[k] = true
-					}
-				}
-			}
-			if len(set) != before {
-				changed = true
-			}
-		}
-		if !changed {
-			return
-		}
-	}
+	cc.transSigs = maySets(cc.prog, direct, false)
 }
 
 // checkMissedWakeups reports predicate mutations with no reachable
 // signal positioned after them.
-func (cc *condState) checkMissedWakeups(out *[]Finding) {
+func (cc *condState) checkMissedWakeups(r *reporter) {
 	if len(cc.waitedPreds) == 0 {
 		return
 	}
-	for _, fi := range cc.funcs() {
+	for _, fi := range cc.prog.funcs() {
 		p := fi.Pkg
 		fresh := freshLocals(p, fi.Decl)
 		check := func(sel *ast.SelectorExpr, pos token.Pos) {
@@ -416,12 +357,8 @@ func (cc *condState) checkMissedWakeups(out *[]Finding) {
 			if cc.signalAfter(fi, pos, cks) || cc.callersDischarge(fi, cks) {
 				return
 			}
-			*out = append(*out, Finding{
-				Pos:      p.Fset.Position(pos),
-				Analyzer: "condcheck",
-				Message: fmt.Sprintf("%s mutates %s, rechecked by the Wait loop at %s, with no Signal/Broadcast after it (here or in every caller); waiters can miss the change and stall",
-					fi.Name, shortLockKey(fk), cc.waitLoopAt[fk]),
-			})
+			r.at(p, pos, "%s mutates %s, rechecked by the Wait loop at %s, with no Signal/Broadcast after it (here or in every caller); waiters can miss the change and stall",
+				fi.Name, shortLockKey(fk), cc.waitLoopAt[fk])
 		}
 		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 			switch v := n.(type) {
@@ -445,7 +382,7 @@ func (cc *condState) checkMissedWakeups(out *[]Finding) {
 // positioned after pos: a direct Signal/Broadcast, or a call to a
 // function whose may-signal set intersects cks.
 func (cc *condState) signalAfter(fi *FuncInfo, pos token.Pos, cks map[string]bool) bool {
-	for _, s := range cc.directSigs[fi.Key] {
+	for _, s := range cc.directSigs[fi] {
 		if s.pos > pos && cks[s.key] {
 			return true
 		}
@@ -455,7 +392,7 @@ func (cc *condState) signalAfter(fi *FuncInfo, pos token.Pos, cks map[string]boo
 			continue
 		}
 		for _, t := range cs.Targets {
-			for k := range cc.transSigs[t] {
+			for k := range cc.transSigs[cc.prog.Funcs[t]] {
 				if cks[k] {
 					return true
 				}
@@ -470,7 +407,7 @@ func (cc *condState) signalAfter(fi *FuncInfo, pos token.Pos, cks map[string]boo
 // every call site of fi must be followed by a signal in its caller.
 func (cc *condState) callersDischarge(fi *FuncInfo, cks map[string]bool) bool {
 	sites := 0
-	for _, caller := range cc.funcs() {
+	for _, caller := range cc.prog.funcs() {
 		for _, cs := range caller.Calls {
 			if !hasTarget(cs, fi.Key) {
 				continue

@@ -1,16 +1,12 @@
 package boltvet
 
-import (
-	"fmt"
-	"go/token"
-	"strings"
-)
+import "strings"
 
 // ErrFlow taint-tracks error values born at durability barriers
 // (Sync/SyncDir/LogAndApply/CommitPrepared/WriteFile) through assignments,
 // fmt.Errorf wraps, and helper returns, and reports every path where the
 // taint dies before reaching a sink. Sinks are: a return statement (or a
-// named error result), a store into a field/map/element (e.g. the bgErr
+// named error result), a store into a field/map/element (e.g. the roCause
 // record), a call argument (panic, logging, append, ...), a comparison or
 // other use in an expression, and a channel send.
 //
@@ -34,52 +30,38 @@ var ErrFlow = &Analyzer{
 }
 
 func runErrFlow(prog *Program) []Finding {
-	var out []Finding
-	report := func(fi *FuncInfo, pos token.Pos, format string, args ...any) {
-		out = append(out, Finding{
-			Pos:      fi.Pkg.Fset.Position(pos),
-			Analyzer: "errflow",
-			Message:  fmt.Sprintf(format, args...),
-		})
-	}
-
-	for _, fi := range prog.sortedFuncs() {
-		if fi.Decl == nil || funcInTestFile(fi) {
-			continue
-		}
-		t := analyzeErrFlow(prog, fi)
-		for _, src := range t.sources {
+	r := &reporter{analyzer: "errflow"}
+	for _, fi := range prog.funcs() {
+		p := fi.Pkg
+		for _, src := range analyzeErrFlow(prog, fi) {
 			what, chain := src.name, strings.Join(src.chain, " -> ")
 			carries := "it carries a durability-barrier error (" + chain + ")"
 			if src.direct {
 				what, carries = exprString(src.call.Fun), "it is a durability barrier"
 			}
+			pos := src.call.Pos()
 			switch {
 			case src.weak:
 				if src.discarded == "stmt" {
-					report(fi, src.call.Pos(),
-						"result of %s is discarded; handle the error, or mark a best-effort close explicit with `_ =`", what)
+					r.at(p, pos, "result of %s is discarded; handle the error, or mark a best-effort close explicit with `_ =`", what)
 				}
 			case src.discarded == "stmt":
-				report(fi, src.call.Pos(), "result of %s is discarded, but %s", what, carries)
+				r.at(p, pos, "result of %s is discarded, but %s", what, carries)
 			case src.discarded == "underscore":
-				report(fi, src.call.Pos(),
-					"error from %s is discarded via _, but %s; handle it or suppress with a reason at this site", what, carries)
+				r.at(p, pos, "error from %s is discarded via _, but %s; handle it or suppress with a reason at this site", what, carries)
 			case src.discarded == "defer":
-				report(fi, src.call.Pos(), "error from deferred %s is discarded; %s", what, carries)
+				r.at(p, pos, "error from deferred %s is discarded; %s", what, carries)
 			case src.discarded == "go":
-				report(fi, src.call.Pos(), "error from %s spawned in a goroutine is discarded; %s", what, carries)
+				r.at(p, pos, "error from %s spawned in a goroutine is discarded; %s", what, carries)
 			case src.consumed:
 			case src.direct && src.mentioned:
-				report(fi, src.call.Pos(),
-					"error from %s is copied or wrapped but never handled; the barrier error dies in %s", src.name, fi.Name)
+				r.at(p, pos, "error from %s is copied or wrapped but never handled; the barrier error dies in %s", src.name, fi.Name)
 			case src.direct:
-				report(fi, src.call.Pos(), "error from %s is assigned but never used; the barrier error dies in %s", what, fi.Name)
+				r.at(p, pos, "error from %s is assigned but never used; the barrier error dies in %s", what, fi.Name)
 			default:
-				report(fi, src.call.Pos(),
-					"error from %s is captured but never handled; the barrier error (%s) dies in %s", src.name, chain, fi.Name)
+				r.at(p, pos, "error from %s is captured but never handled; the barrier error (%s) dies in %s", src.name, chain, fi.Name)
 			}
 		}
 	}
-	return out
+	return r.out
 }

@@ -1,11 +1,10 @@
 package boltvet
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -50,7 +49,7 @@ import (
 // clear on any instance of the struct type counts, RacerD's ownership
 // trade); the clear path is existential, not universal — a panic
 // between spawn and clear escapes the analysis; calls the graph cannot
-// resolve end the search. The engine's runtime twin is the TestCloseVs*
+// resolve clear nothing. The engine's runtime twin is the TestCloseVs*
 // table in internal/core, which races Close against every lane of its
 // one spawn site under -race and requires the goroutine count back to
 // baseline.
@@ -58,16 +57,6 @@ var GoLifetime = &Analyzer{
 	Name:       "golifetime",
 	Doc:        "ties every go statement to a declared/inferred lifecycle and proves the goroutine is joined",
 	RunProgram: runGoLifetime,
-}
-
-// goroutineRe matches the spawn-site annotation.
-var goroutineRe = regexp.MustCompile(`^//\s*boltvet:goroutine\s+(\w+)\s*(?:--\s*(\S.*))?$`)
-
-// goroutineSpec is one parsed //boltvet:goroutine annotation.
-type goroutineSpec struct {
-	tracker string
-	reason  string
-	pos     token.Pos
 }
 
 // trackerKind classifies what a tracker name resolved to.
@@ -97,17 +86,15 @@ func (tr *trackerRef) label() string {
 	return tr.structName + "." + tr.fieldName
 }
 
-// lifetimeState caches the per-function facts the spawn checks share.
+// lifetimeState caches the facts the spawn checks share.
 type lifetimeState struct {
 	prog *Program
-	// annots maps filename -> line -> annotation.
-	annots map[string]map[int]*goroutineSpec
-	// clears maps function key -> tracker keys the body clears.
-	clears map[string]map[string]bool
-	// callees maps function key -> resolved callee keys, including calls
-	// inside function literals (unlike FuncInfo.Calls, which skips them —
-	// a spawned literal's body is exactly what we must see through).
-	callees map[string][]string
+	// specs maps filename -> line -> //boltvet:goroutine directive.
+	specs map[string]map[int]*directive
+	// clears is the may-clear summary: the tracker field keys a function,
+	// or anything it calls (inside function literals too: a deferred
+	// closure's clear still runs), may clear.
+	clears map[*FuncInfo]map[string]bool
 	// waitedFields holds field keys some loop condition mentions while
 	// its body Waits on a sync.Cond (the drain idiom).
 	waitedFields map[string]bool
@@ -116,93 +103,73 @@ type lifetimeState struct {
 	wgWaitFields map[string]bool
 }
 
-// maxLifetimeDepth bounds the clear-path search through the call graph.
-const maxLifetimeDepth = 8
-
 func runGoLifetime(prog *Program) []Finding {
 	ls := &lifetimeState{
 		prog:         prog,
-		annots:       make(map[string]map[int]*goroutineSpec),
-		clears:       make(map[string]map[string]bool),
-		callees:      make(map[string][]string),
+		specs:        make(map[string]map[int]*directive),
 		waitedFields: make(map[string]bool),
 		wgWaitFields: make(map[string]bool),
 	}
-	ls.collectAnnotations()
-	ls.collectAwaits()
-	var out []Finding
-	for _, fi := range prog.sortedFuncs() {
-		if fi.Decl == nil || funcInTestFile(fi) {
-			continue
-		}
-		ls.checkFunc(fi, &out)
-	}
-	return out
-}
-
-func (ls *lifetimeState) collectAnnotations() {
-	for _, p := range ls.prog.Pkgs {
-		for _, f := range p.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					m := goroutineRe.FindStringSubmatch(c.Text)
-					if m == nil {
-						continue
-					}
-					pos := p.Fset.Position(c.Pos())
-					byLine := ls.annots[pos.Filename]
-					if byLine == nil {
-						byLine = make(map[int]*goroutineSpec)
-						ls.annots[pos.Filename] = byLine
-					}
-					byLine[pos.Line] = &goroutineSpec{
-						tracker: m[1],
-						reason:  strings.TrimSpace(m[2]),
-						pos:     c.Pos(),
-					}
-				}
+	for _, p := range prog.Pkgs {
+		for _, d := range p.directives().list {
+			if d.verb != "goroutine" {
+				continue
 			}
+			if ls.specs[d.file] == nil {
+				ls.specs[d.file] = make(map[int]*directive)
+			}
+			ls.specs[d.file][d.line] = d
 		}
 	}
-}
-
-// collectAwaits scans every non-test function once for the two join
-// idioms: drain loops (condition mentions a field, body Waits on a
-// sync.Cond) and WaitGroup field Waits.
-func (ls *lifetimeState) collectAwaits() {
-	for _, fi := range ls.prog.sortedFuncs() {
-		if fi.Decl == nil || funcInTestFile(fi) {
-			continue
-		}
-		p := fi.Pkg
+	direct := make(map[*FuncInfo]map[string]bool)
+	for _, fi := range prog.funcs() {
+		ls.collectAwaits(fi)
+		direct[fi] = clearsIn(fi.Pkg, fi.Decl.Body)
+	}
+	ls.clears = maySets(prog, direct, true)
+	r := &reporter{analyzer: "golifetime"}
+	for _, fi := range prog.funcs() {
 		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-			switch v := n.(type) {
-			case *ast.ForStmt:
-				if v.Cond == nil || !bodyWaitsOnCond(p, v.Body) {
-					return true
-				}
-				ast.Inspect(v.Cond, func(cn ast.Node) bool {
-					if sel, ok := cn.(*ast.SelectorExpr); ok {
-						if key := fieldKeyOf(p, sel); key != "" {
-							ls.waitedFields[key] = true
-						}
-					}
-					return true
-				})
-			case *ast.CallExpr:
-				sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "Wait" {
-					return true
-				}
-				if inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok && isWaitGroupType(typeOf(p, sel.X)) {
-					if key := fieldKeyOf(p, inner); key != "" {
-						ls.wgWaitFields[key] = true
-					}
-				}
+			if g, ok := n.(*ast.GoStmt); ok {
+				ls.checkSpawn(fi, g, r)
 			}
 			return true
 		})
 	}
+	return r.out
+}
+
+// collectAwaits scans fi for the two join idioms: drain loops (condition
+// mentions a field, body Waits on a sync.Cond) and WaitGroup field Waits.
+func (ls *lifetimeState) collectAwaits(fi *FuncInfo) {
+	p := fi.Pkg
+	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.ForStmt:
+			if v.Cond == nil || !bodyWaitsOnCond(p, v.Body) {
+				return true
+			}
+			ast.Inspect(v.Cond, func(cn ast.Node) bool {
+				if sel, ok := cn.(*ast.SelectorExpr); ok {
+					if key := fieldKeyOf(p, sel); key != "" {
+						ls.waitedFields[key] = true
+					}
+				}
+				return true
+			})
+		case *ast.CallExpr:
+			sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Wait" {
+				return true
+			}
+			if inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok && isSyncType(typeOf(p, sel.X), "WaitGroup") {
+				if key := fieldKeyOf(p, inner); key != "" {
+					ls.wgWaitFields[key] = true
+				}
+			}
+		}
+		return true
+	})
 }
 
 // bodyWaitsOnCond reports whether body contains a sync.Cond Wait call.
@@ -214,7 +181,7 @@ func bodyWaitsOnCond(p *Package, body *ast.BlockStmt) bool {
 			return true
 		}
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if ok && sel.Sel.Name == "Wait" && isCondType(typeOf(p, sel.X)) {
+		if ok && sel.Sel.Name == "Wait" && isSyncType(typeOf(p, sel.X), "Cond") {
 			found = true
 		}
 		return !found
@@ -222,68 +189,50 @@ func bodyWaitsOnCond(p *Package, body *ast.BlockStmt) bool {
 	return found
 }
 
-func (ls *lifetimeState) checkFunc(fi *FuncInfo, out *[]Finding) {
-	p := fi.Pkg
-	report := func(pos token.Pos, format string, args ...any) {
-		*out = append(*out, Finding{
-			Pos:      p.Fset.Position(pos),
-			Analyzer: "golifetime",
-			Message:  fmt.Sprintf(format, args...),
-		})
-	}
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		g, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		ls.checkSpawn(fi, g, report)
-		return true
-	})
-}
-
 // specAt returns the annotation on the spawn's line or the line above.
-func (ls *lifetimeState) specAt(p *Package, pos token.Pos) *goroutineSpec {
+func (ls *lifetimeState) specAt(p *Package, pos token.Pos) *directive {
 	position := p.Fset.Position(pos)
-	byLine := ls.annots[position.Filename]
-	if byLine == nil {
-		return nil
-	}
+	byLine := ls.specs[position.Filename]
 	if s := byLine[position.Line]; s != nil {
 		return s
 	}
 	return byLine[position.Line-1]
 }
 
-func (ls *lifetimeState) checkSpawn(fi *FuncInfo, g *ast.GoStmt, report func(token.Pos, string, ...any)) {
+func (ls *lifetimeState) checkSpawn(fi *FuncInfo, g *ast.GoStmt, r *reporter) {
 	p := fi.Pkg
 	spec := ls.specAt(p, g.Pos())
 	if spec == nil {
-		ls.checkInferred(fi, g, report)
+		ls.checkInferred(fi, g, r)
 		return
+	}
+	tracker := ""
+	if len(spec.args) > 0 {
+		tracker = spec.args[0]
 	}
 	if spec.reason == "" {
-		report(g.Pos(), "//boltvet:goroutine %s requires a reason; write `//boltvet:goroutine %s -- <why>`",
-			spec.tracker, spec.tracker)
+		r.at(p, g.Pos(), "//boltvet:goroutine %s requires a reason; write `//boltvet:goroutine %s -- <why>`",
+			tracker, tracker)
 		return
 	}
-	tr := resolveTracker(p, fi, g, spec.tracker)
+	tr := resolveTracker(p, fi, g, tracker)
 	if tr == nil {
-		report(g.Pos(), "//boltvet:goroutine names %q, which is not a bool, integer, or sync.WaitGroup tracker reachable from this spawn site",
-			spec.tracker)
+		r.at(p, g.Pos(), "//boltvet:goroutine names %q, which is not a bool, integer, or sync.WaitGroup tracker reachable from this spawn site",
+			tracker)
 		return
 	}
 	// Clear: some path from the spawned function must clear the tracker.
-	if chain, found := ls.findClear(p, g.Call, tr); !found {
+	if !ls.spawnClears(fi, g.Call, tr) {
 		suffix := ""
-		if len(chain) > 0 {
+		if chain := ls.witness(fi, g.Call); len(chain) > 0 {
 			suffix = " (checked " + strings.Join(chain, " -> ") + ")"
 		}
-		report(g.Pos(), "goroutine tracked by %s never clears it: no path from the spawned function %s%s; the drain loop waiting on it will hang",
+		r.at(p, g.Pos(), "goroutine tracked by %s never clears it: no path from the spawned function %s%s; the drain loop waiting on it will hang",
 			tr.label(), clearVerb(tr.kind), suffix)
 	}
 	// Join: the tracker must be awaited somewhere.
 	if !ls.awaited(fi, tr) {
-		report(g.Pos(), "goroutine tracker %s is never awaited: no loop condition waits on it and no Wait() joins it; the goroutine can outlive Close",
+		r.at(p, g.Pos(), "goroutine tracker %s is never awaited: no loop condition waits on it and no Wait() joins it; the goroutine can outlive Close",
 			tr.label())
 	}
 }
@@ -301,11 +250,11 @@ func clearVerb(k trackerKind) string {
 
 // checkInferred handles unannotated spawns: only the WaitGroup idiom
 // (spawned literal calls Done on a Waited WaitGroup) passes.
-func (ls *lifetimeState) checkInferred(fi *FuncInfo, g *ast.GoStmt, report func(token.Pos, string, ...any)) {
+func (ls *lifetimeState) checkInferred(fi *FuncInfo, g *ast.GoStmt, r *reporter) {
 	p := fi.Pkg
 	lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit)
 	if !ok {
-		report(g.Pos(), "go statement has no declared lifecycle; annotate it with `//boltvet:goroutine <tracker> -- <why>` naming the bool/counter/WaitGroup that tracks it")
+		r.at(p, g.Pos(), "go statement has no declared lifecycle; annotate it with `//boltvet:goroutine <tracker> -- <why>` naming the bool/counter/WaitGroup that tracks it")
 		return
 	}
 	// Find a wg.Done() in the spawned literal's body (defer counts).
@@ -317,7 +266,7 @@ func (ls *lifetimeState) checkInferred(fi *FuncInfo, g *ast.GoStmt, report func(
 			return doneKey == "" && doneObj == nil
 		}
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Done" || !isWaitGroupType(typeOf(p, sel.X)) {
+		if !ok || sel.Sel.Name != "Done" || !isSyncType(typeOf(p, sel.X), "WaitGroup") {
 			return true
 		}
 		switch recv := ast.Unparen(sel.X).(type) {
@@ -331,35 +280,31 @@ func (ls *lifetimeState) checkInferred(fi *FuncInfo, g *ast.GoStmt, report func(
 	switch {
 	case doneKey != "":
 		if !ls.wgWaitFields[doneKey] {
-			report(g.Pos(), "goroutine calls Done on %s but nothing in the program Waits on it; the WaitGroup joins nobody",
+			r.at(p, g.Pos(), "goroutine calls Done on %s but nothing in the program Waits on it; the WaitGroup joins nobody",
 				shortLockKey(doneKey))
 		}
 	case doneObj != nil:
-		if !waitsOnObject(p, fi.Decl.Body, doneObj) {
-			report(g.Pos(), "goroutine calls Done on WaitGroup %q but the spawning function never Waits on it; the goroutine can outlive its spawner",
+		if !callsOn(p, fi.Decl.Body, "Wait", doneObj) {
+			r.at(p, g.Pos(), "goroutine calls Done on WaitGroup %q but the spawning function never Waits on it; the goroutine can outlive its spawner",
 				doneObj.Name())
 		}
 	default:
-		report(g.Pos(), "go statement has no declared lifecycle; annotate it with `//boltvet:goroutine <tracker> -- <why>` or adopt the WaitGroup Done/Wait discipline")
+		r.at(p, g.Pos(), "go statement has no declared lifecycle; annotate it with `//boltvet:goroutine <tracker> -- <why>` or adopt the WaitGroup Done/Wait discipline")
 	}
 }
 
-// waitsOnObject reports whether body (closures included — a stop
-// function returned by the spawner is the common shape) calls Wait on
-// the given WaitGroup variable.
-func waitsOnObject(p *Package, body *ast.BlockStmt, obj types.Object) bool {
+// callsOn reports whether n (closures included — a stop function
+// returned by the spawner is the common shape) calls method on the given
+// local variable.
+func callsOn(p *Package, n ast.Node, method string, obj types.Object) bool {
 	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Wait" {
-			return true
-		}
-		if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && p.Info.Uses[id] == obj {
-			found = true
+	ast.Inspect(n, func(m ast.Node) bool {
+		if call, ok := m.(*ast.CallExpr); ok {
+			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == method {
+				if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && p.Info.Uses[id] == obj {
+					found = true
+				}
+			}
 		}
 		return !found
 	})
@@ -371,15 +316,13 @@ func waitsOnObject(p *Package, body *ast.BlockStmt, obj types.Object) bool {
 // receiver struct, and the spawning function's local WaitGroups.
 func resolveTracker(p *Package, fi *FuncInfo, g *ast.GoStmt, name string) *trackerRef {
 	if sel, ok := ast.Unparen(g.Call.Fun).(*ast.SelectorExpr); ok {
-		if tr := fieldTracker(p, typeOf(p, sel.X), name); tr != nil {
+		if tr := fieldTracker(typeOf(p, sel.X), name); tr != nil {
 			return tr
 		}
 	}
 	if fi.Decl.Recv != nil && len(fi.Decl.Recv.List) > 0 {
-		if tv, ok := p.Info.Types[fi.Decl.Recv.List[0].Type]; ok {
-			if tr := fieldTracker(p, tv.Type, name); tr != nil {
-				return tr
-			}
+		if tr := fieldTracker(typeOf(p, fi.Decl.Recv.List[0].Type), name); tr != nil {
+			return tr
 		}
 	}
 	var tr *trackerRef
@@ -388,7 +331,7 @@ func resolveTracker(p *Package, fi *FuncInfo, g *ast.GoStmt, name string) *track
 		if !ok || id.Name != name || tr != nil {
 			return tr == nil
 		}
-		if obj := p.Info.Defs[id]; obj != nil && isWaitGroupType(obj.Type()) {
+		if obj := p.Info.Defs[id]; obj != nil && isSyncType(obj.Type(), "WaitGroup") {
 			tr = &trackerRef{kind: trackLocalWG, obj: obj, fieldName: name}
 		}
 		return true
@@ -397,7 +340,7 @@ func resolveTracker(p *Package, fi *FuncInfo, g *ast.GoStmt, name string) *track
 }
 
 // fieldTracker resolves name as a trackable field of t's named struct.
-func fieldTracker(p *Package, t types.Type, name string) *trackerRef {
+func fieldTracker(t types.Type, name string) *trackerRef {
 	named := namedOf(t)
 	if named == nil {
 		return nil
@@ -415,22 +358,13 @@ func fieldTracker(p *Package, t types.Type, name string) *trackerRef {
 		if !ok {
 			return nil
 		}
-		pkg := ""
-		if named.Obj().Pkg() != nil {
-			pkg = named.Obj().Pkg().Path()
-		}
-		return &trackerRef{
-			kind:       kind,
-			key:        pkg + "." + named.Obj().Name() + "." + name,
-			structName: named.Obj().Name(),
-			fieldName:  name,
-		}
+		return &trackerRef{kind: kind, key: fieldKey(t, name), structName: named.Obj().Name(), fieldName: name}
 	}
 	return nil
 }
 
 func trackerKindOf(t types.Type) (trackerKind, bool) {
-	if isWaitGroupType(t) {
+	if isSyncType(t, "WaitGroup") {
 		return trackWG, true
 	}
 	if b, ok := t.Underlying().(*types.Basic); ok {
@@ -444,117 +378,75 @@ func trackerKindOf(t types.Type) (trackerKind, bool) {
 	return 0, false
 }
 
-// findClear searches for a tracker clear reachable from the spawned
-// call: the spawned function literal's own body, or a bounded BFS
-// through the call graph from the spawned function (calls inside
-// literals included). The returned chain is the deepest path checked,
-// for the not-found witness.
-func (ls *lifetimeState) findClear(p *Package, call *ast.CallExpr, tr *trackerRef) (chain []string, found bool) {
-	var frontier []string // function keys to search from
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.FuncLit:
-		if clearsInNode(p, fun.Body, tr) {
-			return nil, true
+// spawned returns the program functions a go statement's call starts: the
+// spawned function, or every callee inside a spawned literal.
+func (ls *lifetimeState) spawned(fi *FuncInfo, call *ast.CallExpr) []*FuncInfo {
+	lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit)
+	if !ok {
+		if fn := funcObjOf(fi.Pkg, ast.Unparen(call.Fun)); fn != nil && ls.prog.Funcs[funcKey(fn)] != nil {
+			return []*FuncInfo{ls.prog.Funcs[funcKey(fn)]}
 		}
-		frontier = calleeKeysIn(p, fun.Body)
-	default:
-		if fn := funcObjOf(p, fun); fn != nil {
-			frontier = []string{funcKey(fn)}
-		}
+		return nil
 	}
-	type item struct {
-		key   string
-		chain []string
-	}
-	visited := make(map[string]bool)
-	queue := make([]item, 0, len(frontier))
-	for _, k := range frontier {
-		queue = append(queue, item{key: k})
-	}
-	var longest []string
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		if visited[it.key] || len(it.chain) >= maxLifetimeDepth {
-			continue
-		}
-		visited[it.key] = true
-		fi := ls.prog.Funcs[it.key]
-		if fi == nil || fi.Decl == nil {
-			continue
-		}
-		next := append(append([]string{}, it.chain...), fi.Name)
-		if len(next) > len(longest) {
-			longest = next
-		}
-		if ls.clearsOf(fi)[tr.trackerID()] {
-			return next, true
-		}
-		for _, k := range ls.calleesOf(fi) {
-			if !visited[k] {
-				queue = append(queue, item{key: k, chain: next})
+	var out []*FuncInfo
+	for _, cs := range fi.LitCalls {
+		if cs.Call.Pos() >= lit.Pos() && cs.Call.End() <= lit.End() {
+			for _, t := range cs.Targets {
+				if callee := ls.prog.Funcs[t]; callee != nil {
+					out = append(out, callee)
+				}
 			}
 		}
 	}
-	return longest, false
+	return out
 }
 
-// trackerID is the cache key for clear sets: the field key for struct
-// trackers, a pointer-unique string for locals.
-func (tr *trackerRef) trackerID() string {
+// spawnClears reports whether the spawned call may clear tr: a spawned
+// literal's own body, or the may-clear summary of anything it calls.
+func (ls *lifetimeState) spawnClears(fi *FuncInfo, call *ast.CallExpr, tr *trackerRef) bool {
+	for _, callee := range ls.spawned(fi, call) {
+		if ls.clears[callee][tr.key] {
+			return true
+		}
+	}
+	lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit)
+	if !ok {
+		return false
+	}
 	if tr.kind == trackLocalWG {
-		return fmt.Sprintf("local:%p", tr.obj)
+		return callsOn(fi.Pkg, lit.Body, "Done", tr.obj)
 	}
-	return tr.key
+	return clearsIn(fi.Pkg, lit.Body)[tr.key]
 }
 
-// clearsOf returns (computing on first use) the tracker IDs fi's body
-// clears: bool fields assigned false, integer fields decremented, and
-// WaitGroup fields Done'd. Function literal bodies are included — a
-// clear inside a deferred closure still runs.
-func (ls *lifetimeState) clearsOf(fi *FuncInfo) map[string]bool {
-	if c, ok := ls.clears[fi.Key]; ok {
-		return c
+// witness renders a checked call chain from the spawned function for a
+// not-found report: each step follows the first callee not yet on it.
+func (ls *lifetimeState) witness(fi *FuncInfo, call *ast.CallExpr) []string {
+	var chain []string
+	seen := make(map[*FuncInfo]bool)
+	next := ls.spawned(fi, call)
+	for len(next) > 0 {
+		cur := next[0]
+		seen[cur] = true
+		chain = append(chain, cur.Name)
+		next = nil
+		for _, cs := range append(slices.Clip(cur.Calls), cur.LitCalls...) {
+			for _, t := range cs.Targets {
+				if callee := ls.prog.Funcs[t]; callee != nil && !seen[callee] && next == nil {
+					next = []*FuncInfo{callee}
+				}
+			}
+		}
 	}
-	c := make(map[string]bool)
-	collectClears(fi.Pkg, fi.Decl.Body, c)
-	ls.clears[fi.Key] = c
-	return c
+	return chain
 }
 
-// clearsInNode reports whether the node clears tr directly.
-func clearsInNode(p *Package, n ast.Node, tr *trackerRef) bool {
-	c := make(map[string]bool)
-	collectClears(p, n, c)
-	if c[tr.trackerID()] {
-		return true
-	}
-	// Local WaitGroup Done: collectClears records field keys only, so
-	// check idents here.
-	if tr.kind == trackLocalWG {
-		found := false
-		ast.Inspect(n, func(nn ast.Node) bool {
-			call, ok := nn.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "Done" {
-				return true
-			}
-			if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && p.Info.Uses[id] == tr.obj {
-				found = true
-			}
-			return !found
-		})
-		return found
-	}
-	return false
-}
-
-// collectClears records every tracker clear in n into out, keyed by
-// field key.
-func collectClears(p *Package, n ast.Node, out map[string]bool) {
+// clearsIn returns the tracker field keys n clears: bool fields assigned
+// false, integer fields decremented, WaitGroup fields Done'd. Function
+// literal bodies are included — a clear inside a deferred closure still
+// runs.
+func clearsIn(p *Package, n ast.Node) map[string]bool {
+	out := make(map[string]bool)
 	ast.Inspect(n, func(nn ast.Node) bool {
 		switch v := nn.(type) {
 		case *ast.AssignStmt:
@@ -589,42 +481,13 @@ func collectClears(p *Package, n ast.Node, out map[string]bool) {
 			}
 		case *ast.CallExpr:
 			sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "Done" || !isWaitGroupType(typeOf(p, sel.X)) {
+			if !ok || sel.Sel.Name != "Done" || !isSyncType(typeOf(p, sel.X), "WaitGroup") {
 				return true
 			}
 			if inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
 				if key := fieldKeyOf(p, inner); key != "" {
 					out[key] = true
 				}
-			}
-		}
-		return true
-	})
-}
-
-// calleesOf returns (computing on first use) every statically resolvable
-// callee key in fi's body, including calls inside function literals.
-func (ls *lifetimeState) calleesOf(fi *FuncInfo) []string {
-	if c, ok := ls.callees[fi.Key]; ok {
-		return c
-	}
-	keys := calleeKeysIn(fi.Pkg, fi.Decl.Body)
-	ls.callees[fi.Key] = keys
-	return keys
-}
-
-func calleeKeysIn(p *Package, n ast.Node) []string {
-	seen := make(map[string]bool)
-	var out []string
-	ast.Inspect(n, func(nn ast.Node) bool {
-		call, ok := nn.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if fn := funcObjOf(p, ast.Unparen(call.Fun)); fn != nil {
-			if key := funcKey(fn); !seen[key] {
-				seen[key] = true
-				out = append(out, key)
 			}
 		}
 		return true
@@ -638,47 +501,8 @@ func (ls *lifetimeState) awaited(fi *FuncInfo, tr *trackerRef) bool {
 	case trackWG:
 		return ls.wgWaitFields[tr.key]
 	case trackLocalWG:
-		return waitsOnObject(fi.Pkg, fi.Decl.Body, tr.obj)
+		return callsOn(fi.Pkg, fi.Decl.Body, "Wait", tr.obj)
 	default:
 		return ls.waitedFields[tr.key]
 	}
-}
-
-// fieldKeyOf identifies a struct-field selector as "pkgpath.Type.field",
-// or "" for anything that is not a field access on a named struct.
-func fieldKeyOf(p *Package, sel *ast.SelectorExpr) string {
-	s, ok := p.Info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return ""
-	}
-	named := namedOf(typeOf(p, sel.X))
-	if named == nil {
-		return ""
-	}
-	pkg := ""
-	if named.Obj().Pkg() != nil {
-		pkg = named.Obj().Pkg().Path()
-	}
-	return pkg + "." + named.Obj().Name() + "." + sel.Sel.Name
-}
-
-// isWaitGroupType reports whether t (possibly behind a pointer) is
-// sync.WaitGroup.
-func isWaitGroupType(t types.Type) bool {
-	named := namedOf(t)
-	if named == nil {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup"
-}
-
-// isCondType reports whether t (possibly behind a pointer) is sync.Cond.
-func isCondType(t types.Type) bool {
-	named := namedOf(t)
-	if named == nil {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "Cond"
 }

@@ -1,11 +1,9 @@
 package boltvet
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
 	"strings"
 )
 
@@ -54,17 +52,13 @@ var GuardedBy = &Analyzer{
 	RunProgram: runGuardedBy,
 }
 
-// guardedbyRe matches one annotation line in a field comment.
-var guardedbyRe = regexp.MustCompile(`^//\s*boltvet:guardedby\s+(\w+)\s*(?:--\s*(\S.*))?$`)
-
 // guardSpec is one field's parsed annotation.
 type guardSpec struct {
-	guard  string // mutex field name, "atomic", or "none"
-	reason string
-	pos    token.Pos
-	// For mutex guards, the resolved lock key ("pkgpath.Struct.mu") and
-	// the diagnostic labels.
-	key        string
+	guard string // mutex field name, "atomic", or "none"
+	// For mutex guards, the resolved lock key ("pkgpath.Struct.mu").
+	key string
+	// owner is the struct's typeKey; the names label diagnostics.
+	owner      string
 	structName string
 	fieldName  string
 }
@@ -88,63 +82,48 @@ type guardedAccess struct {
 func (prog *Program) guardTable() guardTable {
 	if prog.guards == nil {
 		prog.guards = make(guardTable)
+		r := &reporter{analyzer: "guardedby"}
 		for _, p := range prog.Pkgs {
-			collectGuardedBy(p, prog.guards, &prog.guardFindings)
+			collectGuardedBy(p, prog.guards, r)
 		}
+		prog.guardFindings = r.out
 	}
 	return prog.guards
 }
 
 func runGuardedBy(prog *Program) []Finding {
 	table := prog.guardTable()
-	out := append([]Finding(nil), prog.guardFindings...)
+	r := &reporter{analyzer: "guardedby", out: append([]Finding(nil), prog.guardFindings...)}
 	if len(table) == 0 {
-		return out
+		return r.out
 	}
 
 	// Entry obligations of *Locked functions, to a fixed point: a *Locked
 	// function inherits the unsatisfied obligations of the *Locked
-	// functions it calls, so obligations flow up arbitrary chains.
+	// functions it calls, so obligations flow up arbitrary chains. The
+	// fixed point needs only the keys, which grow monotonically; chains
+	// refine within a stable key set.
 	needs := make(map[*FuncInfo]map[string]*guardedAccess)
-	funcs := prog.sortedFuncs()
-	for pass := 0; pass < maxSummaryPasses; pass++ {
-		changed := false
-		for _, fi := range funcs {
-			if fi.Decl == nil || funcInTestFile(fi) {
-				continue
-			}
-			n, _ := walkGuardedAccesses(prog, fi, table, needs)
-			if !needKeysEqual(needs[fi], n) {
-				needs[fi] = n
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
+	summarize(prog, needs, func(fi *FuncInfo) map[string]*guardedAccess {
+		return walkGuardedAccesses(prog, fi, table, needs, nil)
+	}, sameKeys[*guardedAccess])
 
 	// Reporting pass against the stable obligation sets.
-	for _, fi := range funcs {
-		if fi.Decl == nil || funcInTestFile(fi) {
-			continue
-		}
-		_, findings := walkGuardedAccesses(prog, fi, table, needs)
-		out = append(out, findings...)
+	for _, fi := range prog.funcs() {
+		walkGuardedAccesses(prog, fi, table, needs, r)
 	}
-	return out
+	return r.out
 }
 
 // walkGuardedAccesses replays fi's body through the lock walker and
 // classifies every annotated-field access and every call to a function
 // with entry obligations. It returns fi's own obligations (nil unless fi
-// is *Locked) and the findings for accesses nothing can justify.
-func walkGuardedAccesses(prog *Program, fi *FuncInfo, table guardTable, needs map[*FuncInfo]map[string]*guardedAccess) (map[string]*guardedAccess, []Finding) {
+// is *Locked) and reports to r the accesses nothing can justify.
+func walkGuardedAccesses(prog *Program, fi *FuncInfo, table guardTable, needs map[*FuncInfo]map[string]*guardedAccess, r *reporter) map[string]*guardedAccess {
 	p := fi.Pkg
 	isLocked := strings.HasSuffix(fi.Name, "Locked")
 	fresh := freshLocals(p, fi.Decl)
 	var localNeeds map[string]*guardedAccess
-	var out []Finding
 
 	need := func(acc *guardedAccess) {
 		if localNeeds == nil {
@@ -153,13 +132,6 @@ func walkGuardedAccesses(prog *Program, fi *FuncInfo, table guardTable, needs ma
 		if _, ok := localNeeds[acc.key]; !ok {
 			localNeeds[acc.key] = acc
 		}
-	}
-	report := func(pos token.Pos, format string, args ...any) {
-		out = append(out, Finding{
-			Pos:      p.Fset.Position(pos),
-			Analyzer: "guardedby",
-			Message:  fmt.Sprintf(format, args...),
-		})
 	}
 
 	w := newLockWalker(prog, fi, nil)
@@ -181,7 +153,7 @@ func walkGuardedAccesses(prog *Program, fi *FuncInfo, table guardTable, needs ma
 			return // locally constructed, unshared object
 		}
 		if st.released[spec.key] {
-			report(sel.Sel.Pos(), "%s accesses %s.%s (//boltvet:guardedby %s) after releasing %s (unlock-then-relock window); re-acquire it first",
+			r.at(p, sel.Sel.Pos(), "%s accesses %s.%s (//boltvet:guardedby %s) after releasing %s (unlock-then-relock window); re-acquire it first",
 				fi.Name, spec.structName, spec.fieldName, spec.guard, spec.guard)
 			return
 		}
@@ -189,7 +161,7 @@ func walkGuardedAccesses(prog *Program, fi *FuncInfo, table guardTable, needs ma
 			need(&guardedAccess{key: spec.key, spec: spec, pos: sel.Sel.Pos()})
 			return
 		}
-		report(sel.Sel.Pos(), "%s accesses %s.%s (//boltvet:guardedby %s) without holding %s; acquire it or rename the path *Locked",
+		r.at(p, sel.Sel.Pos(), "%s accesses %s.%s (//boltvet:guardedby %s) without holding %s; acquire it or rename the path *Locked",
 			fi.Name, spec.structName, spec.fieldName, spec.guard, spec.guard)
 	}
 	w.onCall = func(cs *CallSite, st *lockState, deferred bool) {
@@ -216,13 +188,13 @@ func walkGuardedAccesses(prog *Program, fi *FuncInfo, table guardTable, needs ma
 					need(&guardedAccess{key: key, spec: acc.spec, chain: chain, pos: cs.Call.Pos()})
 					continue
 				}
-				report(cs.Call.Pos(), "%s calls %s, which accesses %s.%s (//boltvet:guardedby %s), without holding %s",
+				r.at(p, cs.Call.Pos(), "%s calls %s, which accesses %s.%s (//boltvet:guardedby %s), without holding %s",
 					fi.Name, strings.Join(chain, " -> "), acc.spec.structName, acc.spec.fieldName, acc.spec.guard, acc.spec.guard)
 			}
 		}
 	}
 	w.walkFrom(prog.entryState(fi))
-	return localNeeds, out
+	return localNeeds
 }
 
 // entryState builds a function's initial lock state, the one *Locked
@@ -236,56 +208,20 @@ func (prog *Program) entryState(fi *FuncInfo) *lockState {
 	if !strings.HasSuffix(fi.Name, "Locked") || fi.Decl.Recv == nil {
 		return st
 	}
-	recvType := receiverTypeName(fi.Decl)
-	pkgPath := ""
-	if fi.Pkg.Types != nil {
-		pkgPath = fi.Pkg.Types.Path()
-	}
-	prefix := pkgPath + "." + recvType + "."
+	owner := qualify(fi.Pkg.Types, receiverTypeName(fi.Decl))
 	for _, spec := range prog.guardTable() {
-		if spec.key != "" && spec.structName == recvType && strings.HasPrefix(spec.key, prefix) {
+		if spec.key != "" && spec.owner == owner {
 			st.held[spec.key] = lockEntry
 		}
 	}
 	return st
 }
 
-// needKeysEqual compares obligation sets by key (chains refine within a
-// stable key set; the fixed point only needs the keys, which grow
-// monotonically).
-func needKeysEqual(a, b map[string]*guardedAccess) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if _, ok := b[k]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // lookupGuardedField resolves sel to a mutex-annotated field's spec, or
 // nil (atomic specs are atomicfield's; none and unannotated fields are
 // not checked).
 func lookupGuardedField(p *Package, sel *ast.SelectorExpr, table guardTable) *guardSpec {
-	s, ok := p.Info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return nil
-	}
-	fieldVar, ok := s.Obj().(*types.Var)
-	if !ok {
-		return nil
-	}
-	named := namedOf(typeOf(p, sel.X))
-	if named == nil {
-		return nil
-	}
-	pkg := ""
-	if named.Obj().Pkg() != nil {
-		pkg = named.Obj().Pkg().Path()
-	}
-	spec := table[pkg+"."+named.Obj().Name()+"."+fieldVar.Name()]
+	spec := table[fieldKeyOf(p, sel)]
 	if spec == nil || spec.guard == "atomic" || spec.guard == "none" {
 		return nil
 	}
@@ -356,18 +292,7 @@ func isFreshExpr(p *Package, e ast.Expr) bool {
 // collectGuardedBy parses the annotations of every struct in p into
 // table, reporting vocabulary errors: unknown guard names, none without a
 // reason, and (once a struct opts in) unannotated mutable fields.
-func collectGuardedBy(p *Package, table guardTable, out *[]Finding) {
-	path := ""
-	if p.Types != nil {
-		path = p.Types.Path()
-	}
-	report := func(pos token.Pos, format string, args ...any) {
-		*out = append(*out, Finding{
-			Pos:      p.Fset.Position(pos),
-			Analyzer: "guardedby",
-			Message:  fmt.Sprintf(format, args...),
-		})
-	}
+func collectGuardedBy(p *Package, table guardTable, r *reporter) {
 	for _, file := range p.Files {
 		if isTestFile(p, file) {
 			continue
@@ -381,115 +306,56 @@ func collectGuardedBy(p *Package, table guardTable, out *[]Finding) {
 			if !ok {
 				return true
 			}
-			type fieldInfo struct {
-				name    string
-				pos     token.Pos
-				typeStr string
-				spec    *guardSpec
-			}
-			var fields []fieldInfo
+			owner := qualify(p.Types, ts.Name.Name)
 			mutexFields := make(map[string]bool)
-			annotated := 0
+			annotated := false
 			for _, field := range st.Fields.List {
-				typeStr := typeExprString(field.Type)
-				if strings.HasSuffix(typeStr, "sync.Mutex") || strings.HasSuffix(typeStr, "sync.RWMutex") {
+				if isSyncType(typeOf(p, field.Type), "Mutex", "RWMutex") {
 					for _, name := range field.Names {
 						mutexFields[name.Name] = true
 					}
 				}
-				spec := parseGuardedByComment(field)
-				if spec != nil {
-					annotated++
-				}
-				for _, name := range field.Names {
-					fields = append(fields, fieldInfo{name: name.Name, pos: name.Pos(), typeStr: typeStr, spec: spec})
-				}
-				if spec != nil && len(field.Names) == 0 {
-					report(field.Pos(), "//boltvet:guardedby on an embedded field of %s is not supported; name the field", ts.Name.Name)
+				if d := p.inGroups("guardedby", field.Doc, field.Comment); d != nil {
+					annotated = true
+					if len(field.Names) == 0 {
+						r.at(p, field.Pos(), "//boltvet:guardedby on an embedded field of %s is not supported; name the field", ts.Name.Name)
+					}
 				}
 			}
-			for _, f := range fields {
-				if f.spec == nil {
-					if annotated > 0 && !guardExemptType(f.typeStr) {
-						report(f.pos, "struct %s has //boltvet:guardedby annotations but field %q has none; annotate it (mutex name, atomic, or none -- <why>)",
-							ts.Name.Name, f.name)
-					}
-					continue
-				}
-				spec := *f.spec // fields sharing one decl get their own copy
-				spec.structName = ts.Name.Name
-				spec.fieldName = f.name
-				switch spec.guard {
-				case "none":
-					if spec.reason == "" {
-						report(f.pos, "//boltvet:guardedby none on %s.%s requires a reason; write `//boltvet:guardedby none -- <why>`",
-							ts.Name.Name, f.name)
+			for _, field := range st.Fields.List {
+				d := p.inGroups("guardedby", field.Doc, field.Comment)
+				for _, name := range field.Names {
+					if d == nil {
+						if annotated && !isSyncType(typeOf(p, field.Type), "Mutex", "RWMutex", "WaitGroup", "Cond", "Once") {
+							r.at(p, name.Pos(), "struct %s has //boltvet:guardedby annotations but field %q has none; annotate it (mutex name, atomic, or none -- <why>)",
+								ts.Name.Name, name.Name)
+						}
 						continue
 					}
-				case "atomic":
-				default:
-					if !mutexFields[spec.guard] {
-						report(f.pos, "//boltvet:guardedby on %s.%s names %q, which is not a sync.Mutex/RWMutex field of %s",
-							ts.Name.Name, f.name, spec.guard, ts.Name.Name)
-						continue
+					spec := &guardSpec{owner: owner, structName: ts.Name.Name, fieldName: name.Name}
+					if len(d.args) > 0 {
+						spec.guard = d.args[0]
 					}
-					spec.key = path + "." + ts.Name.Name + "." + spec.guard
+					switch spec.guard {
+					case "none":
+						if d.reason == "" {
+							r.at(p, name.Pos(), "//boltvet:guardedby none on %s.%s requires a reason; write `//boltvet:guardedby none -- <why>`",
+								ts.Name.Name, name.Name)
+							continue
+						}
+					case "atomic":
+					default:
+						if !mutexFields[spec.guard] {
+							r.at(p, name.Pos(), "//boltvet:guardedby on %s.%s names %q, which is not a sync.Mutex/RWMutex field of %s",
+								ts.Name.Name, name.Name, spec.guard, ts.Name.Name)
+							continue
+						}
+						spec.key = owner + "." + spec.guard
+					}
+					table[owner+"."+name.Name] = spec
 				}
-				table[path+"."+ts.Name.Name+"."+f.name] = &spec
 			}
 			return true
 		})
 	}
-}
-
-// parseGuardedByComment extracts the (last) annotation line from a
-// field's doc or trailing comment.
-func parseGuardedByComment(f *ast.Field) *guardSpec {
-	var spec *guardSpec
-	scan := func(cg *ast.CommentGroup) {
-		if cg == nil {
-			return
-		}
-		for _, c := range cg.List {
-			if m := guardedbyRe.FindStringSubmatch(c.Text); m != nil {
-				spec = &guardSpec{guard: m[1], reason: strings.TrimSpace(m[2]), pos: c.Pos()}
-			}
-		}
-	}
-	scan(f.Doc)
-	scan(f.Comment)
-	return spec
-}
-
-// guardExemptType reports types that are guards or synchronization
-// primitives themselves and so need no annotation.
-func guardExemptType(typeStr string) bool {
-	for _, suffix := range []string{"sync.Mutex", "sync.RWMutex", "sync.WaitGroup", "sync.Cond", "sync.Once"} {
-		if strings.HasSuffix(typeStr, suffix) {
-			return true
-		}
-	}
-	return false
-}
-
-// typeExprString renders a field type well enough to recognize mutexes
-// and other guards ("sync.Mutex", "*sync.Cond", ...).
-func typeExprString(e ast.Expr) string {
-	switch v := e.(type) {
-	case *ast.Ident:
-		return v.Name
-	case *ast.SelectorExpr:
-		return typeExprString(v.X) + "." + v.Sel.Name
-	case *ast.StarExpr:
-		return "*" + typeExprString(v.X)
-	case *ast.ArrayType:
-		return "[]" + typeExprString(v.Elt)
-	case *ast.MapType:
-		return "map[" + typeExprString(v.Key) + "]" + typeExprString(v.Value)
-	case *ast.IndexExpr:
-		return typeExprString(v.X)
-	case *ast.IndexListExpr:
-		return typeExprString(v.X)
-	}
-	return ""
 }

@@ -38,21 +38,13 @@ var LockOrder = &Analyzer{
 // orderEdge is one observed "acquired to while holding from" pair.
 type orderEdge struct {
 	from, to string
-	fn       string // function where observed
-	where    string // file:line witness
-	chain    []string
+	fn       *FuncInfo // function where observed
+	pos      token.Pos
 }
 
 func runLockOrder(prog *Program) []Finding {
-	var out []Finding
-	seen := make(map[string]bool) // dedup: loop bodies walk twice
-	report := func(p *Package, pos token.Pos, format string, args ...any) {
-		f := Finding{Pos: p.Fset.Position(pos), Analyzer: "lockorder", Message: fmt.Sprintf(format, args...)}
-		if !seen[f.String()] {
-			seen[f.String()] = true
-			out = append(out, f)
-		}
-	}
+	// Loop bodies walk twice; RunAll drops the duplicate findings.
+	r := &reporter{analyzer: "lockorder"}
 
 	edges := make(map[string]map[string]orderEdge)
 	addEdge := func(e orderEdge) {
@@ -64,18 +56,14 @@ func runLockOrder(prog *Program) []Finding {
 		}
 	}
 
-	for _, fi := range prog.sortedFuncs() {
-		if fi.Decl == nil || funcInTestFile(fi) {
-			continue
-		}
-		fi := fi
+	for _, fi := range prog.funcs() {
 		w := newLockWalker(prog, fi, func(ev acqEvent) {
 			if ev.deferred {
 				return // runs at return time; the held snapshot is wrong
 			}
 			if mode, held := ev.held[ev.key]; held && !ev.calleeReleased[ev.key] {
 				if !(mode == lockRead && ev.read) {
-					report(fi.Pkg, ev.pos, "%s acquires %s while already holding it%s (self-deadlock)",
+					r.at(fi.Pkg, ev.pos, "%s acquires %s while already holding it%s (self-deadlock)",
 						fi.Name, shortLockKey(ev.key), chainSuffix(ev.chain))
 				}
 			}
@@ -83,25 +71,19 @@ func runLockOrder(prog *Program) []Finding {
 				if held == ev.key || ev.calleeReleased[held] {
 					continue
 				}
-				addEdge(orderEdge{
-					from:  held,
-					to:    ev.key,
-					fn:    fi.Name,
-					where: posOf(fi.Pkg, ev.pos),
-					chain: ev.chain,
-				})
+				addEdge(orderEdge{from: held, to: ev.key, fn: fi, pos: ev.pos})
 			}
 		})
 		w.walkFrom(prog.entryState(fi))
 	}
 
-	out = append(out, lockCycleFindings(prog, edges)...)
-	return out
+	lockCycleFindings(edges, r)
+	return r.out
 }
 
 // lockCycleFindings finds strongly connected components of size >= 2 in
 // the order graph and reports each once, with an edge witness per hop.
-func lockCycleFindings(prog *Program, edges map[string]map[string]orderEdge) []Finding {
+func lockCycleFindings(edges map[string]map[string]orderEdge, r *reporter) {
 	// Tarjan's SCC over the (small) lock-key graph.
 	index := make(map[string]int)
 	low := make(map[string]int)
@@ -151,7 +133,6 @@ func lockCycleFindings(prog *Program, edges map[string]map[string]orderEdge) []F
 		}
 	}
 
-	var out []Finding
 	for _, scc := range sccs {
 		inSCC := make(map[string]bool, len(scc))
 		for _, k := range scc {
@@ -170,36 +151,16 @@ func lockCycleFindings(prog *Program, edges map[string]map[string]orderEdge) []F
 					first = &e
 				}
 				hops = append(hops, fmt.Sprintf("%s->%s in %s (%s)",
-					shortLockKey(from), shortLockKey(to), e.fn, e.where))
+					shortLockKey(from), shortLockKey(to), e.fn.Name, posOf(e.fn.Pkg, e.pos)))
 			}
 		}
 		short := make([]string, len(scc))
 		for i, k := range scc {
 			short[i] = shortLockKey(k)
 		}
-		out = append(out, Finding{
-			Pos:      findingPos(prog, first),
-			Analyzer: "lockorder",
-			Message: fmt.Sprintf("lock-order cycle among {%s}: %s (potential deadlock; pick one global order)",
-				strings.Join(short, ", "), strings.Join(hops, "; ")),
-		})
+		r.at(first.fn.Pkg, first.pos, "lock-order cycle among {%s}: %s (potential deadlock; pick one global order)",
+			strings.Join(short, ", "), strings.Join(hops, "; "))
 	}
-	return out
-}
-
-// findingPos parses an edge witness back into a token.Position for the
-// cycle report (witnesses are "file:line" strings).
-func findingPos(prog *Program, e *orderEdge) token.Position {
-	if e == nil {
-		return token.Position{}
-	}
-	pos := token.Position{Filename: e.where}
-	if i := strings.LastIndex(e.where, ":"); i >= 0 {
-		pos.Filename = e.where[:i]
-		fmt.Sscanf(e.where[i+1:], "%d", &pos.Line)
-	}
-	pos.Column = 1
-	return pos
 }
 
 // chainSuffix renders a call-chain witness (" via a -> b") or "".
@@ -208,9 +169,4 @@ func chainSuffix(chain []string) string {
 		return ""
 	}
 	return " via " + strings.Join(chain, " -> ")
-}
-
-// funcInTestFile reports whether fi's declaration lives in a _test.go file.
-func funcInTestFile(fi *FuncInfo) bool {
-	return strings.HasSuffix(fi.Pkg.Fset.Position(fi.Decl.Pos()).Filename, "_test.go")
 }

@@ -4,12 +4,13 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 )
 
-// Per-function summaries, RacerD-style: each function is analyzed once
-// against the current summaries of its callees, and the whole program
-// iterates to a fixed point. Two summaries exist per function:
+// Per-function summaries, RacerD-style: each function is analyzed against
+// the current summaries of its callees, and the whole program iterates to
+// a fixed point. Every summary kind runs on the one driver, summarize:
 //
 //   - lockSummary: which mutexes the function may acquire (directly or
 //     through any call chain), and for each, which locks it is guaranteed
@@ -17,15 +18,75 @@ import (
 //     unlock-then-relock convention (logAndApplyLocked releases the engine
 //     mutex before taking the manifest mutex) analyzable without flagging
 //     every caller that holds the engine mutex.
-//
-//   - errSummary: whether the function may return an error born at a
-//     durability barrier (Sync/SyncDir/LogAndApply/CommitPrepared/
-//     WriteFile), and the call chain that carries it. errflow uses this to
+//   - the barrier chain: whether the function may return an error born at
+//     a durability barrier (Sync/SyncDir/LogAndApply/CommitPrepared/
+//     WriteFile), as the call chain that carries it. errflow uses this to
 //     flag callers that drop such a helper's error.
-//
+//   - mustclose's parameter fates, guardedby's entry obligations, and the
+//     may-sets (condcheck's may-signal, golifetime's may-clear) are kinds
+//     their analyzers drive the same way.
+
 // maxSummaryPasses caps the fixed point; summaries stabilize in two or
 // three passes on this codebase (call-chain depth, not size, drives it).
 const maxSummaryPasses = 16
+
+// summarize drives one summary kind to its fixed point: every checked
+// function's summary is rebuilt by build, which reads its callees' current
+// summaries from sums, until a whole pass changes none (by equal) or
+// maxSummaryPasses is reached.
+func summarize[S any](prog *Program, sums map[*FuncInfo]S, build func(*FuncInfo) S, equal func(a, b S) bool) {
+	for pass := 0; pass < maxSummaryPasses; pass++ {
+		changed := false
+		for _, fi := range prog.funcs() {
+			if s := build(fi); !equal(sums[fi], s) {
+				sums[fi] = s
+				changed = true
+			}
+		}
+		if !changed {
+			return
+		}
+	}
+}
+
+// sameKeys compares two sets (or maps compared by key only).
+func sameKeys[V any](a, b map[string]V) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if _, ok := b[k]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// maySets is the summary kind "keys a function or anything it calls may
+// produce": direct[fi] plus its callees' sets, through call sites outside
+// function literals, and inside them too when lits is set.
+func maySets(prog *Program, direct map[*FuncInfo]map[string]bool, lits bool) map[*FuncInfo]map[string]bool {
+	sums := make(map[*FuncInfo]map[string]bool)
+	summarize(prog, sums, func(fi *FuncInfo) map[string]bool {
+		set := make(map[string]bool)
+		for k := range direct[fi] {
+			set[k] = true
+		}
+		calls := fi.Calls
+		if lits {
+			calls = append(slices.Clip(calls), fi.LitCalls...)
+		}
+		for _, cs := range calls {
+			for _, t := range cs.Targets {
+				for k := range sums[prog.Funcs[t]] {
+					set[k] = true
+				}
+			}
+		}
+		return set
+	}, sameKeys[bool])
+	return sums
+}
 
 // --- lock summaries ---
 
@@ -54,9 +115,8 @@ type lockAcquire struct {
 	pos   token.Pos
 }
 
-type lockSummary struct {
-	acquires map[string]*lockAcquire
-}
+// lockSummary maps each lock key a function may acquire to how.
+type lockSummary map[string]*lockAcquire
 
 // lockState is the abstract state of the structured walker: which lock
 // keys are currently held (and how), and which the function has released
@@ -146,7 +206,6 @@ type acqEvent struct {
 type lockWalker struct {
 	prog    *Program
 	fi      *FuncInfo
-	sites   map[*ast.CallExpr]*CallSite
 	emit    func(acqEvent)
 	inDefer bool
 
@@ -161,15 +220,7 @@ type lockWalker struct {
 }
 
 func newLockWalker(prog *Program, fi *FuncInfo, emit func(acqEvent)) *lockWalker {
-	sites := make(map[*ast.CallExpr]*CallSite, len(fi.Calls))
-	for _, cs := range fi.Calls {
-		sites[cs.Call] = cs
-	}
-	return &lockWalker{prog: prog, fi: fi, sites: sites, emit: emit}
-}
-
-func (w *lockWalker) walk() {
-	w.walkFrom(newLockState())
+	return &lockWalker{prog: prog, fi: fi, emit: emit}
 }
 
 // walkFrom runs the walker with a caller-provided initial state (the
@@ -403,8 +454,8 @@ func (w *lockWalker) processCall(call *ast.CallExpr, st *lockState) {
 		}
 		return
 	}
-	cs, ok := w.sites[call]
-	if !ok {
+	cs := w.fi.site(call)
+	if cs == nil {
 		return
 	}
 	if w.onCall != nil {
@@ -412,11 +463,12 @@ func (w *lockWalker) processCall(call *ast.CallExpr, st *lockState) {
 	}
 	for _, target := range cs.Targets {
 		callee := w.prog.Funcs[target]
-		if callee == nil || callee.locks == nil || callee == w.fi {
+		sum := w.prog.locks[callee]
+		if len(sum) == 0 || callee == w.fi {
 			continue
 		}
-		for _, key := range sortedKeys(callee.locks.acquires) {
-			acq := callee.locks.acquires[key]
+		for _, key := range sortedKeys(sum) {
+			acq := sum[key]
 			w.emitEvent(acqEvent{
 				key:            key,
 				read:           acq.read,
@@ -447,9 +499,10 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
-// buildLockSummary computes fi's summary against the callees' current ones.
-func buildLockSummary(prog *Program, fi *FuncInfo) *lockSummary {
-	sum := &lockSummary{acquires: make(map[string]*lockAcquire)}
+// summarizeLocks computes fi's lock summary against the callees' current
+// ones (nil when fi acquires nothing).
+func (prog *Program) summarizeLocks(fi *FuncInfo) lockSummary {
+	var sum lockSummary
 	w := newLockWalker(prog, fi, func(ev acqEvent) {
 		// releasedBefore as seen by fi's caller: everything fi released up
 		// to this point plus everything the callee releases first.
@@ -460,7 +513,7 @@ func buildLockSummary(prog *Program, fi *FuncInfo) *lockSummary {
 		for k := range ev.calleeReleased {
 			rb[k] = true
 		}
-		if prev, ok := sum.acquires[ev.key]; ok {
+		if prev, ok := sum[ev.key]; ok {
 			// Merge: releasedBefore must hold on every acquiring path.
 			for k := range prev.releasedBefore {
 				if !rb[k] {
@@ -472,29 +525,26 @@ func buildLockSummary(prog *Program, fi *FuncInfo) *lockSummary {
 			}
 			return
 		}
-		sum.acquires[ev.key] = &lockAcquire{
+		if sum == nil {
+			sum = make(lockSummary)
+		}
+		sum[ev.key] = &lockAcquire{
 			read:           ev.read,
 			releasedBefore: rb,
 			chain:          ev.chain,
 			pos:            ev.pos,
 		}
 	})
-	w.walk()
+	w.walkFrom(newLockState())
 	return sum
 }
 
-func lockSummariesEqual(a, b *lockSummary) bool {
-	if (a == nil) != (b == nil) {
+func lockSummariesEqual(a, b lockSummary) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	if a == nil {
-		return true
-	}
-	if len(a.acquires) != len(b.acquires) {
-		return false
-	}
-	for k, av := range a.acquires {
-		bv, ok := b.acquires[k]
+	for k, av := range a {
+		bv, ok := b[k]
 		if !ok || av.read != bv.read || len(av.releasedBefore) != len(bv.releasedBefore) {
 			return false
 		}
@@ -509,53 +559,25 @@ func lockSummariesEqual(a, b *lockSummary) bool {
 
 // --- error-flow summaries ---
 
-// errSummary records that a function may return an error originating at a
-// durability barrier, with the witness call chain down to the barrier.
-type errSummary struct {
-	returnsBarrier bool
-	chain          []string
-}
-
-// buildErrSummary runs the per-function taint analysis and keeps only the
-// summary-relevant bit: does a barrier-born error reach a return value?
-func buildErrSummary(prog *Program, fi *FuncInfo) *errSummary {
-	t := analyzeErrFlow(prog, fi)
-	for _, src := range t.sources {
+// barrierChain runs the per-function taint analysis and keeps only the
+// summary-relevant part: the call chain down to the durability barrier
+// whose error fi may return, or nil.
+func (prog *Program) barrierChain(fi *FuncInfo) []string {
+	for _, src := range analyzeErrFlow(prog, fi) {
 		if src.returned && !src.weak && !src.inLit {
-			return &errSummary{returnsBarrier: true, chain: src.chain}
+			return src.chain
 		}
 	}
-	return &errSummary{}
+	return nil
 }
 
-func errSummariesEqual(a, b *errSummary) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	return a == nil || a.returnsBarrier == b.returnsBarrier
-}
-
-// ComputeSummaries drives the fixed point over both summary kinds.
+// ComputeSummaries drives the lock summaries and barrier chains, which the
+// interprocedural analyzers read, to their fixed points.
 func ComputeSummaries(prog *Program) {
-	funcs := prog.sortedFuncs()
-	for pass := 0; pass < maxSummaryPasses; pass++ {
-		changed := false
-		for _, fi := range funcs {
-			nl := buildLockSummary(prog, fi)
-			if !lockSummariesEqual(fi.locks, nl) {
-				fi.locks = nl
-				changed = true
-			}
-			ne := buildErrSummary(prog, fi)
-			if !errSummariesEqual(fi.errs, ne) {
-				fi.errs = ne
-				changed = true
-			}
-		}
-		if !changed {
-			return
-		}
-	}
+	prog.locks = make(map[*FuncInfo]lockSummary)
+	summarize(prog, prog.locks, prog.summarizeLocks, lockSummariesEqual)
+	prog.errs = make(map[*FuncInfo][]string)
+	summarize(prog, prog.errs, prog.barrierChain, func(a, b []string) bool { return (a == nil) == (b == nil) })
 }
 
 // --- per-function error taint (shared by errflow and the summaries) ---
@@ -588,10 +610,6 @@ type errSource struct {
 	returned bool
 }
 
-type errTaint struct {
-	sources []*errSource
-}
-
 // barrierMethods are the durability barriers: an error from any of these
 // means data the engine believes durable may not be. Discarding one —
 // even explicitly with `_ =` — is a crash-consistency bug. Close is not
@@ -611,13 +629,9 @@ var barrierMethods = map[string]bool{
 // the error provably reaches a sink. It is flow-insensitive within the
 // function (any textual sink counts) — deliberate: false negatives are
 // cheaper than false positives that train people to ignore the analyzer.
-func analyzeErrFlow(prog *Program, fi *FuncInfo) *errTaint {
+func analyzeErrFlow(prog *Program, fi *FuncInfo) []*errSource {
 	p := fi.Pkg
-	t := &errTaint{}
-	sites := make(map[*ast.CallExpr]*CallSite, len(fi.Calls))
-	for _, cs := range fi.Calls {
-		sites[cs.Call] = cs
-	}
+	var sources []*errSource
 
 	// Collect sources. Direct sites are found inside function literals too;
 	// helper sites only where the call graph resolved them.
@@ -628,41 +642,42 @@ func analyzeErrFlow(prog *Program, fi *FuncInfo) *errTaint {
 		}
 		name := calleeName(call)
 		if barrierMethods[name] && len(errorResultIndices(p, call)) > 0 {
-			t.sources = append(t.sources, &errSource{call: call, name: name, chain: []string{name}, direct: true})
+			sources = append(sources, &errSource{call: call, name: name, chain: []string{name}, direct: true})
 			return true
 		}
-		if cs, ok := sites[call]; ok {
+		if cs := fi.site(call); cs != nil {
 			for _, target := range cs.Targets {
 				callee := prog.Funcs[target]
-				if callee != nil && callee.errs != nil && callee.errs.returnsBarrier {
-					t.sources = append(t.sources, &errSource{
+				if chain := prog.errs[callee]; chain != nil {
+					sources = append(sources, &errSource{
 						call:  call,
 						name:  callee.Name,
-						chain: append([]string{callee.Name}, callee.errs.chain...),
+						chain: append([]string{callee.Name}, chain...),
 					})
 					return true
 				}
 			}
 		}
 		if name == "Close" && len(errorResultIndices(p, call)) > 0 {
-			t.sources = append(t.sources, &errSource{call: call, name: name, chain: []string{name}, direct: true, weak: true})
+			sources = append(sources, &errSource{call: call, name: name, chain: []string{name}, direct: true, weak: true})
 		}
 		return true
 	})
-	if len(t.sources) == 0 {
-		return t
+	if len(sources) > 0 {
+		parents := fi.parentMap()
+		for _, src := range sources {
+			traceSource(p, fi, src, parents)
+		}
 	}
-
-	parents := fi.parentMap()
-	for _, src := range t.sources {
-		traceSource(p, fi, src, parents)
-	}
-	return t
+	return sources
 }
 
 // traceSource follows one origin's error through copies and fmt.Errorf
 // wraps until it is consumed, returned, or dies. The scope is the
 // innermost function (declaration or literal) containing the call.
+// errflow's sink rule: a return or a named result takes the error out, a
+// copy or a blank or statement-level wrap keeps it in play or drops it,
+// and every other use (a comparison, a store, a call argument) handles it.
 func traceSource(p *Package, fi *FuncInfo, src *errSource, parents map[ast.Node]ast.Node) {
 	if src.weak {
 		if _, bare := parents[src.call].(*ast.ExprStmt); bare {
@@ -688,240 +703,226 @@ func traceSource(p *Package, fi *FuncInfo, src *errSource, parents map[ast.Node]
 			}
 		}
 	}
-	taintedObjs := make(map[types.Object]bool)
-	taintedCalls := map[*ast.CallExpr]bool{src.call: true}
-
-	// seedCall classifies the immediate context of a tainted call's result.
-	var seedCall func(call *ast.CallExpr)
-	seedCall = func(call *ast.CallExpr) {
-		parent := parents[call]
-		if pp, ok := parent.(*ast.ParenExpr); ok {
-			parent = parents[pp]
-		}
-		switch ctx := parent.(type) {
-		case *ast.ExprStmt:
-			src.discarded = "stmt"
-		case *ast.DeferStmt:
-			src.discarded = "defer"
-		case *ast.GoStmt:
-			src.discarded = "go"
-		case *ast.AssignStmt:
-			idxs := errorResultIndices(p, call)
-			if len(idxs) == 0 {
-				src.consumed = true // no error result: out of scope
-				return
-			}
-			// Map each error result position to its LHS: with one RHS the
-			// positions line up; with several, the call binds 1:1 at its own
-			// index.
-			var lhs []ast.Expr
-			if len(ctx.Rhs) == 1 {
-				for _, i := range idxs {
-					if i < len(ctx.Lhs) {
-						lhs = append(lhs, ctx.Lhs[i])
-					}
-				}
-			} else {
-				for j, r := range ctx.Rhs {
-					if ast.Unparen(r) == call && j < len(ctx.Lhs) {
-						lhs = append(lhs, ctx.Lhs[j])
-					}
-				}
-			}
-			blanks, captures := 0, 0
-			for _, l := range lhs {
-				id, ok := l.(*ast.Ident)
-				if !ok {
-					// Stored into a field/index: recorded somewhere real.
-					src.consumed = true
-					src.mentioned = true
-					return
-				}
-				if id.Name == "_" {
-					blanks++
-					continue
-				}
-				captures++
-				obj := p.Info.Defs[id]
-				if obj == nil {
-					obj = p.Info.Uses[id]
-				}
-				if obj != nil {
-					taintedObjs[obj] = true
-					if resultObjs[obj] {
-						src.returned = true
-						src.consumed = true
-					}
-				}
-			}
-			if blanks > 0 && captures == 0 {
-				src.discarded = "underscore"
-			}
-		case *ast.ReturnStmt:
-			src.returned = true
+	sink := func(u use) {
+		switch {
+		case u.kind == useReturn || (u.kind == useCopy && resultObjs[u.obj]):
+			src.returned, src.consumed = true, true
+		case u.kind != useCopy && u.kind != useBlank && u.kind != useStmt:
 			src.consumed = true
-			src.mentioned = true
-		case *ast.CallExpr:
-			if isErrorfWrap(p, ctx) {
-				src.mentioned = true
-				taintedCalls[ctx] = true
-				seedCall(ctx)
-				return
-			}
-			// Result fed straight into another call: handled there.
-			src.consumed = true
-			src.mentioned = true
-		default:
-			// if err := ...; comparison; etc. — treated as handled.
-			src.consumed = true
-			src.mentioned = true
 		}
 	}
-	seedCall(src.call)
-
+	t := &tracer{p: p, parents: parents, body: body, objs: make(map[types.Object]bool),
+		through: func(c *ast.CallExpr) bool { return isErrorfWrap(p, c) }}
+	blanks := 0
+	t.classify(src.call, errorResultIndices(p, src.call), func(u use) {
+		switch u.kind {
+		case useStmt:
+			src.discarded = "stmt"
+		case useDefer:
+			src.discarded = "defer"
+		case useGo:
+			src.discarded = "go"
+		case useBlank:
+			blanks++
+		case useCopy:
+			t.objs[u.obj] = true
+			sink(u)
+		default:
+			src.mentioned = true
+			sink(u)
+		}
+	})
+	if blanks > 0 && len(t.objs) == 0 && !src.consumed {
+		src.discarded = "underscore"
+	}
 	if src.discarded != "" || src.consumed {
 		return
 	}
-	if len(taintedObjs) == 0 {
+	if len(t.objs) == 0 {
 		// Error result position not captured (e.g. only non-error results
 		// bound); nothing to trace.
 		src.consumed = true
 		return
 	}
+	t.grow()
+	if t.captured() {
+		src.mentioned, src.consumed = true, true
+		return
+	}
+	t.uses(func(u use) {
+		src.mentioned = true
+		sink(u)
+	})
+}
 
-	// Propagate through copies and wraps to a local fixed point, then scan
-	// for consumption.
+// --- the value tracer: errflow's taint and mustclose's obligations ---
+
+// useKind classifies one place a traced value ends up.
+type useKind uint8
+
+const (
+	useOther  useKind = iota // any other expression: a comparison, an operand, an index
+	useStmt                  // a bare expression statement
+	useDefer                 // a deferred call
+	useGo                    // a spawned call
+	useBlank                 // assigned to _
+	useCopy                  // assigned to a local: a new alias
+	useStore                 // into a field or element, a composite literal, a send, or behind &
+	useReturn                // returned
+	useArg                   // passed as argument arg of call
+	useSelect                // selected from: a field, or a method called on it
+)
+
+// use is one classified consumption of a traced value.
+type use struct {
+	kind useKind
+	obj  types.Object  // useCopy: the local bound
+	call *ast.CallExpr // useArg
+	arg  int           // useArg
+	sel  string        // useSelect: the selected name
+}
+
+// tracer follows one value through a function scope. The seed's context
+// binds it to locals; var-to-var copies grow the alias set to a local fixed
+// point; a capture by a nested function literal counts as handled (its
+// lifetime is unknowable); every other use is classified by its context,
+// and the analyzer's sink rule decides what each means.
+type tracer struct {
+	p       *Package
+	parents map[ast.Node]ast.Node
+	body    *ast.BlockStmt        // the scope
+	objs    map[types.Object]bool // the value's local aliases
+	// through reports calls whose result carries an argument's value
+	// (errflow's fmt.Errorf wraps); nil for none.
+	through func(*ast.CallExpr) bool
+}
+
+// classify visits the uses e's context makes of its value, looking past
+// parentheses and through-calls. results are the positions of e's result
+// tuple an assignment binds when e is its lone right-hand side (nil: e's
+// own position).
+func (t *tracer) classify(e ast.Expr, results []int, visit func(use)) {
+	ctx := t.parents[e]
 	for {
-		grew := false
-		inspectSkipFuncLit(body, func(n ast.Node) {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return
-			}
-			for i := range as.Rhs {
-				rhs := ast.Unparen(as.Rhs[i])
-				tainted := false
-				if id, ok := rhs.(*ast.Ident); ok {
-					if obj := p.Info.Uses[id]; obj != nil && taintedObjs[obj] {
-						tainted = true
-					}
-				}
-				if call, ok := rhs.(*ast.CallExpr); ok {
-					if taintedCalls[call] || (isErrorfWrap(p, call) && callHasTaintedArg(p, call, taintedObjs, taintedCalls)) {
-						taintedCalls[call] = true
-						tainted = true
-					}
-				}
-				if !tainted {
-					continue
-				}
-				if id, ok := as.Lhs[i].(*ast.Ident); ok {
-					if id.Name == "_" {
-						continue // discarded copy: the taint dies here
-					}
-					obj := p.Info.Defs[id]
-					if obj == nil {
-						obj = p.Info.Uses[id]
-					}
-					if obj != nil && !taintedObjs[obj] {
-						taintedObjs[obj] = true
-						grew = true
-					}
-					if obj != nil && resultObjs[obj] {
-						src.returned = true
-						src.consumed = true
-					}
-				} else {
-					// Tainted value stored into a field/element: recorded.
-					src.consumed = true
-				}
-			}
-		})
-		if !grew {
+		if pe, ok := ctx.(*ast.ParenExpr); ok {
+			e, ctx = pe, t.parents[pe]
+		} else if c, ok := ctx.(*ast.CallExpr); ok && t.through != nil && c.Fun != e && t.through(c) {
+			e, ctx = c, t.parents[c]
+		} else {
 			break
 		}
 	}
-
-	// A tainted value used inside a nested function literal escapes into a
-	// closure this walk does not follow: count it as handled.
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			ast.Inspect(lit.Body, func(m ast.Node) bool {
-				if id, ok := m.(*ast.Ident); ok && taintedObjs[p.Info.Uses[id]] {
-					src.mentioned, src.consumed = true, true
-				}
-				return !src.consumed
-			})
+	u := use{}
+	switch c := ctx.(type) {
+	case *ast.ExprStmt:
+		u.kind = useStmt
+	case *ast.DeferStmt:
+		u.kind = useDefer
+	case *ast.GoStmt:
+		u.kind = useGo
+	case *ast.ReturnStmt:
+		u.kind = useReturn
+	case *ast.AssignStmt:
+		for _, l := range bound(c.Lhs, c.Rhs, e, results) {
+			visit(t.bind(l))
 		}
-		return !src.consumed
+		return // a write target binds nothing
+	case *ast.ValueSpec:
+		for _, l := range bound(c.Names, c.Values, e, results) {
+			visit(t.bind(l))
+		}
+		return
+	case *ast.CallExpr:
+		if i := slices.Index(c.Args, e); i >= 0 {
+			u = use{kind: useArg, call: c, arg: i}
+		}
+	case *ast.SelectorExpr:
+		u = use{kind: useSelect, sel: c.Sel.Name}
+	case *ast.CompositeLit, *ast.KeyValueExpr, *ast.SendStmt:
+		u.kind = useStore
+	case *ast.UnaryExpr:
+		if c.Op == token.AND {
+			u.kind = useStore
+		}
+	}
+	visit(u)
+}
+
+// bound returns the assignment targets e's value lands in: by result
+// position when e is the lone right-hand side, else at e's own position.
+func bound[L ast.Expr](lhs []L, rhs []ast.Expr, e ast.Expr, results []int) []L {
+	if len(rhs) == 1 && rhs[0] == e && results != nil {
+		var out []L
+		for _, i := range results {
+			if i < len(lhs) {
+				out = append(out, lhs[i])
+			}
+		}
+		return out
+	}
+	if j := slices.Index(rhs, e); j >= 0 && j < len(lhs) {
+		return lhs[j : j+1]
+	}
+	return nil
+}
+
+// bind classifies an assignment target.
+func (t *tracer) bind(l ast.Expr) use {
+	id, ok := l.(*ast.Ident)
+	switch {
+	case !ok:
+		return use{kind: useStore}
+	case id.Name == "_":
+		return use{kind: useBlank}
+	}
+	obj := t.p.Info.Defs[id]
+	if obj == nil {
+		obj = t.p.Info.Uses[id]
+	}
+	if obj == nil {
+		return use{}
+	}
+	return use{kind: useCopy, obj: obj}
+}
+
+// uses visits every use of the traced locals outside nested literals.
+func (t *tracer) uses(visit func(use)) {
+	inspectSkipFuncLit(t.body, func(n ast.Node) {
+		if id, ok := n.(*ast.Ident); ok && t.objs[t.p.Info.Uses[id]] {
+			t.classify(id, nil, visit)
+		}
 	})
+}
 
-	// Consumption scan: any use of a tainted object that is not a plain
-	// copy, a blank discard, or an fmt.Errorf wrap argument is a sink.
-	inspectSkipFuncLit(body, func(n ast.Node) {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return
-		}
-		obj := p.Info.Uses[id]
-		if obj == nil || !taintedObjs[obj] {
-			return
-		}
-		src.mentioned = true
-		switch ctx := parents[id].(type) {
-		case *ast.AssignStmt:
-			for _, l := range ctx.Lhs {
-				if l == id {
-					return // write target, not a use
-				}
+// grow adds every local the value is copied into, to a fixed point.
+func (t *tracer) grow() {
+	for n := -1; n != len(t.objs); {
+		n = len(t.objs)
+		t.uses(func(u use) {
+			if u.kind == useCopy {
+				t.objs[u.obj] = true
 			}
-			for i, r := range ctx.Rhs {
-				if r == id && i < len(ctx.Lhs) {
-					if lid, ok := ctx.Lhs[i].(*ast.Ident); ok {
-						if lid.Name == "_" {
-							return // discarded copy
-						}
-						return // var-to-var copy: propagation handled it
-					}
-					// Stored into a field/map/slice element: a record sink.
-					src.consumed = true
-					return
-				}
-			}
-			src.consumed = true
-		case *ast.CallExpr:
-			if isErrorfWrap(p, ctx) {
-				return // wrap: the taint moves to the wrap's result
-			}
-			src.consumed = true
-		case *ast.ReturnStmt:
-			src.returned = true
-			src.consumed = true
-		default:
-			src.consumed = true
-		}
-	})
-
-	if src.returned {
-		src.consumed = true
+		})
 	}
 }
 
-// callHasTaintedArg reports whether any argument of call is a tainted
-// identifier or tainted call result.
-func callHasTaintedArg(p *Package, call *ast.CallExpr, objs map[types.Object]bool, calls map[*ast.CallExpr]bool) bool {
-	for _, a := range call.Args {
-		a = ast.Unparen(a)
-		if id, ok := a.(*ast.Ident); ok {
-			if obj := p.Info.Uses[id]; obj != nil && objs[obj] {
-				return true
-			}
+// captured reports whether a function literal inside the scope references
+// the value.
+func (t *tracer) captured() bool {
+	found := false
+	ast.Inspect(t.body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok {
+			ast.Inspect(lit.Body, func(m ast.Node) bool {
+				if id, ok := m.(*ast.Ident); ok && t.objs[t.p.Info.Uses[id]] {
+					found = true
+				}
+				return !found
+			})
+			return false
 		}
-		if c, ok := a.(*ast.CallExpr); ok && calls[c] {
-			return true
-		}
-	}
-	return false
+		return !found
+	})
+	return found
 }
 
 // isErrorfWrap reports whether call is fmt.Errorf (the %w wrap); the verb

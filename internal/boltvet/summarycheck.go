@@ -1,19 +1,16 @@
 package boltvet
 
-import (
-	"fmt"
-	"go/token"
-)
-
 // SummaryCheck is the summary engine's self-check pass: it keeps the
-// suppression surface honest. A `//boltvet:ignore` directive must name
+// directive surface honest. A `//boltvet:ignore` directive must name
 // known analyzers and carry a ` -- <reason>` tail; a reasonless directive
-// suppresses nothing (see parseIgnoreNames) and is reported here, as is a
+// suppresses nothing (see ignoreNames) and is reported here, as is a
 // directive naming an analyzer that does not exist (typically a typo that
 // would otherwise silently fail to suppress). Block suppressions are held
 // to the same bar: a `//boltvet:ignore-begin` without a reason, a begin
 // with no matching `//boltvet:ignore-end`, and an end with no begin all
-// suppress nothing and are reported.
+// suppress nothing and are reported. So is any `//boltvet:<verb>` outside
+// the vocabulary (directiveVerbs): a misspelled guardedby, goroutine or
+// mustclose would leave its field, spawn or type unchecked.
 var SummaryCheck = &Analyzer{
 	Name: "summary",
 	Doc:  "reports boltvet:ignore/ignore-begin directives with no reason, unknown analyzer names, or unbalanced pairs",
@@ -29,49 +26,22 @@ func runSummaryCheck(p *Package) []Finding {
 	for _, a := range All() {
 		known[a.Name] = true
 	}
-	var out []Finding
-	report := func(pos token.Pos, format string, args ...any) {
-		out = append(out, Finding{
-			Pos:      p.Fset.Position(pos),
-			Analyzer: "summary",
-			Message:  fmt.Sprintf(format, args...),
-		})
-	}
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if names, reason, ok := parseIgnoreDirective(c.Text); ok {
-					if reason == "" {
-						report(c.Pos(), "boltvet:ignore without a reason suppresses nothing; write `//boltvet:ignore <analyzer> -- <why>`")
-						continue
-					}
-					for _, n := range names {
-						if !known[n] {
-							report(c.Pos(), "boltvet:ignore names unknown analyzer %q; this directive does not suppress it", n)
-						}
-					}
-					continue
-				}
-				if kind, names, reason := parseIgnoreBlockDirective(c.Text); kind == "begin" && reason != "" {
-					for _, n := range names {
-						if !known[n] {
-							report(c.Pos(), "boltvet:ignore-begin names unknown analyzer %q; this block does not suppress it", n)
-						}
-					}
+	r := &reporter{analyzer: "summary"}
+	for _, d := range p.directives().list {
+		switch {
+		case !directiveVerbs[d.verb]:
+			r.at(p, d.pos, "unknown directive //boltvet:%s checks nothing; the verbs are ignore, ignore-begin, ignore-end, guardedby, goroutine and mustclose", d.verb)
+		case d.verb == "ignore" && d.reason == "":
+			r.at(p, d.pos, "boltvet:ignore without a reason suppresses nothing; write `//boltvet:ignore <analyzer> -- <why>`")
+		case d.verb == "ignore" || (d.verb == "ignore-begin" && d.reason != ""):
+			what := map[string]string{"ignore": "directive", "ignore-begin": "block"}[d.verb]
+			for _, n := range d.args {
+				if !known[n] {
+					r.at(p, d.pos, "boltvet:%s names unknown analyzer %q; this %s does not suppress it", d.verb, n, what)
 				}
 			}
 		}
-		_, problems := collectIgnoreBlocks(p, f)
-		for _, pr := range problems {
-			switch pr.kind {
-			case "reasonless":
-				report(pr.pos, "boltvet:ignore-begin without a reason suppresses nothing; write `//boltvet:ignore-begin <analyzer> -- <why>`")
-			case "unterminated":
-				report(pr.pos, "boltvet:ignore-begin has no matching boltvet:ignore-end; the block suppresses nothing")
-			case "orphan-end":
-				report(pr.pos, "boltvet:ignore-end has no matching boltvet:ignore-begin")
-			}
-		}
 	}
-	return out
+	ignoreBlocks(p, r)
+	return r.out
 }

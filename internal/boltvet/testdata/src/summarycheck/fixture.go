@@ -45,6 +45,19 @@ func blockGood() {
 	//boltvet:ignore-end
 }
 
+// misspelled carries directives whose verbs are outside the vocabulary:
+// each would otherwise leave its type, field or spawn silently unchecked.
+//
+//boltvet:mustclos
+type misspelled struct {
+	n int //boltvet:gaurdedby mu
+}
+
+func spawnMisspelled(ch chan int) {
+	//boltvet:gorutine n -- typo in the verb
+	go func() { ch <- 1 }()
+}
+
 // blockUnterminated must stay last in the file: its begin would otherwise
 // pair with a later function's end.
 func blockUnterminated() {

@@ -46,12 +46,8 @@ func errIsTransient(err error) bool {
 	return !errors.Is(err, manifest.ErrCorrupt)
 }
 
-// pendingErrLocked returns the error background work has pending for
-// callers: a fatal engine error, or the read-only degradation.
+// pendingErrLocked returns the read-only degradation as an error, or nil.
 func (db *DB) pendingErrLocked() error {
-	if db.bgErr != nil {
-		return db.bgErr
-	}
 	if db.readOnly {
 		return &ReadOnlyError{Cause: db.roCause}
 	}
@@ -59,11 +55,9 @@ func (db *DB) pendingErrLocked() error {
 }
 
 // bgStoppedLocked reports whether background work must stop: the DB is
-// closed, poisoned by a fatal error, or degraded to read-only. Every wait
-// loop that previously checked closed/bgErr must also exit on read-only,
-// or it would spin or hang once flushes stop making progress.
+// closed or read-only. Every wait loop exits on both, or it would hang.
 func (db *DB) bgStoppedLocked() bool {
-	return db.closed || db.bgErr != nil || db.readOnly
+	return db.closed || db.readOnly
 }
 
 // retryLocked is the failure policy of a failed background job, keyed by
@@ -83,13 +77,8 @@ func (db *DB) retryLocked(k jobKind, err error) bool {
 	}
 	fails := &db.fails[k]
 	if !errIsTransient(err) || *fails >= db.cfg.BgRetryLimit {
-		if (k == jobFlush || k == jobCompaction) && !db.readOnly {
-			db.readOnly, db.roCause = true, err
-			db.met.ReadOnlyDegradations.Add(1)
-			db.cond.Broadcast()
-			db.mu.Unlock()
-			db.ev.Emit(events.Event{Type: events.TypeBgDegraded, Err: err.Error()})
-			db.mu.Lock()
+		if k == jobFlush || k == jobCompaction {
+			db.degradeLocked(err)
 		}
 		return false
 	}
@@ -104,6 +93,20 @@ func (db *DB) retryLocked(k jobKind, err error) bool {
 	}
 	db.mu.Lock()
 	return !db.bgStoppedLocked()
+}
+
+// degradeLocked enters read-only mode with a non-nil err as its cause,
+// once, and wakes every wait loop; mu is released to emit the event.
+func (db *DB) degradeLocked(err error) {
+	if err == nil || db.readOnly {
+		return
+	}
+	db.readOnly, db.roCause = true, err
+	db.met.ReadOnlyDegradations.Add(1)
+	db.cond.Broadcast()
+	db.mu.Unlock()
+	db.ev.Emit(events.Event{Type: events.TypeBgDegraded, Err: err.Error()})
+	db.mu.Lock()
 }
 
 // recoverFaultLocked resets kind k's consecutive-failure counter after a

@@ -77,12 +77,6 @@ func TestTransientSyncFaultRecovered(t *testing.T) {
 				t.Fatalf("WaitIdle after transient fault = %v, want nil", err)
 			}
 
-			db.mu.Lock()
-			bgErr := db.bgErr
-			db.mu.Unlock()
-			if bgErr != nil {
-				t.Fatalf("transient fault poisoned bgErr: %v", bgErr)
-			}
 			if ro, cause := db.ReadOnly(); ro {
 				t.Fatalf("transient fault degraded to read-only: %v", cause)
 			}
@@ -224,11 +218,49 @@ func TestPermanentSyncFaultDegradesToReadOnly(t *testing.T) {
 	if m.ReadOnlyDegradations.Load() != 1 {
 		t.Fatalf("ReadOnlyDegradations = %d, want 1", m.ReadOnlyDegradations.Load())
 	}
+}
+
+// TestInvariantViolationDegrades: a layout violation the VerifyInvariants
+// check finds after a job is the same failure state as a permanent fault —
+// WaitIdle and writes fail with ErrReadOnlyMode wrapping the violation,
+// and reads keep serving.
+func TestInvariantViolationDegrades(t *testing.T) {
+	cfg := testConfig() // VerifyInvariants on
+	cfg.L0CompactionTrigger = 100
+	cfg.L0SlowdownTrigger, cfg.L0StopTrigger = 0, 0
+	db := openTestDB(t, vfs.NewMem(), cfg)
+	defer db.Close()
+	fillToFlush(t, db, "live")
+	if err := db.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	// Open the tables' readers now: they stay cached, so reads survive the
+	// in-memory damage below.
+	for i := 0; i < 200; i++ {
+		if _, err := db.Get([]byte(fmt.Sprintf("live-%05d", i)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	db.mu.Lock()
-	bgErr := db.bgErr
+	victim := db.vs.Current().Levels[0][0]
+	victim.Size = 0
 	db.mu.Unlock()
-	if bgErr != nil {
-		t.Fatalf("degradation must not poison bgErr, got %v", bgErr)
+	fillUntilDegraded(t, db, "next")
+	err := db.WaitIdle()
+	if !errors.Is(err, ErrReadOnlyMode) || !strings.Contains(err.Error(), fmt.Sprintf("table %d has size 0", victim.Num)) {
+		t.Fatalf("WaitIdle = %v, want ErrReadOnlyMode wrapping the size violation", err)
+	}
+	if ro, cause := db.ReadOnly(); !ro || cause == nil {
+		t.Fatalf("ReadOnly() = %v, %v; want true with the violation", ro, cause)
+	}
+	if werr := db.Put([]byte("rejected"), []byte("x")); !errors.Is(werr, ErrReadOnlyMode) {
+		t.Fatalf("Put after the violation = %v, want ErrReadOnlyMode", werr)
+	}
+	for _, key := range []string{"live-00000", "live-00199", "next-00000"} {
+		if got, gerr := db.Get([]byte(key), nil); gerr != nil || len(got) == 0 {
+			t.Fatalf("Get(%s) after the violation = %q, %v", key, got, gerr)
+		}
 	}
 }
 

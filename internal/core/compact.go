@@ -713,12 +713,9 @@ func compactionReasonBucket(reason string) metrics.CompactionReason {
 }
 
 // verifyInvariantsLocked re-checks the version layout when the test hook
-// is enabled.
+// is enabled; a violation degrades the engine to read-only.
 func (db *DB) verifyInvariantsLocked() {
-	if !db.cfg.VerifyInvariants || db.bgErr != nil {
-		return
-	}
-	if err := db.checkVersionInvariants(db.vs.Current()); err != nil {
-		db.bgErr = err
+	if db.cfg.VerifyInvariants {
+		db.degradeLocked(db.checkVersionInvariants(db.vs.Current()))
 	}
 }

@@ -129,7 +129,6 @@ type DB struct {
 	inflight *compaction.InFlight //boltvet:guardedby mu
 	// nextJobID numbers jobs for event correlation.
 	nextJobID uint64 //boltvet:guardedby mu
-	bgErr     error  //boltvet:guardedby mu
 	closed    bool   //boltvet:guardedby mu
 
 	// readOnly marks the degraded mode entered when background work
@@ -211,7 +210,7 @@ func Open(fs vfs.FS, cfg Config) (*DB, error) {
 
 	if err := db.recover(); err != nil {
 		if db.vlogW != nil {
-			_ = db.vlogW.Close()
+			err = errors.Join(err, db.vlogW.Close())
 		}
 		db.tableCache.Close()
 		if db.fdCache != nil {

@@ -12,6 +12,7 @@ import (
 	"github.com/bolt-lsm/bolt/internal/events"
 	"github.com/bolt-lsm/bolt/internal/manifest"
 	"github.com/bolt-lsm/bolt/internal/vfs"
+	"github.com/bolt-lsm/bolt/internal/vlog"
 )
 
 // vlogTestConfig enables key-value separation at test scale: tiny
@@ -386,6 +387,83 @@ func failOneVLogRead() vfs.Injector {
 		}
 		return &vfs.InjectedError{Op: op, Name: name}
 	})
+}
+
+// TestGetRetriesOnce pins Get's retry rule with deterministic one-shot
+// faults on the value-log read. A latest-seq Get that finds its record
+// punched (a zeroed read, which fails the checksum) or its segment
+// unlinked (not found) may have raced value GC, so it retries once: one
+// failure is absorbed, a second is returned. A Get at a snapshot holds a
+// pin GC respects, and any other error is not a GC race: neither retries.
+func TestGetRetriesOnce(t *testing.T) {
+	efs := vfs.NewErrorFS(vfs.NewMem())
+	cfg := vlogTestConfig()
+	cfg.VLogGCGarbageRatio = 1.0 // no background GC
+	db := openTestDB(t, efs, cfg)
+	defer db.Close()
+	key, want := []byte("key"), bigValue("key", 0)
+	if err := db.Put(key, want); err != nil {
+		t.Fatal(err)
+	}
+	snap := db.NewSnapshot()
+	defer snap.Release()
+
+	// The next left value-log reads fail: with fail set they return it,
+	// otherwise they come back zeroed, as a punched record reads.
+	var mu sync.Mutex
+	left, fail := 0, error(nil)
+	take := func(inject bool) (bool, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if left == 0 || inject != (fail != nil) {
+			return false, nil
+		}
+		left--
+		return true, fail
+	}
+	efs.SetInjector(vfs.FilterName(isVLog, vfs.InjectorFunc(func(op vfs.Op, _ string, _ int64) error {
+		if op != vfs.OpReadAt {
+			return nil
+		}
+		_, err := take(true)
+		return err
+	})))
+	efs.SetCorruptor(vfs.FilterCorruptName(isVLog, vfs.CorruptorFunc(func(_ vfs.Op, _ string, _ int64, p []byte, _ int64) {
+		if hit, _ := take(false); hit {
+			clear(p)
+		}
+	})))
+	injected := &vfs.InjectedError{Op: vfs.OpReadAt, Name: "vlog"}
+	for _, c := range []struct {
+		name string
+		fail error // nil: zero the read
+		n    int
+		snap *Snapshot
+		want error // nil: the value
+	}{
+		{"punched once", nil, 1, nil, nil},
+		{"punched twice", nil, 2, nil, vlog.ErrCorrupt},
+		{"unlinked once", vfs.ErrNotFound, 1, nil, nil},
+		{"unlinked twice", vfs.ErrNotFound, 2, nil, vfs.ErrNotFound},
+		{"punched at a snapshot", nil, 1, snap, vlog.ErrCorrupt},
+		{"unrelated error", injected, 1, nil, injected},
+	} {
+		mu.Lock()
+		left, fail = c.n, c.fail
+		mu.Unlock()
+		got, err := db.Get(key, c.snap)
+		switch {
+		case c.want == nil && (err != nil || !bytes.Equal(got, want)):
+			t.Errorf("%s: Get = %d bytes, %v; want the value", c.name, len(got), err)
+		case c.want != nil && !errors.Is(err, c.want):
+			t.Errorf("%s: Get = %d bytes, %v; want %v", c.name, len(got), err, c.want)
+		}
+		mu.Lock()
+		if left > 0 {
+			t.Errorf("%s: %d armed faults never fired", c.name, left)
+		}
+		mu.Unlock()
+	}
 }
 
 // TestOpenVLogReadFaultKeepsAckedWrites: a read fault on the value log

@@ -384,13 +384,14 @@ func (db *DB) execVLogPunches(todo []vlogPunch) {
 // group-commit leader (the only appender, so sealing cannot race an
 // append). If the new segment cannot be created, separation disables
 // itself — large values stay inline, which is correct, just unseparated —
-// rather than failing user writes.
+// rather than failing user writes. A failed seal degrades the engine: no
+// flush may validate pointers into the segment's unsynced tail.
 func (db *DB) rotateVLogLocked() (sealedSeg uint64, sealedSize int64) {
 	old := db.vlogW
 	if old == nil {
 		return 0, 0
 	}
-	_ = old.Seal()
+	defer db.degradeLocked(old.Seal()) // seals now, degrades on return
 	sealedSeg, sealedSize = old.Seg(), old.SyncedSize()
 	db.vlogPending = append(db.vlogPending, manifest.VLogSegmentEdit{Num: sealedSeg, Size: sealedSize})
 	num := db.vs.NextFileNum()

@@ -319,7 +319,7 @@ func (db *DB) makeRoomForWriteLocked() error {
 	slowdownDone := false
 	for {
 		switch {
-		case db.bgErr != nil || db.readOnly:
+		case db.readOnly:
 			return db.pendingErrLocked()
 		case db.closed:
 			return ErrClosed
