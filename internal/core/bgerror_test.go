@@ -127,9 +127,12 @@ func TestCountersAgreeWithEvents(t *testing.T) {
 		case events.TypeFlushEnd, events.TypeCompactionEnd:
 			armed.Store(false)
 		}
-		if e.Err != "" {
+		switch {
+		case e.Err != "":
 			failed[e.Type]++
-		} else {
+		case e.Type == events.TypeHolePunch || e.Type == events.TypeHolePunchFallback:
+			done[e.Type] += int64(e.Inputs) // one event per punch call, Inputs ranges
+		default:
 			done[e.Type]++
 		}
 	}
@@ -316,10 +319,20 @@ func TestPunchHoleFallbackRecordsDeadRanges(t *testing.T) {
 	}
 
 	// Two logical tables share the file; the first dies now.
+	reclaimTables := func(fs ...*manifest.FileMeta) {
+		db.mu.Lock()
+		for _, f := range fs {
+			db.reclaims = append(db.reclaims, reclaim{table: f})
+		}
+		ops := db.takeReclaimsLocked(false)
+		db.mu.Unlock()
+		db.execReclaims(ops)
+	}
 	db.mu.Lock()
 	db.physRefs[phys] = 2
-	db.zombies = append(db.zombies, zombie{f: &manifest.FileMeta{Num: 90100, PhysNum: phys, Offset: 0, Size: sz}})
-	db.reclaimZombiesLocked()
+	db.mu.Unlock()
+	reclaimTables(&manifest.FileMeta{Num: 90100, PhysNum: phys, Offset: 0, Size: sz})
+	db.mu.Lock()
 	dead := int64(0)
 	for _, r := range db.deadRanges[phys] {
 		dead += r.size
@@ -339,10 +352,7 @@ func TestPunchHoleFallbackRecordsDeadRanges(t *testing.T) {
 
 	// The second logical table dies too: the whole file is unlinked and its
 	// dead-range debt is forgotten with it.
-	db.mu.Lock()
-	db.zombies = append(db.zombies, zombie{f: &manifest.FileMeta{Num: 90101, PhysNum: phys, Offset: sz, Size: sz}})
-	db.reclaimZombiesLocked()
-	db.mu.Unlock()
+	reclaimTables(&manifest.FileMeta{Num: 90101, PhysNum: phys, Offset: sz, Size: sz})
 	if db.DeadRangeBytes() != 0 {
 		t.Fatalf("DeadRangeBytes = %d after file removal, want 0", db.DeadRangeBytes())
 	}
@@ -376,7 +386,7 @@ func TestPunchHoleFallbackRecordsDeadRanges(t *testing.T) {
 	cfg.EventListener = func(e events.Event) {
 		if e.Type == events.TypeHolePunchFallback {
 			lmu.Lock()
-			fallbackEvents++
+			fallbackEvents += e.Inputs
 			lmu.Unlock()
 		}
 	}
@@ -384,7 +394,7 @@ func TestPunchHoleFallbackRecordsDeadRanges(t *testing.T) {
 	vfs2.SetInjector(noPunch)
 	vdb := openTestDB(t, vfs2, cfg)
 	defer vdb.Close()
-	putGenerations(t, vdb, "vkey", 2, 40)
+	putPartialGarbage(t, vdb, "vkey") // a whole segment is unlinked, not punched
 	if err := vdb.CompactValueLog(); err != nil {
 		t.Fatal(err)
 	}

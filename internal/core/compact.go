@@ -12,7 +12,6 @@ import (
 	"github.com/bolt-lsm/bolt/internal/manifest"
 	"github.com/bolt-lsm/bolt/internal/metrics"
 	"github.com/bolt-lsm/bolt/internal/sstable"
-	"github.com/bolt-lsm/bolt/internal/vfs"
 	"github.com/bolt-lsm/bolt/internal/vlog"
 )
 
@@ -210,42 +209,36 @@ func (db *DB) flushLocked(j *job) error {
 	for _, m := range metas {
 		edit.AddFile(0, m)
 	}
-	// Record the value log alongside the tables that reference it: sealed
-	// segments from rotations since the last flush, plus the active
-	// segment at its synced length (Size merges by max, so a later, longer
+	// Log the after-flush entries that are due: sealed segments' size
+	// records from rotations since the last flush, value-GC advances
+	// committed into the memtable this flush retires or an older one
+	// (vloggc.go, rule 2), and the retired WAL. The active segment is
+	// recorded at its synced length (Size merges by max, so a later, longer
 	// record always wins).
-	pendingApplied := len(db.vlogPending)
-	for _, s := range db.vlogPending {
-		edit.AddVLogSegment(s)
-	}
-	if db.vlogW != nil {
-		edit.AddVLogSegment(manifest.VLogSegmentEdit{Num: db.vlogW.Seg(), Size: db.vlogW.SyncedSize()})
-	}
-	// Value-GC advances committed into the memtable this flush retires, or
-	// an older one, become durable with it (vloggc.go, rule 2).
-	for _, a := range db.vlogAdvances {
+	queued := len(db.afterFlush)
+	for _, a := range db.afterFlush {
 		if a.gen < logNum {
 			a.addTo(edit)
 		}
 	}
+	if db.vlogW != nil {
+		edit.AddVLogSegment(manifest.VLogSegmentEdit{Num: db.vlogW.Seg(), Size: db.vlogW.SyncedSize()})
+	}
 	if err := db.logAndApplyLocked(edit); err != nil {
 		return fmt.Errorf("core: flush commit: %w", err)
 	}
-	// Rotations during logAndApply's unlock window appended behind the
-	// applied prefix; drop only what this edit recorded. GC passes in that
-	// window recorded advances of a newer generation, which stay pending;
-	// the logged ones license their punches now.
-	db.vlogPending = db.vlogPending[pendingApplied:]
-	pending := db.vlogAdvances[:0]
-	for _, a := range db.vlogAdvances {
-		if a.gen < logNum {
-			db.vlogPunchQueue = append(db.vlogPunchQueue, a.vlogPunch)
-		} else {
-			pending = append(pending, a)
+	// Entries queued during logAndApply's unlock window were not in the
+	// edit and stay; the logged ones license their reclaims now.
+	keep := db.afterFlush[:0]
+	for i, a := range db.afterFlush {
+		if i >= queued || a.gen >= logNum {
+			keep = append(keep, a)
+		} else if a.r.num != 0 {
+			db.reclaims = append(db.reclaims, a.r)
 		}
 	}
-	clear(db.vlogAdvances[len(pending):])
-	db.vlogAdvances = pending
+	clear(db.afterFlush[len(keep):])
+	db.afterFlush = keep
 	var outBytes int64
 	for _, m := range metas {
 		db.physRefs[m.PhysNum]++
@@ -259,16 +252,6 @@ func (db *DB) flushLocked(j *job) error {
 	// whenever a memtable retires.
 	db.flushEpoch++
 	j.end.Outputs, j.end.BytesOut = len(metas), outBytes
-
-	logs := db.obsoleteLogs
-	db.obsoleteLogs = nil
-	punches := db.takeReadyVLogPunchesLocked()
-	db.mu.Unlock()
-	for _, num := range logs {
-		_ = db.fs.Remove(manifest.LogFileName(num))
-	}
-	db.execVLogPunches(punches)
-	db.mu.Lock()
 	return nil
 }
 
@@ -345,11 +328,9 @@ func (db *DB) compactLocked(j *job) error {
 		})
 	}
 	for seg, g := range garbage {
-		// Skip segments a concurrent GC pass already deleted; an upsert
-		// here would resurrect them as ghosts.
-		if _, ok := db.vs.Current().VLogSegment(seg); ok {
-			edit.AddVLogSegment(manifest.VLogSegmentEdit{Num: seg, GarbageDelta: g})
-		}
+		// A segment a concurrent GC pass deleted drops the record when the
+		// edit applies (see versionBuilder.apply).
+		edit.AddVLogSegment(manifest.VLogSegmentEdit{Num: seg, GarbageDelta: g})
 	}
 
 	if err := db.logAndApplyLocked(edit); err != nil {
@@ -377,13 +358,14 @@ func (db *DB) compactLocked(j *job) error {
 		db.met.LevelCompactionsIn[c.OutputLevel].Add(1)
 	}
 
+	// The deleted tables are reclaimed once no version older than this
+	// edit's is pinned.
 	deletedIn := db.vs.Current().ID()
 	for _, files := range [2][]*manifest.FileMeta{c.Inputs, c.NextInputs} {
 		for _, f := range files {
-			db.zombies = append(db.zombies, zombie{f, deletedIn})
+			db.reclaims = append(db.reclaims, reclaim{table: f, gate: deletedIn})
 		}
 	}
-	db.reclaimZombiesLocked()
 
 	j.end = events.Event{Level: c.Level, OutputLevel: c.OutputLevel, Outputs: len(metas), BytesOut: outBytes}
 	if len(c.Settled) > 0 {
@@ -589,108 +571,6 @@ func (db *DB) logAndApplyLocked(edit *manifest.VersionEdit) error {
 	}
 	db.manifestMu.Unlock()
 	return err
-}
-
-// zombie is a table some edit deleted but a pinned version may still read.
-type zombie struct {
-	f *manifest.FileMeta
-	// deletedIn is the ID of the version the deleting edit produced. Table
-	// numbers are never re-added once deleted, so only versions older than
-	// it can hold f: the table is dead once none of those is pinned.
-	deletedIn uint64
-}
-
-// reclaimZombiesLocked deletes tables no longer referenced by any live
-// version: whole physical files are unlinked; dead logical SSTables inside
-// still-live compaction files get their byte ranges hole-punched, without
-// any barrier (the BoLT space-reclamation path). Called with mu held;
-// releases it for the file operations.
-func (db *DB) reclaimZombiesLocked() {
-	if len(db.zombies) == 0 {
-		return
-	}
-	oldest := db.vs.OldestLiveID()
-	keep := db.zombies[:0]
-	type punch struct {
-		phys uint64
-		r    deadRange
-	}
-	var punches []punch
-	var removals []uint64
-	for _, zb := range db.zombies {
-		if oldest < zb.deletedIn {
-			keep = append(keep, zb)
-			continue
-		}
-		z := zb.f
-		db.tableCache.Evict(z.Num)
-		db.met.TablesDeleted.Add(1)
-		db.physRefs[z.PhysNum]--
-		if db.physRefs[z.PhysNum] <= 0 {
-			delete(db.physRefs, z.PhysNum)
-			if db.fdCache != nil {
-				db.fdCache.Evict(z.PhysNum)
-			}
-			delete(db.deadRanges, z.PhysNum)
-			removals = append(removals, z.PhysNum)
-		} else if db.cfg.compactionFileMode() {
-			punches = append(punches, punch{z.PhysNum, deadRange{z.Offset, z.Size}})
-		}
-	}
-	clear(db.zombies[len(keep):]) // drop the reclaimed tables' metadata
-	db.zombies = keep
-
-	if len(punches) == 0 && len(removals) == 0 {
-		return
-	}
-	db.mu.Unlock()
-	for _, num := range removals {
-		_ = db.fs.Remove(manifest.TableFileName(num))
-	}
-	var fallbacks []punch
-	for _, p := range punches {
-		for _, r := range db.punchHoles(manifest.TableFileName(p.phys), p.phys, []deadRange{p.r}) {
-			fallbacks = append(fallbacks, punch{p.phys, r})
-		}
-	}
-	db.mu.Lock()
-	for _, p := range fallbacks {
-		// Record the space debt unless the file was removed while mu was
-		// released, in which case its dead ranges vanished with it.
-		if _, live := db.physRefs[p.phys]; live {
-			db.deadRanges[p.phys] = append(db.deadRanges[p.phys], p.r)
-		}
-	}
-}
-
-// punchHoles reclaims dead ranges of one file (table or value-log segment
-// num) by hole punching, barrier-free and best-effort, and returns the
-// ranges the backend could not punch. Called without mu. Every attempt
-// reports once: a punch counts in HolePunches and emits hole-punch; a
-// backend that cannot punch (vfs.ErrPunchHoleUnsupported) or holds the
-// file read-only still reads the range back correctly, so it counts in
-// HolePunchFallbacks and emits hole-punch-fallback — the caller decides
-// what space debt to record. Any other failure is ignored: a missed punch
-// only costs disk space, never correctness.
-func (db *DB) punchHoles(name string, num uint64, ranges []deadRange) (fallbacks []deadRange) {
-	f, err := db.fs.Open(name)
-	if err != nil {
-		return nil
-	}
-	defer f.Close()
-	for _, r := range ranges {
-		perr := f.PunchHole(r.off, r.size)
-		switch {
-		case perr == nil:
-			db.met.HolePunches.Add(1)
-			db.ev.Emit(events.Event{Type: events.TypeHolePunch, File: num, BytesOut: r.size})
-		case errors.Is(perr, vfs.ErrPunchHoleUnsupported) || errors.Is(perr, vfs.ErrReadOnly):
-			db.met.HolePunchFallbacks.Add(1)
-			db.ev.Emit(events.Event{Type: events.TypeHolePunchFallback, File: num, BytesOut: r.size})
-			fallbacks = append(fallbacks, r)
-		}
-	}
-	return fallbacks
 }
 
 // compactionReasonBucket maps a picker reason string onto the per-reason

@@ -73,25 +73,15 @@ type DB struct {
 	// writer locks itself so flush-time Syncs may race leader appends.
 	vlogW   *vlog.Writer //boltvet:guardedby mu
 	vlogNum uint64       //boltvet:guardedby mu -- segment number behind vlogW
-	// vlogPending accumulates edits for sealed segments (rotations) not yet
-	// recorded in the MANIFEST; the next flush folds them into its edit.
-	vlogPending []manifest.VLogSegmentEdit //boltvet:guardedby mu
 	// vlogGCStuck suppresses segments whose GC cannot advance (rotted
 	// record header mid-segment).
 	vlogGCStuck map[uint64]bool //boltvet:guardedby mu
-	// vlogAdvances holds value-GC passes whose watermark advance waits for
-	// the flush of their memtable generation (vloggc.go, rule 2).
-	vlogAdvances []vlogAdvance //boltvet:guardedby mu
 	// flushEpoch counts memtable retirements (imm cleared by a flush); the
 	// GC commit filter uses it to detect whether "key absent from both
 	// memtables" can have changed meaning since its scan.
 	flushEpoch uint64 //boltvet:guardedby mu
-	// iterPins records the snapshot sequence of every open iterator, and
-	// vlogPunchQueue holds value-log hole punches, durable in the MANIFEST,
-	// deferred until no pinned reader (snapshot, iterator) predates the GC
-	// commit that killed them.
-	iterPins       *list.List  //boltvet:guardedby mu -- of keys.Seq, unordered
-	vlogPunchQueue []vlogPunch //boltvet:guardedby mu
+	// iterPins records the snapshot sequence of every open iterator.
+	iterPins *list.List //boltvet:guardedby mu -- of keys.Seq, unordered
 
 	// visibleSeq is the highest sequence number visible to reads; it is
 	// atomic so the read path can snapshot it without mu.
@@ -152,9 +142,13 @@ type DB struct {
 	// table while mu is released for the MANIFEST write.
 	quarantinePending map[uint64]bool //boltvet:guardedby mu
 
-	obsoleteLogs []uint64       //boltvet:guardedby mu
-	zombies      []zombie       //boltvet:guardedby mu
-	physRefs     map[uint64]int //boltvet:guardedby mu
+	// physRefs counts the live logical tables of each physical file.
+	physRefs map[uint64]int //boltvet:guardedby mu
+
+	// The deferred-work path (reclaim.go): work waiting for a flush to log
+	// it, and file reclamations waiting for readers.
+	afterFlush []afterFlush //boltvet:guardedby mu
+	reclaims   []reclaim    //boltvet:guardedby mu
 }
 
 // Open opens (creating if necessary) a database on fs.
@@ -546,7 +540,7 @@ func (db *DB) NewSnapshot() *Snapshot {
 }
 
 // Release unpins the snapshot. Dropping the oldest pin may make deferred
-// value-log punches safe, so the queue is drained on the way out.
+// value-log punches safe, so ready reclaims run on the way out.
 func (s *Snapshot) Release() {
 	db := s.db
 	db.mu.Lock()
@@ -554,9 +548,9 @@ func (s *Snapshot) Release() {
 		db.snapshots.Remove(s.elem)
 		s.elem = nil
 	}
-	todo := db.takeReadyVLogPunchesLocked()
+	ops := db.takeReclaimsLocked(false)
 	db.mu.Unlock()
-	db.execVLogPunches(todo)
+	db.execReclaims(ops)
 }
 
 // smallestSnapshotLocked returns the oldest sequence number any reader may
@@ -826,13 +820,13 @@ func (db *DB) Close() error {
 	for db.running > 0 || db.manualActive || db.leaderActive || len(db.writers) > 0 {
 		db.cond.Wait()
 	}
-	// Every reader is gone, so deferred value-log punches are all safe now.
-	// Value-GC advances no flush has logged are dropped with their punches:
-	// the reopened engine re-scans those chunks and finds them dead.
-	punches := db.vlogPunchQueue
-	db.vlogPunchQueue = nil
+	// Every reader is gone, so every queued reclaim is safe now. The
+	// after-flush list is dropped: value-GC advances no flush has logged
+	// lose their punches (the reopened engine re-scans those chunks and
+	// finds them dead), and an unflushed memtable's WAL stays for replay.
+	ops := db.takeReclaimsLocked(true)
 	db.mu.Unlock()
-	db.execVLogPunches(punches)
+	db.execReclaims(ops)
 
 	var firstErr error
 	//boltvet:ignore-begin guardedby -- post-drain teardown: closed is set and every background path has unwound, so this goroutine is the last one standing

@@ -69,8 +69,8 @@ func (db *DB) checkGCAdvancesLocked(edit *manifest.VersionEdit) error {
 		flushed = max(flushed, *edit.LogNum)
 	}
 	check := func(seg uint64, full bool, gcOffset int64) error {
-		for _, a := range db.vlogAdvances {
-			if a.seg != seg || a.removeFile != full || (!full && a.gcOffset != gcOffset) {
+		for _, a := range db.afterFlush {
+			if !a.isGCAdvance() || a.seg.Num != seg || a.r.whole != full || (!full && a.seg.GCOffset != gcOffset) {
 				continue
 			}
 			if a.gen >= flushed {

@@ -119,6 +119,16 @@ func TestWrapInvariantFSMatchesBuildTag(t *testing.T) {
 	}
 }
 
+// gcAdvance is the after-flush entry of a value-GC pass over seg that
+// committed into memtable generation gen.
+func gcAdvance(seg, gen uint64, gcOffset int64, whole bool) afterFlush {
+	return afterFlush{
+		gen: gen,
+		seg: manifest.VLogSegmentEdit{Num: seg, GCOffset: gcOffset},
+		r:   reclaim{name: manifest.VLogFileName, num: seg, whole: whole},
+	}
+}
+
 // TestGCAdvanceBeforeFlushPanics: logAndApplyLocked refuses an edit that
 // logs a value-GC advance whose memtable generation no flush has covered —
 // the pass's re-puts and the newer versions behind its liveness verdicts
@@ -131,14 +141,14 @@ func TestGCAdvanceBeforeFlushPanics(t *testing.T) {
 	const seg = 99
 	for _, tc := range []struct {
 		name    string
-		pending []vlogAdvance
+		pending []afterFlush
 		edit    func(*manifest.VersionEdit)
 	}{
-		{"unflushed-watermark", []vlogAdvance{{vlogPunch: vlogPunch{seg: seg}, gen: db.walNum, gcOffset: 4096}},
+		{"unflushed-watermark", []afterFlush{gcAdvance(seg, db.walNum, 4096, false)},
 			func(e *manifest.VersionEdit) {
 				e.AddVLogSegment(manifest.VLogSegmentEdit{Num: seg, GCOffset: 4096})
 			}},
-		{"unflushed-delete", []vlogAdvance{{vlogPunch: vlogPunch{seg: seg, removeFile: true}, gen: db.walNum}},
+		{"unflushed-delete", []afterFlush{gcAdvance(seg, db.walNum, 0, true)},
 			func(e *manifest.VersionEdit) { e.DeleteVLogSegment(seg) }},
 		{"no-pass", nil,
 			func(e *manifest.VersionEdit) {
@@ -146,8 +156,8 @@ func TestGCAdvanceBeforeFlushPanics(t *testing.T) {
 			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			db.vlogAdvances = tc.pending
-			defer func() { db.vlogAdvances = nil }()
+			db.afterFlush = tc.pending
+			defer func() { db.afterFlush = nil }()
 			edit := &manifest.VersionEdit{}
 			tc.edit(edit)
 			defer func() {
@@ -163,8 +173,8 @@ func TestGCAdvanceBeforeFlushPanics(t *testing.T) {
 
 	// The same advance is accepted once its generation is flushed — by the
 	// edit itself, as flushLocked's edit does.
-	db.vlogAdvances = []vlogAdvance{{vlogPunch: vlogPunch{seg: seg}, gen: db.walNum, gcOffset: 4096}}
-	defer func() { db.vlogAdvances = nil }()
+	db.afterFlush = []afterFlush{gcAdvance(seg, db.walNum, 4096, false)}
+	defer func() { db.afterFlush = nil }()
 	edit := &manifest.VersionEdit{}
 	edit.SetLogNum(db.walNum + 1)
 	edit.AddVLogSegment(manifest.VLogSegmentEdit{Num: seg, GCOffset: 4096})

@@ -350,8 +350,8 @@ func (it *DBIter) Value() []byte { return it.value }
 func (it *DBIter) Err() error { return it.err }
 
 // Close releases the iterator's table references, version pin, and
-// value-GC pin; punches the pin was holding back run before returning. It
-// reports the first failure closing a source.
+// value-GC pin; reclaims the pins were holding back run before returning.
+// It reports the first failure closing a source.
 func (it *DBIter) Close() error {
 	if it.v == nil {
 		return nil
@@ -364,8 +364,8 @@ func (it *DBIter) Close() error {
 	it.v = nil
 	db.iterPins.Remove(it.pin)
 	it.pin = nil
-	todo := db.takeReadyVLogPunchesLocked()
+	ops := db.takeReclaimsLocked(false)
 	db.mu.Unlock()
-	db.execVLogPunches(todo)
+	db.execReclaims(ops)
 	return err
 }

@@ -14,8 +14,9 @@ import (
 // in-flight reservation, or a pinned version. Every job, background or
 // foreground, runs in one envelope (runJobLocked) that numbers it, emits
 // its start and end events with the job and worker IDs, the wall time and
-// the barrier delta, and releases its claim before any retry backoff. The
-// kind's run function (flushLocked, compactLocked, valueGCPassLocked,
+// the barrier delta, releases its claim before any retry backoff, and
+// then runs the reclaims that became ready (reclaim.go). The kind's run
+// function (flushLocked, compactLocked, valueGCPassLocked,
 // scrubLocked) does the I/O and the MANIFEST commit, nothing else.
 //
 // Background jobs run on lanes of bounded capacity (DESIGN.md §6d): flush
@@ -218,13 +219,17 @@ func (db *DB) runJobLocked(j *job, worker int) error {
 		db.maybeScheduleWorkLocked()
 	}
 	db.releaseLocked(j)
+	// After the release, so a scrub pass's version pin no longer holds
+	// anything back; before the end event, so the job's reclaims precede it.
+	ops := db.takeReclaimsLocked(false)
+	db.mu.Unlock()
+	db.execReclaims(ops)
 	e := j.end
 	e.Type, e.Job, e.Worker = types[1], id, worker
 	e.Dur, e.Barriers = time.Since(begin), db.met.Fsyncs.Load()-fsyncs
 	if err != nil {
 		e.Err = err.Error()
 	}
-	db.mu.Unlock()
 	db.ev.Emit(e)
 	for _, a := range j.after {
 		db.ev.Emit(a)

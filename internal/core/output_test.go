@@ -229,8 +229,8 @@ func TestObsoleteTablesDeletedFromDisk(t *testing.T) {
 	db := openTestDB(t, fs, testConfig())
 	defer db.Close()
 	fill(t, db, 4000, 100)
-	// Tables on disk must be exactly the live set (plus nothing zombie
-	// once background work quiesces; allow the zombie list to drain).
+	// Tables on disk must be exactly the live set once background work
+	// quiesces (and the reclaim queue has drained).
 	db.mu.Lock()
 	for db.running > 0 {
 		db.cond.Wait()

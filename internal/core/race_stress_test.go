@@ -15,7 +15,7 @@ import (
 // forces whole-range compactions and another takes and releases snapshots,
 // reading through them. A tiny memtable keeps flushes, WAL rotations, and
 // MANIFEST commits constantly in flight so the race detector sees the
-// mu/manifestMu handoffs, the lock-free memtable inserts, and the zombie
+// mu/manifestMu handoffs, the lock-free memtable inserts, and the table
 // reclaim path all interleaved.
 func TestRaceStressCompactionSnapshots(t *testing.T) {
 	cfg := boltTestConfig()

@@ -169,8 +169,10 @@ func TestValueGCReclaimsDeadSegments(t *testing.T) {
 	cfg := vlogTestConfig()
 	// Keep background GC out of the way so the reclamation below is
 	// attributable to the explicit CompactValueLog call, and scan in
-	// sub-segment chunks so partial passes exercise ranged hole punches
-	// (a fully collected segment is unlinked instead).
+	// sub-segment chunks. Every segment here is collected whole before the
+	// one flush that logs the passes, so the reclaim pass unlinks each one
+	// and drops the ranges its partial passes collected
+	// (TestValueGCPartialSegmentPunched covers a segment left partial).
 	cfg.VLogGCGarbageRatio = 1.0
 	cfg.VLogGCChunkBytes = 2 << 10
 	db := openTestDB(t, fs, cfg)
@@ -218,8 +220,8 @@ func TestValueGCReclaimsDeadSegments(t *testing.T) {
 	if m.VLogReclaimedBytes == 0 {
 		t.Fatal("GC reclaimed no bytes despite fully dead segments")
 	}
-	if m.HolePunches == 0 {
-		t.Fatal("partial GC passes punched no holes")
+	if m.HolePunches != 0 {
+		t.Fatalf("%d ranges punched in segments the same reclaim pass unlinked", m.HolePunches)
 	}
 	// Fully collected segments are unlinked outright: the population must
 	// shrink by at least the dead generation-0 segments.
@@ -237,6 +239,74 @@ func TestValueGCReclaimsDeadSegments(t *testing.T) {
 	if err := db.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// putPartialGarbage leaves one sealed segment whose head is garbage and
+// whose tail is live: three values written first and overwritten later,
+// then twenty never overwritten. Value GC in chunks smaller than the tail
+// collects the head and stops there, so the segment is punched in place.
+func putPartialGarbage(t *testing.T, db *DB, prefix string) {
+	t.Helper()
+	put := func(key string, gen int) {
+		if err := db.Put([]byte(key), bigValue(key, gen)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for gen := 0; gen < 2; gen++ {
+		for i := 0; i < 3; i++ {
+			put(fmt.Sprintf("%s-dead%d", prefix, i), gen)
+		}
+		for i := 0; i < 20 && gen == 0; i++ {
+			put(fmt.Sprintf("%s-live%02d", prefix, i), gen)
+		}
+		if err := db.CompactRange(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestValueGCPartialSegmentPunched: a segment GC leaves partial keeps its
+// file; the collected payloads are punched, the file opened once for them.
+func TestValueGCPartialSegmentPunched(t *testing.T) {
+	cfg := vlogTestConfig()
+	cfg.VLogGCGarbageRatio = 1.0 // manual GC only
+	cfg.VLogGCChunkBytes = 2 << 10
+	cfs := newOpCountFS(vfs.NewMem())
+	db := openTestDB(t, cfs, cfg)
+	defer db.Close()
+	putPartialGarbage(t, db, "p")
+	db.mu.Lock()
+	first := db.vs.Current().VLogSegments()[0]
+	db.mu.Unlock()
+	// Read the live values once, so the GC walk finds the segment's handle
+	// cached and only the reclaim pass opens the file.
+	readLive := func(stage string) {
+		for i := 0; i < 20; i++ {
+			key := fmt.Sprintf("p-live%02d", i)
+			if got, err := db.Get([]byte(key), nil); err != nil || !bytes.Equal(got, bigValue(key, 0)) {
+				t.Fatalf("%s: Get(%s) = %d bytes, %v", stage, key, len(got), err)
+			}
+		}
+	}
+	readLive("before GC")
+	cfs.reset()
+	if err := db.CompactValueLog(); err != nil {
+		t.Fatal(err)
+	}
+	db.mu.Lock()
+	after, ok := db.vs.Current().VLogSegment(first.Num)
+	db.mu.Unlock()
+	if !ok || after.GCOffset == 0 || after.GCOffset >= after.Size {
+		t.Fatalf("segment %d after GC: %+v (present %v); the test needs it partially collected", first.Num, after, ok)
+	}
+	name := manifest.VLogFileName(first.Num)
+	if got := db.met.HolePunches.Load(); got == 0 || cfs.count(vfs.OpPunchHole, name) == 0 {
+		t.Fatalf("partial segment: %d ranges punched, %d punch calls", got, cfs.count(vfs.OpPunchHole, name))
+	}
+	if opens := cfs.count(opOpen, name); opens != 1 {
+		t.Fatalf("segment %d opened %d times by the reclaim pass, want 1", first.Num, opens)
+	}
+	readLive("after GC")
 }
 
 func TestValueGCDefersPunchForSnapshot(t *testing.T) {
@@ -690,12 +760,23 @@ func TestBackgroundValueGCPaysNoBarriers(t *testing.T) {
 	if got := after.Fsyncs - before.Fsyncs; got != 0 {
 		t.Fatalf("background value-GC passes paid %d fsyncs, want 0", got)
 	}
-	db.mu.Lock()
-	pending := len(db.vlogAdvances)
-	db.mu.Unlock()
+	pending := pendingGCAdvances(db)
 	if pending == 0 {
 		t.Fatal("the passes recorded no pending advance")
 	}
+}
+
+// pendingGCAdvances counts the value-GC advances no flush has logged yet.
+func pendingGCAdvances(db *DB) int {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	n := 0
+	for _, a := range db.afterFlush {
+		if a.isGCAdvance() {
+			n++
+		}
+	}
+	return n
 }
 
 // TestCompactValueLogPaysOneFlush: any number of passes cost CompactValueLog
@@ -745,12 +826,20 @@ func TestCompactValueLogPaysOneFlush(t *testing.T) {
 	if got := after.Fsyncs - before.Fsyncs; got != 3 {
 		t.Fatalf("CompactValueLog paid %d fsyncs, want 3 (vlog, table, MANIFEST)", got)
 	}
+	pending := pendingGCAdvances(db)
 	db.mu.Lock()
-	pending, queued := len(db.vlogAdvances), len(db.vlogPunchQueue)
+	queued := len(db.reclaims)
 	db.mu.Unlock()
-	if pending != 0 || queued != 0 || db.met.HolePunches.Load() == 0 {
-		t.Fatalf("after CompactValueLog: %d advances pending, %d punches queued, %d punched",
-			pending, queued, db.met.HolePunches.Load())
+	if pending != 0 || queued != 0 || db.met.VLogReclaimedBytes.Load() == 0 {
+		t.Fatalf("after CompactValueLog: %d advances pending, %d reclaims queued, %d bytes reclaimed",
+			pending, queued, db.met.VLogReclaimedBytes.Load())
+	}
+	// The collected segments are gone from disk, not just from the version.
+	db.mu.Lock()
+	live := len(db.vs.Current().VLogSegments())
+	db.mu.Unlock()
+	if onDisk := countVLogFiles(t, fs); onDisk > live {
+		t.Fatalf("%d value-log files on disk for %d live segments", onDisk, live)
 	}
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("key%03d", i)

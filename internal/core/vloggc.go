@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"github.com/bolt-lsm/bolt/internal/batch"
@@ -42,44 +43,14 @@ import (
 //     next pass and compaction's garbage accounting see, so passes chain
 //     on a segment without waiting for a flush, and a chunk is never
 //     scanned twice.
-//  4. Punching is gated on durability and readers. A punch enters
-//     vlogPunchQueue only once its advance is durable; safeSeq is the
-//     visible sequence captured after the re-put commit, and any reader at
-//     or past it resolves the re-put (or something newer), never the dead
-//     record. Punches wait in the queue until no snapshot or open iterator
-//     predates safeSeq. The one reader class that holds no pin — a
-//     latest-seq Get already in flight — is covered by Get's single retry
-//     on ErrCorrupt.
-
-// vlogPunch is one deferred reclamation: payload ranges (or the whole
-// file) of a collected segment chunk, executable once no pinned reader
-// predates safeSeq.
-type vlogPunch struct {
-	seg        uint64
-	ranges     []deadRange
-	removeFile bool // segment fully collected: unlink instead of punching
-	safeSeq    keys.Seq
-}
-
-// vlogAdvance is one GC pass's progress waiting for the flush that makes
-// it durable (rule 2): the watermark edit, and the punch it then licenses.
-type vlogAdvance struct {
-	vlogPunch
-	// gen is the WAL number of the memtable active when the pass
-	// committed; a flush edit whose LogNum is above it covers the advance.
-	gen          uint64
-	gcOffset     int64
-	garbageDelta int64
-}
-
-// addTo logs the advance in edit: a fully collected segment is deleted.
-func (a vlogAdvance) addTo(edit *manifest.VersionEdit) {
-	if a.removeFile {
-		edit.DeleteVLogSegment(a.seg)
-		return
-	}
-	edit.AddVLogSegment(manifest.VLogSegmentEdit{Num: a.seg, GCOffset: a.gcOffset, GarbageDelta: a.garbageDelta})
-}
+//  4. Punching is gated on durability and readers. The advance's reclaim
+//     enters the reclaim queue (reclaim.go) only once the advance is
+//     durable, gated on the visible sequence captured after the re-put
+//     commit: a reader at or past it resolves the re-put (or something
+//     newer), never the dead record, so it waits until no snapshot or open
+//     iterator predates that sequence. The one reader class that holds no
+//     pin — a latest-seq Get already in flight — is covered by Get's
+//     single retry on ErrCorrupt.
 
 // gcEntry is one record the GC pass found live at scan time.
 type gcEntry struct {
@@ -217,11 +188,10 @@ func (db *DB) valueGCPassLocked(j *job) error {
 	}
 	db.met.CompactionsByReason[metrics.CompactionValueGC].Add(1)
 	db.met.VLogReclaimedBytes.Add(reclaimed)
-	db.vlogAdvances = append(db.vlogAdvances, vlogAdvance{
-		vlogPunch:    vlogPunch{seg: seg, ranges: punchRanges, removeFile: full, safeSeq: db.VisibleSeq()},
-		gen:          db.walNum,
-		gcOffset:     chunkEnd,
-		garbageDelta: -deadBytes,
+	db.afterFlush = append(db.afterFlush, afterFlush{
+		gen: db.walNum,
+		seg: manifest.VLogSegmentEdit{Num: seg, GCOffset: chunkEnd, GarbageDelta: -deadBytes},
+		r:   reclaim{name: manifest.VLogFileName, num: seg, ranges: punchRanges, whole: full, gate: uint64(db.VisibleSeq())},
 	})
 	// BytesOut is what this pass made reclaimable; the punches themselves
 	// wait for the next flush, and may then be deferred behind old readers.
@@ -230,33 +200,30 @@ func (db *DB) valueGCPassLocked(j *job) error {
 }
 
 // vlogCursorsLocked returns the value-GC progress ahead of the version
-// (rule 3; see compaction.VLogCursor): each segment's pending advances
-// folded together, and a Skip mark on stuck segments and on sealed
-// segments whose size record still waits in vlogPending — the version's
-// size for those is stale, and a pass that took it for the end would
-// delete the records past it.
+// (rule 3; see compaction.VLogCursor), read off the after-flush list: each
+// segment's pending advances folded together, and a Skip mark on stuck
+// segments and on sealed segments whose size record still waits for a
+// flush — the version's size for those is stale, and a pass that took it
+// for the end would delete the records past it.
 func (db *DB) vlogCursorsLocked() map[uint64]compaction.VLogCursor {
-	n := len(db.vlogAdvances) + len(db.vlogGCStuck) + len(db.vlogPending)
+	n := len(db.afterFlush) + len(db.vlogGCStuck)
 	if n == 0 {
 		return nil
 	}
 	cursors := make(map[uint64]compaction.VLogCursor, n)
-	for _, a := range db.vlogAdvances {
-		c := cursors[a.seg]
-		c.GCOffset = max(c.GCOffset, a.gcOffset)
-		c.GarbageDelta += a.garbageDelta
-		cursors[a.seg] = c
+	for _, a := range db.afterFlush {
+		if a.seg.Num != 0 {
+			c := cursors[a.seg.Num]
+			c.GCOffset = max(c.GCOffset, a.seg.GCOffset)
+			c.GarbageDelta += a.seg.GarbageDelta
+			c.Skip = c.Skip || !a.isGCAdvance()
+			cursors[a.seg.Num] = c
+		}
 	}
-	skip := func(seg uint64) {
+	for seg := range db.vlogGCStuck {
 		c := cursors[seg]
 		c.Skip = true
 		cursors[seg] = c
-	}
-	for seg := range db.vlogGCStuck {
-		skip(seg)
-	}
-	for _, s := range db.vlogPending {
-		skip(s.Num)
 	}
 	return cursors
 }
@@ -342,43 +309,6 @@ func (db *DB) minReaderSeqLocked() keys.Seq {
 	return min
 }
 
-// takeReadyVLogPunchesLocked extracts the queued punches whose safeSeq is
-// covered by every live reader; the caller executes them off-mu.
-func (db *DB) takeReadyVLogPunchesLocked() []vlogPunch {
-	if len(db.vlogPunchQueue) == 0 {
-		return nil
-	}
-	minSeq := db.minReaderSeqLocked()
-	var ready, wait []vlogPunch
-	for _, p := range db.vlogPunchQueue {
-		if minSeq >= p.safeSeq {
-			ready = append(ready, p)
-		} else {
-			wait = append(wait, p)
-		}
-	}
-	db.vlogPunchQueue = wait
-	return ready
-}
-
-// execVLogPunches performs deferred value-log reclamation: hole punches
-// for partially collected chunks, file removal for fully collected
-// segments. Called without mu. Punching goes through the table path's
-// punchHoles; unlike table ranges, a fallback's space debt needs no
-// tracking, because the GC watermark already records the range as
-// collected.
-func (db *DB) execVLogPunches(todo []vlogPunch) {
-	for _, p := range todo {
-		name := manifest.VLogFileName(p.seg)
-		if p.removeFile {
-			db.vlogFDs.Evict(p.seg)
-			_ = db.fs.Remove(name)
-			continue
-		}
-		db.punchHoles(name, p.seg, p.ranges)
-	}
-}
-
 // rotateVLogLocked seals the active segment, queues its MANIFEST record
 // for the next flush, and opens a fresh segment. Called under mu by the
 // group-commit leader (the only appender, so sealing cannot race an
@@ -393,7 +323,7 @@ func (db *DB) rotateVLogLocked() (sealedSeg uint64, sealedSize int64) {
 	}
 	defer db.degradeLocked(old.Seal()) // seals now, degrades on return
 	sealedSeg, sealedSize = old.Seg(), old.SyncedSize()
-	db.vlogPending = append(db.vlogPending, manifest.VLogSegmentEdit{Num: sealedSeg, Size: sealedSize})
+	db.afterFlush = append(db.afterFlush, afterFlush{seg: manifest.VLogSegmentEdit{Num: sealedSeg, Size: sealedSize}})
 	num := db.vs.NextFileNum()
 	w, err := vlog.NewWriter(db.fs, manifest.VLogFileName(num), num)
 	if err != nil {
@@ -434,7 +364,7 @@ func (db *DB) CompactValueLog() error {
 	if err != nil {
 		return err
 	}
-	if len(db.vlogAdvances) > 0 && !db.bgStoppedLocked() {
+	if slices.ContainsFunc(db.afterFlush, afterFlush.isGCAdvance) && !db.bgStoppedLocked() {
 		logNum, err := db.forceMemtableSwitchLocked()
 		if err != nil {
 			return err

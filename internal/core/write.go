@@ -372,7 +372,8 @@ func (db *DB) switchMemtableLocked() (newLogNum uint64, err error) {
 		return 0, err
 	}
 	_ = db.walW.Close()
-	db.obsoleteLogs = append(db.obsoleteLogs, db.walNum)
+	// The retired WAL is obsolete once the flush of its memtable commits.
+	db.afterFlush = append(db.afterFlush, afterFlush{gen: db.walNum, r: reclaim{name: manifest.LogFileName, num: db.walNum, whole: true}})
 	db.walNum = newLogNum
 	db.walW = newWal
 	db.imm = db.mem

@@ -404,8 +404,12 @@ func run(opts Options, syncWAL bool) (*Result, error) {
 			// A manual full compaction: the main producer of hole punches
 			// (dead logical tables inside still-live compaction files), so
 			// the punch crash class has sites to land on — and crash points
-			// inside manual compactions get covered at the same time.
-			if err := db.CompactRange(nil, nil); err != nil {
+			// inside manual compactions get covered at the same time. An
+			// iterator open across it pins the tables it deletes, so their
+			// punches and removals run when the iterator closes: crash
+			// points land on the reclaim a reader's release triggers too.
+			it := db.NewIter(nil)
+			if err := errors.Join(db.CompactRange(nil, nil), it.Close()); err != nil {
 				return nil, fmt.Errorf("seed %d op %d: compact: %w", opts.Seed, i, err)
 			}
 		default:

@@ -49,11 +49,12 @@ const (
 	// TypeSettledPromotion marks tables promoted without rewrite by a
 	// settled compaction; Outputs is the promoted-table count.
 	TypeSettledPromotion
-	// TypeHolePunch marks one dead logical-SSTable range reclaimed
-	// barrier-free; File is the physical file, BytesOut the punched bytes.
+	// TypeHolePunch marks one punch call reclaiming a run of adjacent dead
+	// ranges barrier-free (logical SSTables or value-log payloads); File is
+	// the physical file, Inputs the ranges, BytesOut the punched bytes.
 	TypeHolePunch
 	// TypeHolePunchFallback marks a punch the backend could not perform;
-	// the range is recorded as dead-but-allocated space debt instead.
+	// a table's run is recorded as dead-but-allocated space debt instead.
 	TypeHolePunchFallback
 	// TypeStallBegin marks a writer entering a governor stall; Reason names
 	// the cause (l0-slowdown, memtable-full, l0-stop).

@@ -317,6 +317,44 @@ func TestOldestLiveIDTracksPinnedVersions(t *testing.T) {
 	}
 }
 
+// TestGarbageDeltaDoesNotResurrectDeletedSegment: a compaction's garbage
+// tally can commit after the GC pass that deleted its segment. The record
+// must not bring the segment back as a size-0 ghost, in the live version
+// or on recovery.
+func TestGarbageDeltaDoesNotResurrectDeletedSegment(t *testing.T) {
+	fs := vfs.NewMem()
+	vs, err := Create(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []func(*VersionEdit){
+		func(e *VersionEdit) { e.AddVLogSegment(VLogSegmentEdit{Num: 7, Size: 4096}) },
+		func(e *VersionEdit) { e.DeleteVLogSegment(7) },
+		func(e *VersionEdit) { e.AddVLogSegment(VLogSegmentEdit{Num: 7, GarbageDelta: 100}) },
+	}
+	for i, step := range steps {
+		edit := &VersionEdit{}
+		step(edit)
+		if err := vs.LogAndApply(edit); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	if s, ok := vs.Current().VLogSegment(7); ok {
+		t.Fatalf("deleted segment 7 resurrected: %+v", s)
+	}
+	if err := vs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	vs, err = Recover(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vs.Close()
+	if s, ok := vs.Current().VLogSegment(7); ok {
+		t.Fatalf("deleted segment 7 resurrected on recovery: %+v", s)
+	}
+}
+
 func TestManifestRotation(t *testing.T) {
 	fs := vfs.NewMem()
 	vs, _ := Create(fs)

@@ -456,7 +456,13 @@ func (b *versionBuilder) apply(edit *VersionEdit) {
 	for _, se := range edit.VLogSegments {
 		// Monotonic merge (see VLogSegmentEdit): max sizes and watermarks,
 		// accumulate garbage, clamp at zero.
-		s := b.vlog[se.Num]
+		s, ok := b.vlog[se.Num]
+		if !ok && se.Size == 0 && se.GCOffset == 0 {
+			// Only a garbage delta, for a segment that is gone: a
+			// compaction's tally that raced the GC pass deleting it. Applied,
+			// it would recreate the segment as a size-0 ghost.
+			continue
+		}
 		s.Num = se.Num
 		if se.Size > s.Size {
 			s.Size = se.Size
