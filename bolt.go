@@ -749,9 +749,9 @@ type LevelStats = metrics.LevelStats
 // LevelStats reports the live shape of the tree, one entry per level.
 func (db *DB) LevelStats() []LevelStats { return db.inner.LevelStats() }
 
-// WriteMetrics renders the full metric surface — engine counters, latency
-// summaries, per-level stats, cache and I/O counters — in the Prometheus
-// text exposition format. Mount it on an HTTP handler to scrape the
+// WriteMetrics renders the full metric surface — engine counters,
+// per-level stats, cache and I/O counters — in the Prometheus text
+// exposition format. Mount it on an HTTP handler to scrape the
 // engine (see examples/kvserver).
 func (db *DB) WriteMetrics(w io.Writer) error { return db.inner.WriteMetrics(w) }
 

@@ -67,14 +67,12 @@ func run() error {
 			continue
 		}
 		fmt.Printf("\nlevel %d: %d tables, %s\n", level, len(files), fmtBytes(v.LevelBytes(level)))
-		// Level 0 is listed as the sorted runs it is read as (derived at
-		// open, not recorded in the MANIFEST); a deeper level is one run.
-		runs := [][]*manifest.FileMeta{files}
-		if level == 0 {
-			runs = v.L0Runs()
-		}
+		// A level is listed as the sorted runs it is read as (derived at
+		// open, not recorded in the MANIFEST); a sorted level is one run and
+		// gets no run headers.
+		runs := v.Runs(level)
 		for i, run := range runs {
-			if level == 0 {
+			if level == 0 || len(runs) > 1 {
 				fmt.Printf(" run %d of %d: %d tables  [%q .. %q]\n", i+1, len(runs), len(run),
 					run[0].Smallest.UserKey(), run[len(run)-1].Largest.UserKey())
 			}
@@ -126,12 +124,8 @@ func run() error {
 		for _, f := range files {
 			phys[f.PhysNum] = struct{}{}
 		}
-		readAmp := 1
-		if level == 0 {
-			readAmp = len(v.L0Runs())
-		}
 		fmt.Printf("  L%-5d %8d %8d %12s %8d\n",
-			level, len(files), len(phys), fmtBytes(v.LevelBytes(level)), readAmp)
+			level, len(files), len(phys), fmtBytes(v.LevelBytes(level)), v.ReadAmp(level))
 	}
 
 	if *verify {

@@ -45,6 +45,8 @@ func (e *fdEntry) tryAcquire() bool {
 	return true
 }
 
+func (e *fdEntry) entry() *fdEntry { return e }
+
 func (e *fdEntry) release() {
 	e.mu.Lock()
 	e.refs--
@@ -58,35 +60,14 @@ func (e *fdEntry) release() {
 	}
 }
 
-// fdCall is one in-flight descriptor open shared by every goroutine that
-// missed on the same physical file while it was being opened.
-type fdCall struct {
-	done chan struct{} //boltvet:guardedby none -- created once, closed once by the leader
-	// waiters is written under the owning fdFlight.mu before done is
-	// closed; the leader pre-acquires one reference per waiter at publish
-	// time.
-	waiters int      //boltvet:guardedby none -- written under the owning fdFlight.mu (a foreign mutex, outside the vocabulary)
-	e       *fdEntry //boltvet:guardedby none -- written by the leader before close(done); read only after <-done
-	err     error    //boltvet:guardedby none -- written by the leader before close(done); read only after <-done
-}
-
-// fdFlight is one shard of the FDCache's singleflight state. Flights are
-// indexed by the same hash as the lru shards, so a key's lookup, recency
-// update, and miss coalescing all live in one contention domain.
-type fdFlight struct {
-	mu       sync.Mutex
-	inflight map[uint64]*fdCall //boltvet:guardedby mu
-}
-
 // FDCache caches open physical-file handles keyed by physical file number.
 // This is BoLT's +FC element: with compaction files, many logical SSTables
 // share one descriptor, so the filesystem open cost is paid once per
 // compaction file instead of once per SSTable.
 type FDCache struct {
-	fs      vfs.FS                     //boltvet:guardedby none -- immutable after NewFDCache
-	name    func(uint64) string        //boltvet:guardedby none -- immutable after NewFDCache
-	lru     *sharded[uint64, *fdEntry] //boltvet:guardedby none -- immutable after NewFDCache; shards lock themselves
-	flights []fdFlight                 //boltvet:guardedby none -- immutable slice after NewFDCache; each flight locks itself
+	*refCache[*fdEntry]
+	fs   vfs.FS              //boltvet:guardedby none -- immutable after NewFDCache
+	name func(uint64) string //boltvet:guardedby none -- immutable after NewFDCache
 }
 
 // NewFDCache returns an fd cache over fs holding up to capacity handles
@@ -100,15 +81,7 @@ func NewFDCache(fs vfs.FS, capacity, shards int) *FDCache {
 // so other append-only physical files — value-log segments — share the
 // same sharded, singleflight descriptor discipline.
 func NewFDCacheNamed(fs vfs.FS, capacity, shards int, name func(uint64) string) *FDCache {
-	c := &FDCache{fs: fs, name: name}
-	c.lru = newSharded[uint64, *fdEntry](shards, int64(capacity), mix64, func(_ uint64, e *fdEntry) {
-		e.release() // drop the cache's own reference
-	})
-	c.flights = make([]fdFlight, c.lru.shardCount())
-	for i := range c.flights {
-		c.flights[i].inflight = make(map[uint64]*fdCall)
-	}
-	return c
+	return &FDCache{refCache: newRefCache[*fdEntry](shards, int64(capacity)), fs: fs, name: name}
 }
 
 // With runs fn with a referenced handle for file num, opening (and
@@ -123,107 +96,17 @@ func (c *FDCache) With(num uint64, fn func(vfs.File) error) error {
 	return fn(e.file)
 }
 
-// Acquire returns a referenced handle for physical file physNum, opening
-// it on miss. Callers must call release (via the returned entry) when done.
-// Concurrent misses on the same file are coalesced into one open: exactly
-// one goroutine touches the filesystem, the rest wait and share its handle.
+// acquireEntry returns a referenced handle for physical file physNum,
+// opening it on miss; the caller releases it. Concurrent misses on the
+// same file are coalesced into one open.
 func (c *FDCache) acquireEntry(physNum uint64) (*fdEntry, error) {
-	if e, ok := c.lru.get(physNum); ok && e.tryAcquire() {
-		return e, nil
-	}
-	fl := &c.flights[c.lru.shardIndex(physNum)]
-	fl.mu.Lock()
-	if call, ok := fl.inflight[physNum]; ok {
-		call.waiters++
-		fl.mu.Unlock()
-		<-call.done
-		if call.err != nil {
-			return nil, call.err
+	return c.acquire(physNum, func() (*fdEntry, error) {
+		f, err := c.fs.Open(c.name(physNum))
+		if err != nil {
+			return nil, fmt.Errorf("cache: open file %d (%s): %w", physNum, c.name(physNum), err)
 		}
-		// The leader acquired this waiter's reference before publishing.
-		return call.e, nil
-	}
-	if e, ok := c.lru.get(physNum); ok && e.tryAcquire() {
-		// A previous flight completed between the miss and taking fl.mu.
-		fl.mu.Unlock()
-		return e, nil
-	}
-	call := &fdCall{done: make(chan struct{})}
-	fl.inflight[physNum] = call
-	fl.mu.Unlock()
-
-	f, err := c.fs.Open(c.name(physNum))
-	if err != nil {
-		call.err = fmt.Errorf("cache: open file %d (%s): %w", physNum, c.name(physNum), err)
-		fl.mu.Lock()
-		delete(fl.inflight, physNum)
-		fl.mu.Unlock()
-		close(call.done)
-		return nil, call.err
-	}
-	e := &fdEntry{file: f, refs: 1} // the cache's reference
-	e.acquire()                     // the caller's reference
-	c.lru.insert(physNum, e, 1)
-	call.e = e
-	fl.mu.Lock()
-	delete(fl.inflight, physNum)
-	waiters := call.waiters
-	fl.mu.Unlock()
-	// No waiter can join after the delete above, so the count is final;
-	// the leader's own reference keeps e open while these are taken.
-	for i := 0; i < waiters; i++ {
-		e.acquire()
-	}
-	close(call.done)
-	return e, nil
-}
-
-// Evict drops the cached handle for physNum (called when the physical file
-// is deleted).
-func (c *FDCache) Evict(physNum uint64) { c.lru.remove(physNum) }
-
-// Stats returns hit/miss counters aggregated across shards.
-func (c *FDCache) Stats() (hits, misses int64) { return c.lru.stats() }
-
-// Len returns the number of resident handles.
-func (c *FDCache) Len() int { return c.lru.len() }
-
-// Shards returns the shard count the cache was built with.
-func (c *FDCache) Shards() int { return c.lru.shardCount() }
-
-// Close evicts all handles.
-func (c *FDCache) Close() { c.lru.clear() }
-
-// Table is a cached open table: a reader plus its file reference.
-type Table struct {
-	Reader *sstable.Reader
-	fd     *fdEntry
-}
-
-func (t *Table) close() {
-	if t.fd != nil {
-		t.fd.release()
-	}
-}
-
-// tableCall is one in-flight table open shared by every goroutine that
-// missed on the same table number while its metadata was being read.
-type tableCall struct {
-	done chan struct{} //boltvet:guardedby none -- created once, closed once by the leader
-	// waiters is written under the owning tableFlight.mu before done is
-	// closed; the leader pre-acquires one fd reference per waiter at
-	// publish time.
-	waiters int             //boltvet:guardedby none -- written under the owning tableFlight.mu (a foreign mutex, outside the vocabulary)
-	r       *sstable.Reader //boltvet:guardedby none -- written by the leader before close(done); read only after <-done
-	fd      *fdEntry        //boltvet:guardedby none -- written by the leader before close(done); read only after <-done
-	err     error           //boltvet:guardedby none -- written by the leader before close(done); read only after <-done
-}
-
-// tableFlight is one shard of the TableCache's singleflight state,
-// indexed by the same hash as the lru shards (see fdFlight).
-type tableFlight struct {
-	mu       sync.Mutex
-	inflight map[uint64]*tableCall //boltvet:guardedby mu
+		return &fdEntry{file: f, refs: 1}, nil
+	})
 }
 
 // TableCache caches open table readers keyed by logical table number. Its
@@ -232,12 +115,10 @@ type tableFlight struct {
 // A miss re-opens the table, which costs one metadata read of the table's
 // filter+index blocks — proportional to table size.
 type TableCache struct {
-	fs         vfs.FS                   //boltvet:guardedby none -- immutable after NewTableCache
-	fdCache    *FDCache                 //boltvet:guardedby none -- immutable after NewTableCache; nil means descriptors are opened per table
-	blockCache sstable.BlockCache       //boltvet:guardedby none -- immutable after NewTableCache
-	cfg        sstable.Config           //boltvet:guardedby none -- immutable after NewTableCache
-	lru        *sharded[uint64, *Table] //boltvet:guardedby none -- immutable after NewTableCache; shards lock themselves
-	flights    []tableFlight            //boltvet:guardedby none -- immutable slice after NewTableCache; each flight locks itself
+	*refCache[Handle]
+	fs         vfs.FS             //boltvet:guardedby none -- immutable after NewTableCache
+	fdCache    *FDCache           //boltvet:guardedby none -- immutable after NewTableCache; nil means descriptors are opened per table
+	blockCache sstable.BlockCache //boltvet:guardedby none -- immutable after NewTableCache
 
 	// metaBytesRead accumulates the bytes of filter+index fetched on
 	// misses — the metadata-caching overhead measured in Figure 6. The
@@ -249,17 +130,11 @@ type TableCache struct {
 // NewTableCache returns a table cache holding up to capacity tables split
 // across shards LRU shards (0 = auto-size to GOMAXPROCS, 1 = single
 // lock). fdCache may be nil (the +FC optimization disabled): each cached
-// table then owns a private descriptor opened at miss time.
-func NewTableCache(fs vfs.FS, capacity, shards int, fdCache *FDCache, blockCache sstable.BlockCache, cfg sstable.Config) *TableCache {
-	c := &TableCache{fs: fs, fdCache: fdCache, blockCache: blockCache, cfg: cfg}
-	c.lru = newSharded[uint64, *Table](shards, int64(capacity), mix64, func(_ uint64, t *Table) {
-		t.close()
-	})
-	c.flights = make([]tableFlight, c.lru.shardCount())
-	for i := range c.flights {
-		c.flights[i].inflight = make(map[uint64]*tableCall)
-	}
-	return c
+// table then owns a private descriptor opened at miss time. The writer
+// configuration is not used: a table's footer describes its format.
+func NewTableCache(fs vfs.FS, capacity, shards int, fdCache *FDCache, blockCache sstable.BlockCache, _ sstable.Config) *TableCache {
+	return &TableCache{refCache: newRefCache[Handle](shards, int64(capacity)),
+		fs: fs, fdCache: fdCache, blockCache: blockCache}
 }
 
 // Handle is a referenced open table. The reference keeps the underlying
@@ -277,58 +152,14 @@ type Handle struct {
 // Release drops the handle's reference.
 func (h Handle) Release() { h.fd.release() }
 
+func (h Handle) entry() *fdEntry { return h.fd }
+
 // Acquire returns a referenced handle on the open table for meta.
 // Concurrent misses on the same table coalesce into one metadata read:
 // exactly one goroutine opens the descriptor and reads filter+index, the
 // rest wait and share the resulting reader.
 func (c *TableCache) Acquire(meta *manifest.FileMeta) (Handle, error) {
-	if t, ok := c.lru.get(meta.Num); ok && t.fd.tryAcquire() {
-		return Handle{t.Reader, t.fd}, nil
-	}
-	fl := &c.flights[c.lru.shardIndex(meta.Num)]
-	fl.mu.Lock()
-	if call, ok := fl.inflight[meta.Num]; ok {
-		call.waiters++
-		fl.mu.Unlock()
-		<-call.done
-		if call.err != nil {
-			return Handle{}, call.err
-		}
-		// The leader acquired this waiter's fd reference before publishing.
-		return Handle{call.r, call.fd}, nil
-	}
-	if t, ok := c.lru.get(meta.Num); ok && t.fd.tryAcquire() {
-		// A previous flight completed between the miss and taking fl.mu.
-		fl.mu.Unlock()
-		return Handle{t.Reader, t.fd}, nil
-	}
-	call := &tableCall{done: make(chan struct{})}
-	fl.inflight[meta.Num] = call
-	fl.mu.Unlock()
-
-	r, fd, err := c.openTable(meta)
-	if err != nil {
-		call.err = err
-		fl.mu.Lock()
-		delete(fl.inflight, meta.Num)
-		fl.mu.Unlock()
-		close(call.done)
-		return Handle{}, err
-	}
-	fd.acquire() // the caller's reference
-	c.lru.insert(meta.Num, &Table{Reader: r, fd: fd}, 1)
-	call.r, call.fd = r, fd
-	fl.mu.Lock()
-	delete(fl.inflight, meta.Num)
-	waiters := call.waiters
-	fl.mu.Unlock()
-	// No waiter can join after the delete above, so the count is final;
-	// the leader's own reference keeps fd open while these are taken.
-	for i := 0; i < waiters; i++ {
-		fd.acquire()
-	}
-	close(call.done)
-	return Handle{r, fd}, nil
+	return c.acquire(meta.Num, func() (Handle, error) { return c.openTable(meta) })
 }
 
 // Get is Acquire with the handle unpacked into its reader and a release
@@ -343,53 +174,33 @@ func (c *TableCache) Get(meta *manifest.FileMeta) (*sstable.Reader, func(), erro
 }
 
 // openTable performs the miss work: one descriptor acquisition and one
-// filter+index metadata read, charged once to metaBytesRead.
-func (c *TableCache) openTable(meta *manifest.FileMeta) (*sstable.Reader, *fdEntry, error) {
-	var (
-		fd  *fdEntry
-		f   vfs.File
-		err error
-	)
+// filter+index metadata read, charged once to metaBytesRead. The handle
+// holds one reference, the cache's.
+func (c *TableCache) openTable(meta *manifest.FileMeta) (Handle, error) {
+	var fd *fdEntry
 	if c.fdCache != nil {
-		fd, err = c.fdCache.acquireEntry(meta.PhysNum)
-		if err != nil {
-			return nil, nil, err
+		var err error
+		if fd, err = c.fdCache.acquireEntry(meta.PhysNum); err != nil {
+			return Handle{}, err
 		}
-		f = fd.file
 	} else {
-		f, err = c.fs.Open(manifest.TableFileName(meta.PhysNum))
+		f, err := c.fs.Open(manifest.TableFileName(meta.PhysNum))
 		if err != nil {
-			return nil, nil, fmt.Errorf("cache: open table file %d: %w", meta.PhysNum, err)
+			return Handle{}, fmt.Errorf("cache: open table file %d: %w", meta.PhysNum, err)
 		}
 		fd = &fdEntry{file: f, refs: 1}
 	}
-	r, err := sstable.OpenReader(f, meta.Num, meta.PhysNum, meta.Offset, meta.Size, c.blockCache)
+	r, err := sstable.OpenReader(fd.file, meta.Num, meta.PhysNum, meta.Offset, meta.Size, c.blockCache)
 	if err != nil {
 		fd.release()
-		return nil, nil, fmt.Errorf("cache: open table %d: %w", meta.Num, err)
+		return Handle{}, fmt.Errorf("cache: open table %d: %w", meta.Num, err)
 	}
 	c.metaBytesRead.Add(r.MetaSize())
-	return r, fd, nil
+	return Handle{r, fd}, nil
 }
-
-// Evict drops the cached reader for a table (called when the table is
-// deleted).
-func (c *TableCache) Evict(num uint64) { c.lru.remove(num) }
 
 // MetaBytesRead returns the cumulative filter+index bytes fetched on
 // misses.
 func (c *TableCache) MetaBytesRead() int64 {
 	return c.metaBytesRead.Load()
 }
-
-// Stats returns hit/miss counters aggregated across shards.
-func (c *TableCache) Stats() (hits, misses int64) { return c.lru.stats() }
-
-// Len returns the number of cached tables.
-func (c *TableCache) Len() int { return c.lru.len() }
-
-// Shards returns the shard count the cache was built with.
-func (c *TableCache) Shards() int { return c.lru.shardCount() }
-
-// Close evicts everything.
-func (c *TableCache) Close() { c.lru.clear() }

@@ -44,10 +44,9 @@ type Options struct {
 	// has at least GuardBaseBits - GuardShiftBits*(L-1) trailing zero bits.
 	GuardBaseBits  int
 	GuardShiftBits int
-	// L0ByPhysicalFiles scores level 0 by distinct physical files instead
-	// of table count: with BoLT compaction files one flush adds one
-	// physical file holding many logical SSTables, and the L0 trigger must
-	// stay comparable with legacy layouts.
+	// L0ByPhysicalFiles does nothing: level 0 is always scored by distinct
+	// physical files (see Score). The field stays only for callers that
+	// still set it.
 	L0ByPhysicalFiles bool
 }
 
@@ -156,15 +155,14 @@ type Picker struct {
 }
 
 // Score returns the compaction pressure of each level: >= 1 means the
-// level needs compaction. L0 scores by file count (physical files when
-// L0ByPhysicalFiles is set), others by bytes.
+// level needs compaction. L0 scores by distinct physical files: with BoLT
+// compaction files one flush adds one physical file holding many logical
+// SSTables, and in one-file-per-table layouts the count is the table
+// count, so the L0 trigger reads the same on every layout. Other levels
+// score by bytes.
 func (p *Picker) Score(v *manifest.Version, level int) float64 {
 	if level == 0 {
-		n := len(v.Levels[0])
-		if p.Opts.L0ByPhysicalFiles {
-			n = v.L0PhysFiles()
-		}
-		return float64(n) / float64(p.Opts.L0Trigger)
+		return float64(v.L0PhysFiles()) / float64(p.Opts.L0Trigger)
 	}
 	return float64(v.LevelBytes(level)) / float64(p.Opts.LevelMaxBytes(level))
 }

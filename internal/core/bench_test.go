@@ -112,8 +112,8 @@ func BenchmarkScanL0Runs(b *testing.B) {
 	v := db.vs.Current()
 	sources := len(db.readSources(v, db.mem, db.imm))
 	db.mu.Unlock()
-	if len(v.Levels[0]) < 150 || len(v.L0Runs()) != 3 {
-		b.Fatalf("level 0 holds %d tables in %d runs, want three whole flushes", len(v.Levels[0]), len(v.L0Runs()))
+	if len(v.Levels[0]) < 150 || len(v.Runs(0)) != 3 {
+		b.Fatalf("level 0 holds %d tables in %d runs, want three whole flushes", len(v.Levels[0]), len(v.Runs(0)))
 	}
 	starts := make([][]byte, 1024)
 	for i := range starts {

@@ -482,24 +482,9 @@ func (db *DB) writeSalvageTables(c *compaction.Compaction) (metas []*manifest.Fi
 	return metas, skipped, nil
 }
 
-// inputRuns splits compaction inputs from one level into the sorted runs
-// they are read as: a sorted level's tables, in level order, are one run;
-// level 0 and the piles of fragmented profiles are regrouped by physical
-// file.
-func (db *DB) inputRuns(level int, files []*manifest.FileMeta) [][]*manifest.FileMeta {
-	if len(files) == 0 {
-		return nil
-	}
-	if level > 0 && !db.cfg.Fragmented {
-		return [][]*manifest.FileMeta{files}
-	}
-	runs, _ := manifest.SortedRuns(files)
-	return runs
-}
-
 // compactionSources returns one run iterator per sorted run of c's inputs.
 func (db *DB) compactionSources(c *compaction.Compaction) []iterator.Iterator {
-	in, next := db.inputRuns(c.Level, c.Inputs), db.inputRuns(c.OutputLevel, c.NextInputs)
+	in, next := manifest.LevelRuns(c.Level, c.Inputs), manifest.LevelRuns(c.OutputLevel, c.NextInputs)
 	iters := make([]runIter, 0, len(in)+len(next))
 	sources := make([]iterator.Iterator, 0, cap(iters))
 	add := func(level int, runs [][]*manifest.FileMeta) {

@@ -191,15 +191,14 @@ func Open(fs vfs.FS, cfg Config) (*DB, error) {
 	db.vlogFDs = cache.NewFDCacheNamed(db.fs, cfg.TableCacheEntries, cfg.CacheShards, manifest.VLogFileName)
 	db.vlogReader = vlog.NewReader(db.vlogFDs)
 	db.picker = &compaction.Picker{Opts: compaction.Options{
-		L0Trigger:         cfg.L0CompactionTrigger,
-		L1MaxBytes:        cfg.L1MaxBytes,
-		Multiplier:        cfg.LevelMultiplier,
-		GroupBytes:        cfg.GroupCompactionBytes,
-		Settled:           cfg.SettledCompaction,
-		Fragmented:        cfg.Fragmented,
-		GuardBaseBits:     cfg.GuardBaseBits,
-		GuardShiftBits:    cfg.GuardShiftBits,
-		L0ByPhysicalFiles: cfg.compactionFileMode(),
+		L0Trigger:      cfg.L0CompactionTrigger,
+		L1MaxBytes:     cfg.L1MaxBytes,
+		Multiplier:     cfg.LevelMultiplier,
+		GroupBytes:     cfg.GroupCompactionBytes,
+		Settled:        cfg.SettledCompaction,
+		Fragmented:     cfg.Fragmented,
+		GuardBaseBits:  cfg.GuardBaseBits,
+		GuardShiftBits: cfg.GuardShiftBits,
 	}}
 
 	if err := db.recover(); err != nil {
@@ -731,42 +730,16 @@ func (s *tableSearch) consultRuns(level int, runs [][]*manifest.FileMeta, best *
 	return nil
 }
 
-// consultPile walks a fragmented level, whose overlapping tables form no
-// runs, linearly: every table whose range covers key is consulted.
-func (s *tableSearch) consultPile(level int, files []*manifest.FileMeta, best *newest) error {
-	for _, f := range files {
-		if f.OverlapsUser(s.key, s.key) {
-			if err := s.consult(level, f, false, best); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // searchTables looks ikey's user key up in the table levels of v,
 // returning the newest visible entry raw: tombstones and value-log
-// pointers come back with their kind for the caller to interpret. Level 0
-// is read as its sorted runs and a sorted level is one run, so either way
-// a run costs a binary search and at most one table probe.
+// pointers come back with their kind for the caller to interpret. Every
+// level is read as its sorted runs, and a run costs a binary search and at
+// most one table probe.
 func (db *DB) searchTables(v *manifest.Version, ikey keys.InternalKey) ([]byte, keys.Kind, bool, error) {
 	s := tableSearch{db: db, v: v, ikey: ikey, key: ikey.UserKey()}
 	var best newest
 	for level := 0; level < manifest.NumLevels && !best.found; level++ {
-		files := v.Levels[level]
-		if len(files) == 0 {
-			continue
-		}
-		var err error
-		switch {
-		case level == 0:
-			err = s.consultRuns(0, v.L0Runs(), &best)
-		case db.cfg.Fragmented:
-			err = s.consultPile(level, files, &best)
-		default:
-			err = s.consultRuns(level, [][]*manifest.FileMeta{files}, &best)
-		}
-		if err != nil {
+		if err := s.consultRuns(level, v.Runs(level), &best); err != nil {
 			return nil, 0, false, err
 		}
 	}
@@ -902,7 +875,7 @@ func (db *DB) CheckInvariants() error {
 }
 
 func (db *DB) checkVersionInvariants(v *manifest.Version) error {
-	if err := v.CheckL0Runs(); err != nil {
+	if err := v.CheckRuns(); err != nil {
 		return err
 	}
 	for level := 1; level < manifest.NumLevels; level++ {

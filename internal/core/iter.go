@@ -12,8 +12,8 @@ import (
 	"github.com/bolt-lsm/bolt/internal/sstable"
 )
 
-// runIter iterates one sorted run — a sorted level, one of level 0's runs
-// (manifest.Version.L0Runs), or a compaction's share of either: tables
+// runIter iterates one sorted run — one of a level's runs
+// (manifest.Version.Runs), or a compaction's share of one: tables
 // ordered by Smallest with pairwise-disjoint user-key ranges — opening one
 // table at a time through the table cache. The table iterator and the
 // table's cache handle are embedded, so crossing from one table to the
@@ -175,27 +175,6 @@ func (l *runIter) Close() error {
 	return l.closeErr
 }
 
-// forEachRun calls fn for every sorted run the tables of v are read as:
-// level 0's runs, each sorted level whole, and — in fragmented profiles,
-// whose deeper levels pile overlapping tables — each table on its own.
-func (db *DB) forEachRun(v *manifest.Version, fn func(level int, files []*manifest.FileMeta)) {
-	for _, run := range v.L0Runs() {
-		fn(0, run)
-	}
-	for level := 1; level < manifest.NumLevels; level++ {
-		files := v.Levels[level]
-		switch {
-		case len(files) == 0:
-		case db.cfg.Fragmented:
-			for i := range files {
-				fn(level, files[i:i+1])
-			}
-		default:
-			fn(level, files)
-		}
-	}
-}
-
 // DBIter is a forward iterator over the user-visible key space at a fixed
 // sequence number: internal versions are collapsed to the newest visible
 // one and tombstoned keys are skipped.
@@ -248,17 +227,21 @@ func (db *DB) NewIter(snap *Snapshot) *DBIter {
 // slice and the run iterators are each sized and allocated once.
 func (db *DB) readSources(v *manifest.Version, mem, imm *memtable.MemTable) []iterator.Iterator {
 	runs := 0
-	db.forEachRun(v, func(int, []*manifest.FileMeta) { runs++ })
+	for level := range v.Levels {
+		runs += len(v.Runs(level))
+	}
 	sources := make([]iterator.Iterator, 0, 2+runs)
 	sources = append(sources, mem.NewIter())
 	if imm != nil {
 		sources = append(sources, imm.NewIter())
 	}
 	iters := make([]runIter, 0, runs)
-	db.forEachRun(v, func(level int, files []*manifest.FileMeta) {
-		iters = append(iters, runIter{db: db, v: v, level: level, files: files})
-		sources = append(sources, &iters[len(iters)-1])
-	})
+	for level := range v.Levels {
+		for _, files := range v.Runs(level) {
+			iters = append(iters, runIter{db: db, v: v, level: level, files: files})
+			sources = append(sources, &iters[len(iters)-1])
+		}
+	}
 	return sources
 }
 

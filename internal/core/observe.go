@@ -88,41 +88,14 @@ func (db *DB) LevelStats() []metrics.LevelStats {
 				ls.DeadBytes += deadByPhys[p]
 			}
 		}
-		ls.ReadAmp = readAmp(db.cfg.Fragmented, v, level)
+		ls.ReadAmp = v.ReadAmp(level)
 		out[level] = ls
 	}
 	return out
 }
 
-// readAmp counts the sorted runs a point lookup may consult in one level:
-// level 0 contributes its runs (one per flush under compaction files, one
-// per table in legacy layouts); a sorted deeper level is one run; a
-// fragmented (guard-partitioned) deeper level contributes its deepest
-// per-guard stack.
-func readAmp(fragmented bool, v *manifest.Version, level int) int {
-	files := v.Levels[level]
-	switch {
-	case len(files) == 0:
-		return 0
-	case level == 0:
-		return len(v.L0Runs())
-	case !fragmented:
-		return 1
-	}
-	perGuard := make(map[string]int, len(files))
-	maxStack := 0
-	for _, f := range files {
-		g := string(f.Guard)
-		perGuard[g]++
-		if perGuard[g] > maxStack {
-			maxStack = perGuard[g]
-		}
-	}
-	return maxStack
-}
-
 // WriteMetrics renders the full metric surface — engine and file-level I/O
-// counters, latency summaries, per-level stats, cache counters — in the
+// counters, per-level stats, cache counters — in the
 // Prometheus text exposition format.
 func (db *DB) WriteMetrics(w io.Writer) error {
 	p := metrics.NewPromWriter(w)

@@ -191,7 +191,6 @@ func TestWriteMetricsPromOutput(t *testing.T) {
 		"bolt_writes_total 800",
 		"bolt_level_bytes{level=\"0\"}",
 		"bolt_level_write_amp{level=\"1\"}",
-		"bolt_write_latency_seconds{quantile=\"0.99\"}",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q", want)
@@ -231,15 +230,15 @@ func TestWriteMetricsPromOutput(t *testing.T) {
 		"bolt_level_compactions_in", "bolt_level_compactions_out", "bolt_level_dead_bytes",
 		"bolt_level_files", "bolt_level_read_amp", "bolt_level_tables", "bolt_level_write_amp",
 		"bolt_memtable_flushes_total", "bolt_memtable_switches_total", "bolt_quarantined_tables",
-		"bolt_quarantines_total", "bolt_read_latency_seconds", "bolt_read_only_degradations_total",
-		"bolt_salvage_skipped_blocks_total", "bolt_salvages_total", "bolt_scan_latency_seconds",
+		"bolt_quarantines_total", "bolt_read_only_degradations_total",
+		"bolt_salvage_skipped_blocks_total", "bolt_salvages_total",
 		"bolt_scrub_bytes_read_total", "bolt_scrub_corruptions_total", "bolt_scrub_passes_total",
 		"bolt_scrub_tables_verified_total", "bolt_seek_compactions_total", "bolt_settled_promotions_total",
 		"bolt_stall_seconds", "bolt_stall_slowdown_total", "bolt_stall_stops_total",
 		"bolt_table_cache_meta_bytes_total", "bolt_tables_checked_total", "bolt_tables_created_total",
 		"bolt_tables_deleted_total", "bolt_vlog_appended_bytes_total", "bolt_vlog_appends_total",
 		"bolt_vlog_derefs_total", "bolt_vlog_gc_passes_total", "bolt_vlog_gc_stuck_segments_total",
-		"bolt_vlog_reclaimed_bytes_total", "bolt_wal_records_total", "bolt_write_latency_seconds",
+		"bolt_vlog_reclaimed_bytes_total", "bolt_wal_records_total",
 		"bolt_writes_total",
 	}
 	slices.Sort(names)

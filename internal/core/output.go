@@ -33,18 +33,19 @@ type tableOutput struct {
 	cutPoints   [][]byte
 	cutIdx      int
 
-	// Compaction-file mode state.
-	cfFile   vfs.File
-	cfPhys   uint64
-	cfOffset int64
+	// The physical file under write: f is nil between files, phys is its
+	// number and off the offset the next table starts at. A legacy table's
+	// file carries the table's own number.
+	f    vfs.File
+	phys uint64
+	off  int64
 
 	// Current table under construction. w is nil between tables; tw is the
 	// one writer every table of this output is built with, so its buffers
 	// are paid for once per flush or compaction.
-	w       *sstable.Writer
-	tw      *sstable.Writer
-	curFile vfs.File // legacy mode: the table's own file
-	curNum  uint64
+	w      *sstable.Writer
+	tw     *sstable.Writer
+	curNum uint64
 
 	lastUser []byte
 	metas    []*manifest.FileMeta
@@ -92,45 +93,34 @@ func (o *tableOutput) add(ikey keys.InternalKey, value []byte) error {
 	return o.w.Add(ikey, value)
 }
 
+// startTable allocates the next table's number and, between files, opens
+// the physical file it is written to: a compaction file takes a number of
+// its own after its first table's, a legacy table's file takes the table's.
 func (o *tableOutput) startTable() error {
-	num := o.db.allocFileNum()
-	if o.db.cfg.compactionFileMode() {
-		if o.cfFile == nil {
-			o.cfPhys = o.db.allocFileNum()
-			f, err := o.db.fs.Create(manifest.TableFileName(o.cfPhys))
-			if err != nil {
-				return fmt.Errorf("core: create compaction file: %w", err)
-			}
-			o.cfFile = f
-			o.cfOffset = 0
+	o.curNum = o.db.allocFileNum()
+	if o.f == nil {
+		o.phys = o.curNum
+		if o.db.cfg.compactionFileMode() {
+			o.phys = o.db.allocFileNum()
 		}
-		o.curNum = num
-		o.resetWriter(o.cfFile, o.cfOffset)
-		return nil
+		f, err := o.db.fs.Create(manifest.TableFileName(o.phys))
+		if err != nil {
+			return fmt.Errorf("core: create table file %d: %w", o.phys, err)
+		}
+		o.f, o.off = f, 0
 	}
-	f, err := o.db.fs.Create(manifest.TableFileName(num))
-	if err != nil {
-		return fmt.Errorf("core: create table file: %w", err)
+	if o.tw == nil {
+		o.tw = sstable.NewWriter(o.f, o.off, o.db.sstConfig())
+	} else {
+		o.tw.Reset(o.f, o.off)
 	}
-	o.curFile = f
-	o.curNum = num
-	o.resetWriter(f, 0)
+	o.w = o.tw
 	return nil
 }
 
-// resetWriter points the output's writer at a new table.
-func (o *tableOutput) resetWriter(f vfs.File, base int64) {
-	if o.tw == nil {
-		o.tw = sstable.NewWriter(f, base, o.db.sstConfig())
-	} else {
-		o.tw.Reset(f, base)
-	}
-	o.w = o.tw
-}
-
-// cutTable finishes the current table. In legacy mode this is where the
-// per-SSTable barrier is paid; in compaction-file mode no barrier happens
-// here — finish pays a single one.
+// cutTable finishes the current table. A legacy table's file is synced and
+// closed here — the per-SSTable barrier; a compaction file stays open for
+// the next table, and finish pays its single barrier.
 func (o *tableOutput) cutTable() error {
 	info, err := o.w.Finish()
 	if err != nil {
@@ -139,37 +129,38 @@ func (o *tableOutput) cutTable() error {
 	o.w = nil
 	meta := &manifest.FileMeta{
 		Num:      o.curNum,
+		PhysNum:  o.phys,
 		Offset:   info.Base,
 		Size:     info.Size,
 		Smallest: info.Smallest,
 		Largest:  info.Largest,
 	}
-	seeks := info.Size / 16384
-	if seeks < 100 {
-		seeks = 100
-	}
-	meta.AllowedSeeks.Store(seeks)
-
-	if o.db.cfg.compactionFileMode() {
-		meta.PhysNum = o.cfPhys
-		o.cfOffset += info.Size
-	} else {
-		meta.PhysNum = o.curNum
-		if err := o.curFile.Sync(); err != nil {
-			return fmt.Errorf("core: sync table %d: %w", o.curNum, err)
-		}
-		if err := o.curFile.Close(); err != nil {
-			return fmt.Errorf("core: close table %d: %w", o.curNum, err)
-		}
-		o.curFile = nil
-	}
+	meta.AllowedSeeks.Store(max(info.Size/16384, 100))
 	o.metas = append(o.metas, meta)
+	o.off += info.Size
+	if o.phys == o.curNum {
+		return o.closeFile()
+	}
 	return nil
 }
 
-// finish cuts the last table and makes everything durable: one barrier for
-// the shared compaction file (BoLT), or nothing extra in legacy mode (each
-// table already synced at cut).
+// closeFile makes the physical file under write durable and closes it.
+func (o *tableOutput) closeFile() error {
+	f := o.f
+	o.f = nil
+	if err := f.Sync(); err != nil {
+		_ = f.Close()
+		return fmt.Errorf("core: sync table file %d: %w", o.phys, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("core: close table file %d: %w", o.phys, err)
+	}
+	return nil
+}
+
+// finish cuts the last table and makes everything durable: the one
+// barrier of a compaction file, or nothing more for legacy tables, each
+// synced when cut.
 func (o *tableOutput) finish() ([]*manifest.FileMeta, error) {
 	if o.w != nil && !o.w.Empty() {
 		if err := o.cutTable(); err != nil {
@@ -177,14 +168,10 @@ func (o *tableOutput) finish() ([]*manifest.FileMeta, error) {
 		}
 	}
 	o.w = nil
-	if o.cfFile != nil {
-		if err := o.cfFile.Sync(); err != nil {
-			return nil, fmt.Errorf("core: sync compaction file %d: %w", o.cfPhys, err)
+	if o.f != nil {
+		if err := o.closeFile(); err != nil {
+			return nil, err
 		}
-		if err := o.cfFile.Close(); err != nil {
-			return nil, fmt.Errorf("core: close compaction file %d: %w", o.cfPhys, err)
-		}
-		o.cfFile = nil
 	}
 	return o.metas, nil
 }
@@ -192,13 +179,9 @@ func (o *tableOutput) finish() ([]*manifest.FileMeta, error) {
 // abort releases resources after an error; partially written files are
 // left for orphan collection (they are not referenced by any edit).
 func (o *tableOutput) abort() {
-	if o.curFile != nil {
-		_ = o.curFile.Close()
-		o.curFile = nil
-	}
-	if o.cfFile != nil {
-		_ = o.cfFile.Close()
-		o.cfFile = nil
+	if o.f != nil {
+		_ = o.f.Close()
+		o.f = nil
 	}
 }
 

@@ -66,8 +66,8 @@ type fileOp struct {
 // returns their file operations for execReclaims; the job envelope
 // (runJobLocked), DBIter.Close, Snapshot.Release and Close run the pair. A
 // taken table leaves the table cache and physRefs under mu; its physical
-// file is unlinked once no logical table references it, else (compaction-
-// file mode) its range is punched. closing opens every gate: Close has
+// file is unlinked once no logical table references it, else its range is
+// punched. closing opens every gate: Close has
 // drained every reader. Nothing is allocated when nothing is ready.
 func (db *DB) takeReclaimsLocked(closing bool) []fileOp {
 	if len(db.reclaims) == 0 {
@@ -101,7 +101,7 @@ func (db *DB) takeReclaimsLocked(closing bool) []fileOp {
 				}
 				delete(db.deadRanges, f.PhysNum)
 				ops = append(ops, fileOp{name: manifest.TableFileName, num: f.PhysNum, unlink: true})
-			} else if db.cfg.compactionFileMode() {
+			} else {
 				ops = append(ops, fileOp{name: manifest.TableFileName, num: f.PhysNum, r: deadRange{f.Offset, f.Size}})
 			}
 		}

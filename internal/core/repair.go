@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -205,8 +204,8 @@ func salvageFile(fs vfs.FS, name string, physNum uint64) ([]salvagedTable, int, 
 	lost := 0
 	end := size
 	for end >= sstable.FooterSize {
-		base, ok := tableBaseFromFooter(f, end)
-		if !ok || base < 0 {
+		base, ok := sstable.TableStart(f, end)
+		if !ok {
 			// No valid table ends here: whatever precedes is unreachable.
 			if end > 0 {
 				lost++
@@ -222,26 +221,6 @@ func salvageFile(fs vfs.FS, name string, physNum uint64) ([]salvagedTable, int, 
 		end = base
 	}
 	return out, lost, nil
-}
-
-// tableBaseFromFooter reads the footer ending at end and derives the
-// table's base offset: the index block is always the final block before
-// the footer, so base = end - (indexOff + indexLen + trailer + footer).
-func tableBaseFromFooter(f vfs.File, end int64) (int64, bool) {
-	var footer [sstable.FooterSize]byte
-	if err := vfs.ReadFull(f, footer[:], end-sstable.FooterSize); err != nil {
-		return 0, false
-	}
-	if binary.LittleEndian.Uint64(footer[40:]) != sstable.Magic {
-		return 0, false
-	}
-	indexOff := int64(binary.LittleEndian.Uint64(footer[0:]))
-	indexLen := int64(binary.LittleEndian.Uint64(footer[8:]))
-	tableSize := indexOff + indexLen + 4 + sstable.FooterSize
-	if tableSize <= 0 || tableSize > end {
-		return 0, false
-	}
-	return end - tableSize, true
 }
 
 // validateTable opens and fully verifies the table at (base, size),

@@ -140,6 +140,7 @@ type runsTree struct {
 	overlapping bool               // two physical files cover a common key
 	singleTable bool               // some physical file holds exactly one table
 	nonDisjoint bool               // some physical file's tables overlap each other
+	piled       bool               // level 1 is a pile: some of its tables overlap
 	quarantined *manifest.FileMeta // a level-0 table, or nil
 }
 
@@ -173,9 +174,11 @@ func genEntries(rng *rand.Rand, seq *uint64, lo, hi int, p float64) []iterator.K
 }
 
 // genTree writes a random tree's tables through db and returns their
-// layout. Level 1 holds the oldest data as one sorted level; level 0 mixes
-// whole flush runs, runs partly consumed, overlapping runs, single-table
-// files, and sometimes one physical file whose tables overlap each other.
+// layout. Level 1 holds the oldest data: one sorted level, or under a
+// fragmented profile a pile of a few overlapping batches cut at the level's
+// guards. Level 0 mixes whole flush runs, runs partly consumed, overlapping
+// runs, single-table files, and sometimes one physical file whose tables
+// overlap each other; in one-file-per-table layouts every table is a run.
 func genTree(t *testing.T, db *DB, rng *rand.Rand) (runsTree, keys.Seq) {
 	t.Helper()
 	var tr runsTree
@@ -190,11 +193,21 @@ func genTree(t *testing.T, db *DB, rng *rand.Rand) (runsTree, keys.Seq) {
 		}
 		return metas
 	}
-	if rng.Intn(4) > 0 {
+	switch {
+	case rng.Intn(4) == 0:
+	case db.cfg.Fragmented:
+		for batches := 1 + rng.Intn(3); batches > 0; batches-- {
+			lo := rng.Intn(runsKeySpace / 2)
+			hi := min(runsKeySpace, lo+runsKeySpace/4+rng.Intn(runsKeySpace/2))
+			tr.levels[1] = append(tr.levels[1], write(genEntries(rng, &seq, lo, hi, 0.7), 1)...)
+		}
+		tr.piled = len(manifest.LevelRuns(1, sortedLevel(tr.levels[1]))) > 1
+	default:
 		tr.levels[1] = write(genEntries(rng, &seq, 0, runsKeySpace, 0.7), 1)
 	}
 	for flushes := 1 + rng.Intn(4); flushes > 0; flushes-- {
 		var metas []*manifest.FileMeta
+		disjoint := true
 		switch shape := rng.Intn(10); {
 		case shape < 2: // a small flush: one table alone in its file
 			lo := rng.Intn(runsKeySpace - 8)
@@ -218,19 +231,11 @@ func genTree(t *testing.T, db *DB, rng *rand.Rand) (runsTree, keys.Seq) {
 			if metas, err = out.finish(); err != nil {
 				t.Fatal(err)
 			}
-			group := append([]*manifest.FileMeta(nil), metas...)
-			sort.Slice(group, func(i, j int) bool { return keys.Compare(group[i].Smallest, group[j].Smallest) < 0 })
-			disjoint := true
+			group := sortedLevel(metas)
 			for i := 1; i < len(group); i++ {
 				if keys.CompareUser(group[i-1].Largest.UserKey(), group[i].Smallest.UserKey()) >= 0 {
 					disjoint = false
 				}
-			}
-			if !disjoint {
-				tr.nonDisjoint = true
-				tr.wantL0Runs += len(metas) - 1 // falls back to one run per table
-			} else if len(metas) > 1 {
-				tr.multiTable = true
 			}
 		default: // a whole flush, sometimes partly consumed since
 			metas = write(genEntries(rng, &seq, 0, runsKeySpace, 0.2+0.6*rng.Float64()), 0)
@@ -245,15 +250,20 @@ func genTree(t *testing.T, db *DB, rng *rand.Rand) (runsTree, keys.Seq) {
 					metas, tr.partial = kept, true
 				}
 			}
-			if len(metas) > 1 {
-				tr.multiTable = true
-			}
 		}
-		if len(metas) == 0 {
+		switch {
+		case len(metas) == 0:
 			continue
+		case !db.cfg.compactionFileMode():
+			tr.wantL0Runs += len(metas)
+		case !disjoint:
+			tr.nonDisjoint = true
+			tr.wantL0Runs += len(metas) // falls back to one run per table
+		default:
+			tr.wantL0Runs++
+			tr.multiTable = tr.multiTable || len(metas) > 1
 		}
-		tr.wantL0Runs++
-		if len(metas) == 1 {
+		if len(metas) == 1 || !db.cfg.compactionFileMode() {
 			tr.singleTable = true
 		}
 		for _, m := range metas {
@@ -268,6 +278,19 @@ func genTree(t *testing.T, db *DB, rng *rand.Rand) (runsTree, keys.Seq) {
 	return tr, keys.Seq(seq)
 }
 
+// sortedLevel returns a copy of files in level order: by Smallest, ties by
+// table number.
+func sortedLevel(files []*manifest.FileMeta) []*manifest.FileMeta {
+	out := append([]*manifest.FileMeta(nil), files...)
+	sort.Slice(out, func(i, j int) bool {
+		if c := keys.Compare(out[i].Smallest, out[j].Smallest); c != 0 {
+			return c < 0
+		}
+		return out[i].Num < out[j].Num
+	})
+	return out
+}
+
 // buildVersion installs tr in a throwaway version set — the builder's
 // path, which is also the only way to mark a table quarantined — or, for
 // trees without a quarantine, every other time through NewVersion.
@@ -277,6 +300,7 @@ func buildVersion(t *testing.T, tr *runsTree, viaBuilder bool) *manifest.Version
 		levels := tr.levels
 		levels[0] = append([]*manifest.FileMeta(nil), levels[0]...)
 		sort.Slice(levels[0], func(i, j int) bool { return levels[0][i].Num > levels[0][j].Num })
+		levels[1] = sortedLevel(levels[1])
 		return manifest.NewVersion(levels)
 	}
 	vs, err := manifest.Create(vfs.NewMem())
@@ -306,19 +330,36 @@ func buildVersion(t *testing.T, tr *runsTree, viaBuilder bool) *manifest.Version
 // from First and from SeekGE must return exactly what the linear
 // every-table-is-a-source reference returns, and a quarantined table
 // inside a run must fail both paths with the typed range error exactly
-// when its span is entered.
+// when its span is entered. The trees are written under BoLT's compaction
+// files and under PebblesDB's one file per table with a piled level 1.
 func TestRunReadsMatchLinearReference(t *testing.T) {
+	pebbles := testConfig()
+	pebbles.Fragmented, pebbles.GuardBaseBits, pebbles.GuardShiftBits = true, 5, 1
+	for _, p := range []struct {
+		name   string
+		cfg    Config
+		shapes []string // what enough seeds must exercise
+	}{
+		{"bolt", boltTestConfig(), []string{"multi-table runs", "partly consumed runs", "overlapping runs",
+			"single-table runs", "non-disjoint groups", "quarantines"}},
+		{"pebblesdb", pebbles, []string{"partly consumed runs", "overlapping runs", "single-table runs",
+			"piles", "quarantines"}},
+	} {
+		t.Run(p.name, func(t *testing.T) { testRunReadsMatchLinearReference(t, p.cfg, p.shapes) })
+	}
+}
+
+func testRunReadsMatchLinearReference(t *testing.T, cfg Config, shapes []string) {
 	seeds := 600
 	if testing.Short() {
 		seeds = 120
 	}
-	cfg := boltTestConfig()
 	cfg.L0CompactionTrigger = 1 << 20 // nothing runs in the background
 	cfg.TableCacheEntries = 10_000
 	db := openTestDB(t, vfs.NewMem(), cfg)
 	defer db.Close()
 
-	var multi, partial, overlapping, single, nonDisjoint, quarantines int
+	seen := make(map[string]int)
 	for seed := 0; seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		tr, maxSeq := genTree(t, db, rng)
@@ -340,25 +381,23 @@ func TestRunReadsMatchLinearReference(t *testing.T) {
 					break
 				}
 			}
-			quarantines++
+			seen["quarantines"]++
 		}
 		v := buildVersion(t, &tr, tr.quarantined != nil || seed%2 == 0)
-		if err := v.CheckL0Runs(); err != nil {
+		if err := v.CheckRuns(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if got := len(v.L0Runs()); got != tr.wantL0Runs {
+		if got := len(v.Runs(0)); got != tr.wantL0Runs {
 			t.Fatalf("seed %d: %d level-0 runs, want %d\n%s", seed, got, tr.wantL0Runs, v.DebugString())
 		}
 		if got := v.L0PhysFiles(); got > tr.wantL0Runs || got < 1 {
 			t.Fatalf("seed %d: %d level-0 physical files for %d runs", seed, got, tr.wantL0Runs)
 		}
-		for _, c := range []struct {
-			seen  bool
-			count *int
-		}{{tr.multiTable, &multi}, {tr.partial, &partial}, {tr.overlapping, &overlapping},
-			{tr.singleTable, &single}, {tr.nonDisjoint, &nonDisjoint}} {
-			if c.seen {
-				*c.count++
+		for shape, ok := range map[string]bool{"multi-table runs": tr.multiTable, "partly consumed runs": tr.partial,
+			"overlapping runs": tr.overlapping, "single-table runs": tr.singleTable,
+			"non-disjoint groups": tr.nonDisjoint, "piles": tr.piled} {
+			if ok {
+				seen[shape]++
 			}
 		}
 		// Mostly read the newest state; sometimes a sequence in the middle.
@@ -450,12 +489,10 @@ func TestRunReadsMatchLinearReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d seeds: %d with multi-table runs, %d partly consumed, %d overlapping, %d single-table, %d non-disjoint groups, %d quarantined",
-		seeds, multi, partial, overlapping, single, nonDisjoint, quarantines)
-	for name, n := range map[string]int{"multi-table runs": multi, "partly consumed runs": partial,
-		"overlapping runs": overlapping, "single-table runs": single, "non-disjoint groups": nonDisjoint, "quarantines": quarantines} {
-		if n < seeds/20 {
-			t.Errorf("only %d of %d seeds exercised %s", n, seeds, name)
+	t.Logf("%d seeds: %v", seeds, seen)
+	for _, shape := range shapes {
+		if seen[shape] < seeds/20 {
+			t.Errorf("only %d of %d seeds exercised %s", seen[shape], seeds, shape)
 		}
 	}
 }
@@ -527,7 +564,7 @@ func TestOneFlushIsOneRun(t *testing.T) {
 		if tables := len(v.Levels[0]); tables < 50*flushes {
 			t.Fatalf("%d flushes left %d level-0 tables; the test wants a flush cut into many", flushes, tables)
 		}
-		if got := len(v.L0Runs()); got != flushes {
+		if got := len(v.Runs(0)); got != flushes {
 			t.Fatalf("%d flushes: %d level-0 runs over %d tables\n%s", flushes, got, len(v.Levels[0]), v.DebugString())
 		}
 		if got := v.L0PhysFiles(); got != flushes {
@@ -541,6 +578,46 @@ func TestOneFlushIsOneRun(t *testing.T) {
 		if got := len(db.readSources(v, memtable.New(), nil)); got != 1+flushes {
 			t.Fatalf("%d flushes: a scan merges %d sources", flushes, got)
 		}
+	}
+	if err := db.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReopenedCompactionFilesCountPhysicalFiles: a tree written with
+// compaction files and reopened under a one-file-per-table profile is
+// still laid out in compaction files, and the level-0 governor and the
+// picker both count what is there — physical files — not the profile's
+// assumption of one table per file.
+func TestReopenedCompactionFilesCountPhysicalFiles(t *testing.T) {
+	fs := vfs.NewMem()
+	cfg := benchmarkEngineConfig()
+	db := openTestDB(t, fs, cfg)
+	fillFlushes(t, db, 2)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.LogicalSSTableBytes, cfg.SettledCompaction = 0, false // the LevelDB layout
+	db = openTestDB(t, fs, cfg)
+	defer db.Close()
+	db.mu.Lock()
+	v := db.vs.Current()
+	units := db.l0UnitsLocked()
+	db.mu.Unlock()
+	// Reopening also flushed the replayed log, in the one-file-per-table
+	// layout.
+	files := make(map[uint64]bool)
+	for _, f := range v.Levels[0] {
+		files[f.PhysNum] = true
+	}
+	if tables := len(v.Levels[0]); tables < 100 || len(files) > 3 {
+		t.Fatalf("level 0 holds %d tables in %d files; the test wants two flushes cut into many", tables, len(files))
+	}
+	if units != len(files) {
+		t.Fatalf("governor counts %d level-0 units for %d physical files", units, len(files))
+	}
+	if got, want := db.picker.Score(v, 0), float64(len(files))/float64(cfg.L0CompactionTrigger); got != want {
+		t.Fatalf("level-0 score %v, want %v (%d physical files)", got, want, len(files))
 	}
 	if err := db.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -403,14 +403,8 @@ func (db *DB) stallOnCondLocked(cause string) {
 
 // l0UnitsLocked counts level-0 governor units: distinct physical files.
 // With BoLT compaction files one flush produces one physical file holding
-// many logical SSTables; counting physical files keeps the governor
-// semantics comparable with legacy layouts. The count is precomputed on
-// the Version at install time, so the per-write governor check is
-// allocation-free.
-func (db *DB) l0UnitsLocked() int {
-	v := db.vs.Current()
-	if !db.cfg.compactionFileMode() {
-		return len(v.Levels[0])
-	}
-	return v.L0PhysFiles()
-}
+// many logical SSTables; in one-file-per-table layouts the count is the
+// table count, so the governor reads the same on every profile. The count
+// is precomputed on the Version at install time, so the per-write governor
+// check is allocation-free.
+func (db *DB) l0UnitsLocked() int { return db.vs.Current().L0PhysFiles() }

@@ -459,8 +459,12 @@ func TestDisjointLevelsOnly(t *testing.T) {
 	lv[2] = []*FileMeta{meta(4, 4, 0, 10, "a", "f"), meta(5, 5, 0, 10, "c", "d"), meta(6, 6, 0, 10, "x", "z")} // a pile
 	lv[3] = []*FileMeta{meta(7, 7, 0, 10, "a", "c"), meta(10, 10, 0, 10, "c", "e")}                            // share "c"
 	v := NewVersion(lv)
-	if want := [NumLevels]bool{1: true, 4: true, 5: true, 6: true}; v.disjoint != want {
-		t.Fatalf("disjoint = %v, want %v", v.disjoint, want)
+	var sorted [NumLevels]bool
+	for level := range sorted {
+		sorted[level] = v.sortedLevel(level)
+	}
+	if want := [NumLevels]bool{1: true, 4: true, 5: true, 6: true}; sorted != want {
+		t.Fatalf("sorted levels = %v, want %v", sorted, want)
 	}
 	// The pile's inner table is found although its neighbours' bounds would
 	// mislead a binary search.
@@ -476,7 +480,7 @@ func TestDisjointLevelsOnly(t *testing.T) {
 }
 
 // TestBuilderMaintainsDerivedLevelState: over a chain of edits the per-level
-// byte totals and disjointness flags always equal what a fresh scan of the
+// byte totals and sorted-level flags always equal what a fresh scan of the
 // level gives, and a level no edit touched is shared with its base.
 func TestBuilderMaintainsDerivedLevelState(t *testing.T) {
 	vs, err := Create(vfs.NewMem())
@@ -495,8 +499,8 @@ func TestBuilderMaintainsDerivedLevelState(t *testing.T) {
 			if got := v.LevelBytes(level); got != total {
 				t.Fatalf("%s: LevelBytes(%d) = %d, want %d", step, level, got, total)
 			}
-			if want := level > 0 && v.SortedTables(level) == nil; v.disjoint[level] != want {
-				t.Fatalf("%s: disjoint[%d] = %v, want %v", step, level, v.disjoint[level], want)
+			if want := level > 0 && v.SortedTables(level) == nil; v.sortedLevel(level) != want {
+				t.Fatalf("%s: sortedLevel(%d) = %v, want %v", step, level, v.sortedLevel(level), want)
 			}
 		}
 	}
@@ -516,15 +520,15 @@ func TestBuilderMaintainsDerivedLevelState(t *testing.T) {
 	})
 	l2 := vs.Current().Levels[2]
 	apply("overlapping add", func(e *VersionEdit) { e.AddFile(1, meta(4, 4, 0, 50, "b", "f")) })
-	if vs.Current().disjoint[1] {
-		t.Fatal("level 1 still marked disjoint after an overlapping add")
+	if vs.Current().sortedLevel(1) {
+		t.Fatal("level 1 still one run after an overlapping add")
 	}
 	if &vs.Current().Levels[2][0] != &l2[0] {
 		t.Fatal("untouched level 2 was rebuilt instead of shared")
 	}
 	apply("overlap removed", func(e *VersionEdit) { e.DeleteFile(1, 4) })
-	if !vs.Current().disjoint[1] {
-		t.Fatal("level 1 not marked disjoint again after the overlapping table left")
+	if !vs.Current().sortedLevel(1) {
+		t.Fatal("level 1 not one run again after the overlapping table left")
 	}
 	apply("promotion", func(e *VersionEdit) {
 		// Settled promotion: same table, next level.
@@ -567,13 +571,13 @@ func TestSortedRuns(t *testing.T) {
 		meta(10, 10, 0, 10, "a", "z"),
 	}
 	v := NewVersion(lv)
-	if got, want := runNums(v.L0Runs()), "[41 42 43][32][31][21 23][10]"; got != want {
+	if got, want := runNums(v.Runs(0)), "[41 42 43][32][31][21 23][10]"; got != want {
 		t.Fatalf("runs = %s, want %s", got, want)
 	}
 	if got := v.L0PhysFiles(); got != 4 {
 		t.Fatalf("L0PhysFiles = %d, want 4", got)
 	}
-	if err := v.CheckL0Runs(); err != nil {
+	if err := v.CheckRuns(); err != nil {
 		t.Fatal(err)
 	}
 	// Tables that merely share a boundary user key are not disjoint.
@@ -589,9 +593,111 @@ func TestSortedRuns(t *testing.T) {
 		t.Fatalf("DebugString does not list level 0 by run:\n%s", got)
 	}
 	// A tampered derivation is caught.
-	v.l0Runs = v.l0Runs[1:]
-	if err := v.CheckL0Runs(); err == nil {
-		t.Fatal("CheckL0Runs accepted runs that do not cover level 0")
+	v.runs[0] = v.runs[0][1:]
+	if err := v.CheckRuns(); err == nil {
+		t.Fatal("CheckRuns accepted runs that do not cover level 0")
+	}
+}
+
+// TestLevelLayouts holds the one layout rule to each shape a level takes:
+// the runs it is read as, the overlap query, the level-0 physical file
+// count, the read amplification and the runs check.
+func TestLevelLayouts(t *testing.T) {
+	guarded := func(f *FileMeta, guard string) *FileMeta {
+		f.Guard = []byte(guard)
+		return f
+	}
+	for _, tc := range []struct {
+		name         string
+		level        int
+		files        []*FileMeta // in level order
+		runs         string
+		lo, hi       string
+		overlaps     string
+		l0PhysFiles  int
+		readAmp      int
+		oneSortedRun bool
+	}{
+		{
+			name:  "level-0 multi-table run",
+			level: 0,
+			files: []*FileMeta{
+				meta(21, 20, 0, 10, "b", "f"),
+				meta(13, 10, 200, 10, "k", "m"), meta(12, 10, 100, 10, "e", "g"), meta(11, 10, 0, 10, "a", "c"),
+			},
+			runs: "[21][11 12 13]", lo: "f", hi: "f", overlaps: "[21 12]",
+			l0PhysFiles: 2, readAmp: 2,
+		},
+		{
+			name:  "level-0 repair-style overlapping group",
+			level: 0,
+			files: []*FileMeta{meta(32, 30, 100, 10, "d", "k"), meta(31, 30, 0, 10, "a", "f")},
+			runs:  "[32][31]", lo: "e", hi: "e", overlaps: "[32 31]",
+			l0PhysFiles: 1, readAmp: 2,
+		},
+		{
+			name:  "sorted level",
+			level: 2,
+			files: []*FileMeta{meta(41, 40, 0, 10, "a", "c"), meta(52, 50, 0, 10, "d", "f"), meta(43, 40, 100, 10, "g", "k")},
+			runs:  "[41 52 43]", lo: "e", hi: "h", overlaps: "[52 43]",
+			readAmp: 1, oneSortedRun: true,
+		},
+		{
+			name:  "FLSM pile",
+			level: 3,
+			files: []*FileMeta{
+				guarded(meta(61, 61, 0, 10, "a", "f"), "a"),
+				guarded(meta(62, 62, 0, 10, "c", "e"), "a"),
+				guarded(meta(63, 63, 0, 10, "m", "p"), "m"),
+			},
+			runs: "[63][62][61]", lo: "d", hi: "d", overlaps: "[61 62]",
+			readAmp: 2,
+		},
+		{
+			name:  "piled level that happens to be disjoint",
+			level: 4,
+			files: []*FileMeta{
+				guarded(meta(71, 71, 0, 10, "a", "b"), "a"),
+				guarded(meta(72, 72, 0, 10, "c", "d"), "a"),
+				guarded(meta(73, 73, 0, 10, "x", "z"), "x"),
+			},
+			runs: "[71 72 73]", lo: "c", hi: "y", overlaps: "[72 73]",
+			readAmp: 1, oneSortedRun: true,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var lv [NumLevels][]*FileMeta
+			lv[tc.level] = tc.files
+			v := NewVersion(lv)
+			if got := runNums(v.Runs(tc.level)); got != tc.runs {
+				t.Errorf("Runs = %s, want %s", got, tc.runs)
+			}
+			if got := runNums([][]*FileMeta{v.Overlaps(tc.level, []byte(tc.lo), []byte(tc.hi))}); got != tc.overlaps {
+				t.Errorf("Overlaps(%s, %s) = %s, want %s", tc.lo, tc.hi, got, tc.overlaps)
+			}
+			if got := v.OverlapBytes(tc.level, []byte(tc.lo), []byte(tc.hi)); got != int64(10*strings.Count(tc.overlaps, " ")+10) {
+				t.Errorf("OverlapBytes(%s, %s) = %d for %s", tc.lo, tc.hi, got, tc.overlaps)
+			}
+			if got := v.sortedLevel(tc.level); got != tc.oneSortedRun {
+				t.Errorf("sortedLevel = %v, want %v", got, tc.oneSortedRun)
+			}
+			if tc.oneSortedRun && &v.Runs(tc.level)[0][0] != &tc.files[0] {
+				t.Error("the one run of a sorted level does not alias the level")
+			}
+			if got := v.L0PhysFiles(); got != tc.l0PhysFiles {
+				t.Errorf("L0PhysFiles = %d, want %d", got, tc.l0PhysFiles)
+			}
+			if got := v.ReadAmp(tc.level); got != tc.readAmp {
+				t.Errorf("ReadAmp = %d, want %d", got, tc.readAmp)
+			}
+			if err := v.CheckRuns(); err != nil {
+				t.Errorf("CheckRuns: %v", err)
+			}
+			v.runs[tc.level] = v.runs[tc.level][1:]
+			if err := v.CheckRuns(); err == nil {
+				t.Error("CheckRuns accepted runs that do not cover the level")
+			}
+		})
 	}
 }
 
@@ -612,7 +718,7 @@ func TestBuilderDerivesL0Runs(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := vs.Current()
-		if err := v.CheckL0Runs(); err != nil {
+		if err := v.CheckRuns(); err != nil {
 			t.Fatal(err)
 		}
 		return v
@@ -621,23 +727,23 @@ func TestBuilderDerivesL0Runs(t *testing.T) {
 		e.AddFile(0, meta(11, 10, 0, 10, "a", "f"))
 		e.AddFile(0, meta(12, 10, 10, 10, "g", "p"))
 	})
-	if got := runNums(v.L0Runs()); got != "[11 12]" || v.L0PhysFiles() != 1 {
+	if got := runNums(v.Runs(0)); got != "[11 12]" || v.L0PhysFiles() != 1 {
 		t.Fatalf("after one flush: runs %s, %d files", got, v.L0PhysFiles())
 	}
 	v = apply(func(e *VersionEdit) { // a second flush
 		e.AddFile(0, meta(21, 20, 0, 10, "b", "c"))
 		e.AddFile(0, meta(22, 20, 10, 10, "d", "z"))
 	})
-	if got := runNums(v.L0Runs()); got != "[21 22][11 12]" || v.L0PhysFiles() != 2 {
+	if got := runNums(v.Runs(0)); got != "[21 22][11 12]" || v.L0PhysFiles() != 2 {
 		t.Fatalf("after two flushes: runs %s, %d files", got, v.L0PhysFiles())
 	}
-	runs := v.L0Runs()
+	runs := v.Runs(0)
 	v = apply(func(e *VersionEdit) { e.AddFile(1, meta(30, 30, 0, 10, "a", "z")) })
-	if got := v.L0Runs(); &got[0] != &runs[0] {
+	if got := v.Runs(0); &got[0] != &runs[0] {
 		t.Fatal("untouched level 0: runs were rebuilt instead of shared")
 	}
 	v = apply(func(e *VersionEdit) { e.DeleteFile(0, 11) }) // part of a run compacted away
-	if got := runNums(v.L0Runs()); got != "[21 22][12]" || v.L0PhysFiles() != 2 {
+	if got := runNums(v.Runs(0)); got != "[21 22][12]" || v.L0PhysFiles() != 2 {
 		t.Fatalf("after a partial compaction: runs %s, %d files", got, v.L0PhysFiles())
 	}
 	if err := vs.Close(); err != nil {
@@ -648,7 +754,7 @@ func TestBuilderDerivesL0Runs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer vs2.Close()
-	if got := runNums(vs2.Current().L0Runs()); got != "[21 22][12]" {
+	if got := runNums(vs2.Current().Runs(0)); got != "[21 22][12]" {
 		t.Fatalf("recovered runs %s", got)
 	}
 }

@@ -74,24 +74,18 @@ type Version struct {
 	// below are derived from them once, and readers share them unlocked.
 	Levels [NumLevels][]*FileMeta
 
-	// l0Runs is level 0 regrouped into sorted runs (see SortedRuns), newest
-	// physical file first, and l0PhysFiles the number of distinct physical
-	// files behind them. Both are computed once at construction: reads
-	// consult the runs on every Get and scan, the write governors consult
-	// the count on every governed write, and neither may allocate there.
-	// Nothing about runs is persisted.
-	l0Runs      [][]*FileMeta
+	// runs is each level regrouped into the sorted runs it is read as (see
+	// LevelRuns), and l0PhysFiles the number of distinct physical files
+	// behind level 0. Both are computed once at construction: reads consult
+	// the runs on every Get and scan, the write governors consult the count
+	// on every governed write, and neither may allocate there. Nothing about
+	// runs is persisted.
+	runs        [NumLevels][][]*FileMeta
 	l0PhysFiles int
 
 	// levelBytes is each level's total table size, so the picker's scores
 	// cost nothing per pick.
 	levelBytes [NumLevels]int64
-
-	// disjoint marks the levels (never level 0) whose tables are ordered
-	// with pairwise-disjoint user-key ranges. Overlap queries binary-search
-	// such a level; level 0 and the piled levels of fragmented profiles
-	// take the linear scan.
-	disjoint [NumLevels]bool
 
 	// id orders versions by construction; the version set stamps it (see
 	// VersionSet.OldestLiveID).
@@ -178,16 +172,34 @@ func (v *Version) Quarantined() []uint64 {
 }
 
 // L0PhysFiles returns the number of distinct physical files at level 0
-// (equal to the table count in legacy layouts, smaller with compaction
-// files).
+// (equal to the table count in one-file-per-table layouts, smaller with
+// compaction files).
 func (v *Version) L0PhysFiles() int { return v.l0PhysFiles }
 
-// L0Runs returns level 0 as sorted runs, newest physical file first: each
-// run is ordered by Smallest with pairwise-disjoint user-key ranges, so a
-// point lookup consults at most one table of it and a scan reads it through
-// one concatenating iterator. The runs partition Levels[0]. Callers must
-// not modify the result.
-func (v *Version) L0Runs() [][]*FileMeta { return v.l0Runs }
+// Runs returns level as the sorted runs it is read as (see LevelRuns):
+// each run is ordered by Smallest with pairwise-disjoint user-key ranges,
+// so a point lookup consults at most one table of it and a scan reads it
+// through one concatenating iterator. The runs partition Levels[level].
+// Callers must not modify the result.
+func (v *Version) Runs(level int) [][]*FileMeta { return v.runs[level] }
+
+// ReadAmp returns how many tables a point lookup may consult in level: one
+// per run, except in a pile — a level below 0 that is not one run, which
+// only fragmented profiles build — where guards partition the tables and a
+// lookup consults one guard's stack, so the deepest stack counts.
+func (v *Version) ReadAmp(level int) int {
+	runs := v.runs[level]
+	if level == 0 || len(runs) <= 1 {
+		return len(runs)
+	}
+	perGuard := make(map[string]int, len(runs))
+	deepest := 0
+	for _, f := range v.Levels[level] {
+		perGuard[string(f.Guard)]++
+		deepest = max(deepest, perGuard[string(f.Guard)])
+	}
+	return deepest
+}
 
 // ID returns the version's position in construction order.
 func (v *Version) ID() uint64 { return v.id }
@@ -223,6 +235,27 @@ func NewVersion(levels [NumLevels][]*FileMeta) *Version {
 		v.deriveLevel(level)
 	}
 	return v
+}
+
+// LevelRuns is the one layout rule: it groups the tables of a level, or a
+// compaction's share of one, into the sorted runs they are read as. Below
+// level 0, tables ordered by Smallest with pairwise-disjoint user-key
+// ranges are one run, which aliases files: a leveled level, or a pile that
+// happens to be disjoint. Anything else — level 0, a fragmented profile's
+// pile, repair output — is regrouped by SortedRuns.
+func LevelRuns(level int, files []*FileMeta) [][]*FileMeta {
+	if len(files) == 0 {
+		return nil
+	}
+	ordered := level > 0
+	for i := 1; i < len(files) && ordered; i++ {
+		ordered = keys.CompareUser(files[i-1].Largest.UserKey(), files[i].Smallest.UserKey()) < 0
+	}
+	if ordered {
+		return [][]*FileMeta{files[:len(files):len(files)]}
+	}
+	runs, _ := SortedRuns(files)
+	return runs
 }
 
 // SortedRuns regroups tables that may overlap each other into sorted runs
@@ -269,6 +302,8 @@ func SortedRuns(files []*FileMeta) (runs [][]*FileMeta, physFiles int) {
 }
 
 // deriveLevel computes the per-level derived state from Levels[level].
+// Level 0 always takes SortedRuns (see LevelRuns), which also counts its
+// physical files.
 func (v *Version) deriveLevel(level int) {
 	files := v.Levels[level]
 	var total int64
@@ -277,18 +312,19 @@ func (v *Version) deriveLevel(level int) {
 	}
 	v.levelBytes[level] = total
 	if level == 0 {
-		v.l0Runs, v.l0PhysFiles = SortedRuns(files)
+		v.runs[0], v.l0PhysFiles = SortedRuns(files)
+	} else {
+		v.runs[level] = LevelRuns(level, files)
 	}
-	disjoint := level > 0
-	for i := 1; i < len(files) && disjoint; i++ {
-		disjoint = keys.CompareUser(files[i-1].Largest.UserKey(), files[i].Smallest.UserKey()) < 0
-	}
-	v.disjoint[level] = disjoint
 }
 
-// overlapRange returns the index range [lo, hi) of the tables of a disjoint
-// level that intersect [smallest, largest]: both bounds of a disjoint
-// level's tables increase with the index, so each end is one binary search.
+// sortedLevel reports whether level is one sorted run below level 0, whose
+// overlap queries binary-search the level.
+func (v *Version) sortedLevel(level int) bool { return level > 0 && len(v.runs[level]) <= 1 }
+
+// overlapRange returns the index range [lo, hi) of the tables of a sorted
+// level that intersect [smallest, largest]: both bounds of a sorted level's
+// tables increase with the index, so each end is one binary search.
 func (v *Version) overlapRange(level int, smallest, largest []byte) (lo, hi int) {
 	files := v.Levels[level]
 	hi = len(files)
@@ -306,11 +342,11 @@ func (v *Version) overlapRange(level int, smallest, largest []byte) (lo, hi int)
 }
 
 // Overlaps returns the tables at level whose user-key ranges intersect
-// [smallest, largest] (nil = unbounded), in level order. On a disjoint
+// [smallest, largest] (nil = unbounded), in level order. On a sorted
 // level the result aliases the version's own slice: callers must not
 // modify it.
 func (v *Version) Overlaps(level int, smallest, largest []byte) []*FileMeta {
-	if v.disjoint[level] {
+	if v.sortedLevel(level) {
 		lo, hi := v.overlapRange(level, smallest, largest)
 		if lo == hi {
 			return nil
@@ -330,7 +366,7 @@ func (v *Version) Overlaps(level int, smallest, largest []byte) []*FileMeta {
 // without materializing them.
 func (v *Version) OverlapBytes(level int, smallest, largest []byte) int64 {
 	files := v.Levels[level]
-	if v.disjoint[level] {
+	if v.sortedLevel(level) {
 		lo, hi := v.overlapRange(level, smallest, largest)
 		files = files[lo:hi] // every one of these overlaps
 	}
@@ -359,37 +395,40 @@ func (v *Version) SortedTables(level int) error {
 	return nil
 }
 
-// CheckL0Runs verifies the derived level-0 runs: they partition Levels[0],
-// and every multi-table run shares one physical file, is ordered by
-// Smallest, and is pairwise user-key-disjoint.
-func (v *Version) CheckL0Runs() error {
-	inLevel := make(map[*FileMeta]bool, len(v.Levels[0]))
-	for _, f := range v.Levels[0] {
-		inLevel[f] = true
-	}
-	n := 0
-	for _, run := range v.l0Runs {
-		for i, f := range run {
-			if !inLevel[f] {
-				return fmt.Errorf("manifest: level-0 run holds table %d twice or from outside the level", f.Num)
-			}
-			inLevel[f] = false
-			n++
-			if i == 0 {
-				continue
-			}
-			prev := run[i-1]
-			if prev.PhysNum != f.PhysNum {
-				return fmt.Errorf("manifest: level-0 run mixes physical files %d and %d", prev.PhysNum, f.PhysNum)
-			}
-			if keys.CompareUser(prev.Largest.UserKey(), f.Smallest.UserKey()) >= 0 {
-				return fmt.Errorf("manifest: level-0 run tables %d and %d overlap: %s vs %s",
-					prev.Num, f.Num, prev.Largest, f.Smallest)
+// CheckRuns verifies the derived runs of every level: they partition the
+// level, and every multi-table run is ordered by Smallest, pairwise
+// user-key-disjoint, and either shares one physical file or is a whole
+// level below 0.
+func (v *Version) CheckRuns() error {
+	for level, files := range v.Levels {
+		inLevel := make(map[*FileMeta]bool, len(files))
+		for _, f := range files {
+			inLevel[f] = true
+		}
+		n := 0
+		for _, run := range v.runs[level] {
+			for i, f := range run {
+				if !inLevel[f] {
+					return fmt.Errorf("manifest: level-%d run holds table %d twice or from outside the level", level, f.Num)
+				}
+				inLevel[f] = false
+				n++
+				if i == 0 {
+					continue
+				}
+				prev := run[i-1]
+				if prev.PhysNum != f.PhysNum && !v.sortedLevel(level) {
+					return fmt.Errorf("manifest: level-%d run mixes physical files %d and %d", level, prev.PhysNum, f.PhysNum)
+				}
+				if keys.CompareUser(prev.Largest.UserKey(), f.Smallest.UserKey()) >= 0 {
+					return fmt.Errorf("manifest: level-%d run tables %d and %d overlap: %s vs %s",
+						level, prev.Num, f.Num, prev.Largest, f.Smallest)
+				}
 			}
 		}
-	}
-	if n != len(v.Levels[0]) {
-		return fmt.Errorf("manifest: level-0 runs cover %d of %d tables", n, len(v.Levels[0]))
+		if n != len(files) {
+			return fmt.Errorf("manifest: level-%d runs cover %d of %d tables", level, n, len(files))
+		}
 	}
 	return nil
 }
@@ -497,9 +536,9 @@ func (b *versionBuilder) finish(vs *VersionSet) *Version {
 			// base along with everything derived from it.
 			v.Levels[level] = b.base.Levels[level]
 			v.levelBytes[level] = b.base.levelBytes[level]
-			v.disjoint[level] = b.base.disjoint[level]
+			v.runs[level] = b.base.runs[level]
 			if level == 0 {
-				v.l0Runs, v.l0PhysFiles = b.base.l0Runs, b.base.l0PhysFiles
+				v.l0PhysFiles = b.base.l0PhysFiles
 			}
 			continue
 		}
@@ -601,7 +640,7 @@ func (v *Version) TotalBytes() int64 {
 }
 
 // DebugString renders the version layout for tools and tests: one line per
-// sorted level, and for level 0 one line per sorted run.
+// sorted level, and for level 0 or a pile one line per sorted run.
 func (v *Version) DebugString() string {
 	var buf bytes.Buffer
 	line := func(label string, files []*FileMeta) {
@@ -612,12 +651,13 @@ func (v *Version) DebugString() string {
 		}
 		buf.WriteByte('\n')
 	}
-	for i, run := range v.l0Runs {
-		line(fmt.Sprintf("L0 run %d/%d:", i+1, len(v.l0Runs)), run)
-	}
-	for level := 1; level < NumLevels; level++ {
-		if files := v.Levels[level]; len(files) > 0 {
-			line(fmt.Sprintf("L%d:", level), files)
+	for level, runs := range v.runs {
+		if level > 0 && len(runs) == 1 {
+			line(fmt.Sprintf("L%d:", level), runs[0])
+			continue
+		}
+		for i, run := range runs {
+			line(fmt.Sprintf("L%d run %d/%d:", level, i+1, len(runs)), run)
 		}
 	}
 	return buf.String()

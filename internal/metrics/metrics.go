@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/bolt-lsm/bolt/internal/histogram"
 	"github.com/bolt-lsm/bolt/internal/manifest"
 )
 
@@ -120,11 +119,6 @@ type Counters[T any] struct {
 // Metrics is the live counter set of one DB instance.
 type Metrics struct {
 	Counters[atomic.Int64]
-
-	// Latency histograms.
-	WriteLatency histogram.Histogram
-	ReadLatency  histogram.Histogram
-	ScanLatency  histogram.Histogram
 }
 
 // AddStall records a writer stall of the given duration.
@@ -141,7 +135,7 @@ type Snapshot struct {
 	VLogGCPasses    int64 `prom:"bolt_vlog_gc_passes_total" help:"Value-log GC passes completed."`
 }
 
-// Snapshot copies the counters (histograms are read directly) and derives
+// Snapshot copies the counters and derives
 // the totals.
 func (m *Metrics) Snapshot() Snapshot {
 	var s Snapshot

@@ -5,8 +5,6 @@ import (
 	"io"
 	"reflect"
 	"time"
-
-	"github.com/bolt-lsm/bolt/internal/histogram"
 )
 
 // LevelStats describes one level of the live tree, combining layout
@@ -77,15 +75,6 @@ func (p *PromWriter) LevelGauge(name, help string, value func(LevelStats) float6
 	}
 }
 
-// Summary emits a latency histogram as a Prometheus summary in seconds.
-func (p *PromWriter) Summary(name, help string, h *histogram.Histogram) {
-	p.printf("# HELP %s %s\n# TYPE %s summary\n", name, help, name)
-	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
-		p.printf("%s{quantile=\"%g\"} %g\n", name, q, h.Quantile(q).Seconds())
-	}
-	p.printf("%s_sum %g\n%s_count %d\n", name, h.Sum().Seconds(), name, h.Count())
-}
-
 // Levels emits the standard per-level metric set.
 func (p *PromWriter) Levels(levels []LevelStats) {
 	p.LevelGauge("bolt_level_files", "Distinct physical files per level.",
@@ -130,8 +119,7 @@ func familiesOf(t reflect.Type) []family {
 	return out
 }
 
-// WriteProm emits every counter and derived total of Snapshot, then the
-// latency summaries.
+// WriteProm emits every counter and derived total of Snapshot.
 func (m *Metrics) WriteProm(p *PromWriter) {
 	s := m.Snapshot()
 	vals := leaves[int64](reflect.ValueOf(&s).Elem())
@@ -139,9 +127,6 @@ func (m *Metrics) WriteProm(p *PromWriter) {
 		p.emit(f, vals[:f.n])
 		vals = vals[f.n:]
 	}
-	p.Summary("bolt_write_latency_seconds", "Write operation latency.", &m.WriteLatency)
-	p.Summary("bolt_read_latency_seconds", "Point-read latency.", &m.ReadLatency)
-	p.Summary("bolt_scan_latency_seconds", "Scan latency.", &m.ScanLatency)
 }
 
 // emit writes one family: its header, then one sample per value.

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestWritePromFormat(t *testing.T) {
@@ -19,8 +18,6 @@ func TestWritePromFormat(t *testing.T) {
 	m.Writes.Store(42)
 	m.Gets.Store(7)
 	m.LevelCompactionsIn[2].Add(3)
-	m.WriteLatency.Record(time.Millisecond)
-	m.WriteLatency.Record(2 * time.Millisecond)
 
 	var b strings.Builder
 	p := NewPromWriter(&b)
@@ -38,10 +35,6 @@ func TestWritePromFormat(t *testing.T) {
 		"# TYPE bolt_writes_total counter",
 		"bolt_writes_total 42",
 		"bolt_gets_total 7",
-		"# TYPE bolt_write_latency_seconds summary",
-		`bolt_write_latency_seconds{quantile="0.99"}`,
-		"bolt_write_latency_seconds_count 2",
-		"bolt_write_latency_seconds_sum 0.003",
 		`bolt_level_bytes{level="0"} 1.048576e+06`,
 		`bolt_level_tables{level="1"} 8`,
 		`bolt_level_write_amp{level="1"} 1.5`,
@@ -99,7 +92,7 @@ func TestCounterTableRoundTrip(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
 		fields := strings.Fields(line)
 		name, _, _ := strings.Cut(fields[0], "{")
-		if fields[0] == "#" || strings.Contains(name, "latency_seconds") {
+		if fields[0] == "#" {
 			continue
 		}
 		v, err := strconv.ParseFloat(fields[1], 64)

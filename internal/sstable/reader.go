@@ -106,36 +106,59 @@ func (r *Reader) corruptf(off int64, err error, format string, args ...any) erro
 	}
 }
 
+// footer is a decoded table footer: the index and filter block handles and
+// the entry count. On disk each is a little-endian uint64, and the magic
+// number is the last.
+type footer struct {
+	index, filter blockHandle
+	numEntries    int
+}
+
+// readFooter reads and decodes the table's footer, its last FooterSize
+// bytes. A footer without the magic number is a corruption finding.
+func (r *Reader) readFooter() (footer, error) {
+	var buf [FooterSize]byte
+	off := r.base + r.size - FooterSize
+	if err := vfs.ReadFull(r.f, buf[:], off); err != nil {
+		return footer{}, fmt.Errorf("sstable: read footer: %w", err)
+	}
+	u := func(i int) int64 { return int64(binary.LittleEndian.Uint64(buf[8*i:])) }
+	if magic := uint64(u(5)); magic != Magic {
+		return footer{}, r.corruptf(off, nil, "bad magic %#x", magic)
+	}
+	return footer{index: blockHandle{u(0), u(1)}, filter: blockHandle{u(2), u(3)}, numEntries: int(u(4))}, nil
+}
+
+// TableStart returns the offset in f of the table that ends at end, read
+// from its footer: the index block is always the last block before the
+// footer, so the table spans the index block's end, its trailer and the
+// footer. ok is false when no table's footer ends at end.
+func TableStart(f vfs.File, end int64) (start int64, ok bool) {
+	ft, err := (&Reader{f: f, size: end}).readFooter()
+	if err != nil {
+		return 0, false
+	}
+	size := ft.index.offset + ft.index.length + blockTrailerSize + FooterSize
+	if size <= 0 || size > end {
+		return 0, false
+	}
+	return end - size, true
+}
+
 // OpenReader parses the table at (base, size) in f. tableID must be unique
 // per table (the engine uses the table's file number); it keys the block
 // cache. physNum names the physical file holding the bytes, so corruption
 // findings can identify the victim file.
 func OpenReader(f vfs.File, tableID, physNum uint64, base, size int64, cache BlockCache) (*Reader, error) {
-	corruptf := func(off int64, err error, format string, args ...any) error {
-		return &CorruptionError{
-			TableID: tableID, PhysNum: physNum, Offset: off,
-			Detail: fmt.Sprintf(format, args...), Err: err,
-		}
-	}
+	r := &Reader{f: f, tableID: tableID, physNum: physNum, base: base, size: size, cache: cache}
 	if size < FooterSize {
-		return nil, corruptf(base, nil, "table too small (%d bytes)", size)
+		return nil, r.corruptf(base, nil, "table too small (%d bytes)", size)
 	}
-	var footer [FooterSize]byte
-	if err := vfs.ReadFull(f, footer[:], base+size-FooterSize); err != nil {
-		return nil, fmt.Errorf("sstable: read footer: %w", err)
+	ft, err := r.readFooter()
+	if err != nil {
+		return nil, err
 	}
-	if got := binary.LittleEndian.Uint64(footer[40:]); got != Magic {
-		return nil, corruptf(base+size-FooterSize, nil, "bad magic %#x", got)
-	}
-	indexH := blockHandle{
-		offset: int64(binary.LittleEndian.Uint64(footer[0:])),
-		length: int64(binary.LittleEndian.Uint64(footer[8:])),
-	}
-	filterH := blockHandle{
-		offset: int64(binary.LittleEndian.Uint64(footer[16:])),
-		length: int64(binary.LittleEndian.Uint64(footer[24:])),
-	}
-	numEntries := int(binary.LittleEndian.Uint64(footer[32:]))
+	indexH, filterH := ft.index, ft.filter
 
 	// Read filter + index in a single contiguous metadata read, mirroring
 	// the single large I/O a real TableCache miss incurs.
@@ -146,7 +169,7 @@ func OpenReader(f vfs.File, tableID, physNum uint64, base, size int64, cache Blo
 	metaEnd := base + size - FooterSize
 	metaLen := metaEnd - (base + metaStart)
 	if metaLen < 0 || base+metaStart < base {
-		return nil, corruptf(base+size-FooterSize, nil, "meta region out of range")
+		return nil, r.corruptf(base+size-FooterSize, nil, "meta region out of range")
 	}
 	meta := make([]byte, metaLen)
 	if err := vfs.ReadFull(f, meta, base+metaStart); err != nil {
@@ -160,12 +183,12 @@ func OpenReader(f vfs.File, tableID, physNum uint64, base, size int64, cache Blo
 		// overflow when summed.
 		if h.offset < 0 || h.length < 0 || lo < 0 || hi < lo ||
 			hi+blockTrailerSize > int64(len(meta)) || hi+blockTrailerSize < hi {
-			return nil, corruptf(base+size-FooterSize, nil, "meta handle out of range")
+			return nil, r.corruptf(base+size-FooterSize, nil, "meta handle out of range")
 		}
 		data := meta[lo:hi]
 		want := binary.LittleEndian.Uint32(meta[hi : hi+blockTrailerSize])
 		if got := crc32.Checksum(data, castagnoli); got != want {
-			return nil, corruptf(base+h.offset, nil, "meta block checksum")
+			return nil, r.corruptf(base+h.offset, nil, "meta block checksum")
 		}
 		return data, nil
 	}
@@ -176,7 +199,7 @@ func OpenReader(f vfs.File, tableID, physNum uint64, base, size int64, cache Blo
 	}
 	index, err := block.NewReader(indexData)
 	if err != nil {
-		return nil, corruptf(base+indexH.offset, err, "parse index")
+		return nil, r.corruptf(base+indexH.offset, err, "parse index")
 	}
 	var filter bloom.Filter
 	if filterH.length > 0 {
@@ -186,18 +209,9 @@ func OpenReader(f vfs.File, tableID, physNum uint64, base, size int64, cache Blo
 		}
 		filter = bloom.Filter(fdata)
 	}
-	return &Reader{
-		f:          f,
-		tableID:    tableID,
-		physNum:    physNum,
-		base:       base,
-		size:       size,
-		index:      index,
-		filter:     filter,
-		metaSize:   metaLen + FooterSize,
-		numEntries: numEntries,
-		cache:      cache,
-	}, nil
+	r.index, r.filter = index, filter
+	r.metaSize, r.numEntries = metaLen+FooterSize, ft.numEntries
+	return r, nil
 }
 
 // MetaSize returns the filter+index+footer byte count — the TableCache

@@ -1,13 +1,10 @@
 package sstable
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"github.com/bolt-lsm/bolt/internal/block"
 	"github.com/bolt-lsm/bolt/internal/keys"
-	"github.com/bolt-lsm/bolt/internal/vfs"
 )
 
 // Size returns the table's total length in bytes, footer included — the
@@ -25,22 +22,11 @@ func (r *Reader) Size() int64 { return r.size }
 func (r *Reader) VerifyTable() error {
 	// Footer. The open-time copy is not trusted: the bytes may have rotted
 	// since.
-	var footer [FooterSize]byte
-	if err := vfs.ReadFull(r.f, footer[:], r.base+r.size-FooterSize); err != nil {
-		return fmt.Errorf("sstable: read footer: %w", err)
+	ft, err := r.readFooter()
+	if err != nil {
+		return err
 	}
-	if got := binary.LittleEndian.Uint64(footer[40:]); got != Magic {
-		return r.corruptf(r.base+r.size-FooterSize, nil, "bad magic %#x", got)
-	}
-	indexH := blockHandle{
-		offset: int64(binary.LittleEndian.Uint64(footer[0:])),
-		length: int64(binary.LittleEndian.Uint64(footer[8:])),
-	}
-	filterH := blockHandle{
-		offset: int64(binary.LittleEndian.Uint64(footer[16:])),
-		length: int64(binary.LittleEndian.Uint64(footer[24:])),
-	}
-	numEntries := int(binary.LittleEndian.Uint64(footer[32:]))
+	indexH, filterH := ft.index, ft.filter
 
 	// Meta blocks (filter, then index), re-read and re-checksummed.
 	if filterH.length > 0 {
@@ -99,9 +85,9 @@ func (r *Reader) VerifyTable() error {
 	if err := idx.Err(); err != nil {
 		return r.corruptf(r.base+indexH.offset, err, "index iteration")
 	}
-	if count != numEntries {
+	if count != ft.numEntries {
 		return r.corruptf(r.base+r.size-FooterSize, nil,
-			"entry count %d, footer says %d", count, numEntries)
+			"entry count %d, footer says %d", count, ft.numEntries)
 	}
 	return nil
 }

@@ -65,7 +65,6 @@ type memFile struct {
 	syncedLen int64 // durable watermark
 	allocated int64 // bytes not punched out (space accounting)
 	holes     []hole
-	refs      atomic.Int32 // open handles + 1 for directory presence
 }
 
 type hole struct{ off, end int64 }
@@ -91,7 +90,6 @@ func (fs *MemFS) Create(name string) (File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	f := &memFile{name: name}
-	f.refs.Store(2) // directory + handle
 	fs.files[name] = f
 	fs.durable[name] = false
 	delete(fs.removed, name)
@@ -108,7 +106,6 @@ func (fs *MemFS) Open(name string) (File, error) {
 	if !ok {
 		return nil, fmt.Errorf("open %q: %w", name, ErrNotFound)
 	}
-	f.refs.Add(1)
 	return &memHandle{fs: fs, f: f}, nil
 }
 
@@ -127,7 +124,6 @@ func (fs *MemFS) Remove(name string) error {
 		fs.removed[name] = f
 	}
 	delete(fs.durable, name)
-	f.refs.Add(-1)
 	return nil
 }
 
@@ -139,9 +135,6 @@ func (fs *MemFS) Rename(oldname, newname string) error {
 	f, ok := fs.files[oldname]
 	if !ok {
 		return fmt.Errorf("rename %q: %w", oldname, ErrNotFound)
-	}
-	if old, ok := fs.files[newname]; ok {
-		old.refs.Add(-1)
 	}
 	delete(fs.files, oldname)
 	if fs.durable[oldname] {
@@ -218,7 +211,6 @@ func (fs *MemFS) CrashClone() *MemFS {
 			}
 		}
 		f.mu.RUnlock()
-		nf.refs.Store(1)
 		clone.files[name] = nf
 		clone.durable[name] = true
 	}
@@ -380,6 +372,5 @@ func (h *memHandle) Close() error {
 	if h.closed.Swap(true) {
 		return ErrClosed
 	}
-	h.f.refs.Add(-1)
 	return nil
 }
