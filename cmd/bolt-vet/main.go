@@ -8,10 +8,10 @@
 //	errflow      — durability-barrier errors (Sync, SyncDir, LogAndApply,
 //	               CommitPrepared, WriteFile, bare Close) discarded at the
 //	               call or dying in a helper or wrap chain
-//	atomicfield  — plain access to (or copies of) sync/atomic and
-//	               //boltvet:guardedby atomic fields
 //	guardedby    — //boltvet:guardedby field annotations checked against
-//	               the lock-set analysis at every access site
+//	               the lock-set analysis at every access site; an atomic
+//	               annotation must sit on a sync/atomic type, whose copies
+//	               go vet's copylocks reports
 //	mustclose    — //boltvet:mustclose values tracked from creation to a
 //	               Close, an ownership transfer, or a leak finding
 //	golifetime   — every `go` statement tied to a declared lifecycle

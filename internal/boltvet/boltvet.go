@@ -79,7 +79,7 @@ type Analyzer struct {
 
 // All returns every analyzer in the suite.
 func All() []*Analyzer {
-	return []*Analyzer{BarrierOrder, LockOrder, ErrFlow, AtomicField, GuardedBy, MustClose, GoLifetime, CondCheck, SummaryCheck}
+	return []*Analyzer{BarrierOrder, LockOrder, ErrFlow, GuardedBy, MustClose, GoLifetime, CondCheck, SummaryCheck}
 }
 
 // AnalyzerTiming is one row of the -timing report: how long an analyzer
@@ -462,6 +462,19 @@ func typeKey(t types.Type) string {
 		return qualify(named.Obj().Pkg(), named.Obj().Name())
 	}
 	return ""
+}
+
+// typeOf returns the checked type of e, or nil.
+func typeOf(p *Package, e ast.Expr) types.Type {
+	if tv, ok := p.Info.Types[e]; ok {
+		return tv.Type
+	}
+	return nil
+}
+
+// typeLabel renders t compactly for diagnostics (package-name qualified).
+func typeLabel(t types.Type) string {
+	return types.TypeString(t, func(pkg *types.Package) string { return pkg.Name() })
 }
 
 // fieldKey keys field name of the named type behind t, or returns "".

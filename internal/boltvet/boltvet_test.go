@@ -127,15 +127,14 @@ func TestErrFlowFixture(t *testing.T)      { runFixture(t, "errflow", ErrFlow) }
 // TestSyncErrFixture checks errflow's direct-site rules on their own: a
 // barrier or Close error discarded bare, via _, by defer or go, or by a
 // dead assignment at the call itself.
-func TestSyncErrFixture(t *testing.T)     { runFixtureFile(t, "errflow", "direct.go", ErrFlow) }
-func TestAtomicFieldFixture(t *testing.T) { runFixture(t, "atomicfield", AtomicField) }
-func TestMustCloseFixture(t *testing.T)   { runFixture(t, "mustclose", MustClose) }
-func TestGoLifetimeFixture(t *testing.T)  { runFixture(t, "golifetime", GoLifetime) }
-func TestCondCheckFixture(t *testing.T)   { runFixture(t, "condcheck", CondCheck) }
+func TestSyncErrFixture(t *testing.T)    { runFixtureFile(t, "errflow", "direct.go", ErrFlow) }
+func TestMustCloseFixture(t *testing.T)  { runFixture(t, "mustclose", MustClose) }
+func TestGoLifetimeFixture(t *testing.T) { runFixture(t, "golifetime", GoLifetime) }
+func TestCondCheckFixture(t *testing.T)  { runFixture(t, "condcheck", CondCheck) }
 
-// TestGuardedByFixture checks the whole guard vocabulary: guardedby owns
-// the mu and none rules, atomicfield the atomic one.
-func TestGuardedByFixture(t *testing.T) { runFixture(t, "guardedby", GuardedBy, AtomicField) }
+// TestGuardedByFixture checks the whole guard vocabulary: the mu, atomic
+// and none rules.
+func TestGuardedByFixture(t *testing.T) { runFixture(t, "guardedby", GuardedBy) }
 
 // TestSummaryCheckFixture asserts directly instead of via // want comments:
 // a directive is the entire line comment (its reason runs to the end of
@@ -234,8 +233,7 @@ func BenchmarkRunAll(b *testing.B) {
 // here rather than silently vetting nothing.
 func TestFixturesTripTheDriver(t *testing.T) {
 	for _, fixture := range []string{
-		"barrierorder", "lockorder", "errflow", "atomicfield",
-		"guardedby", "mustclose", "golifetime", "condcheck",
+		"barrierorder", "lockorder", "errflow", "guardedby", "mustclose", "golifetime", "condcheck",
 		"summarycheck",
 	} {
 		pkgs, err := Load(LoadConfig{}, filepath.Join("testdata", "src", fixture))

@@ -14,8 +14,9 @@ import (
 //	//boltvet:guardedby mu            — accessed only with mu (a
 //	                                    sync.Mutex/RWMutex field of the
 //	                                    same struct) held
-//	//boltvet:guardedby atomic        — accessed only through sync/atomic
-//	                                    (enforced by atomicfield)
+//	//boltvet:guardedby atomic        — a sync/atomic type (or array of
+//	                                    one), whose copies go vet's
+//	                                    copylocks reports
 //	//boltvet:guardedby none -- <why> — deliberately outside the regime;
 //	                                    the reason is mandatory
 //
@@ -52,10 +53,10 @@ var GuardedBy = &Analyzer{
 	RunProgram: runGuardedBy,
 }
 
-// guardSpec is one field's parsed annotation.
+// guardSpec is one mutex-guarded field's parsed annotation.
 type guardSpec struct {
-	guard string // mutex field name, "atomic", or "none"
-	// For mutex guards, the resolved lock key ("pkgpath.Struct.mu").
+	guard string // mutex field name
+	// key is the resolved lock key ("pkgpath.Struct.mu").
 	key string
 	// owner is the struct's typeKey; the names label diagnostics.
 	owner      string
@@ -63,7 +64,8 @@ type guardSpec struct {
 	fieldName  string
 }
 
-// guardTable indexes annotations by "pkgpath.Struct.field".
+// guardTable indexes mutex annotations by "pkgpath.Struct.field"; atomic
+// and none fields are checked at their declaration only.
 type guardTable map[string]*guardSpec
 
 // guardedAccess is one entry obligation of a *Locked function: a guarded
@@ -210,7 +212,7 @@ func (prog *Program) entryState(fi *FuncInfo) *lockState {
 	}
 	owner := qualify(fi.Pkg.Types, receiverTypeName(fi.Decl))
 	for _, spec := range prog.guardTable() {
-		if spec.key != "" && spec.owner == owner {
+		if spec.owner == owner {
 			st.held[spec.key] = lockEntry
 		}
 	}
@@ -218,14 +220,9 @@ func (prog *Program) entryState(fi *FuncInfo) *lockState {
 }
 
 // lookupGuardedField resolves sel to a mutex-annotated field's spec, or
-// nil (atomic specs are atomicfield's; none and unannotated fields are
-// not checked).
+// nil.
 func lookupGuardedField(p *Package, sel *ast.SelectorExpr, table guardTable) *guardSpec {
-	spec := table[fieldKeyOf(p, sel)]
-	if spec == nil || spec.guard == "atomic" || spec.guard == "none" {
-		return nil
-	}
-	return spec
+	return table[fieldKeyOf(p, sel)]
 }
 
 // rootIdent unwraps a selector chain's base to its root identifier
@@ -291,7 +288,8 @@ func isFreshExpr(p *Package, e ast.Expr) bool {
 
 // collectGuardedBy parses the annotations of every struct in p into
 // table, reporting vocabulary errors: unknown guard names, none without a
-// reason, and (once a struct opts in) unannotated mutable fields.
+// reason, atomic on a type not from sync/atomic, and (once a struct opts
+// in) unannotated mutable fields.
 func collectGuardedBy(p *Package, table guardTable, r *reporter) {
 	for _, file := range p.Files {
 		if isTestFile(p, file) {
@@ -332,30 +330,42 @@ func collectGuardedBy(p *Package, table guardTable, r *reporter) {
 						}
 						continue
 					}
-					spec := &guardSpec{owner: owner, structName: ts.Name.Name, fieldName: name.Name}
+					guard := ""
 					if len(d.args) > 0 {
-						spec.guard = d.args[0]
+						guard = d.args[0]
 					}
-					switch spec.guard {
+					switch guard {
 					case "none":
 						if d.reason == "" {
 							r.at(p, name.Pos(), "//boltvet:guardedby none on %s.%s requires a reason; write `//boltvet:guardedby none -- <why>`",
 								ts.Name.Name, name.Name)
-							continue
 						}
 					case "atomic":
+						if t := typeOf(p, field.Type); !isAtomicType(t) {
+							r.at(p, name.Pos(), "//boltvet:guardedby atomic on %s.%s, whose type %s is not from sync/atomic; use a sync/atomic type, which go vet's copylocks polices",
+								ts.Name.Name, name.Name, typeLabel(t))
+						}
 					default:
-						if !mutexFields[spec.guard] {
+						if !mutexFields[guard] {
 							r.at(p, name.Pos(), "//boltvet:guardedby on %s.%s names %q, which is not a sync.Mutex/RWMutex field of %s",
-								ts.Name.Name, name.Name, spec.guard, ts.Name.Name)
+								ts.Name.Name, name.Name, guard, ts.Name.Name)
 							continue
 						}
-						spec.key = owner + "." + spec.guard
+						table[owner+"."+name.Name] = &guardSpec{guard: guard, key: owner + "." + guard, owner: owner, structName: ts.Name.Name, fieldName: name.Name}
 					}
-					table[owner+"."+name.Name] = spec
 				}
 			}
 			return true
 		})
 	}
+}
+
+// isAtomicType reports whether t, or its element type when t is an array,
+// is a sync/atomic type.
+func isAtomicType(t types.Type) bool {
+	if a, ok := types.Unalias(t).(*types.Array); ok {
+		t = a.Elem()
+	}
+	n, ok := types.Unalias(t).(*types.Named)
+	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync/atomic"
 }

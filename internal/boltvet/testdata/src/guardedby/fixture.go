@@ -16,9 +16,11 @@ type store struct {
 	count int    //boltvet:guardedby mu
 	name  string //boltvet:guardedby mu
 
-	hits  int64           //boltvet:guardedby atomic
 	gen   atomic.Int64    //boltvet:guardedby atomic
 	perOp [2]atomic.Int64 //boltvet:guardedby atomic -- each element is an atomic.Int64
+
+	//boltvet:guardedby atomic
+	hits int64 // want `guardedby atomic on store\.hits, whose type int64 is not from sync/atomic`
 
 	capacity int //boltvet:guardedby none -- set once before the store is shared
 
@@ -75,14 +77,6 @@ func (s *store) CallerGood() {
 
 func (s *store) CallerBad() {
 	s.bumpLocked() // want `CallerBad calls bumpLocked -> incLocked, which accesses store\.count \(//boltvet:guardedby mu\), without holding mu`
-}
-
-func (s *store) Atomics() int64 {
-	atomic.AddInt64(&s.hits, 1)
-	s.gen.Add(1)
-	// ok: element access to an annotated array of atomics.
-	s.perOp[1].Add(1)
-	return s.hits // want `field store\.hits is //boltvet:guardedby atomic`
 }
 
 // Suppressed is the negative: a reasoned directive silences the finding.

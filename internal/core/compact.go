@@ -228,12 +228,16 @@ func (db *DB) flushLocked(j *job) error {
 		return fmt.Errorf("core: flush commit: %w", err)
 	}
 	// Entries queued during logAndApply's unlock window were not in the
-	// edit and stay; the logged ones license their reclaims now.
+	// edit and stay; the logged ones license their reclaims now, a GC
+	// advance's gated on this flush's version (vloggc.go, rule 4).
 	keep := db.afterFlush[:0]
 	for i, a := range db.afterFlush {
 		if i >= queued || a.gen >= logNum {
 			keep = append(keep, a)
 		} else if a.r.num != 0 {
+			if a.isGCAdvance() {
+				a.r.version = db.vs.Current().ID()
+			}
 			db.reclaims = append(db.reclaims, a.r)
 		}
 	}
@@ -363,7 +367,7 @@ func (db *DB) compactLocked(j *job) error {
 	deletedIn := db.vs.Current().ID()
 	for _, files := range [2][]*manifest.FileMeta{c.Inputs, c.NextInputs} {
 		for _, f := range files {
-			db.reclaims = append(db.reclaims, reclaim{table: f, gate: deletedIn})
+			db.reclaims = append(db.reclaims, reclaim{table: f, version: deletedIn})
 		}
 	}
 

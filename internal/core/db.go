@@ -80,8 +80,6 @@ type DB struct {
 	// GC commit filter uses it to detect whether "key absent from both
 	// memtables" can have changed meaning since its scan.
 	flushEpoch uint64 //boltvet:guardedby mu
-	// iterPins records the snapshot sequence of every open iterator.
-	iterPins *list.List //boltvet:guardedby mu -- of keys.Seq, unordered
 
 	// visibleSeq is the highest sequence number visible to reads; it is
 	// atomic so the read path can snapshot it without mu.
@@ -97,7 +95,7 @@ type DB struct {
 	// window to end; a finishing leader broadcasts cond when it is nonzero.
 	rotateWaiters int //boltvet:guardedby mu
 
-	snapshots *list.List //boltvet:guardedby mu -- of keys.Seq, ascending insertion order
+	snapshots *list.List //boltvet:guardedby mu -- of keys.Seq, ascending: each snapshot, followed by the iterators opened on it
 
 	// manifestMu serializes MANIFEST commits; acquired without mu held.
 	manifestMu sync.Mutex
@@ -164,7 +162,6 @@ func Open(fs vfs.FS, cfg Config) (*DB, error) {
 		ev:                events.NewLog(cfg.EventLogSize, cfg.EventListener),
 		mem:               memtable.New(),
 		snapshots:         list.New(),
-		iterPins:          list.New(),
 		physRefs:          make(map[uint64]int),
 		deadRanges:        make(map[uint64][]deadRange),
 		inflight:          compaction.NewInFlight(),
@@ -561,31 +558,16 @@ func (db *DB) smallestSnapshotLocked() keys.Seq {
 	return db.VisibleSeq()
 }
 
-// Get returns the value of key at the given snapshot (nil = latest).
+// Get returns the value of key at the given snapshot (nil = latest). It
+// holds its version pin until the value is read (vloggc.go, rule 4).
 func (db *DB) Get(key []byte, snap *Snapshot) ([]byte, error) {
 	db.met.Gets.Add(1)
-	value, err := db.get(key, snap)
-	if err != nil && snap == nil &&
-		(errors.Is(err, vlog.ErrCorrupt) || errors.Is(err, vfs.ErrNotFound)) {
-		// A latest-seq Get holds no pin, so value GC may punch a record
-		// (ErrCorrupt) or unlink a fully collected segment (ErrNotFound)
-		// between this read resolving its pointer and dereferencing it —
-		// but only if a newer version of the key exists. One retry
-		// observes that newer version; a second failure is real rot.
-		value, err = db.get(key, snap)
-	}
-	return value, err
-}
-
-func (db *DB) get(key []byte, snap *Snapshot) ([]byte, error) {
-	seq := db.VisibleSeq()
-	if snap != nil {
-		seq = snap.seq
-	}
-	value, kind, found, err := db.lookup(key, seq)
-	switch {
-	case err != nil:
+	value, kind, found, v, err := db.lookup(key, snap)
+	if err != nil {
 		return nil, err
+	}
+	defer v.Unref()
+	switch {
 	case !found || kind == keys.KindDelete:
 		return nil, ErrNotFound
 	case kind == keys.KindSetPtr:
@@ -597,21 +579,26 @@ func (db *DB) get(key []byte, snap *Snapshot) ([]byte, error) {
 	return value, nil
 }
 
-// lookup returns the newest entry for key visible at seq — memtable, then
-// immutable memtable, then the tables — raw: tombstones and value-log
-// pointers come back with their kind for the caller to interpret. A plain
-// memtable value is copied out of the arena.
-func (db *DB) lookup(key []byte, seq keys.Seq) ([]byte, keys.Kind, bool, error) {
+// lookup returns the newest entry for key visible at snap (nil = latest) —
+// memtable, then immutable memtable, then the tables — raw: tombstones and
+// value-log pointers come back with their kind for the caller to
+// interpret. A plain memtable value is copied out of the arena. A latest
+// read takes its sequence in the critical section that pins the version,
+// which comes back pinned unless err is set.
+func (db *DB) lookup(key []byte, snap *Snapshot) ([]byte, keys.Kind, bool, *manifest.Version, error) {
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
-		return nil, 0, false, ErrClosed
+		return nil, 0, false, nil, ErrClosed
+	}
+	seq := db.VisibleSeq()
+	if snap != nil {
+		seq = snap.seq
 	}
 	mem, imm := db.mem, db.imm
 	v := db.vs.Current()
 	v.Ref()
 	db.mu.Unlock()
-	defer v.Unref()
 
 	// One seek key serves the memtables and every table probe below.
 	ikey := keys.MakeInternalKey(nil, key, seq, keys.KindSeekMax)
@@ -620,12 +607,17 @@ func (db *DB) lookup(key []byte, seq keys.Seq) ([]byte, keys.Kind, bool, error) 
 		value, kind, found = imm.GetSeek(ikey)
 	}
 	if !found {
-		return db.searchTables(v, ikey)
+		value, kind, found, err := db.searchTables(v, ikey)
+		if err != nil {
+			v.Unref()
+			return nil, 0, false, nil, err
+		}
+		return value, kind, found, v, nil
 	}
 	if kind == keys.KindSet {
 		value = append([]byte(nil), value...)
 	}
-	return value, kind, true, nil
+	return value, kind, true, v, nil
 }
 
 // vlogGet dereferences an encoded value-log pointer.

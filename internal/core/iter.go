@@ -181,11 +181,13 @@ func (l *runIter) Close() error {
 //
 //boltvet:mustclose
 type DBIter struct {
-	db     *DB
-	seq    keys.Seq
-	v      *manifest.Version // pinned until Close; nil when closed or never opened
-	pin    *list.Element     // entry in db.iterPins; holds back value-log punches
-	merged iterator.Merging
+	db  *DB
+	seq keys.Seq
+	v   *manifest.Version // pinned until Close; nil when closed or never opened
+	// snapEntry is its own db.snapshots entry when opened on a snapshot,
+	// so the snapshot's release leaves its reads under the seq gate.
+	snapEntry *list.Element
+	merged    iterator.Merging
 
 	key     []byte
 	value   []byte
@@ -203,22 +205,23 @@ func (db *DB) NewIter(snap *Snapshot) *DBIter {
 		db.mu.Unlock()
 		return &DBIter{err: ErrClosed}
 	}
-	// The sequence is read in the critical section that registers the pin:
-	// read before it, a value-GC pass could re-put, find no pin older than
-	// its safeSeq and punch in the window, leaving this iterator pinned at
-	// a sequence that cannot see the re-puts and pointing into the hole.
+	// A latest read takes its sequence in the critical section that pins
+	// the version (vloggc.go, rule 4).
 	seq := db.VisibleSeq()
+	var entry *list.Element
 	if snap != nil {
 		seq = snap.seq
+		if snap.elem != nil { // not yet released; InsertAfter keeps the list ascending
+			entry = db.snapshots.InsertAfter(seq, snap.elem)
+		}
 	}
 	mem, imm := db.mem, db.imm
 	v := db.vs.Current()
 	v.Ref()
-	// Pin seq for value GC: punches of records this iterator might still
-	// dereference are deferred until Close removes the pin.
-	pin := db.iterPins.PushBack(seq)
 	db.mu.Unlock()
-	return db.newIter(seq, v, pin, mem, imm)
+	it := &DBIter{db: db, seq: seq, v: v, snapEntry: entry}
+	it.merged.Init(db.readSources(v, mem, imm))
+	return it
 }
 
 // readSources returns what a read of a captured state merges: the
@@ -243,13 +246,6 @@ func (db *DB) readSources(v *manifest.Version, mem, imm *memtable.MemTable) []it
 		}
 	}
 	return sources
-}
-
-// newIter builds the iterator over a captured read state.
-func (db *DB) newIter(seq keys.Seq, v *manifest.Version, pin *list.Element, mem, imm *memtable.MemTable) *DBIter {
-	it := &DBIter{db: db, seq: seq, v: v, pin: pin}
-	it.merged.Init(db.readSources(v, mem, imm))
-	return it
 }
 
 // findVisible scans forward from the merged iterator's current position to
@@ -332,8 +328,8 @@ func (it *DBIter) Value() []byte { return it.value }
 // Err returns the first error encountered.
 func (it *DBIter) Err() error { return it.err }
 
-// Close releases the iterator's table references, version pin, and
-// value-GC pin; reclaims the pins were holding back run before returning.
+// Close releases the iterator's table references, version pin and
+// snapshot entry; reclaims they were holding back run before returning.
 // It reports the first failure closing a source.
 func (it *DBIter) Close() error {
 	if it.v == nil {
@@ -345,8 +341,10 @@ func (it *DBIter) Close() error {
 	db.mu.Lock()
 	it.v.Unref()
 	it.v = nil
-	db.iterPins.Remove(it.pin)
-	it.pin = nil
+	if it.snapEntry != nil {
+		db.snapshots.Remove(it.snapEntry)
+		it.snapEntry = nil
+	}
 	ops := db.takeReclaimsLocked(false)
 	db.mu.Unlock()
 	db.execReclaims(ops)

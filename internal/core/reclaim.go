@@ -37,20 +37,21 @@ func (a afterFlush) addTo(edit *manifest.VersionEdit) {
 	}
 }
 
-// reclaim is one entry of the reclaim queue. A deleted logical table is
-// gated on versions: gate is the ID of the version its deleting edit
-// produced, and table numbers are never re-added, so only older versions
-// can hold it. Any other file (name, num) — a value-log segment or a WAL —
-// is gated on readers: gate is the visible sequence after the GC commit,
-// at or past which a reader resolves the re-put, never the dead record.
-// Either its ranges are dead or the whole file is.
+// reclaim is one entry of the reclaim queue: a deleted logical table, or
+// another file (name, num) — a value-log segment or a WAL — whose ranges
+// or whole file are dead. version is the ID of the version whose edit
+// deleted it (a compaction's, or the flush's that logged a value-GC
+// advance): only readers pinning older versions can reach it. seq, set
+// for a value-GC advance, is the visible sequence after the re-put commit,
+// which holds it for older snapshots, which pin no version.
 type reclaim struct {
-	table  *manifest.FileMeta
-	name   func(uint64) string
-	num    uint64
-	ranges []deadRange
-	whole  bool
-	gate   uint64
+	table   *manifest.FileMeta
+	name    func(uint64) string
+	num     uint64
+	ranges  []deadRange
+	whole   bool
+	version uint64
+	seq     keys.Seq
 }
 
 // fileOp is one file operation of a reclaim pass: unlink the file, or
@@ -64,25 +65,25 @@ type fileOp struct {
 
 // takeReclaimsLocked removes the ready entries from the reclaim queue and
 // returns their file operations for execReclaims; the job envelope
-// (runJobLocked), DBIter.Close, Snapshot.Release and Close run the pair. A
-// taken table leaves the table cache and physRefs under mu; its physical
-// file is unlinked once no logical table references it, else its range is
-// punched. closing opens every gate: Close has
-// drained every reader. Nothing is allocated when nothing is ready.
+// (runJobLocked), DBIter.Close, Snapshot.Release and Close run the pair. An entry is ready once no live version predates its version
+// and no snapshot its seq; closing opens every gate: Close has drained
+// every reader. A taken table leaves the table cache and physRefs under
+// mu; its physical file is unlinked once no logical table references it,
+// else its range is punched. Nothing is allocated when nothing is ready.
 func (db *DB) takeReclaimsLocked(closing bool) []fileOp {
 	if len(db.reclaims) == 0 {
 		return nil
 	}
 	oldest, minSeq := uint64(math.MaxUint64), keys.Seq(math.MaxUint64)
 	if !closing {
-		oldest, minSeq = db.vs.OldestLiveID(), db.minReaderSeqLocked()
+		oldest, minSeq = db.vs.OldestLiveID(), db.smallestSnapshotLocked()
 	}
 	var ops []fileOp
 	keep := db.reclaims[:0]
 	for _, r := range db.reclaims {
 		f := r.table
 		switch {
-		case f == nil && uint64(minSeq) < r.gate, f != nil && oldest < r.gate:
+		case oldest < r.version || minSeq < r.seq:
 			keep = append(keep, r)
 		case f == nil:
 			if r.whole {

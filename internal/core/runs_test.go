@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"container/list"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -94,22 +93,25 @@ func refGet(db *DB, v *manifest.Version, ikey keys.InternalKey) ([]byte, keys.Ki
 	return nil, 0, false, nil
 }
 
-// pinRead takes what NewIter takes under db.mu for a read of v at seq.
-func pinRead(db *DB, v *manifest.Version, seq keys.Seq) *list.Element {
+// pinRead takes what NewIter takes under db.mu for a read of v: a version
+// pin, which DBIter.Close drops. It returns v.
+func pinRead(db *DB, v *manifest.Version) *manifest.Version {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	v.Ref()
-	return db.iterPins.PushBack(seq)
+	return v
 }
 
 // runPathIter is the engine's iterator over v's tables alone.
 func runPathIter(db *DB, v *manifest.Version, seq keys.Seq) *DBIter {
-	return db.newIter(seq, v, pinRead(db, v, seq), memtable.New(), nil)
+	it := &DBIter{db: db, seq: seq, v: pinRead(db, v)}
+	it.merged.Init(db.readSources(v, memtable.New(), nil))
+	return it
 }
 
 // refIter is the same user-visible collapse over the reference's sources.
 func refIter(t *testing.T, db *DB, v *manifest.Version, seq keys.Seq, honourQuarantine bool) *DBIter {
-	it := &DBIter{db: db, seq: seq, v: v, pin: pinRead(db, v, seq)}
+	it := &DBIter{db: db, seq: seq, v: pinRead(db, v)}
 	it.merged.Init(refSources(t, db, v, honourQuarantine))
 	return it
 }
@@ -654,7 +656,8 @@ func (f *failingCloseIter) Close() error { return f.err }
 
 // TestIterCloseSurfacesSourceCloseError: the first failure closing a
 // source — a run iterator reports the first of its tables' — comes back
-// from DBIter.Close, and the iterator's pins are released all the same.
+// from DBIter.Close, and the iterator's version pin is released all the
+// same.
 func TestIterCloseSurfacesSourceCloseError(t *testing.T) {
 	db := openTestDB(t, vfs.NewMem(), testConfig())
 	defer db.Close()
@@ -671,12 +674,20 @@ func TestIterCloseSurfacesSourceCloseError(t *testing.T) {
 	}
 
 	first, second := errors.New("first close failure"), errors.New("second close failure")
-	it := &DBIter{db: db, seq: keys.MaxSeq, v: v, pin: pinRead(db, v, keys.MaxSeq)}
+	it := &DBIter{db: db, seq: keys.MaxSeq, v: pinRead(db, v)}
 	it.merged.Init([]iterator.Iterator{
 		&runIter{db: db, v: v, level: level, files: v.Levels[level]},
 		&failingCloseIter{err: first},
 		&runIter{db: db, v: v, closeErr: second},
 	})
+	// Install newer versions that leave v's tables in place, so only the
+	// iterator's pin keeps v live.
+	if err := db.Put([]byte("zz"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CompactRange([]byte("zz"), nil); err != nil {
+		t.Fatal(err)
+	}
 	if !it.First() {
 		t.Fatalf("First: %v", it.Err())
 	}
@@ -686,11 +697,14 @@ func TestIterCloseSurfacesSourceCloseError(t *testing.T) {
 	if err := it.Close(); err != nil {
 		t.Fatalf("second Close = %v", err)
 	}
+	if err := db.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
 	db.mu.Lock()
-	pins := db.iterPins.Len()
+	oldest, current := db.vs.OldestLiveID(), db.vs.Current().ID()
 	db.mu.Unlock()
-	if pins != 0 {
-		t.Fatalf("%d iterator pins left after Close", pins)
+	if oldest != current {
+		t.Fatalf("version %d still pinned after Close (current %d)", oldest, current)
 	}
 
 	// A run iterator reports what it recorded while crossing tables.

@@ -459,13 +459,98 @@ func failOneVLogRead() vfs.Injector {
 	})
 }
 
-// TestGetRetriesOnce pins Get's retry rule with deterministic one-shot
-// faults on the value-log read. A latest-seq Get that finds its record
-// punched (a zeroed read, which fails the checksum) or its segment
-// unlinked (not found) may have raced value GC, so it retries once: one
-// failure is absorbed, a second is returned. A Get at a snapshot holds a
-// pin GC respects, and any other error is not a GC race: neither retries.
-func TestGetRetriesOnce(t *testing.T) {
+// vlogReclaimCounter counts the value-log punches and unlinks that reach
+// the filesystem, in total and while a read window is open.
+type vlogReclaimCounter struct {
+	inWindow      atomic.Bool
+	total, window atomic.Int64
+}
+
+func (c *vlogReclaimCounter) count(op vfs.Op) {
+	if op == vfs.OpPunchHole || op == vfs.OpRemove {
+		c.total.Add(1)
+		if c.inWindow.Load() {
+			c.window.Add(1)
+		}
+	}
+}
+
+// queuedReclaims returns the length of the reclaim queue.
+func queuedReclaims(db *DB) int {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return len(db.reclaims)
+}
+
+// TestGetPinsVersionAcrossValueGC: a Get holds its version until the value
+// is read. A value-GC cycle that runs inside the read window — re-put,
+// flush, reclaim — collects the very record the Get resolved, yet queues
+// its reclaim behind the Get's pin rather than punching or unlinking the
+// record under the read; the queue drains at the next pin drop.
+func TestGetPinsVersionAcrossValueGC(t *testing.T) {
+	efs := vfs.NewErrorFS(vfs.NewMem())
+	cfg := vlogTestConfig()
+	cfg.VLogGCGarbageRatio = 1.0 // manual GC only
+	cfg.VLogGCChunkBytes = 2 << 10
+	db := openTestDB(t, efs, cfg)
+	defer db.Close()
+	putPartialGarbage(t, db, "p")
+
+	// p-live00 sits right behind the segment's garbage head, in the range
+	// the cycle collects.
+	key := []byte("p-live00")
+	var (
+		c      vlogReclaimCounter
+		armed  atomic.Bool
+		gcErr  error
+		queued int
+	)
+	armed.Store(true)
+	efs.SetInjector(vfs.FilterName(isVLog, vfs.InjectorFunc(func(op vfs.Op, _ string, _ int64) error {
+		c.count(op)
+		if op == vfs.OpReadAt && armed.CompareAndSwap(true, false) {
+			c.inWindow.Store(true)
+			gcErr = db.CompactValueLog()
+			queued = queuedReclaims(db)
+			c.inWindow.Store(false)
+		}
+		return nil
+	})))
+	got, err := db.Get(key, nil)
+	if err != nil || !bytes.Equal(got, bigValue(string(key), 0)) {
+		t.Fatalf("Get across value GC = %d bytes, %v; want the value", len(got), err)
+	}
+	if armed.Load() {
+		t.Fatal("the Get read no value-log record")
+	}
+	if gcErr != nil {
+		t.Fatalf("CompactValueLog in the read window: %v", gcErr)
+	}
+	if n := c.window.Load(); n != 0 {
+		t.Fatalf("%d value-log punches or unlinks inside the read window", n)
+	}
+	if queued == 0 {
+		t.Fatal("value GC queued no reclaim behind the Get's version")
+	}
+
+	// The Get has dropped its pin; the next pin drop runs the queue.
+	db.NewSnapshot().Release()
+	if n := queuedReclaims(db); n != 0 {
+		t.Fatalf("%d reclaims still queued after the next pin drop", n)
+	}
+	if c.total.Load() == 0 {
+		t.Fatal("the drained queue punched and unlinked nothing")
+	}
+	if got, err := db.Get(key, nil); err != nil || !bytes.Equal(got, bigValue(string(key), 0)) {
+		t.Fatalf("Get after reclaim = %d bytes, %v; want the re-put value", len(got), err)
+	}
+}
+
+// TestGetReportsValueLogFaultsFirstTime: with no retry, a Get returns the
+// first failure of its value-log read — a zeroed (punched or rotted)
+// record as vlog.ErrCorrupt, any other fault as itself — at the latest
+// state and at a snapshot alike, and the next clean read succeeds.
+func TestGetReportsValueLogFaultsFirstTime(t *testing.T) {
 	efs := vfs.NewErrorFS(vfs.NewMem())
 	cfg := vlogTestConfig()
 	cfg.VLogGCGarbageRatio = 1.0 // no background GC
@@ -478,28 +563,19 @@ func TestGetRetriesOnce(t *testing.T) {
 	snap := db.NewSnapshot()
 	defer snap.Release()
 
-	// The next left value-log reads fail: with fail set they return it,
-	// otherwise they come back zeroed, as a punched record reads.
-	var mu sync.Mutex
-	left, fail := 0, error(nil)
-	take := func(inject bool) (bool, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if left == 0 || inject != (fail != nil) {
-			return false, nil
-		}
-		left--
-		return true, fail
-	}
+	// Once armed, the next value-log read fails: with fail set it returns
+	// fail, otherwise it comes back zeroed. fail is written only while
+	// disarmed and read only after armed is seen set.
+	var armed atomic.Bool
+	var fail error
 	efs.SetInjector(vfs.FilterName(isVLog, vfs.InjectorFunc(func(op vfs.Op, _ string, _ int64) error {
-		if op != vfs.OpReadAt {
-			return nil
+		if op == vfs.OpReadAt && armed.Load() && fail != nil && armed.CompareAndSwap(true, false) {
+			return fail
 		}
-		_, err := take(true)
-		return err
+		return nil
 	})))
 	efs.SetCorruptor(vfs.FilterCorruptName(isVLog, vfs.CorruptorFunc(func(_ vfs.Op, _ string, _ int64, p []byte, _ int64) {
-		if hit, _ := take(false); hit {
+		if armed.Load() && fail == nil && armed.CompareAndSwap(true, false) {
 			clear(p)
 		}
 	})))
@@ -507,32 +583,103 @@ func TestGetRetriesOnce(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		fail error // nil: zero the read
-		n    int
 		snap *Snapshot
-		want error // nil: the value
+		want error
 	}{
-		{"punched once", nil, 1, nil, nil},
-		{"punched twice", nil, 2, nil, vlog.ErrCorrupt},
-		{"unlinked once", vfs.ErrNotFound, 1, nil, nil},
-		{"unlinked twice", vfs.ErrNotFound, 2, nil, vfs.ErrNotFound},
-		{"punched at a snapshot", nil, 1, snap, vlog.ErrCorrupt},
-		{"unrelated error", injected, 1, nil, injected},
+		{"zeroed", nil, nil, vlog.ErrCorrupt},
+		{"zeroed at a snapshot", nil, snap, vlog.ErrCorrupt},
+		{"read fault", injected, nil, injected},
 	} {
-		mu.Lock()
-		left, fail = c.n, c.fail
-		mu.Unlock()
-		got, err := db.Get(key, c.snap)
-		switch {
-		case c.want == nil && (err != nil || !bytes.Equal(got, want)):
-			t.Errorf("%s: Get = %d bytes, %v; want the value", c.name, len(got), err)
-		case c.want != nil && !errors.Is(err, c.want):
+		fail = c.fail
+		armed.Store(true)
+		if got, err := db.Get(key, c.snap); !errors.Is(err, c.want) {
 			t.Errorf("%s: Get = %d bytes, %v; want %v", c.name, len(got), err, c.want)
 		}
-		mu.Lock()
-		if left > 0 {
-			t.Errorf("%s: %d armed faults never fired", c.name, left)
+		if armed.Load() {
+			t.Errorf("%s: the fault never fired", c.name)
 		}
-		mu.Unlock()
+		if got, err := db.Get(key, c.snap); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: clean Get = %d bytes, %v; want the value", c.name, len(got), err)
+		}
+	}
+}
+
+// TestIterPinsVersionAcrossValueGC: an iterator over pre-GC state still
+// reads every pre-GC value after a value-GC cycle collected them, and its
+// Close runs the reclaims it held back. One iterator is opened before the
+// cycle and holds back the reclaims by its version; the other is opened
+// after it on an older snapshot, which is then released first, and holds
+// them back by its own snapshot entry.
+func TestIterPinsVersionAcrossValueGC(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		// open returns the iterator; it runs the GC cycle before or after.
+		open func(t *testing.T, db *DB) *DBIter
+	}{
+		{"opened before the cycle", func(t *testing.T, db *DB) *DBIter {
+			it := db.NewIter(nil)
+			if err := db.CompactValueLog(); err != nil {
+				t.Fatal(err)
+			}
+			return it
+		}},
+		{"opened on a snapshot released before Close", func(t *testing.T, db *DB) *DBIter {
+			snap := db.NewSnapshot()
+			if err := db.CompactValueLog(); err != nil {
+				t.Fatal(err)
+			}
+			it := db.NewIter(snap)
+			snap.Release()
+			return it
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			efs := vfs.NewErrorFS(vfs.NewMem())
+			cfg := vlogTestConfig()
+			cfg.VLogGCGarbageRatio = 1.0 // manual GC only
+			cfg.VLogGCChunkBytes = 2 << 10
+			db := openTestDB(t, efs, cfg)
+			defer db.Close()
+			putPartialGarbage(t, db, "p")
+			want := map[string][]byte{}
+			for i := 0; i < 3; i++ {
+				key := fmt.Sprintf("p-dead%d", i)
+				want[key] = bigValue(key, 1)
+			}
+			for i := 0; i < 20; i++ {
+				key := fmt.Sprintf("p-live%02d", i)
+				want[key] = bigValue(key, 0)
+			}
+
+			var rc vlogReclaimCounter
+			efs.SetInjector(vfs.FilterName(isVLog, vfs.InjectorFunc(func(op vfs.Op, _ string, _ int64) error {
+				rc.count(op)
+				return nil
+			})))
+			it := c.open(t, db)
+			if queuedReclaims(db) == 0 {
+				t.Fatal("value GC queued no reclaim behind the iterator")
+			}
+			n := 0
+			for ok := it.First(); ok; ok = it.Next() {
+				if w := want[string(it.Key())]; !bytes.Equal(it.Value(), w) {
+					t.Fatalf("iterator after GC: %s = %d bytes, want %d", it.Key(), len(it.Value()), len(w))
+				}
+				n++
+			}
+			if err := it.Err(); err != nil || n != len(want) {
+				t.Fatalf("iterator after GC read %d of %d keys: %v", n, len(want), err)
+			}
+			if err := it.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if n := queuedReclaims(db); n != 0 {
+				t.Fatalf("%d reclaims still queued after Close", n)
+			}
+			if rc.total.Load() == 0 {
+				t.Fatal("Close punched and unlinked nothing")
+			}
+		})
 	}
 }
 

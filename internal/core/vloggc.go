@@ -45,12 +45,15 @@ import (
 //     scanned twice.
 //  4. Punching is gated on durability and readers. The advance's reclaim
 //     enters the reclaim queue (reclaim.go) only once the advance is
-//     durable, gated on the visible sequence captured after the re-put
-//     commit: a reader at or past it resolves the re-put (or something
-//     newer), never the dead record, so it waits until no snapshot or open
-//     iterator predates that sequence. The one reader class that holds no
-//     pin — a latest-seq Get already in flight — is covered by Get's
-//     single retry on ErrCorrupt.
+//     durable, with two gates: the version the logging flush installed,
+//     and the visible sequence captured after the re-put commit. A reader
+//     that pins a version reads its sequence in the same critical section
+//     (Get, NewIter), so one that pins that version or a newer one
+//     resolves the re-put (or something newer), never the dead record; an
+//     older pin holds the reclaim until it drops. Snapshots pin no
+//     version: the sequence gate holds the reclaim for them, and for each
+//     iterator opened on one, which keeps its own snapshot-list entry
+//     until Close.
 
 // gcEntry is one record the GC pass found live at scan time.
 type gcEntry struct {
@@ -191,7 +194,7 @@ func (db *DB) valueGCPassLocked(j *job) error {
 	db.afterFlush = append(db.afterFlush, afterFlush{
 		gen: db.walNum,
 		seg: manifest.VLogSegmentEdit{Num: seg, GCOffset: chunkEnd, GarbageDelta: -deadBytes},
-		r:   reclaim{name: manifest.VLogFileName, num: seg, ranges: punchRanges, whole: full, gate: uint64(db.VisibleSeq())},
+		r:   reclaim{name: manifest.VLogFileName, num: seg, ranges: punchRanges, whole: full, seq: db.VisibleSeq()},
 	})
 	// BytesOut is what this pass made reclaimable; the punches themselves
 	// wait for the next flush, and may then be deferred behind old readers.
@@ -228,13 +231,21 @@ func (db *DB) vlogCursorsLocked() map[uint64]compaction.VLogCursor {
 	return cursors
 }
 
+// newestEntries is a detached snapshot, never registered or released, at
+// keys.MaxSeq: it sees every entry in the tree, published or not.
+var newestEntries = &Snapshot{seq: keys.MaxSeq}
+
 // pointsAt reports whether the newest version of key in the whole tree is
 // a pointer equal to expect. Called without mu; runs the full read path at
-// the latest sequence.
+// newestEntries.
 func (db *DB) pointsAt(key []byte, expect vlog.Pointer) (bool, error) {
-	value, kind, found, err := db.lookup(key, keys.MaxSeq)
-	if err != nil || !found || kind != keys.KindSetPtr {
+	value, kind, found, v, err := db.lookup(key, newestEntries)
+	if err != nil {
 		return false, err
+	}
+	v.Unref()
+	if !found || kind != keys.KindSetPtr {
+		return false, nil
 	}
 	p, err := vlog.DecodePointer(value)
 	return err == nil && p == expect, nil
@@ -289,24 +300,6 @@ func (db *DB) filterGCBatchLocked(w *dbWriter) error {
 	}
 	w.b = b
 	return nil
-}
-
-// minReaderSeqLocked returns the oldest sequence any current reader may
-// observe: the oldest snapshot, the oldest open iterator, or (with
-// neither) the visible sequence.
-func (db *DB) minReaderSeqLocked() keys.Seq {
-	min := db.VisibleSeq()
-	if front := db.snapshots.Front(); front != nil {
-		if s := front.Value.(keys.Seq); s < min {
-			min = s
-		}
-	}
-	for e := db.iterPins.Front(); e != nil; e = e.Next() {
-		if s := e.Value.(keys.Seq); s < min {
-			min = s
-		}
-	}
-	return min
 }
 
 // rotateVLogLocked seals the active segment, queues its MANIFEST record

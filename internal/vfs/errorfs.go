@@ -3,7 +3,6 @@ package vfs
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -210,7 +209,7 @@ func FilterCorruptName(pred func(name string) bool, c Corruptor) Corruptor {
 }
 
 // ErrorFS wraps a filesystem with labeled fault-injection sites and, when
-// the wrapped filesystem is a *MemFS, torn-write crash-image simulation.
+// the wrapped filesystem is a *MemFS, crash images of it.
 // Each operation first consults the installed injector (if any); a non-nil
 // result fails the operation before it reaches the wrapped filesystem, so
 // an injected Sync failure really does leave the affected bytes unsynced.
@@ -223,11 +222,6 @@ type ErrorFS struct {
 	mu   sync.Mutex
 	inj  Injector  //boltvet:guardedby mu
 	corr Corruptor //boltvet:guardedby mu
-	// pending holds, per file name, the bytes written through this ErrorFS
-	// since the file's last successful sync — the data a torn crash image
-	// may partially expose. Tracking is by name at handle-creation time;
-	// the engine never renames a file it still writes through.
-	pending map[string][]byte //boltvet:guardedby mu
 }
 
 var _ FS = (*ErrorFS)(nil)
@@ -235,7 +229,7 @@ var _ FS = (*ErrorFS)(nil)
 // NewErrorFS wraps inner with no injector installed (all operations pass
 // through until SetInjector is called).
 func NewErrorFS(inner FS) *ErrorFS {
-	return &ErrorFS{inner: inner, pending: make(map[string][]byte)}
+	return &ErrorFS{inner: inner}
 }
 
 // SetInjector installs inj; nil disables injection. Safe to call while the
@@ -297,9 +291,6 @@ func (fs *ErrorFS) Create(name string) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs.mu.Lock()
-	fs.pending[name] = nil // Create truncates
-	fs.mu.Unlock()
 	return &errorFile{fs: fs, name: name, inner: f}, nil
 }
 
@@ -319,13 +310,7 @@ func (fs *ErrorFS) Remove(name string) error {
 	if err := fs.check(OpRemove, name); err != nil {
 		return err
 	}
-	if err := fs.inner.Remove(name); err != nil {
-		return err
-	}
-	fs.mu.Lock()
-	delete(fs.pending, name)
-	fs.mu.Unlock()
-	return nil
+	return fs.inner.Remove(name)
 }
 
 // Rename renames oldname to newname, subject to OpRename injection.
@@ -333,18 +318,7 @@ func (fs *ErrorFS) Rename(oldname, newname string) error {
 	if err := fs.check(OpRename, oldname); err != nil {
 		return err
 	}
-	if err := fs.inner.Rename(oldname, newname); err != nil {
-		return err
-	}
-	fs.mu.Lock()
-	if p, ok := fs.pending[oldname]; ok {
-		fs.pending[newname] = p
-		delete(fs.pending, oldname)
-	} else {
-		delete(fs.pending, newname)
-	}
-	fs.mu.Unlock()
-	return nil
+	return fs.inner.Rename(oldname, newname)
 }
 
 // List returns all file names (never injected).
@@ -376,53 +350,14 @@ func (fs *ErrorFS) CorruptFileRange(name string, off, length int64) error {
 	return fs.inner.(*MemFS).CorruptFileRange(name, off, length)
 }
 
-// TornCrashImage is CrashImage plus torn-write simulation: for every
-// surviving file, a random prefix of its unsynced tail (bytes written
-// through this ErrorFS but never durably synced) reaches the image, and
-// with probability 1/2 the final bytes of that prefix are replaced with
-// garbage — the states a real disk exposes when power fails mid-write.
-// Synced bytes are never torn. rng drives all random choices; files are
-// processed in sorted-name order so a seeded rng gives a deterministic
-// image.
+// TornCrashImage is CrashImage plus torn writes (see
+// MemFS.TornCrashClone; it panics when the inner filesystem is not a
+// *MemFS).
 func (fs *ErrorFS) TornCrashImage(rng *rand.Rand) *MemFS {
-	clone := fs.inner.(*MemFS).CrashClone()
-	fs.mu.Lock()
-	pending := make(map[string][]byte, len(fs.pending))
-	names := make([]string, 0, len(fs.pending))
-	for name, tail := range fs.pending {
-		if len(tail) == 0 {
-			continue
-		}
-		pending[name] = append([]byte(nil), tail...)
-		names = append(names, name)
-	}
-	fs.mu.Unlock()
-	sort.Strings(names)
-
-	for _, name := range names {
-		f, err := clone.Open(name)
-		if err != nil {
-			continue // directory entry was not durable: nothing survives
-		}
-		tail := pending[name]
-		k := rng.Intn(len(tail) + 1) // torn bytes that reached the platter
-		frag := append([]byte(nil), tail[:k]...)
-		if k > 0 && rng.Intn(2) == 0 {
-			g := 1 + rng.Intn(min(k, 64))
-			for i := k - g; i < k; i++ {
-				frag[i] = byte(rng.Intn(256))
-			}
-		}
-		if len(frag) > 0 {
-			_, _ = f.Write(frag)
-		}
-		_ = f.Close()
-	}
-	return clone
+	return fs.inner.(*MemFS).TornCrashClone(rng)
 }
 
-// errorFile routes a handle's operations through the ErrorFS check sites
-// and maintains the unsynced-bytes tracking for torn-write simulation.
+// errorFile routes a handle's operations through the ErrorFS check sites.
 type errorFile struct {
 	fs    *ErrorFS
 	name  string
@@ -435,13 +370,7 @@ func (f *errorFile) Write(p []byte) (int, error) {
 	if err := f.fs.check(OpWrite, f.name); err != nil {
 		return 0, err
 	}
-	n, err := f.inner.Write(p)
-	if n > 0 {
-		f.fs.mu.Lock()
-		f.fs.pending[f.name] = append(f.fs.pending[f.name], p[:n]...)
-		f.fs.mu.Unlock()
-	}
-	return n, err
+	return f.inner.Write(p)
 }
 
 func (f *errorFile) ReadAt(p []byte, off int64) (int, error) {
@@ -463,13 +392,7 @@ func (f *errorFile) Sync() error {
 	if err := f.fs.check(OpSync, f.name); err != nil {
 		return err
 	}
-	if err := f.inner.Sync(); err != nil {
-		return err
-	}
-	f.fs.mu.Lock()
-	delete(f.fs.pending, f.name)
-	f.fs.mu.Unlock()
-	return nil
+	return f.inner.Sync()
 }
 
 func (f *errorFile) Size() (int64, error) { return f.inner.Size() }

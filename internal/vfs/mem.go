@@ -3,6 +3,8 @@ package vfs
 import (
 	"fmt"
 	"io"
+	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -225,6 +227,50 @@ func (fs *MemFS) CrashClone() *MemFS {
 		if _, exists := clone.files[name]; !exists {
 			restore(name, f)
 		}
+	}
+	return clone
+}
+
+// TornCrashClone is CrashClone plus torn writes: for every file whose
+// directory entry survives, a random prefix of its unsynced tail reaches
+// the image, and with probability 1/2 the final bytes of that prefix are
+// replaced with garbage — the states a real disk exposes when power fails
+// mid-write. Synced bytes are never torn; a hole punched in an unsynced
+// tail reaches the image as zeros. rng drives all random choices; files
+// are taken in sorted-name order, so a seeded rng gives a deterministic
+// image.
+func (fs *MemFS) TornCrashClone(rng *rand.Rand) *MemFS {
+	clone := fs.CrashClone()
+	fs.mu.Lock()
+	tails := make(map[string][]byte)
+	var names []string
+	for name, f := range fs.files {
+		f.mu.RLock()
+		if tail := f.data[f.syncedLen:]; len(tail) > 0 {
+			tails[name] = append([]byte(nil), tail...)
+			names = append(names, name)
+		}
+		f.mu.RUnlock()
+	}
+	fs.mu.Unlock()
+	sort.Strings(names)
+
+	for _, name := range names {
+		nf, ok := clone.files[name]
+		if !ok {
+			continue // directory entry was not durable: nothing survives
+		}
+		tail := tails[name]
+		k := rng.Intn(len(tail) + 1) // torn bytes that reached the platter
+		frag := tail[:k]
+		if k > 0 && rng.Intn(2) == 0 {
+			g := 1 + rng.Intn(min(k, 64))
+			for i := k - g; i < k; i++ {
+				frag[i] = byte(rng.Intn(256))
+			}
+		}
+		nf.data = append(nf.data, frag...)
+		nf.allocated += int64(k)
 	}
 	return clone
 }
