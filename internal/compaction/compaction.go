@@ -92,11 +92,6 @@ const (
 	// the table's still-checksummed blocks that deletes the corrupt table
 	// (clearing its quarantine).
 	ReasonSalvage = "salvage"
-	// ReasonValueGC is a value-log garbage-collection pass: live records in
-	// a mostly-dead segment are re-put through the write path, dead payload
-	// ranges are hole-punched, and the GC watermark advances. It touches no
-	// tables; the executor lives in internal/core.
-	ReasonValueGC = "value GC"
 )
 
 // Compaction describes one unit of background work chosen by the picker.
@@ -117,10 +112,6 @@ type Compaction struct {
 	CutPoints [][]byte
 	// Reason is a human-readable trigger description.
 	Reason string
-	// VLogSegment, nonzero only for ReasonValueGC, is the value-log segment
-	// being collected. The reservation claims it so two GC passes never run
-	// over the same segment concurrently.
-	VLogSegment uint64
 }
 
 // InputBytes returns the total bytes that will be read.
@@ -285,17 +276,14 @@ func (c VLogCursor) Apply(s manifest.VLogSegment) (gcOffset, garbage int64) {
 	return max(s.GCOffset, c.GCOffset), max(s.Garbage+c.GarbageDelta, 0)
 }
 
-// PickValueGC returns a value-GC compaction for the sealed segment whose
-// uncollected bytes are deadest, or nil when no segment crosses minRatio.
-// activeSeg (the segment the writer is appending to) is never picked: its
-// size is still growing and its records may be newer than any flushed
-// table. cursors carries the engine's progress ahead of v (see
-// VLogCursor). The executor lives in internal/core; like salvage, the
-// Reason tag is how it recognizes the pick. Value GC is scheduled
-// independently of Pick — it competes for a worker, not for table
-// reservations.
-func (p *Picker) PickValueGC(v *manifest.Version, env Env, activeSeg uint64, minRatio float64, cursors map[uint64]VLogCursor) *Compaction {
-	var best *Compaction
+// PickValueGC returns the sealed value-log segment whose uncollected bytes
+// are deadest, or 0 when no segment crosses minRatio. activeSeg (the
+// segment the writer is appending to) is never picked: its size is still
+// growing and its records may be newer than any flushed table. cursors
+// carries the engine's progress ahead of v (see VLogCursor). The executor
+// lives in internal/core, which runs one pass at a time.
+func (p *Picker) PickValueGC(v *manifest.Version, activeSeg uint64, minRatio float64, cursors map[uint64]VLogCursor) uint64 {
+	var best uint64
 	bestRatio := -1.0
 	for _, s := range v.VLogSegments() {
 		cur := cursors[s.Num]
@@ -308,14 +296,9 @@ func (p *Picker) PickValueGC(v *manifest.Version, env Env, activeSeg uint64, min
 		if ratio < minRatio && garbage < remaining {
 			continue
 		}
-		if ratio <= bestRatio {
-			continue
+		if ratio > bestRatio {
+			best, bestRatio = s.Num, ratio
 		}
-		c := &Compaction{Reason: ReasonValueGC, VLogSegment: s.Num}
-		if env.InFlight.Conflicts(c) {
-			continue
-		}
-		best, bestRatio = c, ratio
 	}
 	return best
 }

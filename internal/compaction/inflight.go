@@ -19,10 +19,6 @@ type Reservation struct {
 	// be protected against concurrent outputs just like rewritten data.
 	smallest, largest []byte   //boltvet:guardedby none -- immutable after Reserve
 	files             []uint64 //boltvet:guardedby none -- immutable after Reserve
-	// vlogSeg, nonzero only for value-GC work, claims one value-log segment
-	// the way files claims tables: a second GC pass over the same segment
-	// conflicts. Value-GC reservations carry no tables and no span.
-	vlogSeg uint64 //boltvet:guardedby none -- immutable after Reserve
 }
 
 // InFlight is the registry of reservations for currently executing
@@ -61,7 +57,7 @@ func (in *InFlight) FileReserved(num uint64) bool {
 // the compaction commits or fails. The caller must have established that
 // Conflicts(c) is false.
 func (in *InFlight) Reserve(c *Compaction) *Reservation {
-	r := &Reservation{level: c.Level, outputLevel: c.OutputLevel, vlogSeg: c.VLogSegment}
+	r := &Reservation{level: c.Level, outputLevel: c.OutputLevel}
 	r.smallest, r.largest = reservedSpan(c)
 	eachInputFile(c, func(num uint64) {
 		r.files = append(r.files, num)
@@ -90,7 +86,7 @@ func (in *InFlight) Release(r *Reservation) {
 }
 
 // Conflicts reports whether c may not run concurrently with the held
-// reservations. Four rules, each protecting one invariant:
+// reservations. Three rules, each protecting one invariant:
 //
 //  1. Shared input table: two compactions consuming the same table would
 //     both delete it (double-free) and one would read data the other is
@@ -102,21 +98,8 @@ func (in *InFlight) Release(r *Reservation) {
 //  3. Output-range overlap: two compactions writing overlapping user-key
 //     ranges into the same level would break the level's sorted-table
 //     invariant the moment both commit.
-//  4. Shared value-log segment: two GC passes over one segment would both
-//     re-put its live records (duplicating writes) and race on its GC
-//     watermark. Value-GC work claims only its segment — it consumes no
-//     tables and writes no output range, so it is exempt from rules 1-3
-//     (and from rule 2 in particular: its zero-valued Level is not L0).
 func (in *InFlight) Conflicts(c *Compaction) bool {
 	if in == nil || len(in.res) == 0 {
-		return false
-	}
-	if c.VLogSegment != 0 {
-		for _, r := range in.res {
-			if r.vlogSeg == c.VLogSegment {
-				return true
-			}
-		}
 		return false
 	}
 	conflict := false
@@ -130,9 +113,6 @@ func (in *InFlight) Conflicts(c *Compaction) bool {
 	}
 	smallest, largest := reservedSpan(c)
 	for _, r := range in.res {
-		if r.vlogSeg != 0 {
-			continue
-		}
 		if c.Level == 0 && r.level == 0 {
 			return true
 		}

@@ -48,7 +48,7 @@ func errIsTransient(err error) bool {
 
 // pendingErrLocked returns the read-only degradation as an error, or nil.
 func (db *DB) pendingErrLocked() error {
-	if db.readOnly {
+	if db.roCause != nil {
 		return &ReadOnlyError{Cause: db.roCause}
 	}
 	return nil
@@ -57,7 +57,7 @@ func (db *DB) pendingErrLocked() error {
 // bgStoppedLocked reports whether background work must stop: the DB is
 // closed or read-only. Every wait loop exits on both, or it would hang.
 func (db *DB) bgStoppedLocked() bool {
-	return db.closed || db.readOnly
+	return db.closed || db.roCause != nil
 }
 
 // retryLocked is the failure policy of a failed background job, keyed by
@@ -98,10 +98,10 @@ func (db *DB) retryLocked(k jobKind, err error) bool {
 // degradeLocked enters read-only mode with a non-nil err as its cause,
 // once, and wakes every wait loop; mu is released to emit the event.
 func (db *DB) degradeLocked(err error) {
-	if err == nil || db.readOnly {
+	if err == nil || db.roCause != nil {
 		return
 	}
-	db.readOnly, db.roCause = true, err
+	db.roCause = err
 	db.met.ReadOnlyDegradations.Add(1)
 	db.cond.Broadcast()
 	db.mu.Unlock()
@@ -139,12 +139,12 @@ func backoffDelay(base, maxDelay time.Duration, attempt int) time.Duration {
 func (db *DB) ReadOnly() (bool, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.readOnly, db.roCause
+	return db.roCause != nil, db.roCause
 }
 
-// deadRange is a byte range recorded as dead-but-unreclaimed: its hole
-// punch was not supported by the backend, so the space is still allocated
-// even though no live table references it.
+// deadRange is a byte range of a file whose data no reader needs: a hole
+// punch reclaims it, or a backend that cannot punch counts it in
+// deadBytes.
 type deadRange struct {
 	off, size int64
 }
@@ -155,10 +155,8 @@ func (db *DB) DeadRangeBytes() int64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	var total int64
-	for _, ranges := range db.deadRanges {
-		for _, r := range ranges {
-			total += r.size
-		}
+	for _, n := range db.deadBytes {
+		total += n
 	}
 	return total
 }

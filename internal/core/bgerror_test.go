@@ -333,10 +333,7 @@ func TestPunchHoleFallbackRecordsDeadRanges(t *testing.T) {
 	db.mu.Unlock()
 	reclaimTables(&manifest.FileMeta{Num: 90100, PhysNum: phys, Offset: 0, Size: sz})
 	db.mu.Lock()
-	dead := int64(0)
-	for _, r := range db.deadRanges[phys] {
-		dead += r.size
-	}
+	dead := db.deadBytes[phys]
 	db.mu.Unlock()
 
 	m := db.Metrics()

@@ -89,7 +89,7 @@ func (db *DB) CompactRange(start, limit []byte) error {
 				if level > 0 {
 					level++
 				}
-				return db.reserveLocked(jobCompaction, c)
+				return db.reserveLocked(c)
 			}
 		}
 		return nil
@@ -204,6 +204,8 @@ func (db *DB) flushLocked(j *job) error {
 		return fmt.Errorf("core: flush: %w", err)
 	}
 
+	// The new log number also tells the value-GC commit filter that a
+	// memtable left (filterGCBatchLocked).
 	edit := &manifest.VersionEdit{}
 	edit.SetLogNum(logNum)
 	for _, m := range metas {
@@ -252,9 +254,6 @@ func (db *DB) flushLocked(j *job) error {
 	db.met.LevelCompactionsIn[0].Add(1)
 	db.met.LevelBytesWritten[0].Add(outBytes)
 	db.imm = nil
-	// The memtable-absence liveness rule (see filterGCBatchLocked) expires
-	// whenever a memtable retires.
-	db.flushEpoch++
 	j.end.Outputs, j.end.BytesOut = len(metas), outBytes
 	return nil
 }

@@ -46,11 +46,9 @@ type DB struct {
 	tableCache *cache.TableCache  //boltvet:guardedby none -- immutable after Open; cache locks itself
 	picker     *compaction.Picker //boltvet:guardedby none -- immutable after Open; stateless picker
 
-	// vlogFDs and vlogReader are always constructed — even with separation
-	// off — so reads can dereference pointers written by an earlier
-	// configuration.
-	vlogFDs    *cache.FDCache //boltvet:guardedby none -- immutable after Open; cache locks itself
-	vlogReader *vlog.Reader   //boltvet:guardedby none -- immutable after Open; reader is stateless over vlogFDs
+	// vlogFDs is always constructed — even with separation off — so reads
+	// can dereference pointers written by an earlier configuration.
+	vlogFDs *cache.FDCache //boltvet:guardedby none -- immutable after Open; cache locks itself
 
 	// stopc is closed once by Close (under mu, which serializes against
 	// double close); retry backoffs and the scrub throttle select on it
@@ -71,15 +69,10 @@ type DB struct {
 	// valueSeparation() is on and points at the active segment. The leader
 	// captures vlogW under mu and appends off-mu, exactly like walW; the
 	// writer locks itself so flush-time Syncs may race leader appends.
-	vlogW   *vlog.Writer //boltvet:guardedby mu
-	vlogNum uint64       //boltvet:guardedby mu -- segment number behind vlogW
+	vlogW *vlog.Writer //boltvet:guardedby mu
 	// vlogGCStuck suppresses segments whose GC cannot advance (rotted
 	// record header mid-segment).
 	vlogGCStuck map[uint64]bool //boltvet:guardedby mu
-	// flushEpoch counts memtable retirements (imm cleared by a flush); the
-	// GC commit filter uses it to detect whether "key absent from both
-	// memtables" can have changed meaning since its scan.
-	flushEpoch uint64 //boltvet:guardedby mu
 
 	// visibleSeq is the highest sequence number visible to reads; it is
 	// atomic so the read path can snapshot it without mu.
@@ -103,12 +96,14 @@ type DB struct {
 	// The background-job runner (jobs.go). lanes holds each lane's worker
 	// slots; running counts live jobs, background and foreground — the one
 	// drain counter Close and WaitIdle wait on. flushActive is the claim on
-	// the pending flush. manualActive stops compaction picks and value-GC
-	// passes (flushes keep running) while CompactRange runs. scrubDue marks
-	// a background scrub pass due; scrubTimer sets it every interval.
+	// the pending flush, gcActive the claim on the one value-GC pass.
+	// manualActive stops compaction picks and value-GC passes (flushes keep
+	// running) while CompactRange runs. scrubDue marks a background scrub
+	// pass due; scrubTimer sets it every interval.
 	lanes        [numLanes]lane //boltvet:guardedby mu
 	running      int            //boltvet:guardedby mu
 	flushActive  bool           //boltvet:guardedby mu
+	gcActive     bool           //boltvet:guardedby mu
 	manualActive bool           //boltvet:guardedby mu
 	scrubDue     bool           //boltvet:guardedby mu
 	scrubTimer   *time.Timer    //boltvet:guardedby mu
@@ -119,19 +114,18 @@ type DB struct {
 	nextJobID uint64 //boltvet:guardedby mu
 	closed    bool   //boltvet:guardedby mu
 
-	// readOnly marks the degraded mode entered when background work
-	// exhausts its retry budget or hits a permanent fault (see bgerror.go):
-	// reads keep serving the last committed state, writes and manual
-	// compactions fail with a ReadOnlyError wrapping roCause.
-	readOnly bool  //boltvet:guardedby mu
-	roCause  error //boltvet:guardedby mu
+	// roCause, once set, marks the degraded mode entered when background
+	// work exhausts its retry budget or hits a permanent fault (see
+	// bgerror.go): reads keep serving the last committed state, writes and
+	// manual compactions fail with a ReadOnlyError wrapping it.
+	roCause error //boltvet:guardedby mu
 	// fails counts consecutive failed background jobs per kind, driving
 	// the retry backoff; reset on the kind's next success.
 	fails [numJobKinds]int //boltvet:guardedby mu
 
-	// deadRanges records, per physical file, byte ranges whose hole punch
-	// the backend could not perform: logically dead but not reclaimed.
-	deadRanges map[uint64][]deadRange //boltvet:guardedby mu
+	// deadBytes totals, per physical file, the bytes whose hole punch the
+	// backend could not perform: logically dead but not reclaimed.
+	deadBytes map[uint64]int64 //boltvet:guardedby mu
 
 	seekCompactFile  *manifest.FileMeta //boltvet:guardedby mu
 	seekCompactLevel int                //boltvet:guardedby mu
@@ -163,7 +157,7 @@ func Open(fs vfs.FS, cfg Config) (*DB, error) {
 		mem:               memtable.New(),
 		snapshots:         list.New(),
 		physRefs:          make(map[uint64]int),
-		deadRanges:        make(map[uint64][]deadRange),
+		deadBytes:         make(map[uint64]int64),
 		inflight:          compaction.NewInFlight(),
 		quarantinePending: make(map[uint64]bool),
 		vlogGCStuck:       make(map[uint64]bool),
@@ -182,11 +176,10 @@ func Open(fs vfs.FS, cfg Config) (*DB, error) {
 		db.fdCache = cache.NewFDCache(db.fs, cfg.TableCacheEntries, cfg.CacheShards)
 	}
 	db.tableCache = cache.NewTableCache(db.fs, cfg.TableCacheEntries, cfg.CacheShards, db.fdCache, db.blockCache, db.sstConfig())
-	// The value-log FD cache and reader exist regardless of ValueThreshold:
-	// a database written with separation on must stay readable after the
+	// The value-log FD cache exists regardless of ValueThreshold: a
+	// database written with separation on must stay readable after the
 	// threshold is turned off.
 	db.vlogFDs = cache.NewFDCacheNamed(db.fs, cfg.TableCacheEntries, cfg.CacheShards, manifest.VLogFileName)
-	db.vlogReader = vlog.NewReader(db.vlogFDs)
 	db.picker = &compaction.Picker{Opts: compaction.Options{
 		L0Trigger:      cfg.L0CompactionTrigger,
 		L1MaxBytes:     cfg.L1MaxBytes,
@@ -289,15 +282,8 @@ func (db *DB) recover() error {
 		if v, ok := vlogValid[seg]; ok || !vlogOnDisk[seg] {
 			return v, nil
 		}
-		f, err := db.fs.Open(manifest.VLogFileName(seg))
-		if err != nil {
-			return 0, err
-		}
-		defer f.Close()
-		size, err := f.Size()
-		if err == nil {
-			vlogValid[seg], err = vlog.ValidLength(f, 0, size)
-		}
+		var err error
+		vlogValid[seg], err = vlogValidLength(db.fs, manifest.VLogFileName(seg))
 		return vlogValid[seg], err
 	}
 
@@ -378,8 +364,8 @@ func (db *DB) recover() error {
 	// before the recovery LogAndApply so the number is burned durably and
 	// can never collide after another crash.
 	if db.cfg.valueSeparation() {
-		db.vlogNum = db.vs.NextFileNum()
-		db.vlogW, err = vlog.NewWriter(db.fs, manifest.VLogFileName(db.vlogNum), db.vlogNum)
+		num := db.vs.NextFileNum()
+		db.vlogW, err = vlog.NewWriter(db.fs, manifest.VLogFileName(num), num)
 		if err != nil {
 			return err
 		}
@@ -449,7 +435,7 @@ func (db *DB) removeOrphans() {
 			// Live segments are in the version (flushes record the active
 			// segment and every sealed one); the only referenced segment
 			// possibly absent is the freshly created active one.
-			if _, ok := db.vs.Current().VLogSegment(num); !ok && num != db.vlogNum {
+			if _, ok := db.vs.Current().VLogSegment(num); !ok && (db.vlogW == nil || num != db.vlogW.Seg()) {
 				_ = db.fs.Remove(n)
 			}
 		case manifest.KindTemp:
@@ -627,7 +613,12 @@ func (db *DB) vlogGet(ptr []byte) ([]byte, error) {
 		return nil, err
 	}
 	db.met.VLogDerefs.Add(1)
-	return db.vlogReader.Get(p)
+	var value []byte
+	err = db.vlogFDs.With(p.Seg, func(f vfs.File) error {
+		_, value, err = vlog.ReadRecord(f, p)
+		return err
+	})
+	return value, err
 }
 
 // tableSearch carries one key lookup across the table levels. It is a

@@ -11,12 +11,12 @@ import (
 // The background-job runner. A job is one unit of background work — a
 // flush, a compaction (salvage included), one value-GC pass or one scrub
 // pass — plus what it claimed when it was picked: the flush claim, an
-// in-flight reservation, or a pinned version. Every job, background or
-// foreground, runs in one envelope (runJobLocked) that numbers it, emits
-// its start and end events with the job and worker IDs, the wall time and
-// the barrier delta, releases its claim before any retry backoff, and
-// then runs the reclaims that became ready (reclaim.go). The kind's run
-// function (flushLocked, compactLocked, valueGCPassLocked,
+// in-flight reservation, the value-GC claim, or a pinned version. Every
+// job, background or foreground, runs in one envelope (runJobLocked) that
+// numbers it, emits its start and end events with the job and worker IDs,
+// the wall time and the barrier delta, releases its claim before any retry
+// backoff, and then runs the reclaims that became ready (reclaim.go). The
+// kind's run function (flushLocked, compactLocked, valueGCPassLocked,
 // scrubLocked) does the I/O and the MANIFEST commit, nothing else.
 //
 // Background jobs run on lanes of bounded capacity (DESIGN.md §6d): flush
@@ -48,8 +48,9 @@ var jobEvents = [numJobKinds][2]events.Type{
 // job is one picked unit of work and its claim.
 type job struct {
 	kind jobKind
-	c    *compaction.Compaction // compaction and value-GC jobs
+	c    *compaction.Compaction // compaction jobs
 	r    *compaction.Reservation
+	seg  uint64 // a value-GC pass's segment
 	// v and targets are a scrub pass's pinned version and the tables it
 	// verifies.
 	v       *manifest.Version
@@ -255,7 +256,7 @@ func (db *DB) pickLocked(l int) *job {
 				return j
 			}
 		}
-		return db.reserveLocked(jobCompaction, db.pickCompactionLocked())
+		return db.reserveLocked(db.pickCompactionLocked())
 	default:
 		if !db.scrubDue {
 			return nil
@@ -274,30 +275,32 @@ func (db *DB) flushJobLocked() *job {
 	return &job{kind: jobFlush, start: events.Event{BytesIn: db.imm.ApproximateSize()}}
 }
 
-// valueGCJobLocked picks the sealed segment with the most garbage at or
-// above ratio, as its GC cursor sees it. It requires an active value-log
-// writer: re-puts have nowhere to go without one.
+// valueGCJobLocked claims the value-GC pass and picks the sealed segment
+// with the most garbage at or above ratio, as its GC cursor sees it. One
+// pass runs at a time, like one flush: the claim is held from pick to
+// release. It picks only while separation is on.
 func (db *DB) valueGCJobLocked(ratio float64) *job {
-	if db.vlogW == nil {
+	if db.gcActive || db.vlogW == nil {
 		return nil
 	}
-	env := compaction.Env{InFlight: db.inflight}
-	return db.reserveLocked(jobValueGC, db.picker.PickValueGC(db.vs.Current(), env, db.vlogW.Seg(), ratio, db.vlogCursorsLocked()))
+	seg := db.picker.PickValueGC(db.vs.Current(), db.vlogW.Seg(), ratio, db.vlogCursorsLocked())
+	if seg == 0 {
+		return nil
+	}
+	db.gcActive = true
+	return &job{kind: jobValueGC, seg: seg}
 }
 
-// reserveLocked wraps c, if any, as a job of kind k, reserving its
+// reserveLocked wraps c, if any, as a compaction job, reserving its
 // footprint in the in-flight registry so concurrent picks stay
 // conflict-free.
-func (db *DB) reserveLocked(k jobKind, c *compaction.Compaction) *job {
+func (db *DB) reserveLocked(c *compaction.Compaction) *job {
 	if c == nil {
 		return nil
 	}
-	j := &job{kind: k, c: c, r: db.inflight.Reserve(c)}
-	if k == jobCompaction {
-		j.start = events.Event{Level: c.Level, OutputLevel: c.OutputLevel,
-			Inputs: len(c.Inputs) + len(c.NextInputs), BytesIn: c.InputBytes(), Reason: c.Reason}
-	}
-	return j
+	return &job{kind: jobCompaction, c: c, r: db.inflight.Reserve(c),
+		start: events.Event{Level: c.Level, OutputLevel: c.OutputLevel,
+			Inputs: len(c.Inputs) + len(c.NextInputs), BytesIn: c.InputBytes(), Reason: c.Reason}}
 }
 
 // releaseLocked gives back what j claimed when it was picked. A scrub
@@ -308,6 +311,8 @@ func (db *DB) releaseLocked(j *job) {
 	switch j.kind {
 	case jobFlush:
 		db.flushActive = false
+	case jobValueGC:
+		db.gcActive = false
 	case jobScrub:
 		j.v.Unref()
 		if db.scrubTimer != nil && !db.closed {

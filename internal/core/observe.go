@@ -2,6 +2,7 @@ package core
 
 import (
 	"io"
+	"maps"
 
 	"github.com/bolt-lsm/bolt/internal/events"
 	"github.com/bolt-lsm/bolt/internal/manifest"
@@ -36,14 +37,9 @@ func (db *DB) LevelStats() []metrics.LevelStats {
 	db.mu.Lock()
 	v := db.vs.Current()
 	v.Ref()
-	// Dead ranges are keyed by physical file; total them here so the
-	// per-level attribution below needs no lock.
-	deadByPhys := make(map[uint64]int64, len(db.deadRanges))
-	for phys, ranges := range db.deadRanges {
-		for _, r := range ranges {
-			deadByPhys[phys] += r.size
-		}
-	}
+	// Dead bytes are keyed by physical file; copy them so the per-level
+	// attribution below needs no lock.
+	deadByPhys := maps.Clone(db.deadBytes)
 	db.mu.Unlock()
 	defer v.Unref()
 

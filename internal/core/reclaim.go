@@ -100,7 +100,7 @@ func (db *DB) takeReclaimsLocked(closing bool) []fileOp {
 				if db.fdCache != nil {
 					db.fdCache.Evict(f.PhysNum)
 				}
-				delete(db.deadRanges, f.PhysNum)
+				delete(db.deadBytes, f.PhysNum)
 				ops = append(ops, fileOp{name: manifest.TableFileName, num: f.PhysNum, unlink: true})
 			} else {
 				ops = append(ops, fileOp{name: manifest.TableFileName, num: f.PhysNum, r: deadRange{f.Offset, f.Size}})
@@ -114,8 +114,8 @@ func (db *DB) takeReclaimsLocked(closing bool) []fileOp {
 
 // execReclaims runs one reclaim pass, grouped by file. Called without mu.
 // A file the pass unlinks loses its ranges with it; every other file is
-// opened once. A table range the backend cannot punch is recorded in
-// deadRanges; a value-log one needs no record, since the GC watermark
+// opened once. A table range the backend cannot punch is counted in
+// deadBytes; a value-log one needs no record, since the GC watermark
 // already counts it collected.
 func (db *DB) execReclaims(ops []fileOp) {
 	slices.SortFunc(ops, func(a, b fileOp) int {
@@ -143,7 +143,7 @@ func (db *DB) execReclaims(ops []fileOp) {
 		// Record the space debt of live tables only: a table file removed
 		// while mu was released took its dead ranges with it.
 		if _, live := db.physRefs[op.num]; live {
-			db.deadRanges[op.num] = append(db.deadRanges[op.num], op.r)
+			db.deadBytes[op.num] += op.r.size
 		}
 	}
 	db.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/bolt-lsm/bolt/internal/events"
 	"github.com/bolt-lsm/bolt/internal/manifest"
@@ -1044,5 +1045,122 @@ func TestValueGCStuckSegmentReported(t *testing.T) {
 		if s.Num != rotted.Num && s.Num != db.vlogW.Seg() && s.Garbage > 0 && s.GCOffset < s.Size {
 			t.Errorf("segment %d left uncollected beside the stuck one", s.Num)
 		}
+	}
+}
+
+// TestValueGCWritesValueLogOffMutex: a value-GC pass's re-puts reach the
+// value log the way user writes do, in the group-commit leader's window
+// off db.mu: every value-log write of a pass finds the mutex free.
+func TestValueGCWritesValueLogOffMutex(t *testing.T) {
+	efs := vfs.NewErrorFS(vfs.NewMem())
+	cfg := vlogTestConfig()
+	cfg.VLogGCGarbageRatio = 1.0 // manual GC only
+	cfg.VLogGCChunkBytes = 2 << 10
+	db := openTestDB(t, efs, cfg)
+	defer db.Close()
+	putPartialGarbage(t, db, "p")
+
+	var writes, underMu atomic.Int64
+	efs.SetInjector(vfs.FilterName(isVLog, vfs.InjectorFunc(func(op vfs.Op, _ string, _ int64) error {
+		if op != vfs.OpWrite {
+			return nil
+		}
+		writes.Add(1)
+		for range 200 {
+			if db.mu.TryLock() {
+				db.mu.Unlock()
+				return nil
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		underMu.Add(1)
+		return nil
+	})))
+	err := db.CompactValueLog()
+	efs.SetInjector(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if writes.Load() == 0 {
+		t.Fatal("the pass re-put nothing into the value log")
+	}
+	if n := underMu.Load(); n != 0 {
+		t.Fatalf("%d value-log writes under db.mu", n)
+	}
+}
+
+// TestValueGCReputFollowsThreshold: a re-put value goes wherever the
+// current ValueThreshold sends it. Values separated at threshold 256 and
+// collected after a reopen at 4096 come back inline: the pass appends
+// nothing to the value log, and every live value still reads back.
+func TestValueGCReputFollowsThreshold(t *testing.T) {
+	fs := vfs.NewMem()
+	cfg := vlogTestConfig()
+	cfg.VLogGCGarbageRatio = 1.0 // manual GC only
+	db := openTestDB(t, fs, cfg)
+	putPartialGarbage(t, db, "p")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.ValueThreshold = 4096
+	db = openTestDB(t, fs, cfg)
+	defer db.Close()
+	before := db.met.Snapshot()
+	if err := db.CompactValueLog(); err != nil {
+		t.Fatal(err)
+	}
+	after := db.met.Snapshot()
+	if after.VLogGCPasses == before.VLogGCPasses {
+		t.Fatal("no value-GC pass ran")
+	}
+	if n := after.VLogAppends - before.VLogAppends; n != 0 {
+		t.Fatalf("the passes appended %d records under a threshold above every value", n)
+	}
+	check := func(key string, gen int) {
+		if got, err := db.Get([]byte(key), nil); err != nil || !bytes.Equal(got, bigValue(key, gen)) {
+			t.Fatalf("Get(%s) after GC = %d bytes, %v", key, len(got), err)
+		}
+	}
+	for i := range 3 {
+		check(fmt.Sprintf("p-dead%d", i), 1)
+	}
+	for i := range 20 {
+		check(fmt.Sprintf("p-live%02d", i), 0)
+	}
+}
+
+// TestValueGCHoldsNoReservation: a value-GC pass claims the value-GC lane,
+// not the compaction registry; the in-flight gauge stays at zero while a
+// pass reads its segment.
+func TestValueGCHoldsNoReservation(t *testing.T) {
+	efs := vfs.NewErrorFS(vfs.NewMem())
+	cfg := vlogTestConfig()
+	cfg.VLogGCGarbageRatio = 1.0 // manual GC only
+	db := openTestDB(t, efs, cfg)
+	defer db.Close()
+	putPartialGarbage(t, db, "p")
+	if err := db.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+
+	var samples, reserved atomic.Int64
+	efs.SetInjector(vfs.FilterName(isVLog, vfs.InjectorFunc(func(op vfs.Op, _ string, _ int64) error {
+		if op == vfs.OpReadAt {
+			samples.Add(1)
+			reserved.Store(max(reserved.Load(), int64(db.InFlightCompactions())))
+		}
+		return nil
+	})))
+	err := db.CompactValueLog()
+	efs.SetInjector(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if samples.Load() == 0 {
+		t.Fatal("the pass read no value-log record")
+	}
+	if n := reserved.Load(); n != 0 {
+		t.Fatalf("InFlightCompactions() = %d during a value-GC pass, want 0", n)
 	}
 }

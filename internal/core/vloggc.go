@@ -18,16 +18,19 @@ import (
 // Value-log garbage collection.
 //
 // A GC pass scans one chunk of a sealed segment, liveness-checks every
-// record against the tree, re-puts the live ones through the normal write
-// path (so they land in the active segment), and records a pending
-// advance: the segment's new GC watermark and the payload ranges it may
-// hole-punch. A pass pays no barrier of its own. Four ordering rules keep
-// it safe:
+// record against the tree, re-puts the live ones as plain Puts through the
+// writer queue (the leader separates them like any user value: off mu,
+// into the active segment, or inline when the current ValueThreshold says
+// so), and records a pending advance: the segment's new GC watermark and
+// the payload ranges it may hole-punch. One pass runs at a time, under the
+// gcActive claim it takes at pick (jobs.go). A pass pays no barrier of its
+// own. Four ordering rules keep it safe:
 //
 //  1. Liveness is decided twice: once at scan time through the full read
 //     path, and again under mu at commit time (filterGCBatchLocked), so a
 //     user overwrite that lands between the two can never be shadowed by
-//     a re-put carrying a newer sequence number.
+//     a re-put carrying a newer sequence number. The leader role orders
+//     the re-put against every later write.
 //  2. The advance rides the flush. The re-put commit is an ordinary batch
 //     (synced only under SyncWAL), and the advance is tagged with the
 //     memtable generation — the WAL number — active when the pass
@@ -55,18 +58,20 @@ import (
 //     iterator opened on one, which keeps its own snapshot-list entry
 //     until Close.
 
-// gcEntry is one record the GC pass found live at scan time.
-type gcEntry struct {
+// gcRecord is one record a GC pass scanned. ptr, the record's own
+// address, is what both liveness decisions compare the newest version
+// against.
+type gcRecord struct {
 	key, value []byte
-	expect     vlog.Pointer // the record's own address; "still newest" check
+	ptr        vlog.Pointer
 }
 
 // gcCommit rides a dbWriter through the writer queue (see write.go).
 type gcCommit struct {
-	entries []gcEntry
-	epoch   uint64 // db.flushEpoch at scan time
+	live   []gcRecord // the records found live at scan time
+	logNum uint64     // db.vs.LogNum() at scan time
 	// aborted is set by filterGCBatchLocked when a flush since the scan
-	// made some entry's liveness undecidable; the pass discards its
+	// made some record's liveness undecidable; the pass discards its
 	// progress and re-scans.
 	aborted bool
 }
@@ -85,13 +90,13 @@ var errGCChunkFull = errors.New("core: gc chunk full")
 // the runner's retry; only a walk that read fine and still made no
 // progress (a rotted record header) marks the segment stuck.
 func (db *DB) valueGCPassLocked(j *job) error {
-	seg := j.c.VLogSegment
+	seg := j.seg
 	j.end.File = seg
 	s, ok := db.vs.Current().VLogSegment(seg)
-	if !ok || db.vlogW == nil {
+	if !ok {
 		return nil
 	}
-	epoch := db.flushEpoch
+	logNum := db.vs.LogNum()
 	start, _ := db.vlogCursorsLocked()[seg].Apply(s)
 	segSize := s.Size
 	chunkBudget := db.cfg.VLogGCChunkBytes
@@ -99,17 +104,13 @@ func (db *DB) valueGCPassLocked(j *job) error {
 
 	// Scan one chunk of records. Punched or rotted payloads (header ok,
 	// payload CRC bad) are walked over: already reclaimed, nothing to do.
-	type scannedRec struct {
-		key, value []byte
-		ptr        vlog.Pointer
-	}
-	var records []scannedRec
+	var records []gcRecord
 	var punchRanges []deadRange
 	chunkEnd := start
 	werr := db.vlogFDs.With(seg, func(f vfs.File) error {
 		_, err := vlog.Walk(f, start, segSize, func(rec vlog.WalkRecord) error {
 			if rec.PayloadOK {
-				records = append(records, scannedRec{
+				records = append(records, gcRecord{
 					key:   append([]byte(nil), rec.Key...),
 					value: append([]byte(nil), rec.Value...),
 					ptr:   vlog.Pointer{Seg: seg, Off: rec.Off, Len: rec.Len},
@@ -144,16 +145,16 @@ func (db *DB) valueGCPassLocked(j *job) error {
 
 	// Liveness, first decision: a record is live iff the tree's newest
 	// version of its key is still the pointer to this very record.
-	var entries []gcEntry
+	live := records[:0]
 	var deadBytes int64
 	for _, rec := range records {
-		live, err := db.pointsAt(rec.key, rec.ptr)
+		ok, err := db.pointsAt(rec.key, rec.ptr)
 		if err != nil {
 			db.mu.Lock()
 			return err
 		}
-		if live {
-			entries = append(entries, gcEntry{key: rec.key, value: rec.value, expect: rec.ptr})
+		if ok {
+			live = append(live, rec)
 		} else {
 			deadBytes += rec.ptr.Len
 		}
@@ -162,8 +163,8 @@ func (db *DB) valueGCPassLocked(j *job) error {
 	// Re-put the live records through the writer queue. The batch itself
 	// is built under mu by filterGCBatchLocked, where liveness is decided
 	// the second time.
-	gc := &gcCommit{entries: entries, epoch: epoch}
-	if len(entries) > 0 {
+	gc := &gcCommit{live: live, logNum: logNum}
+	if len(live) > 0 {
 		if err := db.commit(&dbWriter{b: batch.New(), gc: gc}); err != nil {
 			db.mu.Lock()
 			return err
@@ -198,7 +199,7 @@ func (db *DB) valueGCPassLocked(j *job) error {
 	})
 	// BytesOut is what this pass made reclaimable; the punches themselves
 	// wait for the next flush, and may then be deferred behind old readers.
-	j.end.BytesIn, j.end.BytesOut, j.end.Outputs = chunkEnd-start, reclaimed, len(entries)
+	j.end.BytesIn, j.end.BytesOut, j.end.Outputs = chunkEnd-start, reclaimed, len(live)
 	return nil
 }
 
@@ -251,23 +252,21 @@ func (db *DB) pointsAt(key []byte, expect vlog.Pointer) (bool, error) {
 	return err == nil && p == expect, nil
 }
 
-// filterGCBatchLocked builds a GC writer's batch under mu: each entry's
-// liveness is re-decided against the current memtables, live survivors
-// are appended to the active value-log segment, and their pointer entries
-// become the batch. Re-deciding here closes the scan-to-commit race: a
+// filterGCBatchLocked builds a GC writer's batch under mu: each record's
+// liveness is re-decided against the current memtables, and the survivors
+// become plain Puts, which the leader separates off mu like any user value
+// (separateValues). Re-deciding here closes the scan-to-commit race: a
 // user overwrite committed after the scan either shows in a memtable
-// (entry dropped) or was flushed (flushEpoch moved — the pass aborts,
-// because "absent from the memtables" no longer proves anything).
-func (db *DB) filterGCBatchLocked(w *dbWriter) error {
+// (record dropped) or was flushed, and then the flush's commit moved the
+// log number (Prepare, under mu, before imm is cleared) — the pass aborts,
+// because "absent from the memtables" no longer proves anything. A failed
+// flush commit leaves the number moved: a spurious abort, never a missed
+// one.
+func (db *DB) filterGCBatchLocked(w *dbWriter) {
 	gc := w.gc
-	vlogW := db.vlogW
-	if vlogW == nil {
-		return errors.New("core: value log unavailable for gc commit")
-	}
 	b := batch.New()
-	var ptrBuf []byte
-	for _, e := range gc.entries {
-		ikey := keys.MakeInternalKey(nil, e.key, keys.MaxSeq, keys.KindSeekMax)
+	for _, r := range gc.live {
+		ikey := keys.MakeInternalKey(nil, r.key, keys.MaxSeq, keys.KindSeekMax)
 		value, kind, found := db.mem.GetSeek(ikey)
 		if !found && db.imm != nil {
 			value, kind, found = db.imm.GetSeek(ikey)
@@ -278,53 +277,40 @@ func (db *DB) filterGCBatchLocked(w *dbWriter) error {
 				continue // overwritten or deleted since the scan: dead
 			}
 			p, err := vlog.DecodePointer(value)
-			if err != nil || p != e.expect {
+			if err != nil || p != r.ptr {
 				continue // overwritten (possibly by an earlier re-put): dead
 			}
-		case db.flushEpoch != gc.epoch:
+		case db.vs.LogNum() != gc.logNum:
 			// Absent from the memtables, but a flush retired one since the
 			// scan: the newest version may now be in a table this check
 			// cannot see. Not provably live, not provably dead — abort.
 			gc.aborted = true
 			continue
 		}
-		// Still live: rewrite into the active segment.
-		p, err := vlogW.Append(e.key, e.value)
-		if err != nil {
-			return err
-		}
-		db.met.VLogAppends.Add(1)
-		db.met.VLogAppendedBytes.Add(p.Len)
-		ptrBuf = p.Encode(ptrBuf[:0])
-		b.PutPtr(e.key, ptrBuf)
+		b.Put(r.key, r.value)
 	}
 	w.b = b
-	return nil
 }
 
 // rotateVLogLocked seals the active segment, queues its MANIFEST record
-// for the next flush, and opens a fresh segment. Called under mu by the
+// for the next flush, opens a fresh segment, and returns the vlog-rotation
+// event for the caller to emit once it releases mu. Called under mu by the
 // group-commit leader (the only appender, so sealing cannot race an
 // append). If the new segment cannot be created, separation disables
 // itself — large values stay inline, which is correct, just unseparated —
 // rather than failing user writes. A failed seal degrades the engine: no
 // flush may validate pointers into the segment's unsynced tail.
-func (db *DB) rotateVLogLocked() (sealedSeg uint64, sealedSize int64) {
+func (db *DB) rotateVLogLocked() events.Event {
 	old := db.vlogW
-	if old == nil {
-		return 0, 0
-	}
 	defer db.degradeLocked(old.Seal()) // seals now, degrades on return
-	sealedSeg, sealedSize = old.Seg(), old.SyncedSize()
-	db.afterFlush = append(db.afterFlush, afterFlush{seg: manifest.VLogSegmentEdit{Num: sealedSeg, Size: sealedSize}})
+	e := events.Event{Type: events.TypeVLogRotation, BytesOut: old.SyncedSize()}
+	db.afterFlush = append(db.afterFlush, afterFlush{seg: manifest.VLogSegmentEdit{Num: old.Seg(), Size: e.BytesOut}})
 	num := db.vs.NextFileNum()
-	w, err := vlog.NewWriter(db.fs, manifest.VLogFileName(num), num)
-	if err != nil {
-		db.vlogW, db.vlogNum = nil, 0
-		return sealedSeg, sealedSize
+	db.vlogW = nil
+	if w, err := vlog.NewWriter(db.fs, manifest.VLogFileName(num), num); err == nil {
+		db.vlogW, e.File = w, num
 	}
-	db.vlogW, db.vlogNum = w, num
-	return sealedSeg, sealedSize
+	return e
 }
 
 // CompactValueLog synchronously runs value-GC passes until no sealed
@@ -345,8 +331,9 @@ func (db *DB) CompactValueLog() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	err := db.runForegroundLocked(func() *job {
-		// A background pass owns its segment; wait the lane out rather
-		// than racing it for segments.
+		// A background pass holds the value-GC claim: wait the lane out.
+		// While this call's own pass holds the claim, the lane picks
+		// nothing.
 		for db.lanes[laneValueGC].busy > 0 && !db.bgStoppedLocked() {
 			db.cond.Wait()
 		}

@@ -31,11 +31,11 @@ type dbWriter struct {
 	seq      keys.Seq
 	mem      *memtable.MemTable
 	wg       *sync.WaitGroup
-	// gc marks a value-GC commit: its batch is built under mu by
-	// filterGCBatchLocked once the writer is leader, so it never joins
-	// another leader's group. Otherwise it commits like any batch — synced
-	// only under SyncWAL: the punches it licenses wait for the flush that
-	// makes the re-puts durable (vloggc.go, rule 2).
+	// gc marks a value-GC commit: its batch of plain Puts is built under
+	// mu by filterGCBatchLocked once the writer is leader, so it never
+	// joins another leader's group. Otherwise it commits like any batch —
+	// separated off mu, synced only under SyncWAL: the punches it licenses
+	// wait for the flush that makes the re-puts durable (vloggc.go, rule 2).
 	gc *gcCommit
 }
 
@@ -82,13 +82,12 @@ func (db *DB) commit(w *dbWriter) error {
 	err := db.makeRoomForWriteLocked()
 	var group *batch.Batch
 	var members []*dbWriter
-	var sealedSeg, newSeg uint64 // nonzero if this commit rotated the value log
-	var sealedSize int64
+	var rotation events.Event // set if this commit rotated the value log
 	if err == nil && w.gc != nil {
 		// Build the GC re-put batch now, under mu: liveness established at
 		// scan time is re-checked against the current memtables before any
 		// record is rewritten (see filterGCBatchLocked).
-		err = db.filterGCBatchLocked(w)
+		db.filterGCBatchLocked(w)
 	}
 	if err == nil {
 		group, members = db.buildGroupLocked()
@@ -103,7 +102,11 @@ func (db *DB) commit(w *dbWriter) error {
 		mem := db.mem
 		walW := db.walW
 		vlogW := db.vlogW
+		// User payload: a value-GC leader's re-puts are not.
 		userBytes := int64(group.Size())
+		if w.gc != nil {
+			userBytes -= int64(w.b.Size())
+		}
 		db.mu.Unlock()
 
 		// WAL-time key-value separation: peel large values out of the group
@@ -151,8 +154,7 @@ func (db *DB) commit(w *dbWriter) error {
 			db.met.Writes.Add(int64(group.Count()))
 			db.met.BytesIn.Add(userBytes)
 			if db.vlogW != nil && db.vlogW.Size() >= db.cfg.VLogSegmentBytes {
-				sealedSeg, sealedSize = db.rotateVLogLocked()
-				newSeg = db.vlogNum
+				rotation = db.rotateVLogLocked()
 			}
 		}
 	} else {
@@ -179,8 +181,8 @@ func (db *DB) commit(w *dbWriter) error {
 		db.cond.Broadcast()
 	}
 	db.mu.Unlock()
-	if sealedSeg != 0 {
-		db.ev.Emit(events.Event{Type: events.TypeVLogRotation, File: newSeg, BytesOut: sealedSize})
+	if rotation.Type != 0 {
+		db.ev.Emit(rotation)
 	}
 	return err
 }
@@ -319,7 +321,7 @@ func (db *DB) makeRoomForWriteLocked() error {
 	slowdownDone := false
 	for {
 		switch {
-		case db.readOnly:
+		case db.roCause != nil:
 			return db.pendingErrLocked()
 		case db.closed:
 			return ErrClosed

@@ -243,31 +243,6 @@ func (w *Writer) sealLocked() error {
 // Close seals the writer (idempotent).
 func (w *Writer) Close() error { return w.Seal() }
 
-// FDSource supplies open segment file descriptors by file number. It is
-// implemented by cache.FDCache, giving the reader the same sharded,
-// singleflight-deduplicated descriptor discipline the table cache uses.
-type FDSource interface {
-	With(num uint64, fn func(vfs.File) error) error
-}
-
-// Reader dereferences pointers through a descriptor source.
-type Reader struct {
-	src FDSource //boltvet:guardedby none -- immutable; FDCache is internally synchronized
-}
-
-// NewReader returns a reader over src.
-func NewReader(src FDSource) *Reader { return &Reader{src: src} }
-
-// Get reads the record at p and returns its value (a sub-slice of a fresh
-// buffer; the caller owns it). Checksum mismatches return ErrCorrupt.
-func (r *Reader) Get(p Pointer) (value []byte, err error) {
-	err = r.src.With(p.Seg, func(f vfs.File) error {
-		_, value, err = ReadRecord(f, p)
-		return err
-	})
-	return value, err
-}
-
 // ReadRecord reads and verifies the record at p from f, returning its key
 // and value (sub-slices of one freshly allocated buffer). A checksum
 // mismatch — including a pointer into a punched range — returns ErrCorrupt.
