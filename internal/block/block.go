@@ -28,6 +28,10 @@ const DefaultRestartInterval = 16
 // ErrCorrupt reports a malformed block.
 var ErrCorrupt = errors.New("block: corrupt")
 
+// zeroPad is the source of entry pads, appended a slice at a time; a pad
+// longer than it is appended in chunks.
+var zeroPad [128]byte
+
 // Builder assembles a block. The zero value is not usable; use NewBuilder.
 type Builder struct {
 	restartInterval int
@@ -76,8 +80,8 @@ func (b *Builder) Add(key, value []byte) {
 	b.buf = binary.AppendUvarint(b.buf, uint64(b.padding))
 	b.buf = append(b.buf, key[shared:]...)
 	b.buf = append(b.buf, value...)
-	for i := 0; i < b.padding; i++ {
-		b.buf = append(b.buf, 0)
+	for pad := b.padding; pad > 0; pad -= len(zeroPad) {
+		b.buf = append(b.buf, zeroPad[:min(pad, len(zeroPad))]...)
 	}
 	b.lastKey = append(b.lastKey[:0], key...)
 	b.counter++

@@ -5,9 +5,9 @@
 //     per-level compact pointer (LevelDB).
 //   - group: several victims per compaction up to a byte budget, so one
 //     barrier covers more data (BoLT +GC).
-//   - settled: victims are chosen to minimize next-level overlap, and
-//     victims with zero overlap are promoted by a MANIFEST-only edit
-//     (BoLT +STL).
+//   - settled: victims are chosen to minimize next-level overlap, each is
+//     merged only with the next-level tables it overlaps, and victims with
+//     zero overlap are promoted by a MANIFEST-only edit (BoLT +STL).
 //   - fragmented: PebblesDB-style FLSM — a level may hold overlapping
 //     tables; compaction merges one overlapping pile and partitions the
 //     output at guard keys of the next level without rewriting it.
@@ -16,6 +16,7 @@ package compaction
 import (
 	"hash/fnv"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"github.com/bolt-lsm/bolt/internal/keys"
@@ -446,7 +447,10 @@ func (p *Picker) pickLeveled(v *manifest.Version, level int, pointer keys.Intern
 // pickSettled implements BoLT's settled compaction: victims are the files
 // with the least next-level overlap, up to the group byte budget. Victims
 // with zero overlap are promoted without rewrite. Reserved tables are
-// excluded from candidacy.
+// excluded from candidacy. Each rewritten victim is merged only with the
+// next-level tables it overlaps: a next-level table between victims that
+// overlaps none of them is neither read nor rewritten, and outputs are cut
+// at its smallest key so none spans it, as at a promoted table's.
 func (p *Picker) pickSettled(v *manifest.Version, level int, in *InFlight) *Compaction {
 	files := unreservedFiles(v.Levels[level], in)
 	if len(files) == 0 {
@@ -483,11 +487,35 @@ func (p *Picker) pickSettled(v *manifest.Version, level int, in *InFlight) *Comp
 	sortBySmallest(c.Settled)
 	if len(c.Inputs) > 0 {
 		smallest, largest := c.Range()
-		c.NextInputs = v.Overlaps(level+1, smallest, largest)
-		// Outputs must not span a promoted table's key range.
+		// Below level 0 every level is one sorted run (the fragmented
+		// profile does not pick here), so victims and next-level tables
+		// both ascend, and one forward walk over the victims decides, for
+		// each next-level table in the span, whether some victim overlaps it.
+		next := v.Overlaps(level+1, smallest, largest)
+		c.NextInputs = make([]*manifest.FileMeta, 0, len(next))
+		j, skipping := 0, false
+		for _, f := range next {
+			for j < len(c.Inputs) && keys.CompareUser(c.Inputs[j].Largest.UserKey(), f.Smallest.UserKey()) < 0 {
+				j++
+			}
+			overlapped := j < len(c.Inputs) && keys.CompareUser(c.Inputs[j].Smallest.UserKey(), f.Largest.UserKey()) <= 0
+			switch {
+			case overlapped:
+				c.NextInputs = append(c.NextInputs, f)
+			case !skipping:
+				// No merged key lies in a skipped table or between two
+				// adjacent ones (a victim there would overlap nothing and
+				// be promoted), so one cut ahead of each run of skipped
+				// tables keeps every output off all of them.
+				c.CutPoints = append(c.CutPoints, f.Smallest.UserKey())
+			}
+			skipping = !overlapped
+		}
+		// Outputs must not span a promoted table's key range either.
 		for _, s := range c.Settled {
 			c.CutPoints = append(c.CutPoints, s.Smallest.UserKey())
 		}
+		slices.SortFunc(c.CutPoints, keys.CompareUser)
 	}
 	return c
 }

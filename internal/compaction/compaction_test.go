@@ -203,6 +203,53 @@ func TestSettledMixedPromotionAndRewrite(t *testing.T) {
 	}
 }
 
+// TestPickSettledSkipsUntouchedNextTables: a settled pick merges each victim
+// only with the next-level tables it overlaps. A next-level table inside the
+// victims' span that overlaps no victim is left in place, and outputs are
+// cut ahead of it; a run of such tables needs only the one cut.
+func TestPickSettledSkipsUntouchedNextTables(t *testing.T) {
+	o := defaultOpts()
+	o.GroupBytes = 16 << 20
+	o.Settled = true
+	p := &Picker{Opts: o}
+	for _, tc := range []struct {
+		name string
+		l2   []*manifest.FileMeta
+	}{
+		{"one table between the victims", []*manifest.FileMeta{
+			meta(10, 1<<20, "15", "18"),
+			meta(11, 1<<20, "30", "40"),
+			meta(12, 1<<20, "65", "68"),
+		}},
+		{"a run of two", []*manifest.FileMeta{
+			meta(10, 1<<20, "15", "18"),
+			meta(11, 1<<20, "30", "40"),
+			meta(13, 1<<20, "45", "50"),
+			meta(12, 1<<20, "65", "68"),
+		}},
+	} {
+		var lv [manifest.NumLevels][]*manifest.FileMeta
+		lv[1] = []*manifest.FileMeta{
+			meta(1, 6<<20, "10", "20"),
+			meta(2, 6<<20, "60", "70"),
+		}
+		lv[2] = tc.l2
+		c := p.Pick(manifest.NewVersion(lv), Env{})
+		if c == nil || c.Level != 1 || c.Reason != ReasonSettled {
+			t.Fatalf("%s: pick %+v, want a settled pick out of level 1", tc.name, c)
+		}
+		if g := fmt.Sprint(nums(c.Inputs)); g != "[1 2]" {
+			t.Fatalf("%s: Inputs = %s, want [1 2]", tc.name, g)
+		}
+		if g := fmt.Sprint(nums(c.NextInputs)); g != "[10 12]" {
+			t.Fatalf("%s: NextInputs = %s, want [10 12]: [30,40] overlaps no victim", tc.name, g)
+		}
+		if g := fmt.Sprintf("%q", c.CutPoints); g != `["30"]` {
+			t.Fatalf("%s: CutPoints = %s, want [\"30\"]", tc.name, g)
+		}
+	}
+}
+
 func TestFragmentedPicksHeaviestPile(t *testing.T) {
 	o := defaultOpts()
 	o.Fragmented = true

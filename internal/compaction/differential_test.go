@@ -10,10 +10,10 @@ import (
 	"github.com/bolt-lsm/bolt/internal/manifest"
 )
 
-// The linear reference: Version.Overlaps, pickSettled and pickLeveled as
-// they stood before sorted levels got a binary-search overlap query. The
-// differential tests below hold the picker to returning exactly what these
-// return; they live here, in test code, and nowhere else.
+// The linear reference: Version.Overlaps, pickSettled and pickLeveled
+// written as plain scans, without the binary searches and forward walks of
+// the picker. The differential tests below hold the picker to returning
+// exactly what these return; they live here, in test code, and nowhere else.
 
 func refOverlaps(v *manifest.Version, level int, smallest, largest []byte) []*manifest.FileMeta {
 	var out []*manifest.FileMeta
@@ -64,11 +64,29 @@ func refPickSettled(p *Picker, v *manifest.Version, level int, in *InFlight) *Co
 	sortBySmallest(c.Inputs)
 	sortBySmallest(c.Settled)
 	if len(c.Inputs) > 0 {
+		// A next-level table in the victims' span is merged only if some
+		// victim overlaps it. The first table of each run of skipped ones
+		// and every promoted table contribute a cut point.
 		smallest, largest := c.Range()
-		c.NextInputs = refOverlaps(v, level+1, smallest, largest)
+		skipping := false
+		for _, nf := range refOverlaps(v, level+1, smallest, largest) {
+			overlapped := false
+			for _, f := range c.Inputs {
+				if nf.OverlapsUser(f.Smallest.UserKey(), f.Largest.UserKey()) {
+					overlapped = true
+				}
+			}
+			if overlapped {
+				c.NextInputs = append(c.NextInputs, nf)
+			} else if !skipping {
+				c.CutPoints = append(c.CutPoints, nf.Smallest.UserKey())
+			}
+			skipping = !overlapped
+		}
 		for _, s := range c.Settled {
 			c.CutPoints = append(c.CutPoints, s.Smallest.UserKey())
 		}
+		sort.Slice(c.CutPoints, func(i, j int) bool { return keys.CompareUser(c.CutPoints[i], c.CutPoints[j]) < 0 })
 	}
 	return c
 }
@@ -331,7 +349,7 @@ func TestPicksMatchLinearReference(t *testing.T) {
 		seeds = 200
 	}
 	// What the seeds actually exercised, so the test cannot pass vacuously.
-	var promoted, rewrote, reserved, quarantineSkips, wholePicks int
+	var promoted, rewrote, skipped, reserved, quarantineSkips, wholePicks int
 	for seed := 0; seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		v := randomVersion(t, rng, seed, false)
@@ -388,6 +406,9 @@ func TestPicksMatchLinearReference(t *testing.T) {
 			}
 			if want != nil && len(want.NextInputs) > 0 {
 				rewrote++
+				if len(want.CutPoints) > len(want.Settled) {
+					skipped++
+				}
 			}
 			var pointer keys.InternalKey
 			if rng.Intn(3) != 0 {
@@ -443,10 +464,10 @@ func TestPicksMatchLinearReference(t *testing.T) {
 			wholePicks++
 		}
 	}
-	t.Logf("%d seeds: %d settled picks promoted, %d rewrote, %d seeds with reservations, %d picks skipped for quarantine, %d whole picks",
-		seeds, promoted, rewrote, reserved, quarantineSkips, wholePicks)
+	t.Logf("%d seeds: %d settled picks promoted, %d rewrote (%d leaving next-level tables in place), %d seeds with reservations, %d picks skipped for quarantine, %d whole picks",
+		seeds, promoted, rewrote, skipped, reserved, quarantineSkips, wholePicks)
 	for name, n := range map[string]int{"promoting picks": promoted, "rewriting picks": rewrote,
-		"reserved seeds": reserved, "quarantine skips": quarantineSkips, "whole picks": wholePicks} {
+		"skipping picks": skipped, "reserved seeds": reserved, "quarantine skips": quarantineSkips, "whole picks": wholePicks} {
 		if n < seeds/100 {
 			t.Errorf("only %d %s in %d seeds: the generator no longer covers them", n, name, seeds)
 		}

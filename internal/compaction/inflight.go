@@ -90,9 +90,13 @@ func (in *InFlight) Release(r *Reservation) {
 //
 //  1. Shared input table: two compactions consuming the same table would
 //     both delete it (double-free) and one would read data the other is
-//     rewriting. Because NextInputs always includes every output-level
-//     table overlapping the input span, cross-level chains (an L0->L1
-//     racing an L1->L2 over the same L1 table) reduce to this rule.
+//     rewriting. NextInputs holds every output-level table a compaction
+//     reads, so cross-level chains (an L0->L1 racing an L1->L2 over the
+//     same L1 table) reduce to this rule. A settled pick leaves out the
+//     output-level tables in its span that overlap no victim: it neither
+//     reads nor writes them, so a concurrent compaction out of the output
+//     level may consume one, and rule 3's span still fences the range
+//     against other writers to the output level.
 //  2. L0 exclusivity: level-0 tables mutually overlap, so any two
 //     compactions out of L0 share key ranges by construction.
 //  3. Output-range overlap: two compactions writing overlapping user-key

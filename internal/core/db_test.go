@@ -393,6 +393,45 @@ func TestSettledCompactionPromotes(t *testing.T) {
 	}
 }
 
+// TestSettledRandomFillKeepsLevelsSorted: inserted in random order, keys
+// spread every level's tables over the whole key space, so settled picks
+// choose victims scattered across their level and leave the next-level
+// tables between them in place. Outputs must be cut ahead of each such
+// table, or the output level stops being one sorted run; VerifyInvariants
+// checks that at every install, and this test once more after the drain.
+func TestSettledRandomFillKeepsLevelsSorted(t *testing.T) {
+	cfg := boltTestConfig()
+	db := openTestDB(t, vfs.NewMem(), cfg)
+	defer db.Close()
+	const n = 6000
+	val := make([]byte, 100)
+	// A second pass overwrites half the keys, so merges drop versions and
+	// output tables stop lining up with their inputs' boundaries.
+	rng := rand.New(rand.NewSource(1))
+	for _, i := range append(rng.Perm(n), rng.Perm(n)[:n/2]...) {
+		if err := db.Put([]byte(fmt.Sprintf("key%08d", i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	checkFilled(t, db, n, len(val))
+	db.mu.Lock()
+	v := db.vs.Current()
+	v.Ref()
+	db.mu.Unlock()
+	defer v.Unref()
+	for level := 1; level < manifest.NumLevels; level++ {
+		if err := v.SortedTables(level); err != nil {
+			t.Fatalf("L%d: %v\n%s", level, err, db.DebugVersion())
+		}
+	}
+	if db.met.Snapshot().Compactions == 0 {
+		t.Error("no compaction happened; test scale wrong")
+	}
+}
+
 func TestHolePunchingReclaimsSpace(t *testing.T) {
 	fs := vfs.NewMem()
 	cfg := boltTestConfig()
