@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/bolt-lsm/bolt/internal/keys"
 )
@@ -40,6 +41,7 @@ func (b *Batch) Repr() []byte { return b.data }
 
 // Put records a key/value insertion.
 func (b *Batch) Put(key, value []byte) {
+	b.reserve(key, value)
 	b.setCount(b.Count() + 1)
 	b.data = append(b.data, byte(keys.KindSet))
 	b.data = binary.AppendUvarint(b.data, uint64(len(key)))
@@ -53,6 +55,7 @@ func (b *Batch) Put(key, value []byte) {
 // KindSet records into these before the WAL append, so replay reproduces
 // the pointer entries without re-extracting values.
 func (b *Batch) PutPtr(key, ptr []byte) {
+	b.reserve(key, ptr)
 	b.setCount(b.Count() + 1)
 	b.data = append(b.data, byte(keys.KindSetPtr))
 	b.data = binary.AppendUvarint(b.data, uint64(len(key)))
@@ -63,10 +66,18 @@ func (b *Batch) PutPtr(key, ptr []byte) {
 
 // Delete records a key deletion.
 func (b *Batch) Delete(key []byte) {
+	b.reserve(key, nil)
 	b.setCount(b.Count() + 1)
 	b.data = append(b.data, byte(keys.KindDelete))
 	b.data = binary.AppendUvarint(b.data, uint64(len(key)))
 	b.data = append(b.data, key...)
+}
+
+// reserve grows the buffer, if it must, to hold one more record of key and
+// value, so the record's appends reallocate at most once between them: a
+// one-record batch is allocated at its full size instead of growing twice.
+func (b *Batch) reserve(key, value []byte) {
+	b.data = slices.Grow(b.data, 1+2*binary.MaxVarintLen32+len(key)+len(value))
 }
 
 // Count returns the number of operations in the batch.
