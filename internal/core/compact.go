@@ -185,15 +185,23 @@ func (db *DB) pickCompactionLocked() *compaction.Compaction {
 func (db *DB) flushLocked(j *job) error {
 	imm := db.imm
 	logNum := db.walNum // stable: imm != nil blocks further switches
+	// The flush logs the after-flush entries queued before it started and
+	// no later ones: an advance queued meanwhile belongs to the active
+	// memtable, and no WAL can retire while imm is set.
+	due := len(db.afterFlush)
 	vlogW := db.vlogW
+	segs := db.vlogWritersLocked()
 
 	db.mu.Unlock()
 	// The flush barrier covers the value log: every pointer in imm must be
-	// durable before the tables referencing it commit. Without SyncWAL the
-	// commit path never synced these appends; this is where they settle.
+	// durable before the tables referencing it commit, and each segment the
+	// edit records (retired ones, then the active one) is synced here.
+	// Without SyncWAL nothing else syncs these appends.
 	var err error
-	if vlogW != nil {
-		err = vlogW.Sync()
+	for _, w := range segs {
+		if err = w.Sync(); err != nil {
+			break
+		}
 	}
 	var metas []*manifest.FileMeta
 	if err == nil {
@@ -211,32 +219,34 @@ func (db *DB) flushLocked(j *job) error {
 	for _, m := range metas {
 		edit.AddFile(0, m)
 	}
-	// Log the after-flush entries that are due: sealed segments' size
-	// records from rotations since the last flush, value-GC advances
-	// committed into the memtable this flush retires or an older one
-	// (vloggc.go, rule 2), and the retired WAL. The active segment is
-	// recorded at its synced length (Size merges by max, so a later, longer
-	// record always wins).
-	queued := len(db.afterFlush)
-	for _, a := range db.afterFlush {
+	// Log the due entries: the size records of segments retired since the
+	// last flush, value-GC advances committed into the memtable this flush
+	// retires or an older one (vloggc.go, rule 2), and the retired WAL. The
+	// segment active at the start is recorded too, even if retired since:
+	// imm points into it (Size merges by max; a later record wins).
+	for _, a := range db.afterFlush[:due] {
 		if a.gen < logNum {
 			a.addTo(edit)
 		}
 	}
-	if db.vlogW != nil {
-		edit.AddVLogSegment(manifest.VLogSegmentEdit{Num: db.vlogW.Seg(), Size: db.vlogW.SyncedSize()})
+	if vlogW != nil {
+		edit.AddVLogSegment(manifest.VLogSegmentEdit{Num: vlogW.Seg(), Size: vlogW.SyncedSize()})
 	}
 	if err := db.logAndApplyLocked(edit); err != nil {
 		return fmt.Errorf("core: flush commit: %w", err)
 	}
-	// Entries queued during logAndApply's unlock window were not in the
-	// edit and stay; the logged ones license their reclaims now, a GC
-	// advance's gated on this flush's version (vloggc.go, rule 4).
+	// The logged entries leave the list: a retired segment's writer is
+	// closed (its bytes are synced, so a failed close loses nothing), and
+	// the rest license their reclaims, a GC advance's gated on this
+	// flush's version (vloggc.go, rule 4).
 	keep := db.afterFlush[:0]
 	for i, a := range db.afterFlush {
-		if i >= queued || a.gen >= logNum {
+		switch {
+		case i >= due || a.gen >= logNum:
 			keep = append(keep, a)
-		} else if a.r.num != 0 {
+		case a.w != nil:
+			_ = a.w.Close()
+		case a.r.num != 0:
 			if a.isGCAdvance() {
 				a.r.version = db.vs.Current().ID()
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"container/list"
 	"errors"
 	"fmt"
@@ -67,8 +68,10 @@ type DB struct {
 
 	// Value log (WAL-time key-value separation). vlogW exists only while
 	// valueSeparation() is on and points at the active segment. The leader
-	// captures vlogW under mu and appends off-mu, exactly like walW; the
-	// writer locks itself so flush-time Syncs may race leader appends.
+	// captures vlogW under mu and appends off-mu, exactly like walW; a
+	// flush may Sync it meanwhile, which the writer's atomic size and
+	// synced length allow. Retired segments' writers wait on the
+	// after-flush list for the flush that syncs and records them.
 	vlogW *vlog.Writer //boltvet:guardedby mu
 	// vlogGCStuck suppresses segments whose GC cannot advance (rotted
 	// record header mid-segment).
@@ -78,7 +81,10 @@ type DB struct {
 	// atomic so the read path can snapshot it without mu.
 	visibleSeq atomic.Uint64 //boltvet:guardedby atomic
 
-	writers []*dbWriter //boltvet:guardedby mu
+	// The writer queue (write.go): an intrusive list through dbWriter.next
+	// from its head, the leader, to its tail.
+	writers    *dbWriter //boltvet:guardedby mu
+	lastWriter *dbWriter //boltvet:guardedby mu
 	// leaderActive is true while the head of writers runs its group commit
 	// (including its off-mu WAL append). Close waits for it so the WAL
 	// writer is never closed under an in-flight append.
@@ -773,35 +779,30 @@ func (db *DB) Close() error {
 	// each queued writer becomes leader in turn, sees closed in
 	// makeRoomForWriteLocked, and returns ErrClosed — so the queue drains
 	// itself through the normal leader chain.
-	for db.running > 0 || db.manualActive || db.leaderActive || len(db.writers) > 0 {
+	for db.running > 0 || db.manualActive || db.leaderActive || db.writers != nil {
 		db.cond.Wait()
 	}
 	// Every reader is gone, so every queued reclaim is safe now. The
 	// after-flush list is dropped: value-GC advances no flush has logged
 	// lose their punches (the reopened engine re-scans those chunks and
 	// finds them dead), and an unflushed memtable's WAL stays for replay.
+	// Its retired value-log segments are synced and closed below, with the
+	// active one: Close pays the syncs no flush paid for them.
 	ops := db.takeReclaimsLocked(true)
+	vlogWs := db.vlogWritersLocked()
 	db.mu.Unlock()
 	db.execReclaims(ops)
 
+	// The first error wins; every call still runs.
 	var firstErr error
+	for _, w := range vlogWs {
+		firstErr = cmp.Or(firstErr, w.Sync(), w.Close())
+	}
 	//boltvet:ignore-begin guardedby -- post-drain teardown: closed is set and every background path has unwound, so this goroutine is the last one standing
 	if db.cfg.SyncWAL {
-		if err := db.walW.Sync(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		firstErr = cmp.Or(firstErr, db.walW.Sync())
 	}
-	if err := db.walW.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	if db.vlogW != nil {
-		if err := db.vlogW.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if err := db.vs.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
+	firstErr = cmp.Or(firstErr, db.walW.Close(), db.vs.Close())
 	//boltvet:ignore-end
 	db.tableCache.Close()
 	if db.fdCache != nil {

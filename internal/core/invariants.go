@@ -14,14 +14,15 @@ import (
 // under a vfs.SyncTrackerFS (builds tagged boltinvariants wire it into
 // Open; see invariants_enabled.go), it captures every MANIFEST's content
 // and, on each MANIFEST sync, re-decodes all its version edits: if any
-// edit validates a table whose physical file still has unsynced bytes,
-// the MANIFEST barrier is being paid before the data barrier and the
-// checker panics at the violating sync.
+// edit validates a table whose physical file still has unsynced bytes, or
+// records a value-log segment past its synced length (VLogSegmentEdit.Size
+// is a durable lower bound), the MANIFEST barrier is being paid before the
+// data barrier and the checker panics at the violating sync. Files the
+// tracker did not create — a reopened engine's — count as durable.
 //
 // The full re-decode on every sync is sound and stateless: table files
-// are immutable once their writer finishes, so a file that was clean at
-// an earlier sync cannot have become dirty again — a dirty hit always
-// implicates the newest records.
+// are immutable once their writer finishes, and synced lengths only grow,
+// so a hit always implicates the newest records.
 type barrierChecker struct{}
 
 var _ vfs.SyncChecker = barrierChecker{}
@@ -31,7 +32,7 @@ func (barrierChecker) Capture(name string) bool {
 	return ok && kind == manifest.KindManifest
 }
 
-func (barrierChecker) OnSync(name string, content []byte, dirty func(name string) int64) {
+func (barrierChecker) OnSync(name string, content []byte, state func(name string) vfs.SyncState) {
 	r := logrec.NewReader(content)
 	for {
 		rec, err := r.Next()
@@ -48,11 +49,20 @@ func (barrierChecker) OnSync(name string, content []byte, dirty func(name string
 		}
 		for _, a := range edit.Added {
 			table := manifest.TableFileName(a.Meta.PhysNum)
-			if d := dirty(table); d > 0 {
+			if d := state(table).Dirty(); d > 0 {
 				panic(fmt.Sprintf(
 					"boltinvariants: %s synced while referenced table %s has %d unsynced byte(s); "+
 						"the data barrier must precede the MANIFEST barrier",
 					name, table, d))
+			}
+		}
+		for _, s := range edit.VLogSegments {
+			seg := manifest.VLogFileName(s.Num)
+			if st := state(seg); st.Tracked && s.Size > st.Synced {
+				panic(fmt.Sprintf(
+					"boltinvariants: %s synced while it records value-log segment %s at %d byte(s), "+
+						"past the %d synced; the data barrier must precede the MANIFEST barrier",
+					name, seg, s.Size, st.Synced))
 			}
 		}
 	}

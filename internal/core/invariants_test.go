@@ -108,6 +108,48 @@ func TestBarrierCheckerAllowsSyncedTable(t *testing.T) {
 	}()
 }
 
+// TestBarrierCheckerPanicsOnVLogSizePastSynced: a MANIFEST sync that
+// records a value-log segment past the bytes its last sync covered panics;
+// one at the synced length passes, and so does a segment the tracker did
+// not create (a reopened engine's), which counts as durable.
+func TestBarrierCheckerPanicsOnVLogSizePastSynced(t *testing.T) {
+	fs := vfs.NewSyncTrackerFS(vfs.NewMem(), barrierChecker{})
+	seg, err := fs.Create(manifest.VLogFileName(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seg.Write(make([]byte, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := seg.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seg.Write(make([]byte, 50)); err != nil {
+		t.Fatal(err)
+	}
+	record := func(num uint64, size int64) *manifest.VersionEdit {
+		edit := &manifest.VersionEdit{}
+		edit.AddVLogSegment(manifest.VLogSegmentEdit{Num: num, Size: size})
+		return edit
+	}
+
+	if err := writeManifest(t, fs, 1, record(5, 100)).Sync(); err != nil {
+		t.Fatalf("segment recorded at its synced length: %v", err)
+	}
+	if err := writeManifest(t, fs, 2, record(6, 4096)).Sync(); err != nil {
+		t.Fatalf("segment the tracker never saw: %v", err)
+	}
+	mf := writeManifest(t, fs, 3, record(5, 150))
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, manifest.VLogFileName(5)) || !strings.Contains(msg, "past the 100 synced") {
+			t.Fatalf("recovered %q, want the value-log barrier panic", msg)
+		}
+	}()
+	_ = mf.Sync()
+	t.Fatal("unreachable: Sync returned")
+}
+
 func TestWrapInvariantFSMatchesBuildTag(t *testing.T) {
 	base := vfs.NewMem()
 	wrapped := wrapInvariantFS(base)

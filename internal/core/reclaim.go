@@ -10,17 +10,21 @@ import (
 	"github.com/bolt-lsm/bolt/internal/keys"
 	"github.com/bolt-lsm/bolt/internal/manifest"
 	"github.com/bolt-lsm/bolt/internal/vfs"
+	"github.com/bolt-lsm/bolt/internal/vlog"
 )
 
 // afterFlush is one entry of the after-flush list, work a flush must log
-// first: a sealed segment's size record, a value-GC advance (vloggc.go,
-// rule 2), the retired WAL. gen is the WAL number of the memtable
-// generation it waits for (0, a size record, waits for none); seg, if Num
-// is set, is the segment edit to log; r, if its num is set, is the reclaim
-// the logged edit licenses. An entry with both is a value-GC advance.
+// first: a retired value-log segment's size record, a value-GC advance
+// (vloggc.go, rule 2), the retired WAL. gen is the WAL number of the
+// memtable generation it waits for (0, a size record, waits for none);
+// seg, if Num is set, is the segment edit to log; w, set on a size record,
+// is the retired segment's writer, which the flush syncs, records at its
+// synced length and closes; r, if its num is set, is the reclaim the
+// logged edit licenses. An entry with seg and r is a value-GC advance.
 type afterFlush struct {
 	gen uint64
 	seg manifest.VLogSegmentEdit
+	w   *vlog.Writer
 	r   reclaim
 }
 
@@ -32,6 +36,8 @@ func (a afterFlush) addTo(edit *manifest.VersionEdit) {
 	case a.seg.Num == 0:
 	case a.r.whole:
 		edit.DeleteVLogSegment(a.seg.Num)
+	case a.w != nil:
+		edit.AddVLogSegment(manifest.VLogSegmentEdit{Num: a.seg.Num, Size: a.w.SyncedSize()})
 	default:
 		edit.AddVLogSegment(a.seg)
 	}

@@ -1164,3 +1164,189 @@ func TestValueGCHoldsNoReservation(t *testing.T) {
 		t.Fatalf("InFlightCompactions() = %d during a value-GC pass, want 0", n)
 	}
 }
+
+// TestNoFsyncUnderMutex: no fsync of any file runs with db.mu held —
+// through value-log rotations, background flushes and compactions,
+// value-GC passes, CompactRange, CompactValueLog and Close. Every barrier
+// is paid in a window off the engine mutex.
+func TestNoFsyncUnderMutex(t *testing.T) {
+	efs := vfs.NewErrorFS(vfs.NewMem())
+	db := openTestDB(t, efs, vlogTestConfig())
+	var syncs, rotations atomic.Int64
+	var mu sync.Mutex
+	var underMu []string
+	efs.SetInjector(vfs.InjectorFunc(func(op vfs.Op, name string, _ int64) error {
+		switch {
+		case op == vfs.OpCreate && isVLog(name):
+			rotations.Add(1)
+			return nil
+		case op != vfs.OpSync && op != vfs.OpSyncDir:
+			return nil
+		}
+		syncs.Add(1)
+		for range 200 {
+			if db.mu.TryLock() {
+				db.mu.Unlock()
+				return nil
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		mu.Lock()
+		underMu = append(underMu, name)
+		mu.Unlock()
+		return nil
+	}))
+	putGenerations(t, db, "big", 3, 40)
+	small := make([]byte, 100)
+	for i := 0; i < 3000; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("small%03d", i%500)), small); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CompactValueLog(); err != nil {
+		t.Fatal(err)
+	}
+	s := db.met.Snapshot()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	efs.SetInjector(nil)
+	if rotations.Load() < 3 || s.MemtableFlushes < 5 || s.Compactions-s.VLogGCPasses == 0 || s.VLogGCPasses == 0 {
+		t.Fatalf("the run needs rotations, flushes, compactions and GC passes: %d, %d, %d, %d",
+			rotations.Load(), s.MemtableFlushes, s.Compactions-s.VLogGCPasses, s.VLogGCPasses)
+	}
+	if syncs.Load() == 0 {
+		t.Fatal("the run paid no fsync")
+	}
+	if len(underMu) != 0 {
+		t.Fatalf("%d of %d fsyncs ran under db.mu: %v", len(underMu), syncs.Load(), underMu)
+	}
+}
+
+// fillRetiredSegments puts n separated values into db, enough to retire
+// several 8 KiB segments and too few to fill the memtable, so no flush
+// runs.
+func fillRetiredSegments(t *testing.T, db *DB, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("key%03d", i)
+		if err := db.Put([]byte(key), bigValue(key, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := db.met.Snapshot(); s.MemtableFlushes != 0 {
+		t.Fatalf("%d flushes while filling; the test needs none", s.MemtableFlushes)
+	}
+}
+
+// checkSegmentsRecordedWhole asserts every value-log segment on disk is in
+// the version at its full on-disk length: all of it was synced, and no
+// append followed.
+func checkSegmentsRecordedWhole(t *testing.T, db *DB, fs vfs.FS) {
+	t.Helper()
+	db.mu.Lock()
+	v := db.vs.Current()
+	retired := len(db.vlogWritersLocked()) - 1
+	db.mu.Unlock()
+	if retired != 0 {
+		t.Fatalf("%d retired segments still wait for a flush", retired)
+	}
+	names, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		kind, num, ok := manifest.ParseFileName(name)
+		if !ok || kind != manifest.KindValueLog {
+			continue
+		}
+		size, err := fs.Stat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, ok := v.VLogSegment(num); !ok || s.Size != size {
+			t.Errorf("segment %d: recorded %v at %d bytes, %d on disk", num, ok, s.Size, size)
+		}
+	}
+}
+
+// TestFlushSyncsRetiredSegments: a rotation pays no barrier; the next
+// flush syncs each segment retired since the last one and the active one,
+// once each, and records each at its synced length.
+func TestFlushSyncsRetiredSegments(t *testing.T) {
+	efs := vfs.NewErrorFS(vfs.NewMem())
+	db := openTestDB(t, efs, vlogTestConfig())
+	defer db.Close()
+	var rotations, syncs atomic.Int64
+	efs.SetInjector(vfs.FilterName(isVLog, vfs.InjectorFunc(func(op vfs.Op, _ string, _ int64) error {
+		switch op {
+		case vfs.OpCreate:
+			rotations.Add(1)
+		case vfs.OpSync:
+			syncs.Add(1)
+		}
+		return nil
+	})))
+	fillRetiredSegments(t, db, 20)
+	n := rotations.Load()
+	if n < 2 {
+		t.Fatalf("%d rotations, the test needs at least 2", n)
+	}
+	if got := syncs.Load(); got != 0 {
+		t.Fatalf("%d rotations paid %d value-log syncs, want 0", n, got)
+	}
+	if err := db.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.met.Snapshot().MemtableFlushes; got != 1 {
+		t.Fatalf("%d flushes, want 1", got)
+	}
+	if got := syncs.Load(); got != n+1 {
+		t.Fatalf("the flush after %d rotations paid %d value-log syncs, want %d", n, got, n+1)
+	}
+	checkSegmentsRecordedWhole(t, db, efs)
+}
+
+// TestRetiredSegmentSyncFaultFailsFlush: a failed sync of a retired
+// segment fails the flush, which the runner retries. The database runs
+// under the sync tracker, whose barrier checker panics at any MANIFEST
+// sync recording the segment past its synced length; the retry records it
+// whole.
+func TestRetiredSegmentSyncFaultFailsFlush(t *testing.T) {
+	efs := vfs.NewErrorFS(vfs.NewMem())
+	db := openTestDB(t, vfs.NewSyncTrackerFS(efs, barrierChecker{}), vlogTestConfig())
+	defer db.Close()
+	db.mu.Lock()
+	name := manifest.VLogFileName(db.vlogW.Seg())
+	db.mu.Unlock()
+	var failures atomic.Int64
+	efs.SetInjector(vfs.FilterName(func(n string) bool { return n == name },
+		vfs.InjectorFunc(func(op vfs.Op, name string, _ int64) error {
+			if op == vfs.OpSync && failures.Add(1) <= 2 {
+				return &vfs.InjectedError{Op: op, Name: name}
+			}
+			return nil
+		})))
+	fillRetiredSegments(t, db, 20)
+	if got := failures.Load(); got != 0 {
+		t.Fatalf("the rotation synced %s %d times, want 0", name, got)
+	}
+	if err := db.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	s := db.met.Snapshot()
+	if s.BgRetries != 2 || s.MemtableFlushes != 1 || failures.Load() != 3 {
+		t.Fatalf("%d retries, %d flushes, %d syncs of %s; want 2 retries of 1 flush, 3 syncs",
+			s.BgRetries, s.MemtableFlushes, failures.Load(), name)
+	}
+	checkSegmentsRecordedWhole(t, db, efs)
+	for i := 0; i < 20; i++ {
+		key := fmt.Sprintf("key%03d", i)
+		if got, err := db.Get([]byte(key), nil); err != nil || !bytes.Equal(got, bigValue(key, 0)) {
+			t.Fatalf("Get(%s) = %d bytes, %v", key, len(got), err)
+		}
+	}
+}

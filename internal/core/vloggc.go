@@ -292,25 +292,41 @@ func (db *DB) filterGCBatchLocked(w *dbWriter) {
 	w.b = b
 }
 
-// rotateVLogLocked seals the active segment, queues its MANIFEST record
-// for the next flush, opens a fresh segment, and returns the vlog-rotation
-// event for the caller to emit once it releases mu. Called under mu by the
-// group-commit leader (the only appender, so sealing cannot race an
-// append). If the new segment cannot be created, separation disables
-// itself — large values stay inline, which is correct, just unseparated —
-// rather than failing user writes. A failed seal degrades the engine: no
-// flush may validate pointers into the segment's unsynced tail.
+// rotateVLogLocked retires the active segment, opens a fresh one, and
+// returns the vlog-rotation event for the caller to emit once it releases
+// mu. Called under mu by the group-commit leader once its appends are done
+// (the only appender, so nothing writes the retired segment again). It
+// pays no barrier: the retired writer goes on the after-flush list as its
+// segment's size record, and the next flush syncs it, records it at the
+// synced length and closes it; Close syncs any no flush took. If the new
+// segment cannot be created, separation disables itself — large values
+// stay inline, which is correct, just unseparated — rather than failing
+// user writes.
 func (db *DB) rotateVLogLocked() events.Event {
 	old := db.vlogW
-	defer db.degradeLocked(old.Seal()) // seals now, degrades on return
-	e := events.Event{Type: events.TypeVLogRotation, BytesOut: old.SyncedSize()}
-	db.afterFlush = append(db.afterFlush, afterFlush{seg: manifest.VLogSegmentEdit{Num: old.Seg(), Size: e.BytesOut}})
+	e := events.Event{Type: events.TypeVLogRotation, BytesOut: old.Size()}
+	db.afterFlush = append(db.afterFlush, afterFlush{seg: manifest.VLogSegmentEdit{Num: old.Seg()}, w: old})
 	num := db.vs.NextFileNum()
 	db.vlogW = nil
 	if w, err := vlog.NewWriter(db.fs, manifest.VLogFileName(num), num); err == nil {
 		db.vlogW, e.File = w, num
 	}
 	return e
+}
+
+// vlogWritersLocked returns the value log's open writers: the retired
+// segments' on the after-flush list, in list order, then the active one.
+func (db *DB) vlogWritersLocked() []*vlog.Writer {
+	var ws []*vlog.Writer
+	for _, a := range db.afterFlush {
+		if a.w != nil {
+			ws = append(ws, a.w)
+		}
+	}
+	if db.vlogW != nil {
+		ws = append(ws, db.vlogW)
+	}
+	return ws
 }
 
 // CompactValueLog synchronously runs value-GC passes until no sealed

@@ -17,12 +17,16 @@ import (
 // record (LevelDB uses 1 MB).
 const maxGroupCommitBytes = 1 << 20
 
-// dbWriter is one queued write. The head of db.writers is the leader: it
-// performs the group commit on behalf of every writer it absorbs.
+// dbWriter is one queued write. The writer queue is an intrusive list
+// through next, from db.writers to db.lastWriter. Its head is the leader:
+// it performs the group commit on behalf of every writer it absorbs, and
+// its group runs from the head to the group's last member. next is set
+// under mu, on the tail only.
 type dbWriter struct {
-	b   *batch.Batch
-	cv  sync.Cond // on db.mu
-	err error
+	b    *batch.Batch
+	next *dbWriter // guarded by db.mu
+	cv   sync.Cond // on db.mu
+	err  error
 	// done means the write has been fully committed (or failed).
 	done bool
 	// doInsert (ConcurrentWriters profiles) wakes the writer to insert its
@@ -60,13 +64,18 @@ func (db *DB) commit(w *dbWriter) error {
 		db.mu.Unlock()
 		return err
 	}
-	db.writers = append(db.writers, w)
+	if db.lastWriter == nil {
+		db.writers = w
+	} else {
+		db.lastWriter.next = w
+	}
+	db.lastWriter = w
 	for {
 		if w.doInsert {
 			db.insertFollower(w)
 			continue
 		}
-		if w.done || db.writers[0] == w {
+		if w.done || db.writers == w {
 			break
 		}
 		w.cv.Wait()
@@ -81,7 +90,7 @@ func (db *DB) commit(w *dbWriter) error {
 	db.leaderActive = true
 	err := db.makeRoomForWriteLocked()
 	var group *batch.Batch
-	var members []*dbWriter
+	last := w                 // the group's last member
 	var rotation events.Event // set if this commit rotated the value log
 	if err == nil && w.gc != nil {
 		// Build the GC re-put batch now, under mu: liveness established at
@@ -90,12 +99,12 @@ func (db *DB) commit(w *dbWriter) error {
 		db.filterGCBatchLocked(w)
 	}
 	if err == nil {
-		group, members = db.buildGroupLocked()
+		group, last = db.buildGroupLocked()
 		db.met.GroupCommits.Add(1)
 		startSeq := db.VisibleSeq() + 1
 		group.SetSeq(startSeq)
 		seq := startSeq
-		for _, m := range members {
+		for m := w; m != last.next; m = m.next {
 			m.seq = seq
 			seq += keys.Seq(m.b.Count())
 		}
@@ -138,8 +147,8 @@ func (db *DB) commit(w *dbWriter) error {
 			// When values were extracted the followers' own batches no
 			// longer match what was logged, so the leader inserts the
 			// rewritten group for everyone.
-			if db.cfg.ConcurrentWriters && len(members) > 1 && !extracted {
-				err = db.insertConcurrently(mem, members)
+			if db.cfg.ConcurrentWriters && last != w && !extracted {
+				err = db.insertConcurrently(mem, w, last)
 			} else {
 				err = group.Iterate(func(seq keys.Seq, kind keys.Kind, key, value []byte) error {
 					mem.Add(seq, kind, key, value)
@@ -157,13 +166,10 @@ func (db *DB) commit(w *dbWriter) error {
 				rotation = db.rotateVLogLocked()
 			}
 		}
-	} else {
-		members = []*dbWriter{w}
 	}
 
 	// Complete the group and wake the next leader.
-	for _, m := range members {
-		db.writers = db.writers[1:]
+	for m := w; m != last.next; m = m.next {
 		m.err = err
 		m.done = true
 		if m != w {
@@ -171,8 +177,10 @@ func (db *DB) commit(w *dbWriter) error {
 		}
 	}
 	db.leaderActive = false
-	if len(db.writers) > 0 {
-		db.writers[0].cv.Signal()
+	if db.writers = last.next; db.writers != nil {
+		db.writers.cv.Signal()
+	} else {
+		db.lastWriter = nil
 	}
 	if db.closed || db.rotateWaiters > 0 {
 		// Close drains the writer queue before touching the WAL files, and
@@ -189,10 +197,10 @@ func (db *DB) commit(w *dbWriter) error {
 
 // separateValues rewrites group so every KindSet entry whose value meets
 // the threshold becomes a KindSetPtr entry pointing into the value log.
-// Called off-mu in the leader's commit window; vlogW locks itself against
-// concurrent flush-time Syncs. When nothing meets the threshold the group
-// is returned untouched (and the common small-value write path pays one
-// read-only scan).
+// Called off-mu in the leader's commit window, the only appender to vlogW;
+// a flush-time Sync may run beside it. When nothing meets the threshold
+// the group is returned untouched (and the common small-value write path
+// pays one read-only scan).
 func (db *DB) separateValues(group *batch.Batch, startSeq keys.Seq, vlogW *vlog.Writer) (*batch.Batch, bool, error) {
 	threshold := db.cfg.ValueThreshold
 	anyLarge := false
@@ -235,47 +243,35 @@ func (db *DB) separateValues(group *batch.Batch, startSeq keys.Seq, vlogW *vlog.
 }
 
 // buildGroupLocked absorbs queued writers (up to the byte cap) into one batch.
-// Called with mu held; returns the combined batch and its members in queue
-// order (leader first).
-func (db *DB) buildGroupLocked() (*batch.Batch, []*dbWriter) {
-	leader := db.writers[0]
-	members := []*dbWriter{leader}
-	group := leader.b
+// Called with mu held; returns the combined batch and the group's last
+// member: the group runs from the head of the queue, its leader, to it.
+func (db *DB) buildGroupLocked() (group *batch.Batch, last *dbWriter) {
+	leader := db.writers
+	group, last = leader.b, leader
 	total := leader.b.Size()
-	grouped := false
-	for _, next := range db.writers[1:] {
+	for next := leader.next; next != nil; next = next.next {
 		// A value-GC writer's batch is built only once it leads.
 		if next.gc != nil || total+next.b.Size() > maxGroupCommitBytes {
 			break
 		}
-		if !grouped {
-			combined := batch.New()
-			combined.Append(leader.b)
-			group = combined
-			grouped = true
+		if last == leader {
+			group = batch.New()
+			group.Append(leader.b)
 		}
 		group.Append(next.b)
 		total += next.b.Size()
-		members = append(members, next)
+		last = next
 	}
-	return group, members
+	return group, last
 }
 
-// insertConcurrently wakes every group member to insert its own batch into
-// mem in parallel — the HyperLevelDB write path. Called without mu.
-func (db *DB) insertConcurrently(mem *memtable.MemTable, members []*dbWriter) error {
+// insertConcurrently wakes every member of the group from leader to last to
+// insert its own batch into mem in parallel — the HyperLevelDB write path.
+// Called without mu.
+func (db *DB) insertConcurrently(mem *memtable.MemTable, leader, last *dbWriter) error {
 	var wg sync.WaitGroup
-	// Members already marked done (a concurrent Close failed the queue)
-	// have returned to their callers and will never perform their insert;
-	// the leader applies their batches itself. Their WAL record is already
-	// written, so applying keeps the log and memtable consistent.
-	var orphaned []*dbWriter
 	db.mu.Lock()
-	for _, m := range members[1:] {
-		if m.done {
-			orphaned = append(orphaned, m)
-			continue
-		}
+	for m := leader.next; m != last.next; m = m.next {
 		wg.Add(1)
 		m.doInsert = true
 		m.mem = mem
@@ -283,19 +279,10 @@ func (db *DB) insertConcurrently(mem *memtable.MemTable, members []*dbWriter) er
 		m.cv.Signal()
 	}
 	db.mu.Unlock()
-
-	insert := func(m *dbWriter) error {
-		return m.b.IterateWithSeq(m.seq, func(seq keys.Seq, kind keys.Kind, key, value []byte) error {
-			mem.Add(seq, kind, key, value)
-			return nil
-		})
-	}
-	err := insert(members[0])
-	for _, m := range orphaned {
-		if ierr := insert(m); ierr != nil && err == nil {
-			err = ierr
-		}
-	}
+	err := leader.b.IterateWithSeq(leader.seq, func(seq keys.Seq, kind keys.Kind, key, value []byte) error {
+		mem.Add(seq, kind, key, value)
+		return nil
+	})
 	wg.Wait()
 	return err
 }

@@ -5,8 +5,9 @@ import "sync"
 // SyncChecker observes sync barriers on a SyncTrackerFS. The engine's
 // build-tag-gated invariant mode (see internal/core) installs a checker
 // that decodes the MANIFEST on every sync and panics if it validates a
-// table file that still has unsynced bytes — the runtime twin of the
-// static barrierorder analyzer in internal/boltvet.
+// table file that still has unsynced bytes, or records a value-log segment
+// past its synced length — the runtime twin of the static barrierorder
+// analyzer in internal/boltvet.
 type SyncChecker interface {
 	// Capture reports whether the tracker should retain the named file's
 	// full content and report its syncs to OnSync. Called once per Create.
@@ -14,14 +15,30 @@ type SyncChecker interface {
 	// OnSync runs when a captured file is synced, before the sync reaches
 	// the underlying filesystem, so a panic here fails the process while
 	// the violating barrier is still in flight. content is the file's
-	// complete content written through this tracker; dirty reports the
-	// unsynced byte count of any file by name and is valid only until
-	// OnSync returns. OnSync must not call back into the filesystem.
-	OnSync(name string, content []byte, dirty func(name string) int64)
+	// complete content written through this tracker; state reports the
+	// durability of any file by name and is valid only until OnSync
+	// returns. OnSync must not call back into the filesystem.
+	OnSync(name string, content []byte, state func(name string) SyncState)
 }
 
-// NewSyncTrackerFS wraps inner so that every file's unsynced byte count is
-// tracked by name, and syncs of checker-selected files are reported to the
+// SyncState is what a SyncTrackerFS knows of one file's durability. Files
+// are written sequentially, so the synced bytes are a prefix.
+type SyncState struct {
+	// Tracked is false for a file the tracker has neither created nor
+	// written; its counts are zero.
+	Tracked bool
+	// Written counts the bytes written through the tracker since the
+	// file's Create, and Synced those written before the last successful
+	// sync of any of its handles began: a sync covers no byte written
+	// while it runs.
+	Written, Synced int64
+}
+
+// Dirty returns the bytes no successful sync has covered.
+func (s SyncState) Dirty() int64 { return s.Written - s.Synced }
+
+// NewSyncTrackerFS wraps inner so that every file's SyncState is tracked
+// by name, and syncs of checker-selected files are reported to the
 // checker. Tracking spans handles: bytes written through one handle stay
 // dirty until some handle of the same name syncs. PunchHole is deliberately
 // not counted — hole punching is barrier-free by design.
@@ -29,7 +46,7 @@ func NewSyncTrackerFS(inner FS, checker SyncChecker) FS {
 	return &syncTrackerFS{
 		inner:   inner,
 		checker: checker,
-		dirty:   make(map[string]int64),
+		state:   make(map[string]SyncState),
 		content: make(map[string][]byte),
 	}
 }
@@ -39,8 +56,8 @@ type syncTrackerFS struct {
 	checker SyncChecker //boltvet:guardedby none -- immutable after NewSyncTrackerFS
 
 	mu      sync.Mutex
-	dirty   map[string]int64  //boltvet:guardedby mu -- name -> unsynced bytes
-	content map[string][]byte //boltvet:guardedby mu -- captured names -> full content
+	state   map[string]SyncState //boltvet:guardedby mu
+	content map[string][]byte    //boltvet:guardedby mu -- captured names -> full content
 }
 
 var _ FS = (*syncTrackerFS)(nil)
@@ -52,7 +69,7 @@ func (t *syncTrackerFS) Create(name string) (File, error) {
 	}
 	captured := t.checker.Capture(name)
 	t.mu.Lock()
-	t.dirty[name] = 0
+	t.state[name] = SyncState{Tracked: true}
 	if captured {
 		t.content[name] = nil // Create truncates
 	} else {
@@ -68,7 +85,7 @@ func (t *syncTrackerFS) Open(name string) (File, error) {
 		return nil, err
 	}
 	// Read handles still route Sync through the tracker: syncing any
-	// handle of a name settles that name's dirty bytes (Repair reopens
+	// handle of a name settles that name's written bytes (Repair reopens
 	// salvaged files just to sync them).
 	t.mu.Lock()
 	_, captured := t.content[name]
@@ -81,7 +98,7 @@ func (t *syncTrackerFS) Remove(name string) error {
 		return err
 	}
 	t.mu.Lock()
-	delete(t.dirty, name)
+	delete(t.state, name)
 	delete(t.content, name)
 	t.mu.Unlock()
 	return nil
@@ -92,9 +109,9 @@ func (t *syncTrackerFS) Rename(oldname, newname string) error {
 		return err
 	}
 	t.mu.Lock()
-	if d, ok := t.dirty[oldname]; ok {
-		t.dirty[newname] = d
-		delete(t.dirty, oldname)
+	if s, ok := t.state[oldname]; ok {
+		t.state[newname] = s
+		delete(t.state, oldname)
 	}
 	if c, ok := t.content[oldname]; ok {
 		t.content[newname] = c
@@ -110,10 +127,10 @@ func (t *syncTrackerFS) List() ([]string, error)         { return t.inner.List()
 func (t *syncTrackerFS) Stat(name string) (int64, error) { return t.inner.Stat(name) }
 func (t *syncTrackerFS) SyncDir() error                  { return t.inner.SyncDir() }
 
-func (t *syncTrackerFS) dirtyBytes(name string) int64 {
+func (t *syncTrackerFS) stateOf(name string) SyncState {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dirty[name]
+	return t.state[name]
 }
 
 type syncTrackerFile struct {
@@ -130,7 +147,10 @@ func (f *syncTrackerFile) Write(p []byte) (int, error) {
 	if n > 0 {
 		t := f.fs
 		t.mu.Lock()
-		t.dirty[f.name] += int64(n)
+		s := t.state[f.name]
+		s.Tracked = true
+		s.Written += int64(n)
+		t.state[f.name] = s
 		if f.captured {
 			t.content[f.name] = append(t.content[f.name], p[:n]...)
 		}
@@ -141,21 +161,30 @@ func (f *syncTrackerFile) Write(p []byte) (int, error) {
 
 func (f *syncTrackerFile) Sync() error {
 	t := f.fs
+	t.mu.Lock()
+	begun := t.state[f.name].Written
+	var content []byte
 	if f.captured {
-		t.mu.Lock()
-		content := append([]byte(nil), t.content[f.name]...)
-		t.mu.Unlock()
-		// The checker runs outside the tracker lock (its dirty callback
+		content = append(content, t.content[f.name]...)
+	}
+	t.mu.Unlock()
+	if f.captured {
+		// The checker runs outside the tracker lock (its state callback
 		// re-enters it) and before the inner Sync, so an invariant panic
 		// reports the barrier that was about to be paid, not one already
 		// durable.
-		t.checker.OnSync(f.name, content, t.dirtyBytes)
+		t.checker.OnSync(f.name, content, t.stateOf)
 	}
 	if err := f.inner.Sync(); err != nil {
 		return err
 	}
+	// Bytes written while the inner sync ran stay dirty: it need not have
+	// covered them. A file re-created meanwhile keeps only its own bytes.
 	t.mu.Lock()
-	t.dirty[f.name] = 0
+	if s, ok := t.state[f.name]; ok && s.Synced < begun {
+		s.Synced = min(begun, s.Written)
+		t.state[f.name] = s
+	}
 	t.mu.Unlock()
 	return nil
 }

@@ -19,13 +19,13 @@ type syncEvent struct {
 
 func (c *recordingChecker) Capture(name string) bool { return name[0] == 'M' }
 
-func (c *recordingChecker) OnSync(name string, content []byte, dirty func(string) int64) {
+func (c *recordingChecker) OnSync(name string, content []byte, state func(string) SyncState) {
 	c.syncs = append(c.syncs, syncEvent{
 		name:    name,
 		content: content,
 		dirty: map[string]int64{
-			"data":  dirty("data"),
-			"other": dirty("other"),
+			"data":  state("data").Dirty(),
+			"other": state("other").Dirty(),
 		},
 	})
 }
@@ -148,5 +148,52 @@ func TestSyncTrackerCrossHandleAndRename(t *testing.T) {
 	}
 	if d := chk.syncs[1].dirty["data"]; d != 0 {
 		t.Fatalf("dirty after remove = %d, want 0", d)
+	}
+}
+
+// TestSyncTrackerWriteDuringSync: bytes written while the inner Sync runs
+// stay dirty after it returns — the sync credits only what was written
+// before it began — and the next sync settles them.
+func TestSyncTrackerWriteDuringSync(t *testing.T) {
+	efs := NewErrorFS(NewMem())
+	fs := NewSyncTrackerFS(efs, &recordingChecker{})
+	f, err := fs.Create("data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(make([]byte, 100)); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	efs.SetInjector(InjectorFunc(func(op Op, _ string, _ int64) error {
+		if op == OpSync {
+			close(entered)
+			<-release
+		}
+		return nil
+	}))
+	done := make(chan error)
+	go func() { done <- f.Sync() }()
+	<-entered
+	if _, err := f.Write(make([]byte, 50)); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	efs.SetInjector(nil)
+	tracker := fs.(*syncTrackerFS)
+	if got := tracker.stateOf("data"); got != (SyncState{Tracked: true, Written: 150, Synced: 100}) {
+		t.Fatalf("state after a sync with a write inside it = %+v, want 150 written, 100 synced", got)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if d := tracker.stateOf("data").Dirty(); d != 0 {
+		t.Fatalf("dirty after a second sync = %d, want 0", d)
+	}
+	if s := tracker.stateOf("never-created"); s.Tracked || s.Dirty() != 0 {
+		t.Fatalf("untracked file state = %+v", s)
 	}
 }

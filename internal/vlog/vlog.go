@@ -28,7 +28,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sync"
+	"sync/atomic"
 
 	"github.com/bolt-lsm/bolt/internal/vfs"
 )
@@ -135,22 +135,20 @@ func payloadOK(hdr, payload []byte) bool {
 	return maskCRC(crc32.Checksum(payload, castagnoli)) == want
 }
 
-// Writer appends records to one open segment. Unlike wal.Writer it is
-// self-locking: appends come only from the group-commit leader (serialized
-// by the engine), but Sync is also called by flush goroutines folding the
-// value log into the flush barrier, and the two must not race on the
-// buffer state.
+// Writer appends records to one open segment. Like wal.Writer it is not
+// self-locking: appends come only from the group-commit leader, which the
+// engine serializes. A Sync may run beside an append — a flush syncing the
+// active segment while the leader writes — so size and synced are atomic,
+// and a Sync credits only the bytes appended before it started: an fsync
+// covers every byte written before it began, and no more is known.
 //
 //boltvet:mustclose
 type Writer struct {
-	seg uint64 //boltvet:guardedby none -- immutable
-
-	mu     sync.Mutex
-	f      vfs.File //boltvet:guardedby mu
-	size   int64    //boltvet:guardedby mu
-	synced int64    //boltvet:guardedby mu
-	sealed bool     //boltvet:guardedby mu
-	buf    []byte   //boltvet:guardedby mu
+	seg    uint64       //boltvet:guardedby none -- immutable
+	f      vfs.File     //boltvet:guardedby none -- immutable; the file synchronizes its own calls
+	buf    []byte       //boltvet:guardedby none -- the appending leader's alone (see type doc)
+	size   atomic.Int64 //boltvet:guardedby atomic
+	synced atomic.Int64 //boltvet:guardedby atomic
 }
 
 // NewWriter creates segment file seg (named by nameOf) in fs, starting
@@ -167,81 +165,43 @@ func NewWriter(fs vfs.FS, name string, seg uint64) (*Writer, error) {
 func (w *Writer) Seg() uint64 { return w.seg }
 
 // Append writes one record and returns its pointer. The bytes are durable
-// only after a following Sync.
+// only after a Sync that starts once Append has returned.
 func (w *Writer) Append(key, value []byte) (Pointer, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.sealed {
-		return Pointer{}, errors.New("vlog: writer sealed")
-	}
 	w.buf = appendRecord(w.buf[:0], key, value)
 	if _, err := w.f.Write(w.buf); err != nil {
 		return Pointer{}, fmt.Errorf("vlog: append segment %d: %w", w.seg, err)
 	}
-	p := Pointer{Seg: w.seg, Off: w.size, Len: int64(len(w.buf))}
-	w.size += int64(len(w.buf))
-	return p, nil
+	n := int64(len(w.buf))
+	return Pointer{Seg: w.seg, Off: w.size.Add(n) - n, Len: n}, nil
 }
 
-// Sync makes all appended records durable. On a sealed writer it is a
-// no-op (sealing synced the segment).
+// Sync makes every record appended before it started durable.
 func (w *Writer) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.sealed || w.synced == w.size {
+	n := w.size.Load()
+	if n == w.synced.Load() {
 		return nil
 	}
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("vlog: sync segment %d: %w", w.seg, err)
 	}
-	w.synced = w.size
+	// Syncs may overlap (a flush and a SyncWAL commit): the larger credit
+	// stands.
+	for s := w.synced.Load(); s < n && !w.synced.CompareAndSwap(s, n); s = w.synced.Load() {
+	}
 	return nil
 }
 
 // Size returns the segment's current length in bytes.
-func (w *Writer) Size() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.size
-}
+func (w *Writer) Size() int64 { return w.size.Load() }
 
 // SyncedSize returns the length up to which the segment is known durable.
 // Appends happen at record granularity, so the value is always a record
 // boundary.
-func (w *Writer) SyncedSize() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.synced
-}
+func (w *Writer) SyncedSize() int64 { return w.synced.Load() }
 
-// Seal syncs and closes the write handle; the segment is immutable
-// afterwards. Safe to call twice.
-func (w *Writer) Seal() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.sealLocked()
-}
-
-func (w *Writer) sealLocked() error {
-	if w.sealed {
-		return nil
-	}
-	w.sealed = true
-	err := w.f.Sync()
-	if err == nil {
-		w.synced = w.size
-	}
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("vlog: seal segment %d: %w", w.seg, err)
-	}
-	return nil
-}
-
-// Close seals the writer (idempotent).
-func (w *Writer) Close() error { return w.Seal() }
+// Close closes the segment file without syncing: the bytes no Sync has
+// covered stay as durable as the file system leaves them.
+func (w *Writer) Close() error { return w.f.Close() }
 
 // ReadRecord reads and verifies the record at p from f, returning its key
 // and value (sub-slices of one freshly allocated buffer). A checksum

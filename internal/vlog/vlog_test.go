@@ -266,3 +266,59 @@ func TestSealFailedSyncKeepsSyncedSize(t *testing.T) {
 		t.Fatalf("SyncedSize %d grew without Sync (durable %d)", w.SyncedSize(), durable)
 	}
 }
+
+// TestWriterSyncBesideAppend: Syncs from two goroutines run beside the
+// appending one, as a flush's and a SyncWAL commit's do beside the commit
+// leader's. The synced length only grows, never passes the size, and a
+// last Sync covers every record.
+func TestWriterSyncBesideAppend(t *testing.T) {
+	fs := vfs.NewMem()
+	w, err := NewWriter(fs, "000009.vlog", 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	done := make(chan struct{})
+	errs := make(chan error, 2)
+	for range 2 {
+		go func() {
+			var last int64
+			for {
+				select {
+				case <-done:
+					errs <- nil
+					return
+				default:
+				}
+				if err := w.Sync(); err != nil {
+					errs <- err
+					return
+				}
+				synced := w.SyncedSize()
+				if synced < last || synced > w.Size() {
+					errs <- fmt.Errorf("synced %d after %d, size %d", synced, last, w.Size())
+					return
+				}
+				last = synced
+			}
+		}()
+	}
+	value := bytes.Repeat([]byte("v"), 100)
+	for i := 0; i < 2000; i++ {
+		if _, err := w.Append([]byte(fmt.Sprintf("k%04d", i)), value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if want := 2000 * EncodedLen(5, 100); w.SyncedSize() != want || w.Size() != want {
+		t.Fatalf("size %d, synced %d after the last Sync, want %d", w.Size(), w.SyncedSize(), want)
+	}
+}
