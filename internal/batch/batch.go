@@ -15,6 +15,12 @@ import (
 
 const headerSize = 12
 
+// newCap is a new batch's capacity: past the header it holds the head of a
+// record (kind, key length, key, value length) with a key of up to 25
+// bytes, a YCSB key's 23 among them, so Put on a new batch grows it once,
+// by appending the value.
+const newCap = 48
+
 // ErrCorrupt reports a malformed batch representation.
 var ErrCorrupt = errors.New("batch: corrupt")
 
@@ -25,7 +31,7 @@ type Batch struct {
 
 // New returns an empty batch.
 func New() *Batch {
-	return &Batch{data: make([]byte, headerSize)}
+	return &Batch{data: make([]byte, headerSize, newCap)}
 }
 
 // FromRepr wraps a wire representation (e.g. one WAL record) as a batch.
@@ -40,44 +46,36 @@ func FromRepr(data []byte) (*Batch, error) {
 func (b *Batch) Repr() []byte { return b.data }
 
 // Put records a key/value insertion.
-func (b *Batch) Put(key, value []byte) {
-	b.reserve(key, value)
-	b.setCount(b.Count() + 1)
-	b.data = append(b.data, byte(keys.KindSet))
-	b.data = binary.AppendUvarint(b.data, uint64(len(key)))
-	b.data = append(b.data, key...)
-	b.data = binary.AppendUvarint(b.data, uint64(len(value)))
-	b.data = append(b.data, value...)
-}
+func (b *Batch) Put(key, value []byte) { b.add(keys.KindSet, key, value) }
 
 // PutPtr records an insertion whose value is a value-log pointer (the
 // encoded vlog.Pointer bytes). The group-commit leader rewrites large
 // KindSet records into these before the WAL append, so replay reproduces
 // the pointer entries without re-extracting values.
-func (b *Batch) PutPtr(key, ptr []byte) {
-	b.reserve(key, ptr)
-	b.setCount(b.Count() + 1)
-	b.data = append(b.data, byte(keys.KindSetPtr))
-	b.data = binary.AppendUvarint(b.data, uint64(len(key)))
-	b.data = append(b.data, key...)
-	b.data = binary.AppendUvarint(b.data, uint64(len(ptr)))
-	b.data = append(b.data, ptr...)
-}
+func (b *Batch) PutPtr(key, ptr []byte) { b.add(keys.KindSetPtr, key, ptr) }
 
 // Delete records a key deletion.
-func (b *Batch) Delete(key []byte) {
-	b.reserve(key, nil)
+func (b *Batch) Delete(key []byte) { b.add(keys.KindDelete, key, nil) }
+
+// add appends one record, reallocating the buffer at most once. The
+// record's head (kind, key length, key and value length) is appended into
+// spare capacity, and the value behind it: when the buffer must grow, the
+// append that copies the value grows it, and the runtime clears only the
+// capacity past the record. Growing ahead of the appends would zero-fill
+// the bytes they overwrite.
+func (b *Batch) add(kind keys.Kind, key, value []byte) {
 	b.setCount(b.Count() + 1)
-	b.data = append(b.data, byte(keys.KindDelete))
+	if head := 1 + 2*binary.MaxVarintLen32 + len(key); cap(b.data)-len(b.data) < head {
+		// The head alone might overflow: grow for the whole record at once.
+		b.data = slices.Grow(b.data, head+len(value))
+	}
+	b.data = append(b.data, byte(kind))
 	b.data = binary.AppendUvarint(b.data, uint64(len(key)))
 	b.data = append(b.data, key...)
-}
-
-// reserve grows the buffer, if it must, to hold one more record of key and
-// value, so the record's appends reallocate at most once between them: a
-// one-record batch is allocated at its full size instead of growing twice.
-func (b *Batch) reserve(key, value []byte) {
-	b.data = slices.Grow(b.data, 1+2*binary.MaxVarintLen32+len(key)+len(value))
+	if kind != keys.KindDelete {
+		b.data = binary.AppendUvarint(b.data, uint64(len(value)))
+	}
+	b.data = append(b.data, value...)
 }
 
 // Count returns the number of operations in the batch.

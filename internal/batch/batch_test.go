@@ -2,6 +2,7 @@ package batch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -165,5 +166,51 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWireBytes checks the encoding byte for byte against the format
+// spelled out field by field, over records whose head fits the spare
+// capacity, whose head does not (a long key), and whose value grows the
+// buffer, and checks that Put on a new batch allocates once.
+func TestWireBytes(t *testing.T) {
+	b := New()
+	want := make([]byte, headerSize)
+	for i, r := range []struct {
+		kind       keys.Kind
+		key, value []byte
+	}{
+		{keys.KindSet, []byte("k"), []byte("v")},
+		{keys.KindDelete, []byte("gone"), nil},
+		{keys.KindSet, bytes.Repeat([]byte("K"), 300), []byte("after a long key")},
+		{keys.KindSetPtr, []byte("p"), []byte{1, 2, 3}},
+		{keys.KindSet, []byte("big"), bytes.Repeat([]byte("V"), 5000)},
+		{keys.KindDelete, bytes.Repeat([]byte("D"), 200), nil},
+		{keys.KindSet, nil, nil},
+	} {
+		switch r.kind {
+		case keys.KindSet:
+			b.Put(r.key, r.value)
+		case keys.KindSetPtr:
+			b.PutPtr(r.key, r.value)
+		default:
+			b.Delete(r.key)
+		}
+		want = append(want, byte(r.kind))
+		want = binary.AppendUvarint(want, uint64(len(r.key)))
+		want = append(want, r.key...)
+		if r.kind != keys.KindDelete {
+			want = binary.AppendUvarint(want, uint64(len(r.value)))
+			want = append(want, r.value...)
+		}
+		binary.LittleEndian.PutUint32(want[8:12], uint32(i+1))
+		if !bytes.Equal(b.Repr(), want) {
+			t.Fatalf("after record %d: repr differs from the wire format", i)
+		}
+	}
+
+	value := make([]byte, 4096)
+	if n := testing.AllocsPerRun(100, func() { New().Put([]byte("user0123456789"), value) }); n != 2 {
+		t.Fatalf("New + Put of a 4 KiB value: %v allocations, want 2 (the batch and its one growth)", n)
 	}
 }

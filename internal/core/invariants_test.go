@@ -224,3 +224,73 @@ func TestGCAdvanceBeforeFlushPanics(t *testing.T) {
 		t.Fatalf("flush-covered advance rejected: %v", err)
 	}
 }
+
+// TestBarrierCheckerUnsyncedTail drives the checker's two unsynced-tail
+// rules by hand. Tables 7 and 8 share physical file 7 at level 1; an
+// unsynced move of 7 licenses nothing, and a commit deleting 8 is written
+// but not yet synced: 8's range may not be reclaimed, 7's may, and the
+// sync that covers both is legal because the older record is a move. A
+// later non-move record left unsynced trips the next sync.
+func TestBarrierCheckerUnsyncedTail(t *testing.T) {
+	fs := vfs.NewSyncTrackerFS(vfs.NewMem(), barrierChecker{})
+	table := func(num uint64, off int64) *manifest.FileMeta {
+		m := invariantEdit(7).Added[0].Meta
+		m.Num, m.Offset = num, off
+		return m
+	}
+	t7, t8 := table(7, 0), table(8, 128)
+	snapshot := &manifest.VersionEdit{}
+	snapshot.AddFile(1, t7)
+	snapshot.AddFile(1, t8)
+	mf := writeManifest(t, fs, 1, snapshot)
+	if err := mf.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	size, err := mf.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lw := logrec.NewWriter(mf)
+	lw.Reset(mf, size)
+	appendEdit := func(edit *manifest.VersionEdit) {
+		t.Helper()
+		if err := lw.WriteRecord(edit.Encode()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	move := &manifest.VersionEdit{}
+	move.DeleteFile(1, 7)
+	move.AddFile(2, t7)
+	if !move.MoveOnly() {
+		t.Fatal("a promotion's edit is not move-only")
+	}
+	appendEdit(move)
+	rewrite := &manifest.VersionEdit{}
+	rewrite.DeleteFile(1, 8)
+	rewrite.AddFile(2, table(9, 0))
+	if rewrite.MoveOnly() {
+		t.Fatal("a rewrite's edit is move-only")
+	}
+	appendEdit(rewrite)
+
+	f, err := fs.Create(manifest.TableFileName(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.PunchHole(0, 128); err != nil {
+		t.Fatalf("table 7 is only moved: %v", err)
+	}
+	expectBarrierPanic(t, "deletes table 8", func() { _ = f.PunchHole(100, 100) })
+	expectBarrierPanic(t, "deletes table 8", func() { _ = fs.Remove(manifest.TableFileName(7)) })
+
+	if err := mf.Sync(); err != nil {
+		t.Fatalf("a sync over an unsynced move: %v", err)
+	}
+	if err := f.PunchHole(128, 128); err != nil {
+		t.Fatalf("table 8's deletion is synced: %v", err)
+	}
+
+	appendEdit(rewrite)
+	appendEdit(move)
+	expectBarrierPanic(t, "not move-only", func() { _ = mf.Sync() })
+}

@@ -892,9 +892,17 @@ func TestBackgroundValueGCPaysNoBarriers(t *testing.T) {
 	db := openTestDB(t, vfs.NewMem(), vlogTestConfig())
 	defer db.Close()
 	// Generation 0 becomes garbage when the second CompactRange drops its
-	// pointers; the GC lane picks it up as soon as that call lets go.
+	// pointers. The value-GC claim is held until the snapshot below is
+	// taken, so no pass can start, or end uncounted, before it.
+	db.mu.Lock()
+	db.gcActive = true
+	db.mu.Unlock()
 	putGenerations(t, db, "key", 2, 40)
 	before := db.met.Snapshot()
+	db.mu.Lock()
+	db.gcActive = false
+	db.maybeScheduleWorkLocked()
+	db.mu.Unlock()
 	if err := db.WaitIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -1017,6 +1025,12 @@ func TestValueGCStuckSegmentReported(t *testing.T) {
 	}
 	db := openTestDB(t, mem, cfg)
 	defer db.Close()
+	// Hold the value-GC claim until the rot has landed: even at ratio 1.0
+	// a background pass takes a fully dead segment, and one that read the
+	// header first would collect the segment instead of getting stuck.
+	db.mu.Lock()
+	db.gcActive = true
+	db.mu.Unlock()
 	putGenerations(t, db, "key", 2, 40)
 
 	db.mu.Lock()
@@ -1025,6 +1039,9 @@ func TestValueGCStuckSegmentReported(t *testing.T) {
 	if err := mem.CorruptFileRange(manifest.VLogFileName(rotted.Num), rotted.GCOffset, 4); err != nil {
 		t.Fatal(err)
 	}
+	db.mu.Lock()
+	db.gcActive = false
+	db.mu.Unlock()
 	if err := db.CompactValueLog(); err != nil {
 		t.Fatal(err)
 	}

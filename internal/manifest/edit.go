@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/bolt-lsm/bolt/internal/keys"
 )
@@ -111,6 +112,29 @@ func (e *VersionEdit) AddFile(level int, meta *FileMeta) {
 // DeleteFile appends a deleted-table record.
 func (e *VersionEdit) DeleteFile(level int, num uint64) {
 	e.Deleted = append(e.Deleted, DeletedFile{Level: level, Num: num})
+}
+
+// MoveOnly reports whether e only moves existing tables between levels:
+// it re-adds every table it deletes at another level, adds no other
+// table, and carries no log number, compaction cursor, quarantine or
+// value-log record. The file-number and sequence stamps every committed
+// edit carries are ignored: a later edit that depends on them is synced
+// and carries its own. A settled promotion's edit is move-only. Losing
+// one in a crash leaves each table at its old level, a version the
+// engine really had, so CommitPrepared appends it without a barrier.
+func (e *VersionEdit) MoveOnly() bool {
+	if len(e.Added) == 0 || len(e.Added) != len(e.Deleted) || e.LogNum != nil ||
+		len(e.CompactPointers)+len(e.Quarantined)+len(e.VLogSegments)+len(e.VLogDeleted) > 0 {
+		return false
+	}
+	for _, a := range e.Added {
+		if !slices.ContainsFunc(e.Deleted, func(d DeletedFile) bool {
+			return d.Num == a.Meta.Num && d.Level != a.Level
+		}) {
+			return false
+		}
+	}
+	return true
 }
 
 // QuarantineFile appends a quarantined-table record.

@@ -758,3 +758,93 @@ func TestBuilderDerivesL0Runs(t *testing.T) {
 		t.Fatalf("recovered runs %s", got)
 	}
 }
+
+func TestMoveOnly(t *testing.T) {
+	a, b := meta(10, 10, 0, 100, "a", "c"), meta(11, 10, 100, 100, "d", "f")
+	move := func(extra func(*VersionEdit)) *VersionEdit {
+		e := &VersionEdit{}
+		e.DeleteFile(1, 10)
+		e.DeleteFile(1, 11)
+		e.AddFile(2, a)
+		e.AddFile(2, b)
+		if extra != nil {
+			extra(e)
+		}
+		return e
+	}
+	if !move(nil).MoveOnly() {
+		t.Fatal("a promotion of two tables is not move-only")
+	}
+	stamped := move(func(e *VersionEdit) { e.SetNextFileNum(99); e.SetLastSeq(7) })
+	if d, err := DecodeEdit(stamped.Encode()); err != nil || !d.MoveOnly() {
+		t.Fatalf("a decoded, stamped move is not move-only (%v)", err)
+	}
+	for name, extra := range map[string]func(*VersionEdit){
+		"rewrite":    func(e *VersionEdit) { e.Added[1].Meta = meta(12, 12, 0, 100, "d", "f") },
+		"delete":     func(e *VersionEdit) { e.DeleteFile(1, 13) },
+		"add":        func(e *VersionEdit) { e.AddFile(2, meta(14, 14, 0, 100, "x", "z")) },
+		"same level": func(e *VersionEdit) { e.Added[0].Level = 1 },
+		"log number": func(e *VersionEdit) { e.SetLogNum(5) },
+		"cursor":     func(e *VersionEdit) { e.CompactPointers = []CompactPointer{{Level: 1, Key: ik("c", 1)}} },
+		"quarantine": func(e *VersionEdit) { e.QuarantineFile(10) },
+		"value log":  func(e *VersionEdit) { e.AddVLogSegment(VLogSegmentEdit{Num: 3, Size: 10}) },
+		"vlog gone":  func(e *VersionEdit) { e.DeleteVLogSegment(3) },
+	} {
+		if move(extra).MoveOnly() {
+			t.Errorf("%s: classified move-only", name)
+		}
+	}
+	if (&VersionEdit{}).MoveOnly() {
+		t.Error("an empty edit is move-only")
+	}
+}
+
+// TestMoveCommitsWithoutBarrier: a move-only edit is appended to the
+// MANIFEST unsynced, so a crash before the next synced edit recovers the
+// table at its old level, and one after it recovers the move.
+func TestMoveCommitsWithoutBarrier(t *testing.T) {
+	mem := vfs.NewMem()
+	vs, err := Create(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vs.Close()
+	add := &VersionEdit{}
+	add.AddFile(1, meta(10, 10, 0, 100, "a", "c"))
+	if err := vs.LogAndApply(add); err != nil {
+		t.Fatal(err)
+	}
+	move := &VersionEdit{}
+	move.DeleteFile(1, 10)
+	move.AddFile(2, vs.Current().Levels[1][0])
+	if err := vs.LogAndApply(move); err != nil {
+		t.Fatal(err)
+	}
+	tables := func(fs *vfs.MemFS) (perLevel [NumLevels]int) {
+		t.Helper()
+		got, err := Load(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer got.Close()
+		for level, files := range got.Current().Levels {
+			perLevel[level] = len(files)
+		}
+		return perLevel
+	}
+	if got := tables(mem.CrashClone()); got != [NumLevels]int{1: 1} {
+		t.Fatalf("crash before a later sync: tables per level %v, want the one at its old level 1", got)
+	}
+	if got := tables(mem); got != [NumLevels]int{2: 1} {
+		t.Fatalf("without a crash: tables per level %v, want the one at level 2", got)
+	}
+	flush := &VersionEdit{}
+	flush.SetLogNum(20)
+	flush.AddFile(0, meta(21, 21, 0, 100, "x", "z"))
+	if err := vs.LogAndApply(flush); err != nil {
+		t.Fatal(err)
+	}
+	if got := tables(mem.CrashClone()); got != [NumLevels]int{0: 1, 2: 1} {
+		t.Fatalf("crash after a synced edit: tables per level %v, want the flush's and the moved one", got)
+	}
+}

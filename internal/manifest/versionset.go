@@ -193,7 +193,7 @@ func (vs *VersionSet) removeVersion(v *Version) { vs.live.remove(v) }
 // protocol) runs without the engine mutex held:
 //
 //	db.mu held:   p := vs.Prepare(edit)
-//	db.mu free:   err := vs.CommitPrepared(p)   // append + fsync
+//	db.mu free:   err := vs.CommitPrepared(p)   // append + fsync (none for a move)
 //	db.mu held:   vs.Install(p)
 //
 // At most one prepared edit may be in flight (the engine guards this with
@@ -201,6 +201,7 @@ func (vs *VersionSet) removeVersion(v *Version) { vs.live.remove(v) }
 type PreparedEdit struct {
 	version   *Version
 	record    []byte
+	moveOnly  bool // appended without a barrier (see VersionEdit.MoveOnly)
 	rotate    bool
 	rotateNum uint64
 }
@@ -224,9 +225,10 @@ func (vs *VersionSet) Prepare(edit *VersionEdit) *PreparedEdit {
 	builder := newVersionBuilder(vs.current)
 	builder.apply(edit)
 	p := &PreparedEdit{
-		version: builder.finish(vs),
-		record:  edit.Encode(),
-		rotate:  vs.manifestSize >= maxManifestSize || vs.forceRotate,
+		version:  builder.finish(vs),
+		record:   edit.Encode(),
+		moveOnly: edit.MoveOnly(),
+		rotate:   vs.manifestSize >= maxManifestSize || vs.forceRotate,
 	}
 	if p.rotate {
 		vs.forceRotate = false
@@ -243,7 +245,13 @@ func (vs *VersionSet) Prepare(edit *VersionEdit) *PreparedEdit {
 
 // CommitPrepared makes the edit durable: one MANIFEST append plus fsync,
 // or — when the MANIFEST has grown past its rotation threshold — a fresh
-// MANIFEST holding a snapshot of the edit's resulting version. Call
+// MANIFEST holding a snapshot of the edit's resulting version. A
+// move-only edit is appended without the fsync: the next synced record (a
+// flush's, a rewrite compaction's, a rotation's snapshot) makes it
+// durable, since an fsync covers every byte appended before it. A crash
+// before then loses only moves, and replay stops at the torn tail with
+// each table at its old level. No reclaim can depend on a lost move: a
+// reclaim waits for the sync of the edit that deleted its table. Call
 // without the engine mutex; vs.current must not change concurrently.
 func (vs *VersionSet) CommitPrepared(p *PreparedEdit) error {
 	if p.rotate {
@@ -260,10 +268,13 @@ func (vs *VersionSet) CommitPrepared(p *PreparedEdit) error {
 	if err := vs.manifestLog.WriteRecord(p.record); err != nil {
 		return fmt.Errorf("manifest: append edit: %w", err)
 	}
+	vs.manifestSize += int64(len(p.record)) + 16
+	if p.moveOnly {
+		return nil
+	}
 	if err := vs.manifestFile.Sync(); err != nil {
 		return fmt.Errorf("manifest: sync: %w", err)
 	}
-	vs.manifestSize += int64(len(p.record)) + 16
 	return nil
 }
 
@@ -356,8 +367,8 @@ func (vs *VersionSet) writeNewManifest(rec []byte) error {
 		return err
 	}
 	if vs.manifestFile != nil {
-		// Best effort: the superseded MANIFEST handle holds no unsynced
-		// state (every commit synced before returning).
+		// Best effort: the superseded MANIFEST's unsynced tail holds at
+		// most move-only records, and the snapshot just synced covers them.
 		_ = vs.manifestFile.Close()
 	}
 	vs.manifestFile = f

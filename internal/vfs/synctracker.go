@@ -1,13 +1,17 @@
 package vfs
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
-// SyncChecker observes sync barriers on a SyncTrackerFS. The engine's
-// build-tag-gated invariant mode (see internal/core) installs a checker
-// that decodes the MANIFEST on every sync and panics if it validates a
-// table file that still has unsynced bytes, or records a value-log segment
-// past its synced length — the runtime twin of the static barrierorder
-// analyzer in internal/boltvet.
+// SyncChecker observes sync barriers and reclaims on a SyncTrackerFS. The
+// engine's build-tag-gated invariant mode (see internal/core) installs a
+// checker that decodes the MANIFEST on every sync and panics if it
+// validates a table file that still has unsynced bytes, or records a
+// value-log segment past its synced length — the runtime twin of the
+// static barrierorder analyzer in internal/boltvet — and on every reclaim
+// panics if the edit that deleted the reclaimed table is not yet synced.
 type SyncChecker interface {
 	// Capture reports whether the tracker should retain the named file's
 	// full content and report its syncs to OnSync. Called once per Create.
@@ -19,6 +23,20 @@ type SyncChecker interface {
 	// durability of any file by name and is valid only until OnSync
 	// returns. OnSync must not call back into the filesystem.
 	OnSync(name string, content []byte, state func(name string) SyncState)
+	// OnReclaim runs before name is removed (off 0, length math.MaxInt64)
+	// or the range [off, off+length) of it is punched, so a panic here
+	// fails the process while the reclaim is still in flight. captured
+	// holds every captured file's content and synced length; OnReclaim
+	// must not call back into the filesystem.
+	OnReclaim(name string, off, length int64, captured []CapturedFile)
+}
+
+// CapturedFile is a captured file's content, as written through the
+// tracker, and the length of its prefix that a successful sync covered.
+type CapturedFile struct {
+	Name    string
+	Content []byte
+	Synced  int64
 }
 
 // SyncState is what a SyncTrackerFS knows of one file's durability. Files
@@ -40,8 +58,9 @@ func (s SyncState) Dirty() int64 { return s.Written - s.Synced }
 // NewSyncTrackerFS wraps inner so that every file's SyncState is tracked
 // by name, and syncs of checker-selected files are reported to the
 // checker. Tracking spans handles: bytes written through one handle stay
-// dirty until some handle of the same name syncs. PunchHole is deliberately
-// not counted — hole punching is barrier-free by design.
+// dirty until some handle of the same name syncs. Removes and hole punches
+// are reported to the checker's OnReclaim but change no file's counts —
+// hole punching is barrier-free by design.
 func NewSyncTrackerFS(inner FS, checker SyncChecker) FS {
 	return &syncTrackerFS{
 		inner:   inner,
@@ -94,6 +113,7 @@ func (t *syncTrackerFS) Open(name string) (File, error) {
 }
 
 func (t *syncTrackerFS) Remove(name string) error {
+	t.checker.OnReclaim(name, 0, math.MaxInt64, t.captured())
 	if err := t.inner.Remove(name); err != nil {
 		return err
 	}
@@ -131,6 +151,19 @@ func (t *syncTrackerFS) stateOf(name string) SyncState {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.state[name]
+}
+
+// captured lists the captured files. The contents are not copied: a
+// captured file's bytes are only ever appended (past every length handed
+// out) or replaced by a re-Create, never rewritten in place.
+func (t *syncTrackerFS) captured() []CapturedFile {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]CapturedFile, 0, len(t.content))
+	for name, c := range t.content {
+		out = append(out, CapturedFile{Name: name, Content: c, Synced: t.state[name].Synced})
+	}
+	return out
 }
 
 type syncTrackerFile struct {
@@ -191,5 +224,9 @@ func (f *syncTrackerFile) Sync() error {
 
 func (f *syncTrackerFile) ReadAt(p []byte, off int64) (int, error) { return f.inner.ReadAt(p, off) }
 func (f *syncTrackerFile) Size() (int64, error)                    { return f.inner.Size() }
-func (f *syncTrackerFile) PunchHole(off, length int64) error       { return f.inner.PunchHole(off, length) }
 func (f *syncTrackerFile) Close() error                            { return f.inner.Close() }
+
+func (f *syncTrackerFile) PunchHole(off, length int64) error {
+	f.fs.checker.OnReclaim(f.name, off, length, f.fs.captured())
+	return f.inner.PunchHole(off, length)
+}

@@ -30,6 +30,8 @@ func (c *recordingChecker) OnSync(name string, content []byte, state func(string
 	})
 }
 
+func (c *recordingChecker) OnReclaim(string, int64, int64, []CapturedFile) {}
+
 func TestSyncTrackerDirtyAccounting(t *testing.T) {
 	chk := &recordingChecker{}
 	fs := NewSyncTrackerFS(NewMem(), chk)
