@@ -150,7 +150,13 @@ type Options struct {
 	// the paper.
 	BlockSize int
 
-	// SyncWrites syncs the WAL on every commit (durable acknowledgements).
+	// SyncWrites syncs the WAL on every commit. Without it (the default) a
+	// write is acknowledged once its WAL record is in the operating
+	// system's page cache: it survives a crash of the process but not a
+	// power loss. With it, the record is fsynced before the write returns,
+	// so it survives both. On Linux the WAL is appended through a shared
+	// memory mapping of the file instead of write(2); a stored byte is in
+	// the page cache as a written one is, so the contract is the same.
 	SyncWrites bool
 
 	// ValueThreshold enables WAL-time key-value separation: values of at

@@ -150,7 +150,15 @@ func TestOpenSimChargesDevice(t *testing.T) {
 	}
 	defer db.Close()
 	for i := 0; i < 2000; i++ {
-		db.Put([]byte(fmt.Sprintf("user%08d", i)), make([]byte, 100))
+		if err := db.Put([]byte(fmt.Sprintf("user%08d", i)), make([]byte, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Background flushes and compactions sync while they run; the device
+	// counts a barrier before the engine does, so both counters are read
+	// only once they have stopped.
+	if err := db.WaitIdle(); err != nil {
+		t.Fatal(err)
 	}
 	sim, ok := db.SimStats()
 	if !ok {

@@ -191,8 +191,16 @@ func (db *DB) flushLocked(j *job) error {
 	due := len(db.afterFlush)
 	vlogW := db.vlogW
 	segs := db.vlogWritersLocked()
+	retired := db.immWAL
+	db.immWAL = nil
 
 	db.mu.Unlock()
+	// Nothing appends to imm's WAL any more, and its file is removed once
+	// this flush commits, so a failed close loses nothing; a retry of the
+	// flush finds it closed.
+	if retired != nil {
+		_ = retired.Close()
+	}
 	// The flush barrier covers the value log: every pointer in imm must be
 	// durable before the tables referencing it commit, and each segment the
 	// edit records (retired ones, then the active one) is synced here.

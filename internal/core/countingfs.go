@@ -19,14 +19,26 @@ type countingFS struct {
 	c     *metrics.Metrics
 }
 
-var _ vfs.FS = (*countingFS)(nil)
+var (
+	_ vfs.FS         = (*countingFS)(nil)
+	_ vfs.LogCreator = (*countingFS)(nil)
+)
 
 func newCountingFS(inner vfs.FS, c *metrics.Metrics) *countingFS {
 	return &countingFS{inner: inner, c: c}
 }
 
 func (f *countingFS) Create(name string) (vfs.File, error) {
-	file, err := f.inner.Create(name)
+	return f.created(f.inner.Create(name))
+}
+
+// CreateLog forwards to the inner filesystem's log file, so the WAL's
+// appends and syncs are counted whichever kind of file it is.
+func (f *countingFS) CreateLog(name string) (vfs.File, error) {
+	return f.created(vfs.CreateLog(f.inner, name))
+}
+
+func (f *countingFS) created(file vfs.File, err error) (vfs.File, error) {
 	if err != nil {
 		return nil, err
 	}

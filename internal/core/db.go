@@ -65,6 +65,10 @@ type DB struct {
 	walW   *wal.Writer          //boltvet:guardedby mu
 	walNum uint64               //boltvet:guardedby mu
 	vs     *manifest.VersionSet //boltvet:guardedby mu
+	// immWAL is imm's retired WAL writer, still open: closing it unmaps
+	// and truncates a mapped log, so the flush of imm closes it rather
+	// than the commit that rotated it (and Close, if no flush did).
+	immWAL *wal.Writer //boltvet:guardedby mu
 
 	// Value log (WAL-time key-value separation). vlogW exists only while
 	// valueSeparation() is on and points at the active segment. The leader
@@ -801,6 +805,9 @@ func (db *DB) Close() error {
 	//boltvet:ignore-begin guardedby -- post-drain teardown: closed is set and every background path has unwound, so this goroutine is the last one standing
 	if db.cfg.SyncWAL {
 		firstErr = cmp.Or(firstErr, db.walW.Sync())
+	}
+	if db.immWAL != nil {
+		firstErr = cmp.Or(firstErr, db.immWAL.Close())
 	}
 	firstErr = cmp.Or(firstErr, db.walW.Close(), db.vs.Close())
 	//boltvet:ignore-end

@@ -360,7 +360,7 @@ func (db *DB) switchMemtableLocked() (newLogNum uint64, err error) {
 	if err != nil {
 		return 0, err
 	}
-	_ = db.walW.Close()
+	db.immWAL = db.walW
 	// The retired WAL is obsolete once the flush of its memtable commits.
 	db.afterFlush = append(db.afterFlush, afterFlush{gen: db.walNum, r: reclaim{name: manifest.LogFileName, num: db.walNum, whole: true}})
 	db.walNum = newLogNum

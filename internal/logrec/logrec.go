@@ -34,6 +34,22 @@ var ErrCorrupt = errors.New("logrec: corrupt fragment")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// typeCRC holds the CRC of each one-byte fragment type, the seed a
+// fragment's checksum continues from over its payload (LevelDB's
+// type_crc_). All 256 values are covered so a corrupt type byte still
+// indexes it.
+var typeCRC = func() (t [256]uint32) {
+	for i := range t {
+		t[i] = crc32.Checksum([]byte{byte(i)}, castagnoli)
+	}
+	return t
+}()
+
+// fragmentCRC is the masked checksum of a fragment of type ftype.
+func fragmentCRC(ftype byte, frag []byte) uint32 {
+	return maskCRC(crc32.Update(typeCRC[ftype], castagnoli, frag))
+}
+
 // maskCRC applies LevelDB's CRC masking so that CRCs of CRCs behave well.
 func maskCRC(c uint32) uint32 { return ((c >> 15) | (c << 17)) + 0xa282ead8 }
 
@@ -65,8 +81,9 @@ func (lw *Writer) WriteRecord(data []byte) error {
 		if leftover < headerSize {
 			// Pad the block trailer with zeros and start a new block.
 			if leftover > 0 {
-				var pad [headerSize]byte
-				if _, err := lw.w.Write(pad[:leftover]); err != nil {
+				pad := lw.buf[:leftover]
+				clear(pad)
+				if _, err := lw.w.Write(pad); err != nil {
 					return fmt.Errorf("logrec: pad block: %w", err)
 				}
 			}
@@ -104,8 +121,7 @@ func (lw *Writer) WriteRecord(data []byte) error {
 
 func (lw *Writer) writeFragment(ftype byte, frag []byte) error {
 	buf := lw.buf[:headerSize+len(frag)]
-	crc := crc32.Update(crc32.Checksum([]byte{ftype}, castagnoli), castagnoli, frag)
-	binary.LittleEndian.PutUint32(buf[0:4], maskCRC(crc))
+	binary.LittleEndian.PutUint32(buf[0:4], fragmentCRC(ftype, frag))
 	binary.LittleEndian.PutUint16(buf[4:6], uint16(len(frag)))
 	buf[6] = ftype
 	copy(buf[headerSize:], frag)
@@ -152,9 +168,7 @@ func (lr *Reader) Next() ([]byte, error) {
 			return nil, lr.fail("truncated fragment")
 		}
 		frag := lr.data[lr.pos+headerSize : lr.pos+headerSize+length]
-		wantCRC := binary.LittleEndian.Uint32(hdr[0:4])
-		gotCRC := maskCRC(crc32.Update(crc32.Checksum([]byte{ftype}, castagnoli), castagnoli, frag))
-		if wantCRC != gotCRC {
+		if binary.LittleEndian.Uint32(hdr[0:4]) != fragmentCRC(ftype, frag) {
 			return nil, lr.fail("bad checksum")
 		}
 		lr.pos += headerSize + length

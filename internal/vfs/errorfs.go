@@ -224,7 +224,10 @@ type ErrorFS struct {
 	corr Corruptor //boltvet:guardedby mu
 }
 
-var _ FS = (*ErrorFS)(nil)
+var (
+	_ FS         = (*ErrorFS)(nil)
+	_ LogCreator = (*ErrorFS)(nil)
+)
 
 // NewErrorFS wraps inner with no injector installed (all operations pass
 // through until SetInjector is called).
@@ -284,10 +287,21 @@ func (fs *ErrorFS) corrupt(op Op, name string, n int64, p []byte, off int64) {
 
 // Create creates (or truncates) name, subject to OpCreate injection.
 func (fs *ErrorFS) Create(name string) (File, error) {
+	return fs.create(name, fs.inner.Create)
+}
+
+// CreateLog creates name with the wrapped filesystem's log file, subject
+// to OpCreate injection like Create; its handle's writes and syncs are
+// injection sites like any other file's.
+func (fs *ErrorFS) CreateLog(name string) (File, error) {
+	return fs.create(name, func(name string) (File, error) { return CreateLog(fs.inner, name) })
+}
+
+func (fs *ErrorFS) create(name string, create func(string) (File, error)) (File, error) {
 	if err := fs.check(OpCreate, name); err != nil {
 		return nil, err
 	}
-	f, err := fs.inner.Create(name)
+	f, err := create(name)
 	if err != nil {
 		return nil, err
 	}

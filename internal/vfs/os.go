@@ -15,7 +15,10 @@ type OSFS struct {
 	dir string
 }
 
-var _ FS = (*OSFS)(nil)
+var (
+	_ FS         = (*OSFS)(nil)
+	_ LogCreator = (*OSFS)(nil)
+)
 
 // NewOS returns a filesystem rooted at dir, creating it if necessary.
 func NewOS(dir string) (*OSFS, error) {
@@ -32,11 +35,29 @@ func (o *OSFS) path(name string) string { return filepath.Join(o.dir, name) }
 
 // Create creates or truncates name for appending.
 func (o *OSFS) Create(name string) (File, error) {
+	f, err := o.create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &osFile{f: f}, nil
+}
+
+// CreateLog creates or truncates name as an append-only log: a mapped
+// append file on Linux (os_linux.go), a plain file elsewhere.
+func (o *OSFS) CreateLog(name string) (File, error) {
+	f, err := o.create(name)
+	if err != nil {
+		return nil, err
+	}
+	return newLogFile(f), nil
+}
+
+func (o *OSFS) create(name string) (*os.File, error) {
 	f, err := os.OpenFile(o.path(name), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("vfs: create %q: %w", name, err)
 	}
-	return &osFile{f: f}, nil
+	return f, nil
 }
 
 // Open opens name for random-access reads.

@@ -9,3 +9,7 @@ import "os"
 func punchHoleNative(*os.File, int64, int64) error {
 	return ErrPunchHoleUnsupported
 }
+
+// newLogFile returns a plain file: without mmap and fallocate the log
+// appends with write(2).
+func newLogFile(f *os.File) File { return &osFile{f: f} }

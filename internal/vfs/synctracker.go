@@ -79,10 +79,23 @@ type syncTrackerFS struct {
 	content map[string][]byte    //boltvet:guardedby mu -- captured names -> full content
 }
 
-var _ FS = (*syncTrackerFS)(nil)
+var (
+	_ FS         = (*syncTrackerFS)(nil)
+	_ LogCreator = (*syncTrackerFS)(nil)
+)
 
 func (t *syncTrackerFS) Create(name string) (File, error) {
-	f, err := t.inner.Create(name)
+	return t.create(name, t.inner.Create)
+}
+
+// CreateLog forwards to the inner filesystem's log file; its writes and
+// syncs are tracked like any created file's.
+func (t *syncTrackerFS) CreateLog(name string) (File, error) {
+	return t.create(name, func(name string) (File, error) { return CreateLog(t.inner, name) })
+}
+
+func (t *syncTrackerFS) create(name string, create func(string) (File, error)) (File, error) {
+	f, err := create(name)
 	if err != nil {
 		return nil, err
 	}

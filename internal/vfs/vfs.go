@@ -72,6 +72,26 @@ type FS interface {
 	SyncDir() error
 }
 
+// LogCreator is implemented by a filesystem that has a faster kind of file
+// for an append-only log: on Linux, OSFS maps the log into memory so an
+// append is a store rather than a write(2). Such a file keeps File's
+// contract — an appended byte survives a process crash once Write
+// returns, and a power loss once Sync returns — and its bytes past the
+// last Write, if any, read as zeros until Close cuts them off.
+type LogCreator interface {
+	// CreateLog creates (or truncates) the named log file for appending.
+	CreateLog(name string) (File, error)
+}
+
+// CreateLog creates name with fs's log file when fs implements
+// LogCreator, and with fs.Create otherwise.
+func CreateLog(fs FS, name string) (File, error) {
+	if lc, ok := fs.(LogCreator); ok {
+		return lc.CreateLog(name)
+	}
+	return fs.Create(name)
+}
+
 // ReadFull reads exactly len(p) bytes from f at off.
 func ReadFull(f File, p []byte, off int64) error {
 	n, err := f.ReadAt(p, off)

@@ -17,7 +17,7 @@ import (
 // Writer appends batches to a log file. It is not self-locking: the
 // engine serializes all calls — appends through the group-commit leader
 // (which owns the writer for its off-mu append window) and Close through
-// the post-drain teardown.
+// the flush of a retired log's memtable or the post-drain teardown.
 //
 //boltvet:mustclose
 type Writer struct {
@@ -26,9 +26,10 @@ type Writer struct {
 	closed bool           //boltvet:guardedby none -- externally serialized by the engine (see type doc)
 }
 
-// NewWriter creates the log file `name` in fs.
+// NewWriter creates the log file `name` in fs, as fs's log file where it
+// has one (vfs.CreateLog).
 func NewWriter(fs vfs.FS, name string) (*Writer, error) {
-	f, err := fs.Create(name)
+	f, err := vfs.CreateLog(fs, name)
 	if err != nil {
 		return nil, fmt.Errorf("wal: create %q: %w", name, err)
 	}

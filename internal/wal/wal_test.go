@@ -10,7 +10,16 @@ import (
 )
 
 func TestWriteReplay(t *testing.T) {
-	fs := vfs.NewMem()
+	osfs, err := vfs.NewOS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fs := range map[string]vfs.FS{"mem": vfs.NewMem(), "os": osfs} {
+		t.Run(name, func(t *testing.T) { testWriteReplay(t, fs) })
+	}
+}
+
+func testWriteReplay(t *testing.T, fs vfs.FS) {
 	w, err := NewWriter(fs, "000001.log")
 	if err != nil {
 		t.Fatal(err)
@@ -131,5 +140,61 @@ func TestGroupCommitRecord(t *testing.T) {
 	want := []keys.Seq{100, 101, 102, 103, 104}
 	if fmt.Sprint(seqs) != fmt.Sprint(want) {
 		t.Fatalf("seqs = %v", seqs)
+	}
+}
+
+// loadRecord is the WAL record of one YCSB load insert: a batch holding
+// one Put of a 23-byte key and a 256-byte value (292 bytes, 299 with the
+// fragment header).
+func loadRecord() []byte {
+	b := batch.New()
+	b.Put([]byte("user6284781860667377211"), make([]byte, 256))
+	b.SetSeq(1)
+	return b.Repr()
+}
+
+// BenchmarkAppendOS appends load's record shape to WALs on the OS
+// filesystem, starting a new log every 4 MiB as the engine's 4 MiB
+// memtable does, so the per-record figure carries the create, close and
+// remove of each log. On Linux the log is a mapped append file.
+func BenchmarkAppendOS(b *testing.B) {
+	fs, err := vfs.NewOS(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := loadRecord()
+	const rotateBytes = 4 << 20
+	var w *Writer
+	var logged int
+	rotate := func() {
+		if w != nil {
+			if err := w.Close(); err != nil {
+				b.Fatal(err)
+			}
+			if err := fs.Remove("000001.log"); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if w, err = NewWriter(fs, "000001.log"); err != nil {
+			b.Fatal(err)
+		}
+		logged = 0
+	}
+	rotate()
+	b.SetBytes(int64(len(rec)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if logged >= rotateBytes {
+			rotate()
+		}
+		if err := w.AddRecord(rec); err != nil {
+			b.Fatal(err)
+		}
+		logged += len(rec)
+	}
+	b.StopTimer()
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
 	}
 }
