@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/bolt-lsm/bolt/internal/compaction"
 	"github.com/bolt-lsm/bolt/internal/events"
@@ -13,6 +12,7 @@ import (
 	"github.com/bolt-lsm/bolt/internal/metrics"
 	"github.com/bolt-lsm/bolt/internal/sstable"
 	"github.com/bolt-lsm/bolt/internal/vlog"
+	"github.com/bolt-lsm/bolt/internal/wal"
 )
 
 // CompactRange synchronously compacts every table overlapping the user-key
@@ -20,54 +20,31 @@ import (
 // after flushing the current memtable. Tools use it to settle a database
 // into its minimal shape; nil,nil compacts everything.
 func (db *DB) CompactRange(start, limit []byte) error {
-	// No unlock window may separate a rotation from the manualActive claim
-	// below, so its wal-rotation event is emitted on the way out, after mu
-	// is released, back-dated to the rotation.
-	var rotations []events.Event
-	defer func() {
-		for _, e := range rotations {
-			db.ev.Emit(e)
-		}
-	}()
 	db.mu.Lock()
-	// Exclude the scheduler in the critical section that rotates the
-	// memtable, not after the flush: the flush lands the L0 tables this
-	// call is about to compact, and a scheduler still picking would race
-	// the manual pass for them. Not earlier either: the rotation may wait
-	// for a group-commit leader, and a leader stalled on the L0 stop
-	// governor needs the scheduler to release it. manualActive stops new
-	// compaction picks (pickCompactionLocked returns nil) and value-GC
-	// passes; flushes keep running — the wait below depends on one — and
-	// reserved work already in flight runs to completion first. It also
-	// serializes manual compactions: each assumes it is the only consumer
-	// of current-version tables, so a call that finds another one claimed
-	// the flag while it waited for its rotation starts over.
-	for {
+	// The memtable's content is flushed first so it participates, and the
+	// scheduler is excluded in the critical section of that switch (the
+	// forced writer's, see commit), not after the flush: the flush lands
+	// the L0 tables this call is about to compact, and a scheduler still
+	// picking would race the manual pass for them. Not earlier either: the
+	// switch may queue behind a group-commit leader, and a leader stalled
+	// on the L0 stop governor needs the scheduler to release it.
+	// manualActive stops new compaction picks (pickCompactionLocked returns
+	// nil) and value-GC passes; flushes keep running — the wait depends on
+	// one — and reserved work already in flight runs to completion first.
+	// It also serializes manual compactions: each assumes it is the only
+	// consumer of current-version tables, so a call that finds another one
+	// claimed the flag while it queued starts over.
+	err := errManualBusy
+	for errors.Is(err, errManualBusy) {
 		for db.manualActive && !db.closed {
 			db.cond.Wait()
 		}
-		if db.closed {
-			db.mu.Unlock()
-			return ErrClosed
-		}
-		if err := db.pendingErrLocked(); err != nil {
-			db.mu.Unlock()
-			return err
-		}
-		// Flush current memtable content first so it participates.
-		if !db.mem.Empty() {
-			logNum, err := db.forceMemtableSwitchLocked()
-			if err != nil {
-				db.mu.Unlock()
-				return err
-			}
-			rotations = append(rotations, events.Event{Type: events.TypeWALRotation, File: logNum, Time: time.Now()})
-		}
-		if !db.manualActive {
-			break
-		}
+		err = db.flushMemtableLocked(true)
 	}
-	db.manualActive = true
+	if err != nil {
+		db.mu.Unlock()
+		return err
+	}
 	defer func() {
 		// The cleanup must run under mu, so mu is released here rather
 		// than at the return sites.
@@ -76,14 +53,10 @@ func (db *DB) CompactRange(start, limit []byte) error {
 		db.cond.Broadcast()
 		db.mu.Unlock()
 	}()
-	for (db.imm != nil || db.lanes[laneFlush].busy+db.lanes[lanePool].busy > 0) && !db.bgStoppedLocked() {
-		db.maybeScheduleWorkLocked()
-		db.cond.Wait()
-	}
 	// One compaction per sorted level is exhaustive; level 0 repeats until
 	// nothing in range is left, since flushes keep landing there.
 	level := 0
-	err := db.runForegroundLocked(func() *job {
+	err = db.runForegroundLocked(func() *job {
 		for ; level < manifest.NumLevels-1; level++ {
 			if c := db.manualCompactionLocked(level, start, limit); c != nil {
 				if level > 0 {
@@ -137,25 +110,27 @@ func (db *DB) manualCompactionLocked(level int, start, limit []byte) *compaction
 	return c
 }
 
-// forceMemtableSwitchLocked rotates the memtable regardless of its size so
-// a flush of current contents can be awaited. It returns the new log number
-// for the caller's wal-rotation event.
-func (db *DB) forceMemtableSwitchLocked() (uint64, error) {
-	// Waiting on leaderActive too: the group-commit leader appends to the
-	// current WAL writer with mu released, so rotating (and closing) it
-	// here while a leader is in that window would race the append.
-	for (db.imm != nil || db.leaderActive) && !db.bgStoppedLocked() {
-		db.rotateWaiters++
+// errManualBusy reports that CompactRange's forced switch found another
+// manual compaction holding the claim; the caller waits it out and retries.
+var errManualBusy = errors.New("core: manual compaction busy")
+
+// flushMemtableLocked retires the active memtable through the writer queue,
+// as a writer with no batch, and waits until every memtable retired so far
+// is flushed and the flush job has ended, its reclaims included. manual
+// makes the forced writer take CompactRange's claim, or fail with
+// errManualBusy. Called with mu held; releases it while queued.
+func (db *DB) flushMemtableLocked(manual bool) error {
+	db.mu.Unlock()
+	err := db.commit(&dbWriter{manual: manual})
+	db.mu.Lock()
+	if err != nil {
+		return err
+	}
+	for gen := db.walW.Num(); (db.vs.LogNum() < gen || db.lanes[laneFlush].busy+db.lanes[lanePool].busy > 0) && !db.bgStoppedLocked(); {
+		db.maybeScheduleWorkLocked()
 		db.cond.Wait()
-		db.rotateWaiters--
 	}
-	if db.closed {
-		return 0, ErrClosed
-	}
-	if err := db.pendingErrLocked(); err != nil {
-		return 0, err
-	}
-	return db.switchMemtableLocked()
+	return nil
 }
 
 // pickCompactionLocked returns the next compaction the picker can run
@@ -184,20 +159,25 @@ func (db *DB) pickCompactionLocked() *compaction.Compaction {
 // the platter, and the MANIFEST of a failed commit may reference them).
 func (db *DB) flushLocked(j *job) error {
 	imm := db.imm
-	logNum := db.walNum // stable: imm != nil blocks further switches
+	logNum := db.walW.Num() // stable: imm != nil blocks further switches
 	// The flush logs the after-flush entries queued before it started and
 	// no later ones: an advance queued meanwhile belongs to the active
 	// memtable, and no WAL can retire while imm is set.
 	due := len(db.afterFlush)
 	vlogW := db.vlogW
 	segs := db.vlogWritersLocked()
-	retired := db.immWAL
-	db.immWAL = nil
+	// imm's WAL writer rides the entry that reclaims its file; the flush
+	// takes it, so a retry finds it closed.
+	var retired *wal.Writer
+	for i, a := range db.afterFlush[:due] {
+		if a.walW != nil {
+			retired, db.afterFlush[i].walW = a.walW, nil
+		}
+	}
 
 	db.mu.Unlock()
 	// Nothing appends to imm's WAL any more, and its file is removed once
-	// this flush commits, so a failed close loses nothing; a retry of the
-	// flush finds it closed.
+	// this flush commits, so a failed close loses nothing.
 	if retired != nil {
 		_ = retired.Close()
 	}

@@ -60,15 +60,10 @@ type DB struct {
 	mu   sync.Mutex
 	cond *sync.Cond // background state changes (flush/compaction done)
 
-	mem    *memtable.MemTable   //boltvet:guardedby mu
-	imm    *memtable.MemTable   //boltvet:guardedby mu
-	walW   *wal.Writer          //boltvet:guardedby mu
-	walNum uint64               //boltvet:guardedby mu
-	vs     *manifest.VersionSet //boltvet:guardedby mu
-	// immWAL is imm's retired WAL writer, still open: closing it unmaps
-	// and truncates a mapped log, so the flush of imm closes it rather
-	// than the commit that rotated it (and Close, if no flush did).
-	immWAL *wal.Writer //boltvet:guardedby mu
+	mem  *memtable.MemTable   //boltvet:guardedby mu
+	imm  *memtable.MemTable   //boltvet:guardedby mu
+	walW *wal.Writer          //boltvet:guardedby mu
+	vs   *manifest.VersionSet //boltvet:guardedby mu
 
 	// Value log (WAL-time key-value separation). vlogW exists only while
 	// valueSeparation() is on and points at the active segment. The leader
@@ -89,14 +84,6 @@ type DB struct {
 	// from its head, the leader, to its tail.
 	writers    *dbWriter //boltvet:guardedby mu
 	lastWriter *dbWriter //boltvet:guardedby mu
-	// leaderActive is true while the head of writers runs its group commit
-	// (including its off-mu WAL append). Close waits for it so the WAL
-	// writer is never closed under an in-flight append.
-	leaderActive bool //boltvet:guardedby mu
-	// rotateWaiters counts foreground WAL rotations
-	// (forceMemtableSwitchLocked) waiting for the leader's off-mu append
-	// window to end; a finishing leader broadcasts cond when it is nonzero.
-	rotateWaiters int //boltvet:guardedby mu
 
 	snapshots *list.List //boltvet:guardedby mu -- of keys.Seq, ascending: each snapshot, followed by the iterators opened on it
 
@@ -202,8 +189,16 @@ func Open(fs vfs.FS, cfg Config) (*DB, error) {
 	}}
 
 	if err := db.recover(); err != nil {
+		// Release what recover opened: the value-log and WAL writers, and
+		// the MANIFEST Recover rotated to.
 		if db.vlogW != nil {
 			err = errors.Join(err, db.vlogW.Close())
+		}
+		if db.walW != nil {
+			err = errors.Join(err, db.walW.Close())
+		}
+		if db.vs != nil {
+			err = errors.Join(err, db.vs.Close())
 		}
 		db.tableCache.Close()
 		if db.fdCache != nil {
@@ -364,8 +359,7 @@ func (db *DB) recover() error {
 	db.vs.SetLastSeq(maxSeq)
 
 	// Fresh WAL for new writes.
-	db.walNum = db.vs.NextFileNum()
-	db.walW, err = wal.NewWriter(db.fs, manifest.LogFileName(db.walNum))
+	db.walW, err = wal.NewWriter(db.fs, manifest.LogFileName(db.vs.NextFileNum()))
 	if err != nil {
 		return err
 	}
@@ -388,7 +382,7 @@ func (db *DB) recover() error {
 	// possibly longer than the size a pre-crash flush recorded (Size
 	// merges by max), never shorter.
 	edit := &manifest.VersionEdit{}
-	edit.SetLogNum(db.walNum)
+	edit.SetLogNum(db.walW.Num())
 	for seg := range refSegs {
 		edit.AddVLogSegment(manifest.VLogSegmentEdit{Num: seg, Size: vlogValid[seg]})
 	}
@@ -783,7 +777,7 @@ func (db *DB) Close() error {
 	// each queued writer becomes leader in turn, sees closed in
 	// makeRoomForWriteLocked, and returns ErrClosed — so the queue drains
 	// itself through the normal leader chain.
-	for db.running > 0 || db.manualActive || db.leaderActive || db.writers != nil {
+	for db.running > 0 || db.manualActive || db.writers != nil {
 		db.cond.Wait()
 	}
 	// Every reader is gone, so every queued reclaim is safe now. The
@@ -791,7 +785,8 @@ func (db *DB) Close() error {
 	// lose their punches (the reopened engine re-scans those chunks and
 	// finds them dead), and an unflushed memtable's WAL stays for replay.
 	// Its retired value-log segments are synced and closed below, with the
-	// active one: Close pays the syncs no flush paid for them.
+	// active one: Close pays the syncs no flush paid for them. A retired
+	// WAL no flush took is closed with the active one.
 	ops := db.takeReclaimsLocked(true)
 	vlogWs := db.vlogWritersLocked()
 	db.mu.Unlock()
@@ -806,8 +801,10 @@ func (db *DB) Close() error {
 	if db.cfg.SyncWAL {
 		firstErr = cmp.Or(firstErr, db.walW.Sync())
 	}
-	if db.immWAL != nil {
-		firstErr = cmp.Or(firstErr, db.immWAL.Close())
+	for _, a := range db.afterFlush {
+		if a.walW != nil {
+			firstErr = cmp.Or(firstErr, a.walW.Close())
+		}
 	}
 	firstErr = cmp.Or(firstErr, db.walW.Close(), db.vs.Close())
 	//boltvet:ignore-end

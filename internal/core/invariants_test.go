@@ -186,11 +186,11 @@ func TestGCAdvanceBeforeFlushPanics(t *testing.T) {
 		pending []afterFlush
 		edit    func(*manifest.VersionEdit)
 	}{
-		{"unflushed-watermark", []afterFlush{gcAdvance(seg, db.walNum, 4096, false)},
+		{"unflushed-watermark", []afterFlush{gcAdvance(seg, db.walW.Num(), 4096, false)},
 			func(e *manifest.VersionEdit) {
 				e.AddVLogSegment(manifest.VLogSegmentEdit{Num: seg, GCOffset: 4096})
 			}},
-		{"unflushed-delete", []afterFlush{gcAdvance(seg, db.walNum, 0, true)},
+		{"unflushed-delete", []afterFlush{gcAdvance(seg, db.walW.Num(), 0, true)},
 			func(e *manifest.VersionEdit) { e.DeleteVLogSegment(seg) }},
 		{"no-pass", nil,
 			func(e *manifest.VersionEdit) {
@@ -215,10 +215,10 @@ func TestGCAdvanceBeforeFlushPanics(t *testing.T) {
 
 	// The same advance is accepted once its generation is flushed — by the
 	// edit itself, as flushLocked's edit does.
-	db.afterFlush = []afterFlush{gcAdvance(seg, db.walNum, 4096, false)}
+	db.afterFlush = []afterFlush{gcAdvance(seg, db.walW.Num(), 4096, false)}
 	defer func() { db.afterFlush = nil }()
 	edit := &manifest.VersionEdit{}
-	edit.SetLogNum(db.walNum + 1)
+	edit.SetLogNum(db.walW.Num() + 1)
 	edit.AddVLogSegment(manifest.VLogSegmentEdit{Num: seg, GCOffset: 4096})
 	if err := db.checkGCAdvancesLocked(edit); err != nil {
 		t.Fatalf("flush-covered advance rejected: %v", err)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 
 	"github.com/bolt-lsm/bolt/internal/events"
@@ -78,7 +79,7 @@ func TestCompactRangeFlushesMemtable(t *testing.T) {
 	// in use, and — emitted after the call's critical sections — is
 	// back-dated to before the flush it caused.
 	db.mu.Lock()
-	walNum := db.walNum
+	walNum := db.walW.Num()
 	db.mu.Unlock()
 	var rotations []events.Event
 	var flushStart events.Event
@@ -99,6 +100,34 @@ func TestCompactRangeFlushesMemtable(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if _, err := db.Get([]byte(fmt.Sprintf("m%02d", i)), nil); err != nil {
 			t.Fatal(err)
+		}
+	}
+
+	// A size-triggered rotation, then a forced one: every rotation is
+	// stamped under mu in its switch, so none is later than the start of
+	// the flush of the memtable it retired. Rotations and flushes
+	// alternate, so the i-th of each pair up.
+	fill(t, db, 500, 100)
+	if err := db.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	rotations = rotations[:0]
+	var flushStarts []events.Event
+	for _, e := range db.Events() {
+		switch e.Type {
+		case events.TypeWALRotation:
+			rotations = append(rotations, e)
+		case events.TypeFlushStart:
+			flushStarts = append(flushStarts, e)
+		}
+	}
+	sort.Slice(rotations, func(i, j int) bool { return rotations[i].File < rotations[j].File })
+	if len(rotations) < 3 || len(flushStarts) != len(rotations) {
+		t.Fatalf("%d wal-rotation and %d flush-start events, want as many of each and at least 3", len(rotations), len(flushStarts))
+	}
+	for i, r := range rotations {
+		if r.Time.After(flushStarts[i].Time) {
+			t.Errorf("rotation to log %d stamped %v, after its flush started at %v", r.File, r.Time, flushStarts[i].Time)
 		}
 	}
 }
@@ -185,7 +214,7 @@ func testCompactRangeCompactionCount(t *testing.T, cfg Config) {
 	for round := 0; round < 3; round++ {
 		put(round)
 		db.mu.Lock()
-		_, err := db.forceMemtableSwitchLocked()
+		err := db.flushMemtableLocked(false)
 		db.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)

@@ -70,7 +70,7 @@ func (f *skipSyncFile) Sync() error {
 func flushNow(t *testing.T, db *DB) {
 	t.Helper()
 	db.mu.Lock()
-	_, err := db.forceMemtableSwitchLocked()
+	err := db.flushMemtableLocked(false)
 	db.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

@@ -16,10 +16,33 @@ import (
 // reading through them. A tiny memtable keeps flushes, WAL rotations, and
 // MANIFEST commits constantly in flight so the race detector sees the
 // mu/manifestMu handoffs, the lock-free memtable inserts, and the table
-// reclaim path all interleaved.
+// reclaim path all interleaved. The value-log case separates half the
+// values, inserts concurrently, and forces value-GC passes beside the
+// compactions, so the forced memtable switches queue behind grouped
+// followers, concurrent inserters and value-GC writers.
 func TestRaceStressCompactionSnapshots(t *testing.T) {
-	cfg := boltTestConfig()
-	cfg.MemTableBytes = 8 << 10
+	for _, tc := range []struct {
+		name     string
+		cfg      func() Config
+		valueLen int // of every other Put; 0 keeps every value small
+		vlogGC   bool
+	}{
+		{"bolt", boltTestConfig, 0, false},
+		{"vlog-concurrent", func() Config {
+			c := vlogTestConfig()
+			c.ConcurrentWriters = true
+			return c
+		}, 300, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg()
+			cfg.MemTableBytes = 8 << 10
+			raceStress(t, cfg, tc.valueLen, tc.vlogGC)
+		})
+	}
+}
+
+func raceStress(t *testing.T, cfg Config, valueLen int, vlogGC bool) {
 	db := openTestDB(t, vfs.NewMem(), cfg)
 	defer db.Close()
 
@@ -38,6 +61,10 @@ func TestRaceStressCompactionSnapshots(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < perG; i++ {
 				key := []byte(fmt.Sprintf("race%06d", rng.Intn(keys)))
+				value := []byte(fmt.Sprintf("w%d-%d", w, i))
+				if i%2 == 0 {
+					value = append(value, make([]byte, valueLen)...)
+				}
 				switch rng.Intn(10) {
 				case 0:
 					if err := db.Delete(key); err != nil {
@@ -45,7 +72,7 @@ func TestRaceStressCompactionSnapshots(t *testing.T) {
 						return
 					}
 				default:
-					if err := db.Put(key, []byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
+					if err := db.Put(key, value); err != nil {
 						t.Error(err)
 						return
 					}
@@ -55,21 +82,27 @@ func TestRaceStressCompactionSnapshots(t *testing.T) {
 	}
 
 	// Forced compactions race the background flush/compaction scheduler.
-	auxWG.Add(1)
-	go func() {
-		defer auxWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+	loop := func(name string, run func() error) {
+		auxWG.Add(1)
+		go func() {
+			defer auxWG.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := run(); err != nil {
+					t.Errorf("%s: %v", name, err)
+					return
+				}
 			}
-			if err := db.CompactRange(nil, nil); err != nil {
-				t.Errorf("CompactRange: %v", err)
-				return
-			}
-		}
-	}()
+		}()
+	}
+	loop("CompactRange", func() error { return db.CompactRange(nil, nil) })
+	if vlogGC {
+		loop("CompactValueLog", db.CompactValueLog)
+	}
 
 	// Snapshot churn: grab a snapshot, read through it, release it — the
 	// snapshot list and visibleSeq are shared with the commit pipeline.

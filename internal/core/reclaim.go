@@ -11,6 +11,7 @@ import (
 	"github.com/bolt-lsm/bolt/internal/manifest"
 	"github.com/bolt-lsm/bolt/internal/vfs"
 	"github.com/bolt-lsm/bolt/internal/vlog"
+	"github.com/bolt-lsm/bolt/internal/wal"
 )
 
 // afterFlush is one entry of the after-flush list, work a flush must log
@@ -19,13 +20,16 @@ import (
 // memtable generation it waits for (0, a size record, waits for none);
 // seg, if Num is set, is the segment edit to log; w, set on a size record,
 // is the retired segment's writer, which the flush syncs, records at its
-// synced length and closes; r, if its num is set, is the reclaim the
-// logged edit licenses. An entry with seg and r is a value-GC advance.
+// synced length and closes; walW, set on a retired WAL's entry until the
+// flush of its memtable takes it, is that WAL's writer; r, if its num is
+// set, is the reclaim the logged edit licenses. An entry with seg and r is
+// a value-GC advance.
 type afterFlush struct {
-	gen uint64
-	seg manifest.VLogSegmentEdit
-	w   *vlog.Writer
-	r   reclaim
+	gen  uint64
+	seg  manifest.VLogSegmentEdit
+	w    *vlog.Writer
+	walW *wal.Writer
+	r    reclaim
 }
 
 func (a afterFlush) isGCAdvance() bool { return a.seg.Num != 0 && a.r.num != 0 }

@@ -1185,13 +1185,37 @@ func TestValueGCHoldsNoReservation(t *testing.T) {
 // TestNoFsyncUnderMutex: no fsync of any file runs with db.mu held —
 // through value-log rotations, background flushes and compactions,
 // value-GC passes, CompactRange, CompactValueLog and Close. Every barrier
-// is paid in a window off the engine mutex.
+// is paid in a window off the engine mutex. Nor does any close of a WAL,
+// which unmaps and truncates a mapped log: the flushes that retire the
+// WALs of size-triggered and forced switches close them off mu, and so
+// does Close.
 func TestNoFsyncUnderMutex(t *testing.T) {
-	efs := vfs.NewErrorFS(vfs.NewMem())
+	hfs := &handleFS{FS: vfs.NewMem()}
+	efs := vfs.NewErrorFS(hfs)
 	db := openTestDB(t, efs, vlogTestConfig())
-	var syncs, rotations atomic.Int64
+	var syncs, rotations, logCloses atomic.Int64
 	var mu sync.Mutex
 	var underMu []string
+	// checkFree records op on name unless db.mu comes free within 20 ms.
+	checkFree := func(op, name string) {
+		for range 200 {
+			if db.mu.TryLock() {
+				db.mu.Unlock()
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		mu.Lock()
+		underMu = append(underMu, op+" "+name)
+		mu.Unlock()
+	}
+	onClose := func(name string) {
+		if kind, _, _ := manifest.ParseFileName(name); kind == manifest.KindLog {
+			logCloses.Add(1)
+			checkFree("close", name)
+		}
+	}
+	hfs.onClose.Store(&onClose)
 	efs.SetInjector(vfs.InjectorFunc(func(op vfs.Op, name string, _ int64) error {
 		switch {
 		case op == vfs.OpCreate && isVLog(name):
@@ -1201,16 +1225,7 @@ func TestNoFsyncUnderMutex(t *testing.T) {
 			return nil
 		}
 		syncs.Add(1)
-		for range 200 {
-			if db.mu.TryLock() {
-				db.mu.Unlock()
-				return nil
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-		mu.Lock()
-		underMu = append(underMu, name)
-		mu.Unlock()
+		checkFree("sync", name)
 		return nil
 	}))
 	putGenerations(t, db, "big", 3, 40)
@@ -1238,8 +1253,12 @@ func TestNoFsyncUnderMutex(t *testing.T) {
 	if syncs.Load() == 0 {
 		t.Fatal("the run paid no fsync")
 	}
+	// Each flush closes the WAL it retired, and Close the active one.
+	if n := logCloses.Load(); n < s.MemtableFlushes+1 {
+		t.Fatalf("%d WAL closes for %d flushes and a Close", n, s.MemtableFlushes)
+	}
 	if len(underMu) != 0 {
-		t.Fatalf("%d of %d fsyncs ran under db.mu: %v", len(underMu), syncs.Load(), underMu)
+		t.Fatalf("%d of %d fsyncs and WAL closes ran under db.mu: %v", len(underMu), syncs.Load()+logCloses.Load(), underMu)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"slices"
-	"time"
 
 	"github.com/bolt-lsm/bolt/internal/batch"
 	"github.com/bolt-lsm/bolt/internal/compaction"
@@ -193,7 +192,7 @@ func (db *DB) valueGCPassLocked(j *job) error {
 	db.met.CompactionsByReason[metrics.CompactionValueGC].Add(1)
 	db.met.VLogReclaimedBytes.Add(reclaimed)
 	db.afterFlush = append(db.afterFlush, afterFlush{
-		gen: db.walNum,
+		gen: db.walW.Num(),
 		seg: manifest.VLogSegmentEdit{Num: seg, GCOffset: chunkEnd, GarbageDelta: -deadBytes},
 		r:   reclaim{name: manifest.VLogFileName, num: seg, ranges: punchRanges, whole: full, seq: db.VisibleSeq()},
 	})
@@ -336,14 +335,6 @@ func (db *DB) vlogWritersLocked() []*vlog.Writer {
 // space: one flush's barriers for any number of passes. Tests and tools
 // use it to settle the value log deterministically.
 func (db *DB) CompactValueLog() error {
-	// The rotation's wal-rotation event is emitted once mu is released
-	// (deferred calls run last-registered first).
-	var rotation []events.Event
-	defer func() {
-		for _, e := range rotation {
-			db.ev.Emit(e)
-		}
-	}()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	err := db.runForegroundLocked(func() *job {
@@ -361,15 +352,8 @@ func (db *DB) CompactValueLog() error {
 		return err
 	}
 	if slices.ContainsFunc(db.afterFlush, afterFlush.isGCAdvance) && !db.bgStoppedLocked() {
-		logNum, err := db.forceMemtableSwitchLocked()
-		if err != nil {
+		if err := db.flushMemtableLocked(false); err != nil {
 			return err
-		}
-		rotation = append(rotation, events.Event{Type: events.TypeWALRotation, File: logNum, Time: time.Now()})
-		// Wait for the flush job to end, punches included, not just for
-		// the MANIFEST commit that clears imm (as CompactRange waits).
-		for retired := db.imm; (db.imm == retired || db.lanes[laneFlush].busy+db.lanes[lanePool].busy > 0) && !db.bgStoppedLocked(); {
-			db.cond.Wait()
 		}
 	}
 	if db.closed {

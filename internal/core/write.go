@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -21,7 +22,9 @@ const maxGroupCommitBytes = 1 << 20
 // through next, from db.writers to db.lastWriter. Its head is the leader:
 // it performs the group commit on behalf of every writer it absorbs, and
 // its group runs from the head to the group's last member. next is set
-// under mu, on the tail only.
+// under mu, on the tail only. A writer with no batch is a forced memtable
+// switch (flushMemtableLocked): the queue is the only place a memtable is
+// switched, so no leader's WAL rotates under its off-mu append.
 type dbWriter struct {
 	b    *batch.Batch
 	next *dbWriter // guarded by db.mu
@@ -41,6 +44,9 @@ type dbWriter struct {
 	// separated off mu, synced only under SyncWAL: the punches it licenses
 	// wait for the flush that makes the re-puts durable (vloggc.go, rule 2).
 	gc *gcCommit
+	// manual marks CompactRange's forced switch: it takes the
+	// manual-compaction claim in the critical section of its switch.
+	manual bool
 }
 
 // Write atomically applies b. Callers may invoke Write concurrently; a
@@ -87,18 +93,28 @@ func (db *DB) commit(w *dbWriter) error {
 	}
 
 	// This writer is the leader.
-	db.leaderActive = true
-	err := db.makeRoomForWriteLocked()
+	walRotation, err := db.makeRoomForWriteLocked(w.b == nil)
 	var group *batch.Batch
-	last := w                 // the group's last member
-	var rotation events.Event // set if this commit rotated the value log
-	if err == nil && w.gc != nil {
-		// Build the GC re-put batch now, under mu: liveness established at
-		// scan time is re-checked against the current memtables before any
-		// record is rewritten (see filterGCBatchLocked).
-		db.filterGCBatchLocked(w)
-	}
-	if err == nil {
+	last := w                     // the group's last member
+	var vlogRotation events.Event // set if this commit rotated the value log
+	switch {
+	case err != nil:
+	case w.b == nil:
+		// A forced switch is done: it logs no record and leads no group.
+		if w.manual {
+			if db.manualActive {
+				err = errManualBusy
+			} else {
+				db.manualActive = true
+			}
+		}
+	default:
+		if w.gc != nil {
+			// Build the GC re-put batch now, under mu: liveness established
+			// at scan time is re-checked against the current memtables
+			// before any record is rewritten (see filterGCBatchLocked).
+			db.filterGCBatchLocked(w)
+		}
 		group, last = db.buildGroupLocked()
 		db.met.GroupCommits.Add(1)
 		startSeq := db.VisibleSeq() + 1
@@ -163,7 +179,7 @@ func (db *DB) commit(w *dbWriter) error {
 			db.met.Writes.Add(int64(group.Count()))
 			db.met.BytesIn.Add(userBytes)
 			if db.vlogW != nil && db.vlogW.Size() >= db.cfg.VLogSegmentBytes {
-				rotation = db.rotateVLogLocked()
+				vlogRotation = db.rotateVLogLocked()
 			}
 		}
 	}
@@ -176,21 +192,21 @@ func (db *DB) commit(w *dbWriter) error {
 			m.cv.Signal()
 		}
 	}
-	db.leaderActive = false
 	if db.writers = last.next; db.writers != nil {
 		db.writers.cv.Signal()
 	} else {
 		db.lastWriter = nil
 	}
-	if db.closed || db.rotateWaiters > 0 {
-		// Close drains the writer queue before touching the WAL files, and
-		// forceMemtableSwitchLocked must not rotate the WAL writer out from
-		// under this leader's off-mu append; both wait on cond.
+	if db.closed {
+		// Close drains the writer queue before touching the WAL files.
 		db.cond.Broadcast()
 	}
 	db.mu.Unlock()
-	if rotation.Type != 0 {
-		db.ev.Emit(rotation)
+	if walRotation.Type != 0 {
+		db.ev.Emit(walRotation)
+	}
+	if vlogRotation.Type != 0 {
+		db.ev.Emit(vlogRotation)
 	}
 	return err
 }
@@ -250,8 +266,9 @@ func (db *DB) buildGroupLocked() (group *batch.Batch, last *dbWriter) {
 	group, last = leader.b, leader
 	total := leader.b.Size()
 	for next := leader.next; next != nil; next = next.next {
-		// A value-GC writer's batch is built only once it leads.
-		if next.gc != nil || total+next.b.Size() > maxGroupCommitBytes {
+		// A value-GC writer's batch is built only once it leads, and a
+		// forced switch has none.
+		if next.gc != nil || next.b == nil || total+next.b.Size() > maxGroupCommitBytes {
 			break
 		}
 		if last == leader {
@@ -303,15 +320,19 @@ func (db *DB) insertFollower(w *dbWriter) {
 }
 
 // makeRoomForWriteLocked applies the write governors and switches memtables.
+// A forced call, a writer with no batch, passes no governor and counts no
+// stall: it waits only for the previous flush, then switches the memtable
+// unless the switch would retire nothing. It returns the wal-rotation event
+// of its switch, if any, for the leader to emit once it releases mu.
 // Called with mu held by the leader; may release and re-acquire mu.
-func (db *DB) makeRoomForWriteLocked() error {
-	slowdownDone := false
+func (db *DB) makeRoomForWriteLocked(force bool) (rotation events.Event, err error) {
+	slowdownDone := force
 	for {
 		switch {
 		case db.roCause != nil:
-			return db.pendingErrLocked()
+			return rotation, db.pendingErrLocked()
 		case db.closed:
-			return ErrClosed
+			return rotation, ErrClosed
 
 		case !slowdownDone && db.cfg.L0SlowdownTrigger > 0 &&
 			db.l0UnitsLocked() >= db.cfg.L0SlowdownTrigger:
@@ -327,49 +348,58 @@ func (db *DB) makeRoomForWriteLocked() error {
 			db.ev.Emit(events.Event{Type: events.TypeStallEnd, Reason: "l0-slowdown", Dur: d})
 			db.mu.Lock()
 
-		case db.mem.ApproximateSize() < db.cfg.MemTableBytes:
-			return nil
+		case force && db.mem.Empty() && !db.gcAdvanceWaitsLocked():
+			return rotation, nil
+		case !force && db.mem.ApproximateSize() < db.cfg.MemTableBytes:
+			return rotation, nil
 
+		case db.imm != nil && force:
+			db.cond.Wait()
 		case db.imm != nil:
 			// Previous memtable still flushing.
 			db.stallOnCondLocked("memtable-full")
 
-		case db.cfg.L0StopTrigger > 0 && db.l0UnitsLocked() >= db.cfg.L0StopTrigger:
+		case !force && db.cfg.L0StopTrigger > 0 && db.l0UnitsLocked() >= db.cfg.L0StopTrigger:
 			// L0Stop governor: block until compaction drains level 0.
 			db.stallOnCondLocked("l0-stop")
 
 		default:
-			newLogNum, err := db.switchMemtableLocked()
-			if err != nil {
-				return err
+			if rotation, err = db.switchMemtableLocked(); err != nil {
+				return rotation, err
 			}
-			db.mu.Unlock()
-			db.ev.Emit(events.Event{Type: events.TypeWALRotation, File: newLogNum})
-			db.mu.Lock()
 		}
 	}
 }
 
+// gcAdvanceWaitsLocked reports whether a value-GC advance waits for the
+// flush of the active memtable (vloggc.go, rule 2): switching it retires
+// that advance even when the memtable is empty.
+func (db *DB) gcAdvanceWaitsLocked() bool {
+	gen := db.walW.Num()
+	return slices.ContainsFunc(db.afterFlush, func(a afterFlush) bool { return a.gen == gen })
+}
+
 // switchMemtableLocked retires the memtable and its WAL: a fresh pair takes
 // the writes that follow, the old memtable becomes imm and the scheduler is
-// told. It returns the new log number; the caller emits the wal-rotation
-// event carrying it once it can release mu.
-func (db *DB) switchMemtableLocked() (newLogNum uint64, err error) {
-	newLogNum = db.vs.NextFileNum()
-	newWal, err := wal.NewWriter(db.fs, manifest.LogFileName(newLogNum))
+// told. It returns the wal-rotation event, stamped now; the leader emits it
+// once it releases mu.
+func (db *DB) switchMemtableLocked() (events.Event, error) {
+	num := db.vs.NextFileNum()
+	newWal, err := wal.NewWriter(db.fs, manifest.LogFileName(num))
 	if err != nil {
-		return 0, err
+		return events.Event{}, err
 	}
-	db.immWAL = db.walW
-	// The retired WAL is obsolete once the flush of its memtable commits.
-	db.afterFlush = append(db.afterFlush, afterFlush{gen: db.walNum, r: reclaim{name: manifest.LogFileName, num: db.walNum, whole: true}})
-	db.walNum = newLogNum
+	// The retired WAL is obsolete once the flush of its memtable commits,
+	// and its writer rides the same entry: that flush closes it (Close, if
+	// none does), since closing a mapped log unmaps and truncates it.
+	old := db.walW
+	db.afterFlush = append(db.afterFlush, afterFlush{gen: old.Num(), walW: old, r: reclaim{name: manifest.LogFileName, num: old.Num(), whole: true}})
 	db.walW = newWal
 	db.imm = db.mem
 	db.mem = memtable.New()
 	db.met.MemtableSwitch.Add(1)
 	db.maybeScheduleWorkLocked()
-	return newLogNum, nil
+	return events.Event{Type: events.TypeWALRotation, File: num, Time: time.Now()}, nil
 }
 
 // stallOnCondLocked blocks the leader on db.cond, accounting the stall and

@@ -11,6 +11,7 @@ import (
 
 	"github.com/bolt-lsm/bolt/internal/batch"
 	"github.com/bolt-lsm/bolt/internal/logrec"
+	"github.com/bolt-lsm/bolt/internal/manifest"
 	"github.com/bolt-lsm/bolt/internal/vfs"
 )
 
@@ -24,6 +25,7 @@ type Writer struct {
 	f      vfs.File       //boltvet:guardedby none -- externally serialized by the engine (see type doc)
 	lw     *logrec.Writer //boltvet:guardedby none -- externally serialized by the engine (see type doc)
 	closed bool           //boltvet:guardedby none -- externally serialized by the engine (see type doc)
+	num    uint64         //boltvet:guardedby none -- immutable after NewWriter
 }
 
 // NewWriter creates the log file `name` in fs, as fs's log file where it
@@ -33,8 +35,13 @@ func NewWriter(fs vfs.FS, name string) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: create %q: %w", name, err)
 	}
-	return &Writer{f: f, lw: logrec.NewWriter(f)}, nil
+	_, num, _ := manifest.ParseFileName(name)
+	return &Writer{f: f, lw: logrec.NewWriter(f), num: num}, nil
 }
+
+// Num returns the log number the writer's file name carries
+// (manifest.LogFileName), or 0 for a name outside the database's naming.
+func (w *Writer) Num() uint64 { return w.num }
 
 // AddRecord appends one record (a batch representation).
 func (w *Writer) AddRecord(data []byte) error {
