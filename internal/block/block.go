@@ -305,20 +305,11 @@ func (it *Iter) setInvalid() {
 // key (0 when off is a restart point, where shared must be 0).
 func (it *Iter) decodeAt(off, prevLen int) bool {
 	shared, unshared, kstart, valueLen, next, err := it.r.parseHeader(off)
+	if err == nil {
+		err = checkEntry(off, shared, unshared, prevLen)
+	}
 	if err != nil {
 		it.err = err
-		it.setInvalid()
-		return false
-	}
-	if shared > prevLen {
-		it.err = fmt.Errorf("%w: shared %d exceeds previous key %d", ErrCorrupt, shared, prevLen)
-		it.setInvalid()
-		return false
-	}
-	if shared+unshared < keys.TrailerLen {
-		// An internal key must carry its 8-byte trailer; anything shorter
-		// is corruption and would crash the comparator.
-		it.err = fmt.Errorf("%w: entry key at %d shorter than trailer", ErrCorrupt, off)
 		it.setInvalid()
 		return false
 	}
@@ -328,6 +319,26 @@ func (it *Iter) decodeAt(off, prevLen int) bool {
 	it.offset = off
 	it.next = next
 	return true
+}
+
+// checkEntry vets the key lengths of the entry at off against the
+// previous key's length. It is small enough to inline into the decode
+// loops; badEntry builds the error out of line.
+func checkEntry(off, shared, unshared, prevLen int) error {
+	if shared > prevLen || shared+unshared < keys.TrailerLen {
+		return badEntry(off, shared, prevLen)
+	}
+	return nil
+}
+
+// badEntry describes the fault checkEntry found.
+func badEntry(off, shared, prevLen int) error {
+	if shared > prevLen {
+		return fmt.Errorf("%w: shared %d exceeds previous key %d", ErrCorrupt, shared, prevLen)
+	}
+	// An internal key must carry its 8-byte trailer; anything shorter is
+	// corruption and would crash the comparator.
+	return fmt.Errorf("%w: entry key at %d shorter than trailer", ErrCorrupt, off)
 }
 
 // First positions the iterator at the first entry.
@@ -355,33 +366,75 @@ func (it *Iter) Next() bool {
 // Seek positions the iterator at the first entry with internal key >= target.
 func (it *Iter) Seek(target keys.InternalKey) bool {
 	it.err = nil
-	r := it.r
+	key, value, off, next, err := it.r.seekGE(target, it.buf)
+	if err != nil || key == nil {
+		it.err = err
+		it.setInvalid()
+		return false
+	}
+	it.buf, it.key, it.value, it.offset, it.next = key, key, value, off, next
+	return true
+}
+
+// SeekGE returns the first entry with internal key >= target, or a nil
+// key when every entry is smaller. The key is built in buf's backing
+// array (grown if it is too small) and the value aliases the block. It is
+// Iter.Seek without the iterator: nothing is retained, so a caller that
+// passes a stack buffer and drops the results before it returns
+// allocates nothing.
+func (r *Reader) SeekGE(target keys.InternalKey, buf []byte) (key keys.InternalKey, value []byte, err error) {
+	key, value, _, _, err = r.seekGE(target, buf)
+	return key, value, err
+}
+
+// seekGE is SeekGE that also returns the entry's offset and the next
+// entry's, for Iter.
+func (r *Reader) seekGE(target keys.InternalKey, buf []byte) (key keys.InternalKey, value []byte, off, next int, err error) {
 	// Binary search restarts for the last restart whose key < target.
 	// Probe keys alias the block data (restart entries have no shared
 	// prefix), so the search allocates nothing.
 	lo, hi := 0, r.numRestarts-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		key, err := r.restartKey(mid)
+		k, err := r.restartKey(mid)
 		if err != nil {
-			it.err = err
-			it.setInvalid()
-			return false
+			return nil, nil, 0, 0, err
 		}
-		if keys.Compare(key, target) < 0 {
+		if keys.Compare(k, target) < 0 {
 			lo = mid
 		} else {
 			hi = mid - 1
 		}
 	}
 	// Linear scan forward from the chosen restart.
-	if !it.decodeAt(r.restart(lo), 0) {
-		return false
+	off = r.restart(lo)
+	if key, value, next, err = r.entryAt(off, buf, 0); err != nil {
+		return nil, nil, 0, 0, err
 	}
-	for keys.Compare(it.key, target) < 0 {
-		if !it.Next() {
-			return false
+	for keys.Compare(key, target) < 0 {
+		if next >= len(r.data) {
+			return nil, nil, 0, 0, nil
+		}
+		off = next
+		if key, value, next, err = r.entryAt(off, key, len(key)); err != nil {
+			return nil, nil, 0, 0, err
 		}
 	}
-	return true
+	return key, value, off, next, nil
+}
+
+// entryAt decodes the entry at off as decodeAt does, building its key in
+// prev's backing array, whose first prevLen bytes hold the previous
+// entry's key; it returns the key, the value (aliasing the block) and the
+// offset of the next entry.
+func (r *Reader) entryAt(off int, prev []byte, prevLen int) (key keys.InternalKey, value []byte, next int, err error) {
+	shared, unshared, kstart, valueLen, next, err := r.parseHeader(off)
+	if err == nil {
+		err = checkEntry(off, shared, unshared, prevLen)
+	}
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	key = append(prev[:shared], r.data[kstart:kstart+unshared]...)
+	return key, r.data[kstart+unshared : kstart+unshared+valueLen], next, nil
 }

@@ -380,7 +380,7 @@ func TestFDEntryTryAcquireAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &fdEntry{file: f, refs: 1}
+	e := newFDEntry(f)
 	if !e.tryAcquire() {
 		t.Fatal("tryAcquire refused a live entry")
 	}

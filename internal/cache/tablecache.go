@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"github.com/bolt-lsm/bolt/internal/manifest"
@@ -11,51 +10,52 @@ import (
 )
 
 // fdEntry is a shared physical-file handle with reference counting so an
-// evicted descriptor is only closed once no table reader uses it.
+// evicted descriptor is only closed once no table reader uses it. The
+// count is one atomic word and a count of zero means closed: taking and
+// dropping a reference on a cache hit locks nothing.
 type fdEntry struct {
-	mu sync.Mutex
-	// file is set at creation and never reassigned; the single Close is
-	// serialized by the closed flag flipping under mu.
-	file   vfs.File //boltvet:guardedby none -- immutable after creation; Close-once via the closed flag
-	refs   int      //boltvet:guardedby mu -- table readers + (1 while resident in the fd cache)
-	closed bool     //boltvet:guardedby mu
+	// file is set at creation and never reassigned; the 1 → 0 transition
+	// of refs, which happens once, closes it.
+	file vfs.File     //boltvet:guardedby none -- immutable after newFDEntry; closed once, by the release that drops refs to 0
+	refs atomic.Int32 //boltvet:guardedby atomic -- table readers + (1 while resident in the fd cache); 0 = closed
+}
+
+// newFDEntry wraps an open file in an entry holding one reference, its
+// creator's.
+func newFDEntry(f vfs.File) *fdEntry {
+	e := &fdEntry{file: f}
+	e.refs.Store(1)
+	return e
 }
 
 // acquire takes a reference on behalf of a caller that already holds one
 // (the leader handing out waiter references), so the entry cannot be
 // concurrently closed.
-func (e *fdEntry) acquire() {
-	e.mu.Lock()
-	e.refs++
-	e.mu.Unlock()
-}
+func (e *fdEntry) acquire() { e.refs.Add(1) }
 
 // tryAcquire takes a reference unless the entry has already been closed.
 // Cache lookups must use this, not acquire: lru.get returns the entry
-// with the lru mutex released, so a concurrent Evict can drop the
+// with the shard lock released, so a concurrent Evict can drop the
 // cache's last reference — closing the descriptor — before the getter
-// takes its own. A false return means "evicted under you: re-open".
+// takes its own. It never moves the count off zero, so a closed entry
+// stays closed. A false return means "evicted under you: re-open".
 func (e *fdEntry) tryAcquire() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return false
+	for {
+		n := e.refs.Load()
+		if n <= 0 {
+			return false
+		}
+		if e.refs.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
-	e.refs++
-	return true
 }
 
 func (e *fdEntry) entry() *fdEntry { return e }
 
+// release drops a reference; the one that drops the last closes the file.
 func (e *fdEntry) release() {
-	e.mu.Lock()
-	e.refs--
-	shouldClose := e.refs == 0 && !e.closed
-	if shouldClose {
-		e.closed = true
-	}
-	e.mu.Unlock()
-	if shouldClose {
+	if e.refs.Add(-1) == 0 {
 		_ = e.file.Close()
 	}
 }
@@ -105,7 +105,7 @@ func (c *FDCache) acquireEntry(physNum uint64) (*fdEntry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cache: open file %d (%s): %w", physNum, c.name(physNum), err)
 		}
-		return &fdEntry{file: f, refs: 1}, nil
+		return newFDEntry(f), nil
 	})
 }
 
@@ -188,7 +188,7 @@ func (c *TableCache) openTable(meta *manifest.FileMeta) (Handle, error) {
 		if err != nil {
 			return Handle{}, fmt.Errorf("cache: open table file %d: %w", meta.PhysNum, err)
 		}
-		fd = &fdEntry{file: f, refs: 1}
+		fd = newFDEntry(f)
 	}
 	r, err := sstable.OpenReader(fd.file, meta.Num, meta.PhysNum, meta.Offset, meta.Size, c.blockCache)
 	if err != nil {

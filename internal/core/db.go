@@ -590,8 +590,11 @@ func (db *DB) lookup(key []byte, snap *Snapshot) ([]byte, keys.Kind, bool, *mani
 	v.Ref()
 	db.mu.Unlock()
 
-	// One seek key serves the memtables and every table probe below.
-	ikey := keys.MakeInternalKey(nil, key, seq, keys.KindSeekMax)
+	// One seek key serves the memtables and every table probe below. It is
+	// built on the stack (a key too long for the buffer grows it on the
+	// heap): nothing below retains it.
+	var kbuf [64]byte
+	ikey := keys.MakeInternalKey(kbuf[:0], key, seq, keys.KindSeekMax)
 	value, kind, found := mem.GetSeek(ikey)
 	if !found && imm != nil {
 		value, kind, found = imm.GetSeek(ikey)
@@ -628,12 +631,13 @@ func (db *DB) vlogGet(ptr []byte) ([]byte, error) {
 // tableSearch carries one key lookup across the table levels. It is a
 // struct with methods rather than a set of closures inside searchTables
 // so a Get that reaches the tables does not heap-allocate the closure
-// environments.
+// environments. The seek key is passed alongside rather than held here:
+// escape analysis does not tell a struct's fields apart, and seekVictim
+// reaches db.seekCompactFile, so a key stored beside it would be moved to
+// the heap with it.
 type tableSearch struct {
-	db   *DB
-	v    *manifest.Version
-	ikey keys.InternalKey
-	key  []byte // ikey.UserKey()
+	db *DB
+	v  *manifest.Version
 
 	// seekVictim is the table a seek charge goes to — the first one
 	// consulted, as in LevelDB — or nil when that table is a slice of a
@@ -660,9 +664,11 @@ type newest struct {
 	found bool
 }
 
-// consult probes table f and keeps its entry in best if it is the newer.
-// runSlice marks f as one table of a multi-table level-0 run.
-func (s *tableSearch) consult(level int, f *manifest.FileMeta, runSlice bool, best *newest) error {
+// consult probes table f for ikey and keeps its entry in best if it is the
+// newer. runSlice marks f as one table of a multi-table level-0 run. The
+// filter is probed here, once: a table it excludes reads no block, and
+// one it admits is read without a second probe.
+func (s *tableSearch) consult(level int, f *manifest.FileMeta, runSlice bool, ikey keys.InternalKey, best *newest) error {
 	// A quarantined table's span must fail loudly rather than serve a
 	// silently wrong (older or missing) version of the key.
 	if s.v.IsQuarantined(f.Num) {
@@ -678,11 +684,11 @@ func (s *tableSearch) consult(level int, f *manifest.FileMeta, runSlice bool, be
 		return s.db.maybeQuarantineRead(level, f, err)
 	}
 	defer h.Release()
-	if !h.Reader.MayContain(s.key) {
+	if !h.Reader.MayContain(ikey.UserKey()) {
 		s.db.met.BloomSkips.Add(1)
 		return nil
 	}
-	value, seq, kind, found, err := h.Reader.Get(s.ikey)
+	value, seq, kind, found, err := h.Reader.GetUnfiltered(ikey)
 	if err != nil {
 		return s.db.maybeQuarantineRead(level, f, err)
 	}
@@ -692,24 +698,13 @@ func (s *tableSearch) consult(level int, f *manifest.FileMeta, runSlice bool, be
 	return nil
 }
 
-// runTable returns the one table of a sorted run whose user-key range
-// covers key, or nil: a run's tables are ordered and pairwise disjoint, so
-// both bounds increase with the index and one binary search finds it.
-func runTable(run []*manifest.FileMeta, key []byte) *manifest.FileMeta {
-	idx := sort.Search(len(run), func(i int) bool {
-		return keys.CompareUser(run[i].Largest.UserKey(), key) >= 0
-	})
-	if idx >= len(run) || keys.CompareUser(run[idx].Smallest.UserKey(), key) > 0 {
-		return nil
-	}
-	return run[idx]
-}
-
-// consultRuns consults at most one table per sorted run.
-func (s *tableSearch) consultRuns(level int, runs [][]*manifest.FileMeta, best *newest) error {
-	for _, run := range runs {
-		if f := runTable(run, s.key); f != nil {
-			if err := s.consult(level, f, level == 0 && len(run) > 1, best); err != nil {
+// consultRuns consults at most one table per sorted run: the one whose
+// range covers the key, found by a binary search of the run's fences.
+func (s *tableSearch) consultRuns(level int, ikey keys.InternalKey, best *newest) error {
+	key := ikey.UserKey()
+	for r, run := range s.v.Runs(level) {
+		if f := s.v.RunTable(level, r, key); f != nil {
+			if err := s.consult(level, f, level == 0 && len(run) > 1, ikey, best); err != nil {
 				return err
 			}
 		}
@@ -723,10 +718,10 @@ func (s *tableSearch) consultRuns(level int, runs [][]*manifest.FileMeta, best *
 // level is read as its sorted runs, and a run costs a binary search and at
 // most one table probe.
 func (db *DB) searchTables(v *manifest.Version, ikey keys.InternalKey) ([]byte, keys.Kind, bool, error) {
-	s := tableSearch{db: db, v: v, ikey: ikey, key: ikey.UserKey()}
+	s := tableSearch{db: db, v: v}
 	var best newest
 	for level := 0; level < manifest.NumLevels && !best.found; level++ {
-		if err := s.consultRuns(level, v.Runs(level), &best); err != nil {
+		if err := s.consultRuns(level, ikey, &best); err != nil {
 			return nil, 0, false, err
 		}
 	}

@@ -83,6 +83,11 @@ type Version struct {
 	runs        [NumLevels][][]*FileMeta
 	l0PhysFiles int
 
+	// fences mirrors runs: each run's largest user keys, packed so a point
+	// lookup's binary search reads contiguous bytes instead of
+	// dereferencing a FileMeta per probe (see RunTable).
+	fences [NumLevels][]runFences
+
 	// levelBytes is each level's total table size, so the picker's scores
 	// cost nothing per pick.
 	levelBytes [NumLevels]int64
@@ -182,6 +187,50 @@ func (v *Version) L0PhysFiles() int { return v.l0PhysFiles }
 // through one concatenating iterator. The runs partition Levels[level].
 // Callers must not modify the result.
 func (v *Version) Runs(level int) [][]*FileMeta { return v.runs[level] }
+
+// runFences is one sorted run's largest user keys, one after another in
+// keys: table i's key ends at ends[i] and starts where table i-1's ends.
+// The runs of a level slice one shared keys array and one shared ends
+// array.
+type runFences struct {
+	keys []byte
+	ends []uint32
+}
+
+// key returns the largest user key of the run's i'th table.
+func (f *runFences) key(i int) []byte {
+	var start uint32
+	if i > 0 {
+		start = f.ends[i-1]
+	}
+	return f.keys[start:f.ends[i]]
+}
+
+// RunTable returns the one table of Runs(level)[run] whose user-key range
+// covers key, or nil: a run's tables are ordered and pairwise disjoint, so
+// both bounds increase with the index, and one binary search over the
+// run's fences finds the only candidate. Only that table's FileMeta is
+// read, to check its smallest key.
+func (v *Version) RunTable(level, run int, key []byte) *FileMeta {
+	f := &v.fences[level][run]
+	lo, hi := 0, len(f.ends)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if keys.CompareUser(f.key(mid), key) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(f.ends) {
+		return nil
+	}
+	t := v.runs[level][run][lo]
+	if keys.CompareUser(t.Smallest.UserKey(), key) > 0 {
+		return nil
+	}
+	return t
+}
 
 // ReadAmp returns how many tables a point lookup may consult in level: one
 // per run, except in a pile — a level below 0 that is not one run, which
@@ -316,6 +365,37 @@ func (v *Version) deriveLevel(level int) {
 	} else {
 		v.runs[level] = LevelRuns(level, files)
 	}
+	v.fences[level] = packFences(v.runs[level])
+}
+
+// packFences builds the fences of a level's runs: one keys array and one
+// ends array for the whole level, sliced per run.
+func packFences(runs [][]*FileMeta) []runFences {
+	if len(runs) == 0 {
+		return nil
+	}
+	n, size := 0, 0
+	for _, run := range runs {
+		n += len(run)
+		for _, f := range run {
+			size += len(f.Largest.UserKey())
+		}
+	}
+	allKeys := make([]byte, 0, size)
+	allEnds := make([]uint32, 0, n)
+	out := make([]runFences, len(runs))
+	for r, run := range runs {
+		k0, e0 := len(allKeys), len(allEnds)
+		for _, f := range run {
+			allKeys = append(allKeys, f.Largest.UserKey()...)
+			allEnds = append(allEnds, uint32(len(allKeys)-k0))
+		}
+		out[r] = runFences{
+			keys: allKeys[k0:len(allKeys):len(allKeys)],
+			ends: allEnds[e0:len(allEnds):len(allEnds)],
+		}
+	}
+	return out
 }
 
 // sortedLevel reports whether level is one sorted run below level 0, whose
@@ -396,9 +476,9 @@ func (v *Version) SortedTables(level int) error {
 }
 
 // CheckRuns verifies the derived runs of every level: they partition the
-// level, and every multi-table run is ordered by Smallest, pairwise
+// level, every multi-table run is ordered by Smallest, pairwise
 // user-key-disjoint, and either shares one physical file or is a whole
-// level below 0.
+// level below 0, and the run fences hold each run's largest keys.
 func (v *Version) CheckRuns() error {
 	for level, files := range v.Levels {
 		inLevel := make(map[*FileMeta]bool, len(files))
@@ -428,6 +508,20 @@ func (v *Version) CheckRuns() error {
 		}
 		if n != len(files) {
 			return fmt.Errorf("manifest: level-%d runs cover %d of %d tables", level, n, len(files))
+		}
+		if len(v.fences[level]) != len(v.runs[level]) {
+			return fmt.Errorf("manifest: level %d has %d runs but %d run fences", level, len(v.runs[level]), len(v.fences[level]))
+		}
+		for r, run := range v.runs[level] {
+			f := &v.fences[level][r]
+			if len(f.ends) != len(run) {
+				return fmt.Errorf("manifest: level-%d run %d has %d tables but %d fences", level, r, len(run), len(f.ends))
+			}
+			for i, t := range run {
+				if !bytes.Equal(f.key(i), t.Largest.UserKey()) {
+					return fmt.Errorf("manifest: level-%d run %d fence %d is %q, table %d ends at %q", level, r, i, f.key(i), t.Num, t.Largest.UserKey())
+				}
+			}
 		}
 	}
 	return nil
@@ -537,6 +631,7 @@ func (b *versionBuilder) finish(vs *VersionSet) *Version {
 			v.Levels[level] = b.base.Levels[level]
 			v.levelBytes[level] = b.base.levelBytes[level]
 			v.runs[level] = b.base.runs[level]
+			v.fences[level] = b.base.fences[level]
 			if level == 0 {
 				v.l0PhysFiles = b.base.l0PhysFiles
 			}

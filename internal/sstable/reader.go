@@ -278,19 +278,28 @@ func (r *Reader) readBlockDirect(h blockHandle) ([]byte, error) {
 // user key matches — i.e. the newest version visible at ikey's sequence
 // number. found=false means the table holds no visible version. The seq
 // return lets callers searching overlapping tables (L0, fragmented levels)
-// select the newest version across tables.
+// select the newest version across tables. A key the filter excludes
+// reads no block.
 func (r *Reader) Get(ikey keys.InternalKey) (value []byte, seq keys.Seq, kind keys.Kind, found bool, err error) {
 	if !r.MayContain(ikey.UserKey()) {
 		return nil, 0, 0, false, nil
 	}
-	// Stack-allocated readers and iterators: Get runs once per table probed
-	// per lookup, so heap traffic here multiplies by read amplification.
-	var idx block.Iter
-	idx.Init(r.index)
-	if !idx.Seek(ikey) {
-		return nil, 0, 0, false, idx.Err()
+	return r.GetUnfiltered(ikey)
+}
+
+// GetUnfiltered is Get without the filter probe, for a caller that has
+// already asked MayContain for this key. Only the returned value is
+// allocated: the block reader and both seek keys live on the stack.
+func (r *Reader) GetUnfiltered(ikey keys.InternalKey) (value []byte, seq keys.Seq, kind keys.Kind, found bool, err error) {
+	// One key buffer serves both seeks: the index entry is decoded to a
+	// handle before the data block's seek reuses it. Keys longer than the
+	// buffer grow it on the heap.
+	var kbuf [64]byte
+	idxKey, idxValue, err := r.index.SeekGE(ikey, kbuf[:0])
+	if idxKey == nil {
+		return nil, 0, 0, false, err
 	}
-	h, err := decodeHandle(idx.Value())
+	h, err := decodeHandle(idxValue)
 	if err != nil {
 		return nil, 0, 0, false, r.corruptf(-1, err, "index entry handle")
 	}
@@ -302,15 +311,11 @@ func (r *Reader) Get(ikey keys.InternalKey) (value []byte, seq keys.Seq, kind ke
 	if err := br.Init(data); err != nil {
 		return nil, 0, 0, false, r.corruptf(r.base+h.offset, err, "parse data block")
 	}
-	var it block.Iter
-	it.Init(&br)
-	if !it.Seek(ikey) {
-		return nil, 0, 0, false, it.Err()
+	key, v, err := br.SeekGE(ikey, kbuf[:0])
+	if key == nil || keys.CompareUser(key.UserKey(), ikey.UserKey()) != 0 {
+		return nil, 0, 0, false, err
 	}
-	if keys.CompareUser(it.Key().UserKey(), ikey.UserKey()) != 0 {
-		return nil, 0, 0, false, nil
-	}
-	return append([]byte(nil), it.Value()...), it.Key().Seq(), it.Key().Kind(), true, nil
+	return append([]byte(nil), v...), key.Seq(), key.Kind(), true, nil
 }
 
 // IterOpts controls table iteration.

@@ -470,6 +470,49 @@ func TestGetValueDoesNotAliasCache(t *testing.T) {
 	}
 }
 
+// TestGetUnfilteredSkipsFilter: Get asks the filter first, so a key it
+// excludes reads no block; GetUnfiltered, the path the engine takes after
+// its own probe, does not ask again and reads the block, and for keys the
+// filter admits the two agree.
+func TestGetUnfilteredSkipsFilter(t *testing.T) {
+	fs := vfs.NewMem()
+	pairs := numberedPairs(100)
+	_, info := buildTable(t, fs, "t", 0, pairs, Config{})
+	f, _ := fs.Open("t")
+	defer f.Close()
+	cc := &countingCache{m: map[string][]byte{}}
+	r, err := OpenReader(f, 1, 1, 0, info.Size, cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var excluded []byte
+	for i := 0; i < 1000 && excluded == nil; i++ {
+		// Between two stored keys, so the index points at a real block.
+		if k := []byte(fmt.Sprintf("user%08d-%d", i%100, i)); !r.MayContain(k) {
+			excluded = k
+		}
+	}
+	if excluded == nil {
+		t.Fatal("the filter admits every probe key")
+	}
+	target := keys.MakeInternalKey(nil, excluded, keys.MaxSeq, keys.KindSeekMax)
+	lookups := func() int { return cc.hits + cc.inserts }
+	if _, _, _, found, err := r.Get(target); found || err != nil || lookups() != 0 {
+		t.Fatalf("Get(%q): found=%v err=%v after %d block lookups; want a filtered miss reading nothing", excluded, found, err, lookups())
+	}
+	if _, _, _, found, err := r.GetUnfiltered(target); found || err != nil || lookups() != 1 {
+		t.Fatalf("GetUnfiltered(%q): found=%v err=%v after %d block lookups; want a miss that read its block", excluded, found, err, lookups())
+	}
+	for _, p := range pairs {
+		seek := keys.MakeInternalKey(nil, p.k.UserKey(), keys.MaxSeq, keys.KindSeekMax)
+		v1, seq1, kind1, found1, err1 := r.Get(seek)
+		v2, seq2, kind2, found2, err2 := r.GetUnfiltered(seek)
+		if !found1 || err1 != nil || !bytes.Equal(v1, p.v) || !bytes.Equal(v1, v2) || seq1 != seq2 || kind1 != kind2 || found1 != found2 || err2 != nil {
+			t.Fatalf("%q: Get = %q %d %v %v %v, GetUnfiltered = %q %d %v %v %v", p.k.UserKey(), v1, seq1, kind1, found1, err1, v2, seq2, kind2, found2, err2)
+		}
+	}
+}
+
 func TestMetaSizeGrowsWithTableSize(t *testing.T) {
 	fs := vfs.NewMem()
 	_, small := buildTable(t, fs, "small", 0, numberedPairs(100), Config{})
@@ -536,14 +579,45 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// offsetCache is a block cache for one table that allocates nothing per
+// lookup, so a benchmark's allocations are the reader's own.
+type offsetCache map[int64][]byte
+
+func (c offsetCache) Get(_ uint64, off int64) ([]byte, bool) {
+	v, ok := c[off]
+	return v, ok
+}
+
+func (c offsetCache) Insert(_ uint64, off int64, data []byte) { c[off] = data }
+
+// BenchmarkTableGet is a cached point read of one table: index seek, block
+// cache hit, block seek and the value's copy, which is the only
+// allocation (the CI alloc guard holds it there). Seek keys are built
+// before the timer.
 func BenchmarkTableGet(b *testing.B) {
 	fs := vfs.NewMem()
 	pairs := numberedPairs(10000)
-	r, _ := buildTable(b, fs, "t", 0, pairs, Config{})
+	_, info := buildTable(b, fs, "t", 0, pairs, Config{})
+	f, err := fs.Open("t")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	r, err := OpenReader(f, 1, 1, 0, info.Size, offsetCache{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	seek := make([]keys.InternalKey, len(pairs))
+	for i, p := range pairs {
+		seek[i] = keys.MakeInternalKey(nil, p.k.UserKey(), keys.MaxSeq, keys.KindSeekMax)
+		if _, _, _, found, err := r.Get(seek[i]); !found || err != nil {
+			b.Fatalf("%q: found=%v err=%v", p.k.UserKey(), found, err)
+		}
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u := fmt.Sprintf("user%08d", i%10000)
-		r.Get(keys.MakeInternalKey(nil, []byte(u), keys.MaxSeq, keys.KindSeekMax))
+		r.Get(seek[i%len(seek)])
 	}
 }
 
